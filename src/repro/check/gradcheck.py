@@ -348,19 +348,35 @@ def _case_take(seed: int):
     return (lambda: _weighted_sum(F.take(bias, index), w)), [bias]
 
 
-@register_case("functional.embedding_bag")
-def _case_embedding_bag(seed: int):
+def _embedding_bag_case(seed: int, sparse: bool, capacity: int,
+                        indices: list[int], offsets: list[int]):
     from repro.nn import functional as F
 
     rng = new_rng(seed)
-    weight = Parameter(rng.normal(size=(8, 3)), name="weight", sparse=True)
-    indices = np.array([0, 3, 3, 7, 2, 5])
-    offsets = np.array([0, 2, 2, 4, 6])  # includes an empty bag
-    piw = rng.uniform(0.5, 2.0, size=indices.size)
-    w = rng.uniform(0.5, 1.5, size=(4, 3))
-    return (lambda: _weighted_sum(
-        F.embedding_bag(weight, indices, offsets, per_index_weights=piw), w),
-        [weight])
+    weight = Parameter(rng.normal(size=(capacity, 3)), name="weight",
+                       sparse=sparse)
+    piw = rng.uniform(0.5, 2.0, size=len(indices))
+    w = rng.uniform(0.5, 1.5, size=(len(offsets) - 1, 3))
+    return (lambda: _weighted_sum(F.embedding_bag(
+        weight, np.array(indices), np.array(offsets), per_index_weights=piw),
+        w)), [weight]
+
+
+@register_case("functional.embedding_bag")
+def _case_embedding_bag(seed: int):
+    return _embedding_bag_case(seed, sparse=True, capacity=8,
+                               indices=[0, 3, 3, 7, 2, 5],
+                               offsets=[0, 2, 2, 4, 6])  # an empty bag
+
+
+@register_case("functional.embedding_bag",
+               name="functional.embedding_bag.duplicates")
+def _case_embedding_bag_duplicates(seed: int):
+    # Two rows shared by every bag and repeated inside them, on a dense
+    # parameter: each weight entry's gradient is a sum over many bags.
+    return _embedding_bag_case(seed, sparse=False, capacity=5,
+                               indices=[1, 1, 4, 4, 1, 4, 1, 1, 1, 4, 4],
+                               offsets=[0, 3, 6, 6, 11])
 
 
 def _softmax_nll_inputs(seed: int, sparse: bool):

@@ -242,6 +242,34 @@ def _oracle_optim_coalesce(rng: np.random.Generator) -> Pairs:
     return {"merged": (dense, opt)}
 
 
+@register_oracle("nn.embedding_bag.csr_vs_onehot", exact=False, rtol=1e-12,
+                 atol=1e-12,
+                 description="CSR-product embedding bag, forward and weight "
+                             "gradient, vs an explicit dense one-hot matmul")
+def _oracle_embedding_bag(rng: np.random.Generator) -> Pairs:
+    from repro.nn import functional as F
+    from repro.nn.tensor import Parameter
+
+    n_bags, capacity, dim = 7, 12, 4
+    sizes = rng.integers(0, 6, size=n_bags)        # empty bags included
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    indices = rng.integers(0, 5, size=offsets[-1])  # duplicate-heavy
+    piw = rng.uniform(0.5, 2.0, size=indices.size)
+    w_data = rng.normal(size=(capacity, dim))
+    grad = rng.normal(size=(n_bags, dim))
+
+    onehot = np.zeros((n_bags, capacity))
+    np.add.at(onehot, (np.repeat(np.arange(n_bags), sizes), indices), piw)
+
+    weight = Parameter(w_data.copy(), name="w", sparse=True)
+    out = F.embedding_bag(weight, indices, offsets, piw)
+    out.backward(grad)
+    raw, __ = F.embedding_bag_data(w_data, indices, offsets, piw)
+    want = onehot @ w_data
+    return {"forward": (want, out.data), "forward_arrays": (want, raw),
+            "grad_weight": (onehot.T @ grad, weight.densify_grad())}
+
+
 @register_oracle("perf.prefetch_vs_sync_loader",
                  description="PrefetchLoader batches vs SyncLoader batches "
                              "for one shuffled epoch (bit-exact arrays)")

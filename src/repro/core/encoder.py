@@ -83,25 +83,28 @@ class HashedEmbeddingBag(Module):
             rows = self.table.rows_for_ids(feature_ids)
         return rows
 
+    def _known_bags(self, batch_field: FieldBatch,
+                    per_index_weights: np.ndarray | None, grow: bool,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Kernel operands ``(rows, offsets, weights)`` of one field: ids the
+        table does not know (and may not insert) are dropped and the bag
+        offsets rebuilt around the survivors."""
+        rows = self.lookup(batch_field.indices, grow=grow)
+        known = rows >= 0
+        if known.all():
+            return rows, batch_field.offsets, per_index_weights
+        counts = np.bincount(batch_field.segment_ids()[known],
+                             minlength=batch_field.n_users)
+        offsets = np.zeros(batch_field.n_users + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        weights = None if per_index_weights is None else per_index_weights[known]
+        return rows[known], offsets, weights
+
     def forward(self, batch_field: FieldBatch,
                 per_index_weights: np.ndarray | None = None) -> Tensor:
         """Per-user weighted sum of embedding rows, shape ``(B, dim)``."""
-        rows = self.lookup(batch_field.indices, grow=self.training)
-        known = rows >= 0
-        if known.all():
-            return F.embedding_bag(self.weight, rows, batch_field.offsets,
-                                   per_index_weights,
-                                   segment=batch_field.segment_ids())
-        # Drop unknown ids and recompute the bag offsets.
-        user_of = batch_field.segment_ids()
-        rows = rows[known]
-        user_of = user_of[known]
-        new_counts = np.bincount(user_of, minlength=batch_field.n_users)
-        offsets = np.zeros(batch_field.n_users + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=offsets[1:])
-        weights = None if per_index_weights is None else per_index_weights[known]
-        return F.embedding_bag(self.weight, rows, offsets, weights,
-                               segment=user_of)
+        return F.embedding_bag(self.weight, *self._known_bags(
+            batch_field, per_index_weights, grow=self.training))
 
     def forward_arrays(self, batch_field: FieldBatch,
                        per_index_weights: np.ndarray | None = None,
@@ -112,23 +115,8 @@ class HashedEmbeddingBag(Module):
         Shares :func:`repro.nn.functional.embedding_bag_data` with the
         autograd forward, so the two are bit-identical by construction.
         """
-        rows = self.lookup(batch_field.indices, grow=False)
-        known = rows >= 0
-        if known.all():
-            out, __ = F.embedding_bag_data(self.weight.data, rows,
-                                           batch_field.offsets,
-                                           per_index_weights,
-                                           segment=batch_field.segment_ids())
-            return out
-        user_of = batch_field.segment_ids()
-        rows = rows[known]
-        user_of = user_of[known]
-        new_counts = np.bincount(user_of, minlength=batch_field.n_users)
-        offsets = np.zeros(batch_field.n_users + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=offsets[1:])
-        weights = None if per_index_weights is None else per_index_weights[known]
-        out, __ = F.embedding_bag_data(self.weight.data, rows, offsets,
-                                       weights, segment=user_of)
+        out, __ = F.embedding_bag_data(self.weight.data, *self._known_bags(
+            batch_field, per_index_weights, grow=False))
         return out
 
     def feature_rows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -30,9 +30,9 @@ class FieldBatch:
 
     The derived arrays every forward pass needs — the user-id-per-index
     segment array and the sorted unique feature set — are deterministic per
-    batch, so they are computed lazily once and cached (``embedding_bag``,
-    candidate selection, and ``dense_targets`` all reuse them instead of
-    rebuilding ``np.repeat``/``np.unique`` results each call).
+    batch, so they are computed lazily once and cached (the encoder's input
+    weighting, candidate selection, and ``dense_targets`` all reuse them
+    instead of rebuilding ``np.repeat``/``np.unique`` results each call).
     """
 
     indices: np.ndarray

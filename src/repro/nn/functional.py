@@ -9,9 +9,9 @@ paper's efficiency section (§IV-C) relies on:
   is proportional to the gathered rows only.  Together with
   :class:`repro.hashing.DynamicHashTable` this is the "dynamic hash table"
   encoder input layer.
-* :func:`embedding_bag` — segment-sum of gathered rows, i.e. the first encoder
-  layer computed directly from sparse feature ids (cost ``O(N̄·D)`` instead of
-  ``O(J·D)``).
+* :func:`embedding_bag` — per-bag sum of embedding rows as one CSR × dense
+  product, i.e. the first encoder layer computed directly from sparse feature
+  ids (cost ``O(N̄·D)`` instead of ``O(J·D)``, in arithmetic and in memory).
 * The decoder's *batched softmax* is the composition
   ``log_softmax(h @ rows(W, cand).T + take(b, cand))`` — logits are computed
   for the batch's candidate feature set only (cost ``O(N̄_b·D)``).
@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.nn.tensor import (Parameter, Tensor, _buf, _dispatch, _out,
                              as_tensor, coalesce_rows, stable_sigmoid)
@@ -160,100 +161,74 @@ def take(weight: Tensor, index: np.ndarray) -> Tensor:
 def embedding_bag_data(weight_data: np.ndarray, indices: np.ndarray,
                        offsets: np.ndarray,
                        per_index_weights: np.ndarray | None = None,
-                       segment: np.ndarray | None = None,
-                       out: np.ndarray | None = None,
-                       gather_out: np.ndarray | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array forward of :func:`embedding_bag`: ``(out, segment)``.
+                       ) -> tuple[np.ndarray, csr_array]:
+    """Raw-array forward of :func:`embedding_bag`: ``(out, bags)``.
 
-    This is the single implementation of the segment-sum forward — the
-    autograd :func:`embedding_bag` wraps it, and inference-mode callers
-    (``FieldAwareEncoder.forward_arrays``) call it directly with a plain
-    weight matrix.  One implementation means the two paths are bit-identical
-    by construction, not by testing alone.  ``out`` / ``gather_out`` are
-    optional preallocated workspaces (the captured-replay path reuses them
-    across steps); values are identical either way.
+    ``bags`` is the CSR matrix ``A`` of shape ``(B, capacity)`` holding bag
+    ``i``'s per-index weights in row ``i``, and ``out = A @ W``: SciPy walks
+    each bag and accumulates its weighted rows straight into the ``(B, D)``
+    output — ``O(nnz + B·D)`` scratch, no ``(nnz, D)`` gather.
+
+    The one implementation of the forward: the autograd :func:`embedding_bag`
+    wraps it (keeping ``A`` for its backward) and inference-mode callers
+    (``HashedEmbeddingBag.forward_arrays``) call it on a plain weight matrix,
+    so the two paths are bit-identical by construction.
     """
     indices = np.asarray(indices, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.size < 1:
         raise ValueError("offsets must be a 1-D array of length B+1")
-    n_bags = offsets.size - 1
     if offsets[0] != 0 or offsets[-1] != indices.size:
         raise ValueError("offsets must start at 0 and end at len(indices)")
-
-    lengths = np.diff(offsets)
-    if segment is None:
-        # segment ids: bag index for each flat index
-        segment = np.repeat(np.arange(n_bags), lengths)
+    if (np.diff(offsets) < 0).any():
+        raise ValueError("offsets must be non-decreasing")
+    # SciPy ravel()s the dense operand: a non-contiguous weight would be
+    # copied whole (capacity × D) on every call, so it is refused instead.
+    if weight_data.ndim != 2 or not weight_data.flags.c_contiguous:
+        raise ValueError("embedding_bag needs a C-contiguous 2-D weight")
+    capacity = weight_data.shape[0]
+    # The compiled kernel does not bounds-check the row ids it is handed.
+    if indices.size and (indices.min() < 0 or indices.max() >= capacity):
+        raise IndexError(f"embedding row ids outside [0, {capacity})")
+    if per_index_weights is None:
+        values = np.ones(indices.size, dtype=weight_data.dtype)
     else:
-        segment = np.asarray(segment, dtype=np.int64)
-        if segment.size != indices.size:
-            raise ValueError("segment must have one bag id per index")
-
-    if gather_out is None:
-        gathered = weight_data[indices]
-    else:
-        gathered = gather_out
-        np.take(weight_data, indices, axis=0, out=gathered, mode="clip")
-    if per_index_weights is not None:
-        per_index_weights = np.asarray(per_index_weights,
-                                       dtype=weight_data.dtype)
-        gathered *= per_index_weights[:, None]  # fresh gather: in-place safe
-    if out is None:
-        out_data = np.zeros((n_bags, weight_data.shape[1]),
-                            dtype=weight_data.dtype)
-    else:
-        out_data = out
-        out_data[...] = 0.0
-    if indices.size:
-        # Contiguous segment sum: reduceat over the starts of non-empty bags.
-        # Because every element between two non-empty starts belongs to the
-        # first one, each reduceat slice is exactly one bag; empty bags keep
-        # their zero row (reduceat would otherwise echo a single element).
-        nonempty = np.flatnonzero(lengths > 0)
-        out_data[nonempty] = np.add.reduceat(gathered, offsets[nonempty], axis=0)
-    return out_data, segment
+        values = np.asarray(per_index_weights, dtype=weight_data.dtype)
+    bags = csr_array((values, indices, offsets),
+                     shape=(offsets.size - 1, capacity))
+    return bags @ weight_data, bags
 
 
 class OpEmbeddingBag:
-    # Replay intentionally does NOT route this kernel's gather/output matrices
-    # through the workspace arena: A/B benchmarks (see docs/PERFORMANCE.md,
-    # "rejected alternatives") showed arena reuse for these bandwidth-bound
-    # buffers running ~10% slower than glibc's recycled fresh allocations,
-    # dragging whole-step replay below the dynamic path.
+    # SciPy allocates the (B, D) / (U, D) products itself — the kernel's only
+    # D-wide buffers — so nothing here goes through the replay arena.
     name = "embedding_bag"
 
     @staticmethod
     def forward(ws, args, w):
-        indices, offsets, per_index_weights, segment = args
-        out_data, segment = embedding_bag_data(
-            w, indices, offsets, per_index_weights, segment)
-        piw = per_index_weights
-        if piw is not None:
-            piw = np.asarray(piw, dtype=w.dtype)
-        return out_data, (segment, piw)
+        return embedding_bag_data(w, *args)
 
     @staticmethod
     def backward(grad, parents, saved, args):
-        segment, piw = saved
-        indices = args[0]
-        grad_rows = grad[segment]
-        if piw is not None:
-            grad_rows *= piw[:, None]  # fresh gather
-        _scatter_grad(parents[0], indices, grad_rows)
+        # dW[u] = A_uᵀ @ grad with A's columns remapped onto the touched rows
+        # u: a scatter-add of each bag's grad row into (U, D), already
+        # coalesced, ascending and duplicate-free.
+        touched, columns = np.unique(saved.indices, return_inverse=True)
+        local = csr_array((saved.data, columns, saved.indptr),
+                          shape=(saved.shape[0], touched.size))
+        _scatter_grad(parents[0], touched.astype(np.int64, copy=False),
+                      local.T @ grad, assume_unique=True)
 
 
 def embedding_bag(weight: Tensor, indices: np.ndarray, offsets: np.ndarray,
-                  per_index_weights: np.ndarray | None = None,
-                  segment: np.ndarray | None = None) -> Tensor:
+                  per_index_weights: np.ndarray | None = None) -> Tensor:
     """Segment-sum of embedding rows: the sparse first encoder layer.
 
     Parameters
     ----------
     weight:
         ``(capacity, D)`` embedding matrix (typically a sparse
-        :class:`Parameter` backed by a dynamic hash table).
+        :class:`Parameter` backed by a dynamic hash table); C-contiguous.
     indices:
         Flat ``int64`` array of row ids for all bags, concatenated.
     offsets:
@@ -261,22 +236,15 @@ def embedding_bag(weight: Tensor, indices: np.ndarray, offsets: np.ndarray,
         Empty bags are allowed and produce a zero row.
     per_index_weights:
         Optional multiplicative weight per index (feature weights/counts).
-    segment:
-        Optional precomputed bag-id-per-index array, i.e.
-        ``np.repeat(np.arange(B), np.diff(offsets))``.  Batches cache this
-        (see :meth:`FieldBatch.segment_ids`) so repeated forwards skip the
-        ``np.repeat`` rebuild.
 
     Returns
     -------
     Tensor of shape ``(B, D)`` where row ``i`` is the (weighted) sum of the
-    gathered embedding rows of bag ``i``.
+    gathered embedding rows of bag ``i``.  The gradient reaches ``weight`` as
+    one row-sparse part whose rows are strictly ascending and unique.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
     return _dispatch(OpEmbeddingBag, (weight,),
-                     (indices, offsets, per_index_weights, segment),
-                     weight.data)
+                     (indices, offsets, per_index_weights), weight.data)
 
 
 class OpSampledSoftmaxNLL:
@@ -289,10 +257,10 @@ class OpSampledSoftmaxNLL:
         # log_probs; every in-place step keeps the op order (and hence
         # rounding) of the unfused ``rows → matmul → take → log_softmax →
         # mul → sum → neg → mul`` reference chain, so losses and gradients
-        # stay bit-identical to it.  Like OpEmbeddingBag, the big (B, C) and
-        # (C, D) matrices deliberately stay fresh allocations on replay:
-        # arena reuse for them measured slower than malloc's recycled hot
-        # buffers (docs/PERFORMANCE.md, "rejected alternatives").
+        # stay bit-identical to it.  The big (B, C) and (C, D) matrices
+        # deliberately stay fresh allocations on replay: arena reuse for them
+        # measured slower than malloc's recycled hot buffers
+        # (docs/PERFORMANCE.md, "Rejected capture designs").
         w_rows = w[cand]
         logits = h @ w_rows.T
         logits += b[cand]

@@ -40,6 +40,32 @@ class TestBuiltinOracles:
         assert "hashing.bulk_lookup" in text and "seed=1" in text and "ok" in text
 
 
+class TestMutationSmoke:
+    """Deliberately break the embedding-bag backward: the oracle goes red."""
+
+    NAME = "nn.embedding_bag.csr_vs_onehot"
+
+    def test_backward_that_forgets_per_index_weights_is_caught(
+            self, monkeypatch):
+        from repro.nn import functional as F
+
+        assert all(run_oracle(self.NAME, seed=s).passed for s in (0, 1, 2))
+        real = F.OpEmbeddingBag.backward
+
+        def forgetful(grad, parents, bags, args):
+            unweighted = bags.copy()
+            unweighted.data[:] = 1.0
+            real(grad, parents, unweighted, args)
+
+        monkeypatch.setattr(F.OpEmbeddingBag, "backward",
+                            staticmethod(forgetful))
+        for seed in (0, 1, 2):
+            report = run_oracle(self.NAME, seed=seed)
+            assert not report.passed
+            # the forward halves still hold: the break is localised
+            assert report.mismatches == ["grad_weight"]
+
+
 class TestRegistry:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

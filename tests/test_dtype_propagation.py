@@ -198,6 +198,26 @@ def test_op_preserves_dtype(case, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+@pytest.mark.parametrize("weights", [None, np.float32, np.float64],
+                         ids=["unweighted", "w32", "w64"])
+def test_embedding_bag_follows_the_weight_dtype(dtype, sparse, weights):
+    # The per-index weights are cast to the embedding dtype, whatever they
+    # arrive as: float64 input weights must not widen a float32 model.
+    rng = np.random.default_rng(0)
+    w = _param(rng, (16, 6), dtype, sparse=sparse)
+    indices, offsets = _bag_args(rng)
+    piw = None if weights is None else rng.random(indices.size).astype(weights)
+    raw, __ = F.embedding_bag_data(w.data, indices, offsets, piw)
+    out = F.embedding_bag(w, indices, offsets, piw)
+    assert raw.dtype == dtype and out.data.dtype == dtype
+    out.sum().backward()
+    assert w.densify_grad().dtype == dtype
+    for __, grad_rows in w.sparse_grad_parts:
+        assert grad_rows.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 def test_ndarray_tensor_interop_keeps_tensor_dtype(dtype):
     # __array_priority__ routes ndarray <op> Tensor to the reflected
     # operators; without it numpy iterates the Tensor element-wise and the
