@@ -578,11 +578,12 @@ def _oracle_quant_bound(rng: np.random.Generator) -> Pairs:
 
 
 @register_oracle("lookalike.ivf.exhaustive_vs_exact",
-                 description="IVFIndex with nprobe == n_lists vs the exact "
-                             "scan (bit-identical top-k), plus batch vs "
-                             "scalar at full and partial probe budgets")
+                 description="IVFIndex with nprobe == n_lists vs exact_top_k "
+                             "(the lexicographic reference; identical "
+                             "top-k), plus batch vs scalar at full and "
+                             "partial probe budgets")
 def _oracle_ivf_exhaustive(rng: np.random.Generator) -> Pairs:
-    from repro.lookalike import IVFIndex, LSHIndex
+    from repro.lookalike import IVFIndex, exact_top_k
 
     dim, n, k = 12, 250, 9
     vectors = rng.normal(size=(n, dim))
@@ -592,11 +593,10 @@ def _oracle_ivf_exhaustive(rng: np.random.Generator) -> Pairs:
     pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     full = IVFIndex(dim, n_lists=10, nprobe=10, seed=seed).fit(vectors)
     batched = full.query_batch(queries, k)
+    exact = exact_top_k(vectors, queries, k)
     for i, query in enumerate(queries):
-        d2 = np.sum((vectors - query) ** 2, axis=1)
-        exact = LSHIndex._top_k(np.arange(n), d2, k)
         scalar = full.query(query, k)
-        pairs[f"exhaustive.q{i}"] = (exact, scalar)
+        pairs[f"exhaustive.q{i}"] = (exact[i], scalar)
         pairs[f"batch.q{i}"] = (scalar, batched[i])
 
     partial = IVFIndex(dim, n_lists=10, nprobe=3, seed=seed).fit(vectors)

@@ -8,21 +8,23 @@ self-contained indexes live here:
 * :class:`LSHIndex` — signed-random-projection (SimHash) with multi-table
   probing: vectors hashing to the same bucket in any table become
   candidates, and only candidates are scored exactly.
-* :class:`IVFIndex` — inverted-file coarse quantizer in the FastVAE /
-  inverted-multi-index tradition: a seeded k-means partitions the rows into
-  ``n_lists`` cells, a query probes its ``nprobe`` nearest cells, and the
-  posting-list members are rescored either exactly or by asymmetric
-  distance (ADC) against a product-quantized code matrix — candidate
-  scoring without touching the float vectors.
+* :class:`IVFIndex` — inverted file in the FastVAE / inverted-multi-index
+  tradition: a seeded k-means partitions the rows into ``n_lists`` cells
+  and :meth:`~IVFIndex.fit` stores the vectors *list-contiguous*, so a
+  probed cell is a slice of one matrix.  A query batch is answered
+  list-major: one coarse-assignment matmul, then one small GEMM per probed
+  cell scoring all of that cell's queries at once.
 
-Both store candidates as *sorted posting arrays*: bucket/list membership is
-a ``searchsorted`` pair and a contiguous slice — no dict lookups, no Python
-lists — and multi-query probes (``candidates_batch`` / ``query_batch``)
-hash/assign every query in one matmul and gather all posting slices with
-one ragged ``arange``.  The scalar ``query`` rides the same primitives, so
-batch and scalar results are bit-identical; with ``nprobe == n_lists`` the
-IVF exact-rescore path degenerates to the exact scan bit for bit (pinned by
-the ``lookalike.ivf.exhaustive_vs_exact`` oracle).
+Distances are computed in GEMM form, ``‖v‖² − 2·q·v + ‖q‖²``, by the index
+and by the ground truth (:func:`exact_top_k`) alike; both select with the
+same lexicographic ``(distance, row id)`` rule (``_lex_top_k``), the row id
+deciding only between equal computed distances.  The GEMM form rounds
+differently from ``sum((v − q)²)`` in the last bits, and BLAS may round a
+small block differently from a large one, so two rows whose true distances
+differ by less than that rounding can swap; wherever the arithmetic is exact
+(e.g. small-integer coordinates) IVF with ``nprobe == n_lists`` equals the
+exact scan id for id, ties included (the
+``lookalike.ivf.exhaustive_vs_exact`` oracle pins the Gaussian case).
 
 Recall evaluation (``recall_at_k``) compares against :func:`exact_top_k`,
 which chunks the exact-scan matmul to a fixed memory budget so the ground
@@ -39,27 +41,38 @@ from repro.utils.rng import new_rng
 
 __all__ = ["LSHIndex", "IVFIndex", "exact_top_k"]
 
+_SCAN_CHUNK_BYTES = 32 * 2 ** 20
 
-def exact_top_k(vectors: np.ndarray, queries: np.ndarray, k: int,
-                chunk_bytes: int = 32 * 2 ** 20) -> np.ndarray:
-    """Exact top-``k`` row indices per query, shape ``(n_queries, k)``.
 
-    The distance matrix is computed in row chunks capped at ``chunk_bytes``
-    of float64 (default 32MB), merging a running best-``k`` pool between
-    chunks, so peak memory is independent of the index size.  Selection is
-    by lexicographic ``(distance, row_index)`` order — the unique minimum
-    — which makes the result invariant to the chunk size: one giant chunk
-    and many small ones return identical indices (the regression test in
-    ``tests/test_lookalike_ivf.py`` pins this).
+def _lex_top_k(d: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the lexicographic ``(d, ids)`` min-``k`` of a 1-D pool,
+    best first (all of them, sorted, when the pool holds fewer than ``k``).
+
+    One ``argpartition`` finds the ``k`` smallest distances; ``ids`` (unique
+    within the pool) are consulted only among equal distances — to order the
+    selection and, when the ``k``-th distance also occurs outside the
+    partition, to keep its lowest ids.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive: {k}")
-    vectors = np.asarray(vectors, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if k >= d.shape[0]:
+        sel = np.arange(d.shape[0])
+    else:
+        sel = np.argpartition(d, k - 1)[:k]
+        d_sel = d[sel]
+        kth = d_sel.max()
+        if np.count_nonzero(d == kth) > np.count_nonzero(d_sel == kth):
+            below = sel[d_sel < kth]
+            tied = np.flatnonzero(d == kth)
+            tied = tied[np.argsort(ids[tied])[:k - below.shape[0]]]
+            sel = np.concatenate([below, tied])
+    return sel[np.lexsort((ids[sel], d[sel]))]
+
+
+def _scan_top_k(vectors: np.ndarray, ids: np.ndarray, queries: np.ndarray,
+                k: int, chunk_bytes: int = _SCAN_CHUNK_BYTES) -> np.ndarray:
+    """Exact top-``min(k, n)`` of ``ids`` per query, scanning ``vectors``
+    (row ``r`` is the vector of ``ids[r]``) in chunks of ``chunk_bytes``."""
     n = vectors.shape[0]
     n_queries = queries.shape[0]
-    if n == 0:
-        raise ValueError("cannot scan an empty vector set")
     k = min(k, n)
     # A (n_queries, rows) float64 chunk of distances costs 8 * q bytes/row.
     rows_per_chunk = max(1, int(chunk_bytes // (8 * max(1, n_queries))))
@@ -68,22 +81,45 @@ def exact_top_k(vectors: np.ndarray, queries: np.ndarray, k: int,
     best_i = np.empty((n_queries, 0), dtype=np.int64)
     for start in range(0, n, rows_per_chunk):
         chunk = vectors[start:start + rows_per_chunk]
+        chunk_ids = ids[start:start + rows_per_chunk]
         d2 = ((chunk ** 2).sum(axis=1)[None, :]
               - 2.0 * queries @ chunk.T + q_norm)
-        idx = np.broadcast_to(
-            np.arange(start, start + chunk.shape[0], dtype=np.int64),
-            d2.shape)
-        pool_d = np.concatenate([best_d, d2], axis=1)
-        pool_i = np.concatenate([best_i, idx], axis=1)
-        # Lexicographic (d, i) min-k: stable-sort by index, then stable-sort
-        # by distance — ties break toward the lower row index.
-        by_index = np.argsort(pool_i, axis=1, kind="stable")
-        d_by_index = np.take_along_axis(pool_d, by_index, axis=1)
-        order = np.argsort(d_by_index, axis=1, kind="stable")[:, :k]
-        take = np.take_along_axis(by_index, order, axis=1)
-        best_d = np.take_along_axis(pool_d, take, axis=1)
-        best_i = np.take_along_axis(pool_i, take, axis=1)
+        width = min(k, best_d.shape[1] + chunk.shape[0])
+        next_d = np.empty((n_queries, width), dtype=np.float64)
+        next_i = np.empty((n_queries, width), dtype=np.int64)
+        for q in range(n_queries):
+            # Running best-k ∪ chunk: the min-k of a union is the min-k of
+            # the parts' min-ks, so chunking cannot change the selection.
+            pool_d = np.concatenate([best_d[q], d2[q]])
+            pool_i = np.concatenate([best_i[q], chunk_ids])
+            top = _lex_top_k(pool_d, pool_i, k)
+            next_d[q] = pool_d[top]
+            next_i[q] = pool_i[top]
+        best_d, best_i = next_d, next_i
     return best_i
+
+
+def exact_top_k(vectors: np.ndarray, queries: np.ndarray, k: int,
+                chunk_bytes: int = _SCAN_CHUNK_BYTES) -> np.ndarray:
+    """Exact top-``k`` row indices per query, shape ``(n_queries, k)``.
+
+    The distance matrix is computed in row chunks capped at ``chunk_bytes``
+    of float64 (default 32MB), merging a running best-``k`` pool between
+    chunks, so peak memory is independent of the index size.  Selection is
+    by lexicographic ``(distance, row_index)`` order — the unique minimum
+    of the computed distances — which makes the result invariant to the
+    chunk size: one giant chunk and many small ones return identical
+    indices (the regression test in ``tests/test_lookalike_ivf.py`` pins
+    this).
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive: {k}")
+    vectors = np.asarray(vectors, dtype=np.float64)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if vectors.shape[0] == 0:
+        raise ValueError("cannot scan an empty vector set")
+    return _scan_top_k(vectors, np.arange(vectors.shape[0], dtype=np.int64),
+                       queries, k, chunk_bytes)
 
 
 def _recall_against_exact(approx: list[np.ndarray],
@@ -304,21 +340,23 @@ class LSHIndex:
 
 
 class IVFIndex:
-    """Inverted-file index: k-means coarse quantizer + posting arrays.
+    """Inverted-file index: k-means coarse quantizer + list-contiguous rows.
 
     :meth:`fit` partitions the rows into ``n_lists`` cells with a seeded
-    Lloyd's loop (:func:`repro.lookalike.quant.kmeans`) and stores each
-    cell's members as one slice of a single posting array.  A query is
-    assigned to its ``nprobe`` nearest centroids and only those cells'
-    members are rescored:
+    Lloyd's loop (:func:`repro.lookalike.quant.kmeans`) and copies the
+    vectors once into cell order: cell ``c`` is the slice
+    ``[_boundaries[c], _boundaries[c + 1])`` of the stored matrix, and
+    ``_order`` maps a stored position back to the caller's row id.  The
+    index owns that one matrix and keeps no reference to the caller's.
 
-    * **exact rescoring** (default) uses the float vectors with the very
-      expression the exact scan uses, so ``nprobe == n_lists`` reproduces
-      the exact scan bit for bit — the differential-oracle anchor;
-    * **ADC rescoring** (pass a :class:`~repro.lookalike.quant.PQQuantizer`
-      as ``quantizer``) scores candidates from their uint8 PQ codes via a
-      per-query lookup table without touching the float matrix — the
-      million-user memory configuration.
+    :meth:`query_batch` assigns every query to its ``nprobe`` nearest
+    centroids in one matmul, groups the ``(query, cell)`` pairs by cell and
+    scores each probed cell against all of its queries with one GEMM
+    (``‖v‖² − 2·Q_c·V_cᵀ + ‖q‖²``).  A query's answer is the lexicographic
+    ``(distance, row id)`` min-``k`` over the members of its probed cells —
+    the rule :func:`exact_top_k` applies to the whole set, so
+    ``nprobe == n_lists`` reproduces the exact scan wherever the computed
+    distances agree (see the module docstring on GEMM-form rounding).
 
     Parameters
     ----------
@@ -331,40 +369,29 @@ class IVFIndex:
         Cells probed per query.  More probes → higher recall, more work.
     seed:
         Seed for the coarse k-means.
-    quantizer:
-        Optional :class:`~repro.lookalike.quant.PQQuantizer` enabling ADC
-        rescoring; trained on the indexed vectors at :meth:`fit` time if
-        not already trained.
     train_iters:
         Lloyd iterations for the coarse quantizer.
     """
 
     def __init__(self, dim: int, n_lists: int = 64, nprobe: int = 8,
-                 seed: int = 0, quantizer=None, train_iters: int = 15) -> None:
+                 seed: int = 0, train_iters: int = 15) -> None:
         if dim <= 0 or n_lists <= 0 or train_iters <= 0:
             raise ValueError("dim, n_lists and train_iters must be positive")
         if not 1 <= nprobe <= n_lists:
             raise ValueError(f"nprobe must be in [1, {n_lists}]: {nprobe}")
-        if quantizer is not None and quantizer.dim != dim:
-            raise ValueError(
-                f"quantizer dim {quantizer.dim} != index dim {dim}")
-        if quantizer is not None and getattr(quantizer, "n_coarse", 0):
-            raise ValueError(
-                "ADC rescoring needs a plain (non-residual) PQQuantizer; "
-                "residual-coded quantizers have no per-query LUT")
         self.dim = dim
         self.n_lists = n_lists
         self.nprobe = nprobe
         self.seed = seed
         self.train_iters = train_iters
-        self.quantizer = quantizer
         self._centroids: np.ndarray | None = None
-        #: Posting array: row indices grouped by cell; cell ``c`` owns the
-        #: slice ``_order[_boundaries[c]:_boundaries[c + 1]]``.
+        #: Row id of each stored position; cell ``c`` owns the positions
+        #: ``_boundaries[c]:_boundaries[c + 1]`` of ``_order``, ``_vectors``
+        #: (``== vectors[_order]``) and ``_norms`` (their squared norms).
         self._order: np.ndarray | None = None
         self._boundaries: np.ndarray | None = None
         self._vectors: np.ndarray | None = None
-        self._codes: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
 
     def fit(self, vectors: np.ndarray) -> "IVFIndex":
         """Index ``vectors`` (``(n, dim)``); replaces any previous contents."""
@@ -384,11 +411,8 @@ class IVFIndex:
         self._order = order
         self._boundaries = np.searchsorted(
             assign[order], np.arange(n_lists + 1, dtype=np.int64))
-        self._vectors = vectors
-        if self.quantizer is not None:
-            if not self.quantizer.trained:
-                self.quantizer.fit(vectors)
-            self._codes = self.quantizer.quantize(vectors)
+        self._vectors = vectors[order]
+        self._norms = (self._vectors ** 2).sum(axis=1)
         obs.gauge_set("ivf.size", n)
         obs.gauge_set("ivf.lists", n_lists)
         return self
@@ -399,139 +423,111 @@ class IVFIndex:
 
     # -- candidate generation --------------------------------------------------
 
-    def _effective_lists(self) -> int:
-        return int(self._boundaries.shape[0] - 1)
-
-    def _probe_lists(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
+    def _probe_lists(self, queries: np.ndarray) -> np.ndarray:
         """The ``nprobe`` nearest cells per query, shape ``(q, nprobe)``.
 
         Stable argsort over centroid distances, so probe order (and hence
         every downstream candidate set) is deterministic under ties.
         """
+        if self._vectors is None:
+            raise RuntimeError("index is empty; call fit() first")
         centroids = self._centroids
+        nprobe = min(self.nprobe, centroids.shape[0])
         d2 = ((centroids ** 2).sum(axis=1)[None, :]
               - 2.0 * queries @ centroids.T
               + (queries ** 2).sum(axis=1)[:, None])
-        return np.argsort(d2, axis=1, kind="stable")[:, :nprobe]
+        probes = np.argsort(d2, axis=1, kind="stable")[:, :nprobe]
+        obs.count("ivf.probes", int(probes.size))
+        return probes
 
     def candidates(self, query: np.ndarray) -> np.ndarray:
         """Members of the query's ``nprobe`` nearest cells, sorted."""
         return self.candidates_batch(np.atleast_2d(query))[0]
 
     def candidates_batch(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Per-query candidate row indices; one assignment matmul for all.
-
-        Cells are disjoint, so each query's candidate set is duplicate-free
-        by construction; it is returned sorted ascending so the scalar and
-        batch paths (and LSH) share candidate-order semantics.
-        """
-        if self._vectors is None:
-            raise RuntimeError("index is empty; call fit() first")
+        """Per-query candidate row ids, ascending; for inspection — the
+        query path scores cells in place and never builds these lists."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n_queries = queries.shape[0]
-        nprobe = min(self.nprobe, self._effective_lists())
-        probes = self._probe_lists(queries, nprobe)             # (q, nprobe)
-        obs.count("ivf.probes", int(probes.size))
-        lo = self._boundaries[probes].ravel()
-        hi = self._boundaries[probes + 1].ravel()
-        lengths = hi - lo
-        total = int(lengths.sum())
-        if total == 0:
-            return [np.empty(0, dtype=np.int64) for __ in range(n_queries)]
-        # Ragged arange gather of every (query, cell) posting slice.
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        flat_pos = (np.repeat(lo - offsets, lengths)
-                    + np.arange(total, dtype=np.int64))
-        candidates = self._order[flat_pos]
-        per_query_counts = lengths.reshape(n_queries, nprobe).sum(axis=1)
-        owners = np.repeat(np.arange(n_queries, dtype=np.int64),
-                           per_query_counts)
-        # One global composite sort gives per-query ascending candidates.
-        composite = owners * self.size + candidates
-        composite.sort()
-        owners = composite // self.size
-        candidates = composite - owners * self.size
-        bounds = np.searchsorted(owners, np.arange(n_queries + 1))
-        return [candidates[bounds[q]:bounds[q + 1]]
-                for q in range(n_queries)]
+        probes = self._probe_lists(queries)
+        return [np.sort(np.concatenate(
+                    [self._order[self._boundaries[c]:self._boundaries[c + 1]]
+                     for c in row]))
+                for row in probes]
 
     # -- top-k queries ---------------------------------------------------------
 
-    def _rescore(self, candidate_idx: np.ndarray, query: np.ndarray,
-                 lut: np.ndarray | None) -> np.ndarray:
-        """Candidate distances: ADC from codes when a LUT is given, else
-        exact — the same expression as the exact scan, bit for bit."""
-        if lut is not None:
-            return self.quantizer.adc_distances(lut, self._codes[candidate_idx])
-        return np.sum((self._vectors[candidate_idx] - query) ** 2, axis=1)
-
     def query(self, query: np.ndarray, k: int,
               fallback_to_exact: bool = True) -> np.ndarray:
-        """Approximate top-``k`` nearest rows by L2 distance.
-
-        When the probed cells hold fewer than ``k`` members and
-        ``fallback_to_exact`` is set, the query falls back to scanning all
-        rows (guaranteed results beat silent truncation in serving).
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive: {k}")
-        with obs.latency("ivf.query_seconds"), obs.span("ivf.query"):
-            query = np.asarray(query, dtype=np.float64).ravel()
-            candidate_idx = self.candidates(query)
-            obs.observe("ivf.candidates", candidate_idx.size)
-            if candidate_idx.size < k and fallback_to_exact:
-                candidate_idx = np.arange(self.size)
-                obs.count("ivf.exact_fallbacks")
-            lut = (self.quantizer.adc_lut(query)
-                   if self._codes is not None else None)
-            d2 = self._rescore(candidate_idx, query, lut)
-            return LSHIndex._top_k(candidate_idx, d2, k)
+        """Approximate top-``k`` nearest rows by L2 distance: a
+        :meth:`query_batch` of one."""
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.query_batch(query, k, fallback_to_exact)[0]
 
     def query_batch(self, queries: np.ndarray, k: int,
                     fallback_to_exact: bool = True) -> list[np.ndarray]:
-        """Batched :meth:`query`: per-query top-``k`` row index arrays.
+        """Per-query top-``k`` row id arrays, nearest first.
 
-        Coarse assignment runs in one matmul for the whole batch; rescoring
-        then runs per query with exactly the scalar path's expression, so
-        per-query results are bit-identical to looped :meth:`query` calls.
+        When a query's probed cells hold fewer than ``k`` members and
+        ``fallback_to_exact`` is set, that query scans all rows instead
+        (guaranteed results beat silent truncation in serving).
         """
         if k <= 0:
             raise ValueError(f"k must be positive: {k}")
         with obs.latency("ivf.query_batch_seconds"), obs.span("ivf.query_batch"):
             queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            per_query = self.candidates_batch(queries)
-            fallbacks = 0
-            if fallback_to_exact:
-                everything = None
-                for q, candidate_idx in enumerate(per_query):
-                    if candidate_idx.size < k:
-                        if everything is None:
-                            everything = np.arange(self.size)
-                        per_query[q] = everything
-                        fallbacks += 1
-            obs.observe_many("ivf.candidates",
-                             [candidate_idx.size
-                              for candidate_idx in per_query])
-            if fallbacks:
-                obs.count("ivf.exact_fallbacks", fallbacks)
+            probes = self._probe_lists(queries)
+            nprobe = probes.shape[1]
+            bounds = self._boundaries
+            # Ragged (distance, row id) buffer, query-major: pair (q, j) owns
+            # sizes[q, j] slots from starts[q * nprobe + j], so query q owns
+            # the run query_bounds[q]:query_bounds[q + 1].
+            pair_cell = probes.ravel()
+            sizes = bounds[pair_cell + 1] - bounds[pair_cell]
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            query_bounds = np.concatenate([[0], ends[nprobe - 1::nprobe]])
+            counts = np.diff(query_bounds)
+            obs.observe_many("ivf.candidates", counts)
+            dist = np.empty(query_bounds[-1], dtype=np.float64)
+            ids = np.empty(query_bounds[-1], dtype=np.int64)
+
+            neg2q = -2.0 * queries
+            q_norm = (queries ** 2).sum(axis=1)
+            by_cell = np.argsort(pair_cell, kind="stable")
+            cell_bounds = np.searchsorted(
+                pair_cell[by_cell], np.arange(bounds.shape[0]))
+            for cell in np.flatnonzero(np.diff(cell_bounds)):
+                lo, hi = bounds[cell], bounds[cell + 1]
+                pairs = by_cell[cell_bounds[cell]:cell_bounds[cell + 1]]
+                rows = pairs // nprobe
+                block = neg2q[rows] @ self._vectors[lo:hi].T
+                block += self._norms[lo:hi]
+                block += q_norm[rows, None]
+                slots = starts[pairs][:, None] + np.arange(hi - lo)
+                dist[slots] = block
+                ids[slots] = self._order[lo:hi]
+
             results = []
             for q in range(queries.shape[0]):
-                candidate_idx = per_query[q]
-                lut = (self.quantizer.adc_lut(queries[q])
-                       if self._codes is not None else None)
-                d2 = self._rescore(candidate_idx, queries[q], lut)
-                results.append(LSHIndex._top_k(candidate_idx, d2, k))
+                d_q = dist[query_bounds[q]:query_bounds[q + 1]]
+                ids_q = ids[query_bounds[q]:query_bounds[q + 1]]
+                results.append(ids_q[_lex_top_k(d_q, ids_q, k)])
+            short = np.flatnonzero(counts < k) if fallback_to_exact else ()
+            if len(short):
+                obs.count("ivf.exact_fallbacks", len(short))
+                exact = _scan_top_k(self._vectors, self._order,
+                                    queries[short], k)
+                for q, row in zip(short, exact):
+                    results[q] = row
             return results
 
     def recall_at_k(self, queries: np.ndarray, k: int) -> float:
         """Fraction of exact top-``k`` neighbours the index retrieves.
 
-        Ground truth comes from the chunked :func:`exact_top_k`, same as
-        :meth:`LSHIndex.recall_at_k`.
+        Ground truth is the chunked exact scan (:func:`exact_top_k`'s) over
+        the stored matrix, reported in caller row ids.
         """
-        if self._vectors is None:
-            raise RuntimeError("index is empty; call fit() first")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         approx = self.query_batch(queries, k, fallback_to_exact=False)
-        exact = exact_top_k(self._vectors, queries, k)
+        exact = _scan_top_k(self._vectors, self._order, queries, k)
         return _recall_against_exact(approx, exact, k)

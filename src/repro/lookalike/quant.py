@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.obs import runtime as obs
 from repro.utils.rng import new_rng
@@ -76,11 +77,25 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
         raise ValueError(f"k must be in [1, {n}]: {k}")
     rng = new_rng(seed)
     centroids = data[np.sort(rng.choice(n, size=k, replace=False))].copy()
-    assign = np.argmin(_pairwise_d2(data, centroids), axis=1)
+    # _pairwise_d2 with its per-iteration constants hoisted out of the loop.
+    p_norm = (data ** 2).sum(axis=1)[:, None]
+    data2 = 2.0 * data
+    ones = np.ones(n)
+
+    def nearest(centroids: np.ndarray) -> np.ndarray:
+        return np.argmin((p_norm - data2 @ centroids.T)
+                         + (centroids ** 2).sum(axis=1)[None, :], axis=1)
+
+    assign = nearest(centroids)
     for __ in range(n_iters):
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, data)
         counts = np.bincount(assign, minlength=k)
+        # Cluster sums as one CSR product: row c lists c's members ascending,
+        # and each is accumulated in that order from 0.0 — bit for bit what
+        # ``np.add.at(sums, assign, data)`` computes.
+        members = csr_array(
+            (ones, np.argsort(assign, kind="stable"),
+             np.concatenate([[0], np.cumsum(counts)])), shape=(k, n))
+        sums = members @ data
         filled = counts > 0
         updated = centroids.copy()
         updated[filled] = sums[filled] / counts[filled, None]
@@ -93,7 +108,7 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
         if np.array_equal(updated, centroids):
             break
         centroids = updated
-        assign = np.argmin(_pairwise_d2(data, centroids), axis=1)
+        assign = nearest(centroids)
     return centroids, assign
 
 
@@ -183,21 +198,13 @@ class PQQuantizer:
     nearest centroid — for the training set it is recorded at fit time as
     :attr:`train_bound` (max L2 round-trip error over training rows).
 
-    :meth:`adc_lut` precomputes, for one query, the squared distance from
-    each query sub-vector to every centroid; summing LUT entries over a code
-    row (:meth:`adc_distances`) gives the asymmetric distance (ADC) used by
-    :class:`~repro.lookalike.ann.IVFIndex` rescoring without dequantizing
-    candidates.
-
     With ``n_coarse > 0`` the quantizer uses **residual coding** (the
     IVFPQ/inverted-multi-index layout): a coarse k-means assigns each
     vector to one of ``n_coarse`` centroids, and the sub-vector codebooks
     encode the *residual* from that centroid.  One extra uint8 per vector
     (the coarse cell id) buys a much finer effective resolution — residual
     magnitudes are a fraction of the raw coordinates, so the same 256
-    centroids per subspace cover them far more densely.  ADC LUTs are not
-    supported in residual mode (the LUT would need one table per coarse
-    cell); use a plain PQ quantizer for IVF ADC rescoring.
+    centroids per subspace cover them far more densely.
     """
 
     mode = "pq"
@@ -312,26 +319,6 @@ class PQQuantizer:
         """Training-set round-trip L2 error bound (codebook distortion)."""
         self._require_trained()
         return self.train_bound
-
-    # -- asymmetric distance computation ----------------------------------------
-
-    def adc_lut(self, query: np.ndarray) -> np.ndarray:
-        """Per-query LUT, shape ``(n_subvectors, k)``: squared distances
-        from each query sub-vector to every centroid of its subspace."""
-        self._require_trained()
-        if self.n_coarse:
-            raise RuntimeError(
-                "ADC lookup tables are not supported for residual-coded PQ "
-                "(n_coarse > 0); use a plain PQQuantizer for ADC rescoring")
-        query = np.asarray(query, dtype=np.float64).reshape(
-            self.n_subvectors, self.sub_dim)
-        diff = self.codebooks - query[:, None, :]
-        return (diff ** 2).sum(axis=2)
-
-    def adc_distances(self, lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Sum LUT entries over each code row: approximate squared L2."""
-        codes = np.atleast_2d(codes).astype(np.int64)
-        return lut[np.arange(self.n_subvectors), codes].sum(axis=1)
 
     # -- persistence -----------------------------------------------------------
 

@@ -42,8 +42,8 @@ class LookalikeSystem:
         the matrix (4–64x memory cut; see :attr:`serving_bytes`).
     index:
         ``None``/``"none"`` (exact scan), ``"lsh"`` or ``"ivf"``: ANN index
-        used by :meth:`expand_audience`.  An IVF index over a PQ-quantized
-        system shares the store's codebooks for ADC rescoring.
+        used by :meth:`expand_audience`, built over the online matrix
+        (the dequantized rows when the system is quantized).
     seed:
         Seed for codebook training and index construction.
     index_params:
@@ -90,8 +90,6 @@ class LookalikeSystem:
 
             params = dict(index_params or {})
             params.setdefault("seed", seed)
-            if quant == "pq":
-                params.setdefault("quantizer", self.store.quantizer)
             self.index = IVFIndex(self.dim, **params).fit(self._online)
 
     @property

@@ -9,11 +9,10 @@ after FastVAE):
   4x / 8x) while keeping exact-scan recall@100 against the float64 ground
   truth (``ann_*_recall_at_100``, int8 gated at 0.95);
 * **retrieval** — the recall@k-vs-QPS tradeoff curve: exact scan, LSH at
-  several table/bit settings, IVF over an ``nprobe`` sweep (exact and ADC
-  rescoring), one record per operating point (``ann_curve_*``), plus the
-  matched-candidate-budget comparison ``ann_ivf_vs_lsh_recall`` (IVF must
-  reach at-least-LSH recall when both examine a similar number of
-  candidates; gated at 1.0).
+  several table/bit settings, IVF over an ``nprobe`` sweep, one record per
+  operating point (``ann_curve_*``), plus the matched-candidate-budget
+  comparison ``ann_ivf_vs_lsh_recall`` (IVF must reach at-least-LSH recall
+  when both examine a similar number of candidates; gated at 1.0).
 
 Also records the quantized-snapshot cold start (mmap vs eager, the PR-5
 pattern on uint8 codes) and the codebook-sampler ablation (cell coverage of
@@ -65,8 +64,8 @@ def bench_quant_memory(rng: np.random.Generator, n: int, dim: int,
 
     # The gated PQ configuration is residual-coded (coarse centroid + PQ of
     # the residual): one extra byte per vector buys back most of the recall
-    # plain PQ gives up.  The plain (non-residual) configuration — the one
-    # IVF ADC rescoring uses — is recorded too, ungated, for honesty.
+    # plain PQ gives up.  The plain (non-residual) configuration is
+    # recorded too, ungated, for honesty.
     configs = [
         ("int8", {}),
         ("pq", {"n_subvectors": 32, "n_coarse": 64}),
@@ -97,8 +96,7 @@ def bench_recall_qps_curve(rng: np.random.Generator, n: int, dim: int,
                            nprobes: tuple[int, ...],
                            repeats: int) -> list[dict]:
     """One record per operating point: recall@k, QPS, candidate budget."""
-    from repro.lookalike import (IVFIndex, LSHIndex, PQQuantizer,
-                                 exact_top_k)
+    from repro.lookalike import IVFIndex, LSHIndex, exact_top_k
 
     vectors = _clustered(rng, n, dim)
     queries = _clustered(rng, n_queries, dim)
@@ -136,13 +134,6 @@ def bench_recall_qps_curve(rng: np.random.Generator, n: int, dim: int,
         index.fit(vectors)
         results.append(point(f"ann_curve_ivf_p{nprobe}", index, "ivf",
                              n_lists=n_lists, nprobe=nprobe))
-
-    # ADC operating point: IVF probing + PQ-code rescoring, no float reads.
-    adc = IVFIndex(dim, n_lists=n_lists, nprobe=max(nprobes), seed=0,
-                   quantizer=PQQuantizer(dim, n_subvectors=8, seed=0))
-    adc.fit(vectors)
-    results.append(point(f"ann_curve_ivf_adc_p{max(nprobes)}", adc, "ivf_adc",
-                         n_lists=n_lists, nprobe=max(nprobes)))
     return results
 
 

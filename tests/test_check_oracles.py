@@ -66,6 +66,35 @@ class TestMutationSmoke:
             assert report.mismatches == ["grad_weight"]
 
 
+class TestIVFMutationSmoke:
+    """Answer in list-order positions instead of row ids: the oracle goes red."""
+
+    NAME = "lookalike.ivf.exhaustive_vs_exact"
+
+    def test_positions_not_mapped_through_order_are_caught(self, monkeypatch):
+        from repro.lookalike import IVFIndex
+
+        assert all(run_oracle(self.NAME, seed=s).passed for s in (0, 1, 2))
+        real = IVFIndex.fit
+
+        def fit_forgetting_the_permutation(self, vectors):
+            real(self, vectors)
+            self._order = np.arange(self.size)
+            return self
+
+        monkeypatch.setattr(IVFIndex, "fit", fit_forgetting_the_permutation)
+        for seed in (0, 1, 2):
+            report = run_oracle(self.NAME, seed=seed)
+            assert not report.passed
+            # scalar and batch share the one (broken) path and still agree:
+            # only the comparison against the exact scan fails
+            assert report.mismatches
+            assert all(name.startswith("exhaustive.q")
+                       for name in report.mismatches)
+        red = {r.name for r in run_oracles(seeds=(0,)) if not r.passed}
+        assert red == {self.NAME}
+
+
 class TestRegistry:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

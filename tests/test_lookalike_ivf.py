@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.lookalike import (IVFIndex, LookalikeSystem, LSHIndex, PQQuantizer,
-                             exact_top_k)
+from repro.lookalike import IVFIndex, LookalikeSystem, exact_top_k
 
 
 def clustered_vectors(n_clusters=5, per_cluster=60, dim=16, seed=0):
@@ -98,20 +100,6 @@ class TestIVFIndex:
         queries = points[::25] + 0.05
         assert index.recall_at_k(queries, k=10) >= 0.95
 
-    def test_adc_rescoring_close_to_exact(self):
-        points = clustered_vectors()
-        quantizer = PQQuantizer(points.shape[1], n_subvectors=8,
-                                n_centroids=64, seed=0)
-        index = IVFIndex(dim=points.shape[1], n_lists=16, nprobe=16, seed=0,
-                         quantizer=quantizer).fit(points)
-        queries = points[::40] + 0.05
-        assert index.recall_at_k(queries, k=10) >= 0.6
-
-    def test_residual_quantizer_rejected(self):
-        quantizer = PQQuantizer(16, n_subvectors=4, n_coarse=8)
-        with pytest.raises(ValueError):
-            IVFIndex(dim=16, quantizer=quantizer)
-
     def test_fallback_to_exact_toggle(self):
         points = clustered_vectors(n_clusters=8)
         index = IVFIndex(dim=points.shape[1], n_lists=8, nprobe=1,
@@ -121,6 +109,155 @@ class TestIVFIndex:
         assert with_fallback.size == 200
         without = index.query(far, k=200, fallback_to_exact=False)
         assert without.size <= with_fallback.size
+
+
+def naive_query(index, vectors, query, k, fallback_to_exact):
+    """The contract, spelled out: the union of the probed lists' row ids,
+    direct-form distances, lexicographic ``(distance, row id)`` min-k."""
+    cand = index.candidates(query)
+    if cand.size < k and fallback_to_exact:
+        cand = np.arange(vectors.shape[0])
+    d2 = np.sum((vectors[cand] - query) ** 2, axis=1)
+    return cand[np.lexsort((cand, d2))[:k]]
+
+
+@st.composite
+def integer_cases(draw):
+    """Small-integer coordinates, duplicates included: every distance is
+    exact in float64 whichever way it is computed, so ties are real ties
+    and the expected order is unambiguous."""
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 4))
+    n_queries = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    # some queries sit on indexed points, and the batch's probes overlap
+    queries = rng.integers(-3, 4, size=(n_queries, dim)).astype(np.float64)
+    n_lists = draw(st.integers(1, 12))          # may exceed n
+    nprobe = draw(st.integers(1, n_lists))
+    k = draw(st.integers(1, n + 5))             # may exceed Σ candidates and n
+    return vectors, queries, n_lists, nprobe, k, seed
+
+
+class TestListMajorQuery:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_cases(), st.booleans())
+    def test_matches_naive_reference(self, case, fallback):
+        vectors, queries, n_lists, nprobe, k, seed = case
+        index = IVFIndex(vectors.shape[1], n_lists=n_lists, nprobe=nprobe,
+                         seed=seed).fit(vectors)
+        batch = index.query_batch(queries, k, fallback_to_exact=fallback)
+        assert len(batch) == len(queries)
+        for query, got in zip(queries, batch):
+            want = naive_query(index, vectors, query, k, fallback)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
+            # scalar is a batch of one
+            np.testing.assert_array_equal(
+                index.query(query, k, fallback_to_exact=fallback), want)
+        if nprobe == n_lists:
+            np.testing.assert_array_equal(
+                np.stack(batch), exact_top_k(vectors, queries, k))
+
+    def test_empty_lists_and_all_ties(self):
+        # Ten copies of one point: k-means leaves lists 1..3 empty and every
+        # distance ties, so the answer is the lowest row ids in order.
+        vectors = np.zeros((10, 2))
+        index = IVFIndex(2, n_lists=4, nprobe=4, seed=0).fit(vectors)
+        assert (np.diff(index._boundaries) == 0).sum() == 3
+        for found in index.query_batch(np.ones((3, 2)), k=4):
+            np.testing.assert_array_equal(found, [0, 1, 2, 3])
+
+    def test_gaussian_matches_wherever_the_gaps_are_resolvable(self):
+        # GEMM-form and direct-form distances differ in the last bits; ids
+        # must agree wherever no two of the first k+1 are that close.
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(2000, 16))
+        queries = rng.normal(size=(32, 16))
+        k = 10
+        index = IVFIndex(16, n_lists=16, nprobe=4, seed=3).fit(vectors)
+        batch = index.query_batch(queries, k)
+        compared = 0
+        for query, got in zip(queries, batch):
+            cand = index.candidates(query)
+            d2 = np.sort(np.sum((vectors[cand] - query) ** 2, axis=1))
+            if np.diff(d2[:k + 1]).min() > 1e-9:
+                compared += 1
+                np.testing.assert_array_equal(
+                    got, naive_query(index, vectors, query, k, True))
+        assert compared >= 30
+
+    def test_fallback_scans_everything_in_row_id_order(self):
+        points = clustered_vectors(n_clusters=8)
+        index = IVFIndex(points.shape[1], n_lists=8, nprobe=1,
+                         seed=0).fit(points)
+        queries = points[[0, 100, 400]]
+        k = 200                                  # > any single list
+        found = index.query_batch(queries, k)
+        np.testing.assert_array_equal(np.stack(found),
+                                      exact_top_k(points, queries, k))
+        short = index.query_batch(queries, k, fallback_to_exact=False)
+        for query, got in zip(queries, short):
+            assert got.size == index.candidates(query).size < k
+
+
+class TestListContiguousStorage:
+    def test_invariants_after_fit(self):
+        points = clustered_vectors()
+        index = IVFIndex(points.shape[1], n_lists=16, nprobe=4,
+                         seed=0).fit(points)
+        n = points.shape[0]
+        np.testing.assert_array_equal(np.sort(index._order), np.arange(n))
+        np.testing.assert_array_equal(index._vectors, points[index._order])
+        np.testing.assert_array_equal(
+            index._norms, (points[index._order] ** 2).sum(axis=1))
+        bounds = index._boundaries
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert bounds.shape == (17,) and (np.diff(bounds) >= 0).all()
+        # each list holds exactly the rows nearest its centroid
+        d2 = ((points[:, None, :] - index._centroids[None]) ** 2).sum(axis=2)
+        cells = np.repeat(np.arange(16), np.diff(bounds))
+        np.testing.assert_allclose(
+            d2[index._order, cells], d2.min(axis=1)[index._order])
+        assert index.size == n
+
+    def test_readonly_memmap_is_neither_mutated_nor_retained(self, tmp_path):
+        points = clustered_vectors()
+        path = tmp_path / "vectors.bin"
+        points.tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r",
+                           shape=points.shape)
+        index = IVFIndex(points.shape[1], n_lists=16, nprobe=16,
+                         seed=0).fit(mapped)
+        for value in vars(index).values():
+            if isinstance(value, np.ndarray):
+                assert not np.shares_memory(value, mapped)
+        np.testing.assert_array_equal(np.fromfile(path).reshape(points.shape),
+                                      points)
+        del mapped                               # the index needs no file
+        queries = points[[0, 123, 299]] + 0.05
+        np.testing.assert_array_equal(np.stack(index.query_batch(queries, 20)),
+                                      exact_top_k(points, queries, 20))
+
+    def test_query_batch_never_builds_a_q_by_n_matrix(self):
+        rng = np.random.default_rng(0)
+        n, dim, n_queries, n_lists = 20_000, 16, 64, 64
+        vectors = rng.normal(size=(n, dim))
+        queries = rng.normal(size=(n_queries, dim))
+        index = IVFIndex(dim, n_lists=n_lists, nprobe=2, seed=0).fit(vectors)
+        total = sum(c.size for c in index.candidates_batch(queries))
+        index.query_batch(queries, 10)           # warm caches and imports
+        tracemalloc.start()
+        try:
+            index.query_batch(queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # (distance, row id) buffers and their temporaries, plus the
+        # (q, n_lists) probe matrices — far below the exact scan's q * n * 8.
+        assert peak < 3 * 16 * total + 64 * n_queries * n_lists
+        assert 3 * 16 * total + 64 * n_queries * n_lists < n_queries * n * 8 / 2
 
 
 class TestLookalikeSystemQuantIndex:

@@ -8,6 +8,7 @@ import pytest
 from repro.lookalike import Int8Quantizer, PQQuantizer, QuantizedEmbeddingStore
 from repro.lookalike.quant import kmeans
 from repro.lookalike.store import EmbeddingStore
+from repro.utils.rng import new_rng
 
 
 def clustered(n=400, dim=16, seed=0, n_clusters=5, spread=0.3):
@@ -17,7 +18,70 @@ def clustered(n=400, dim=16, seed=0, n_clusters=5, spread=0.3):
     return centers[assign] + spread * rng.normal(size=(n, dim))
 
 
+def kmeans_add_at(data, k, seed=0, n_iters=20):
+    """The Lloyd's loop as it was before the CSR cluster sums and the hoisted
+    constants, verbatim — the reference :func:`kmeans` must equal bit for
+    bit — plus two counters so the tests can tell which branches ran."""
+    def pairwise_d2(points, centroids):
+        return ((points ** 2).sum(axis=1)[:, None]
+                - 2.0 * points @ centroids.T
+                + (centroids ** 2).sum(axis=1)[None, :])
+
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    rng = new_rng(seed)
+    centroids = data[np.sort(rng.choice(n, size=k, replace=False))].copy()
+    assign = np.argmin(pairwise_d2(data, centroids), axis=1)
+    iters = reseeded = 0
+    for __ in range(n_iters):
+        iters += 1
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, data)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        updated = centroids.copy()
+        updated[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            reseeded += empty.size
+            d2 = ((data - updated[assign]) ** 2).sum(axis=1)
+            far = np.argsort(-d2, kind="stable")[:empty.size]
+            updated[empty] = data[far]
+        if np.array_equal(updated, centroids):
+            break
+        centroids = updated
+        assign = np.argmin(pairwise_d2(data, centroids), axis=1)
+    return centroids, assign, iters, reseeded
+
+
 class TestKMeans:
+    @pytest.mark.parametrize("shape,k,n_iters", [
+        ((2048, 64), 64, 15),      # the publish_kd coarse quantizer
+        ((300, 16), 64, 20),       # few points per cluster
+        ((400, 16), 5, 50),        # converges early
+        ((37, 3), 37, 4),          # k == n
+    ])
+    def test_bit_identical_to_the_add_at_loop(self, shape, k, n_iters):
+        data = clustered(n=shape[0], dim=shape[1], seed=shape[0])
+        want_c, want_a, iters, __ = kmeans_add_at(data, k, seed=5,
+                                                  n_iters=n_iters)
+        got_c, got_a = kmeans(data, k, seed=5, n_iters=n_iters)
+        np.testing.assert_array_equal(got_c, want_c)
+        np.testing.assert_array_equal(got_a, want_a)
+        if shape == (400, 16):
+            assert iters < n_iters      # the early exit was exercised
+
+    def test_bit_identical_through_empty_cluster_reseeding(self):
+        # Many duplicate points: clusters empty out and are re-seeded.
+        rng = np.random.default_rng(0)
+        data = rng.integers(0, 2, size=(200, 3)).astype(np.float64)
+        data[:5] += rng.normal(size=(5, 3))
+        want_c, want_a, __, reseeded = kmeans_add_at(data, 24, seed=1)
+        assert reseeded > 0, "no cluster emptied; the case is vacuous"
+        got_c, got_a = kmeans(data, 24, seed=1)
+        np.testing.assert_array_equal(got_c, want_c)
+        np.testing.assert_array_equal(got_a, want_a)
+
     def test_deterministic_per_seed(self):
         data = clustered()
         a, _ = kmeans(data, 8, seed=3)
@@ -97,17 +161,6 @@ class TestPQQuantizer:
         err = np.sqrt(np.sum((recon - data) ** 2, axis=1))
         assert np.all(err <= quantizer.bound() + 1e-9)
 
-    def test_adc_matches_distance_to_reconstruction(self):
-        data = clustered(dim=8)
-        quantizer = PQQuantizer(8, n_subvectors=4, n_centroids=16,
-                                seed=0).fit(data)
-        codes = quantizer.quantize(data)
-        query = data[3]
-        adc = quantizer.adc_distances(quantizer.adc_lut(query), codes)
-        recon = quantizer.dequantize(codes)
-        np.testing.assert_allclose(
-            adc, np.sum((recon - query) ** 2, axis=1), rtol=1e-10, atol=1e-9)
-
     def test_residual_mode_tightens_reconstruction(self):
         data = clustered(n=600, dim=16, spread=0.6)
         plain = PQQuantizer(16, n_subvectors=4, n_centroids=16,
@@ -121,13 +174,6 @@ class TestPQQuantizer:
             (residual.dequantize(residual.quantize(data)) - data) ** 2,
             axis=1))
         assert err_res.mean() <= err_plain.mean()
-
-    def test_residual_adc_unsupported(self):
-        data = clustered(dim=8)
-        quantizer = PQQuantizer(8, n_subvectors=2, n_centroids=16, seed=0,
-                                n_coarse=4).fit(data)
-        with pytest.raises(RuntimeError):
-            quantizer.adc_lut(data[0])
 
     def test_state_round_trip_preserves_residual_mode(self):
         data = clustered(dim=8)
