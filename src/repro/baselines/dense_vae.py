@@ -58,9 +58,10 @@ class DenseInputCodec:
             self._bucket_cache[field] = self._global_ids(field, np.arange(vocab))
         return self._bucket_cache[field]
 
-    def encode_batch(self, batch: UserBatch, binary: bool = True) -> np.ndarray:
+    def encode_batch(self, batch: UserBatch, binary: bool = True,
+                     dtype=np.float64) -> np.ndarray:
         """Dense ``(B, dim)`` multi-hot matrix for a batch."""
-        out = np.zeros((batch.n_users, self.dim))
+        out = np.zeros((batch.n_users, self.dim), dtype=dtype)
         for field, fb in batch.fields.items():
             if fb.indices.size == 0:
                 continue
@@ -69,7 +70,7 @@ class DenseInputCodec:
             vals = np.ones(cols.size) if (binary or fb.weights is None) else fb.weights
             np.add.at(out, (row_of, cols), vals)
         if binary:
-            out = (out > 0).astype(np.float64)
+            out = (out > 0).astype(dtype)
         return out
 
     @staticmethod
@@ -111,6 +112,10 @@ class _DenseAutoencoderBase(Module, UserRepresentationModel):
 
     # -- shared forward pieces -------------------------------------------------
 
+    def _multi_hot(self, batch: UserBatch) -> np.ndarray:
+        """The codec's multi-hot input (and targets) in the parameters' dtype."""
+        return self.codec.encode_batch(batch, dtype=self.dtype)
+
     def _encode_hidden(self, x: np.ndarray) -> Tensor:
         h = Tensor(DenseInputCodec.normalize(x))
         if self.input_dropout is not None:
@@ -145,7 +150,7 @@ class _DenseAutoencoderBase(Module, UserRepresentationModel):
         with no_grad():
             for start in range(0, dataset.n_users, batch_size):
                 idx = np.arange(start, min(start + batch_size, dataset.n_users))
-                x = self.codec.encode_batch(dataset.batch(idx))
+                x = self._multi_hot(dataset.batch(idx))
                 out[idx] = self._embed(x)
         return out
 
@@ -161,7 +166,7 @@ class _DenseAutoencoderBase(Module, UserRepresentationModel):
         with no_grad():
             for start in range(0, dataset.n_users, batch_size):
                 idx = np.arange(start, min(start + batch_size, dataset.n_users))
-                x = self.codec.encode_batch(dataset.batch(idx))
+                x = self._multi_hot(dataset.batch(idx))
                 z = Tensor(self._embed(x))
                 logits = self.decode_logits(z).data
                 out[idx] = logits[:, cols]
@@ -184,7 +189,7 @@ class MultDAE(_DenseAutoencoderBase):
         self.to_latent = Linear(self.hidden_dims[-1], latent_dim, rng=new_rng(seed + 2))
 
     def loss_on_batch(self, batch: UserBatch, step: int | None = None):
-        x = self.codec.encode_batch(batch)
+        x = self._multi_hot(batch)
         z = self.to_latent(self._encode_hidden(x))
         log_probs = F.log_softmax(self.decode_logits(z), axis=-1)
         nll = -(Tensor(x) * log_probs).sum() * (1.0 / x.shape[0])
@@ -222,9 +227,9 @@ class MultVAE(_DenseAutoencoderBase):
             self._step = step
         beta = self.beta_schedule(self._step)
         self._step += 1
-        x = self.codec.encode_batch(batch)
+        x = self._multi_hot(batch)
         mu, logvar = self.posterior(x)
-        eps = Tensor(self._rng.standard_normal(mu.shape))
+        eps = Tensor(self._rng.standard_normal(mu.shape).astype(x.dtype))
         z = mu + (logvar * 0.5).exp() * eps if self.training else mu
         log_probs = F.log_softmax(self.decode_logits(z), axis=-1)
         nll = -(Tensor(x) * log_probs).sum() * (1.0 / x.shape[0])
@@ -268,8 +273,8 @@ class RecVAE(MultVAE):
     def _old_posterior(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior parameters under the frozen (old) encoder weights."""
         if self._old_state is None:
-            return (np.zeros((x.shape[0], self.latent_dim)),
-                    np.zeros((x.shape[0], self.latent_dim)))
+            zeros = np.zeros((x.shape[0], self.latent_dim), dtype=x.dtype)
+            return zeros, zeros
         live = self.state_dict()
         self.load_state_dict(self._old_state)
         with no_grad():
@@ -300,9 +305,9 @@ class RecVAE(MultVAE):
         beta = self.beta_schedule(self._step)
         self._step += 1
 
-        x = self.codec.encode_batch(batch)
+        x = self._multi_hot(batch)
         mu, logvar = self.posterior(x)
-        eps = Tensor(self._rng.standard_normal(mu.shape))
+        eps = Tensor(self._rng.standard_normal(mu.shape).astype(x.dtype))
         z = mu + (logvar * 0.5).exp() * eps if self.training else mu
         log_probs = F.log_softmax(self.decode_logits(z), axis=-1)
         nll = -(Tensor(x) * log_probs).sum() * (1.0 / x.shape[0])

@@ -86,9 +86,10 @@ def run_digest(quick: bool = True, seed: int = 0, loader=None,
                         decoder_hidden=[32], sampling_rate=0.5,
                         anneal_steps=20, embedding_capacity=64, seed=seed)
     model = FVAE(train.schema, config)
+    # The committed digests pin float64 bits; the training default is float32.
     model.fit(train, epochs=preset["epochs"],
               batch_size=preset["batch_size"], rng=seed, loader=loader,
-              capture=capture)
+              capture=capture, precision="float64")
 
     result = evaluate_tag_prediction(model, test, rng=seed)
     history = model.history

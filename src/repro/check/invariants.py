@@ -101,9 +101,10 @@ def kl_nonneg(diagnostics: dict, atol: float = 1e-9) -> list[InvariantViolation]
     return [InvariantViolation("kl_nonneg", "kl", f"kl={kl!r} < 0")]
 
 
-def elbo_consistent(diagnostics: dict, rtol: float = 1e-9, atol: float = 1e-8,
+def elbo_consistent(diagnostics: dict, dtype=np.float64,
                     ) -> list[InvariantViolation]:
-    """The reported loss decomposes as ``recon + beta * kl``."""
+    """The reported loss decomposes as ``recon + beta * kl``, to a few
+    roundings of ``dtype`` — the precision the loss was computed in."""
     try:
         loss = float(diagnostics["loss"])
         recon = float(diagnostics["recon"])
@@ -116,7 +117,8 @@ def elbo_consistent(diagnostics: dict, rtol: float = 1e-9, atol: float = 1e-8,
                                    f"non-finite components: loss={loss} "
                                    f"recon={recon} kl={kl} beta={beta}")]
     expected = recon + beta * kl
-    if abs(loss - expected) <= atol + rtol * abs(expected):
+    tol = 16 * np.finfo(dtype).eps * max(1.0, abs(recon) + abs(beta * kl))
+    if abs(loss - expected) <= tol:
         return []
     return [InvariantViolation(
         "elbo_consistent", "loss",
@@ -182,7 +184,7 @@ def check_model(model, optimizer=None, diagnostics: dict | None = None,
         out.extend(moment_shapes(optimizer))
     if diagnostics is not None:
         out.extend(kl_nonneg(diagnostics))
-        out.extend(elbo_consistent(diagnostics))
+        out.extend(elbo_consistent(diagnostics, model.dtype))
     return out
 
 
@@ -299,7 +301,7 @@ class InvariantCallback(TrainerCallback):
             return
         found = finite_grads(trainer.model)
         found += kl_nonneg(diagnostics)
-        found += elbo_consistent(diagnostics)
+        found += elbo_consistent(diagnostics, trainer.model.dtype)
         self._record(found)
 
     def on_epoch_end(self, trainer, record) -> None:

@@ -436,7 +436,8 @@ def _oracle_replay_vs_dynamic(rng: np.random.Generator) -> Pairs:
 
     def run(capture: bool):
         model = FVAE(data.dataset.schema, config)
-        model.fit(data.dataset, epochs=2, batch_size=32, capture=capture)
+        model.fit(data.dataset, epochs=2, batch_size=32, capture=capture,
+                  precision="float64")
         losses = np.asarray([r.loss for r in model.history.epochs])
         return losses, model.state_dict()
 
@@ -493,8 +494,9 @@ def _oracle_sharded_trainer(rng: np.random.Generator) -> Pairs:
         return model, data.dataset
 
     ref_model, ref_data = build()
-    ref_hist = Trainer(ref_model, lr=1e-3).fit(ref_data, epochs=1,
-                                               batch_size=16, rng=seed)
+    # float64 on both sides: the sharded trainer runs at the model's dtype
+    ref_hist = Trainer(ref_model, lr=1e-3, precision="float64").fit(
+        ref_data, epochs=1, batch_size=16, rng=seed)
     sh_model, sh_data = build()
     sh_hist = ShardedTrainer(sh_model, n_workers=2, lr=1e-3).fit(
         sh_data, epochs=1, batch_size=16, rng=seed)

@@ -15,7 +15,7 @@ from repro.data.fields import FieldSchema
 from repro.hashing import DynamicHashTable
 from repro.nn import functional as F
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Parameter, Tensor, as_tensor, no_grad
+from repro.nn.tensor import Parameter, Tensor, no_grad
 from repro.utils.rng import new_rng
 
 __all__ = ["FieldOutputHead", "FieldAwareDecoder"]
@@ -142,8 +142,9 @@ class FieldAwareDecoder(Module):
             return self._heads[field].nll_for_rows(trunk, candidate_rows,
                                                    targets, scale=scale)
         log_probs = self.log_probs(trunk, field, candidate_rows)
-        return -(as_tensor(targets, like=log_probs.data.dtype)
-                  * log_probs).sum() * scale
+        # float64 counts would promote the chain, and every gradient behind it
+        targets = np.asarray(targets, dtype=log_probs.data.dtype)
+        return -(Tensor(targets) * log_probs).sum() * scale
 
     def full_scores(self, z_mu: np.ndarray, field: str,
                     chunk: int = 4096) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -240,7 +240,7 @@ class FVAE(Module, UserRepresentationModel):
         # `precision` must reach the Trainer constructor (the cast has to
         # precede optimizer construction); everything else goes to fit().
         trainer = Trainer(self, lr=lr,
-                          precision=trainer_kwargs.pop("precision", None))
+                          precision=trainer_kwargs.pop("precision", "float32"))
         self.history = trainer.fit(dataset, epochs=epochs, batch_size=batch_size,
                                    verbose=verbose, **trainer_kwargs)
         return self

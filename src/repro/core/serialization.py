@@ -60,6 +60,7 @@ def save_fvae(model: FVAE, path: str | Path) -> None:
         "config": asdict(model.config),
         "schema": schema_payload,
         "step": model._step,
+        "dtype": str(model.dtype),
     }
     arrays["meta"] = np.asarray(json.dumps(meta))
     atomic_savez(_npz_path(path), arrays)
@@ -118,6 +119,9 @@ def load_fvae(path: str | Path, freeze_tables: bool = True,
             raise SerializationError(
                 f"{path} is missing arrays: {sorted(missing_arrays)}")
         model = FVAE(schema, FVAEConfig(**meta["config"]))
+        # float32 weights in a float64 model embed differently in the last
+        # digits; archives from before the field existed were always float64.
+        model.astype(meta.get("dtype", "float64"))
         model._step = int(meta["step"])
 
         # Restore tables (and make room in the parameters) before weights.

@@ -13,11 +13,8 @@ from repro.distributed.sharded.layout import FieldLayout, build_field_layout
 from repro.distributed.sharded.service import ShardedEmbeddingService
 from repro.distributed.sharded.shm import (SHM_PREFIX, Slab, active_segments,
                                            attach, create)
-from repro.distributed.sharded.trainer import (ShardedTrainer,
-                                               WorkerDiedError,
-                                               adam_sparse_row_update)
+from repro.distributed.sharded.trainer import ShardedTrainer, WorkerDiedError
 
 __all__ = ["FieldLayout", "build_field_layout", "ShardedEmbeddingService",
            "SHM_PREFIX", "Slab", "active_segments", "attach", "create",
-           "ShardedTrainer", "WorkerDiedError", "adam_sparse_row_update",
-           "shm"]
+           "ShardedTrainer", "WorkerDiedError", "shm"]

@@ -2,7 +2,7 @@
 
 The sharded parameter server keeps every parameter shard in a
 ``multiprocessing.shared_memory`` segment laid out as one contiguous
-``(n_rows, dim)`` float64 matrix — the PR-5 columnar format — so workers
+``(n_rows, dim)`` matrix — the PR-5 columnar format — so workers
 read parameter rows as zero-copy numpy views instead of deserialising
 messages.
 

@@ -17,8 +17,8 @@ Layout (per step):
 * **gradients** — after backward, each worker coalesces its row-sparse
   gradients (PR-3 ``coalesce_rows``) and splits them by owning shard; the
   coalesced ``(rows, grads)`` pairs are the on-wire format, routed through
-  the driver to the owning worker, which applies the exact ``Adam``
-  sparse-row arithmetic to its slab.
+  the driver to the owning worker, which runs the optimizer's own row
+  kernel (:func:`repro.nn.optim.adam_update_rows`) on its slab.
 * **determinism** — the driver alone consumes RNG: it draws the epoch
   shuffle, the reparameterisation noise and the candidate sets in exactly
   the order the single-process ``Trainer.fit`` reference would, then ships
@@ -54,13 +54,14 @@ import numpy as np
 from repro.core.trainer import EpochRecord, TrainHistory
 from repro.distributed.sharded import shm
 from repro.distributed.sharded.layout import FieldLayout, build_field_layout
-from repro.nn.optim import Adam, _coalesce
+from repro.nn.optim import (Adam, _coalesce, adam_step_size,
+                            adam_update_rows)
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.faults import FaultKind, FaultSchedule
 from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
                              restore_rng_tree, set_generator_state)
 
-__all__ = ["ShardedTrainer", "WorkerDiedError", "adam_sparse_row_update"]
+__all__ = ["ShardedTrainer", "WorkerDiedError"]
 
 _STATE_KEYS = ("value", "m", "v")
 
@@ -71,40 +72,6 @@ class WorkerDiedError(RuntimeError):
     def __init__(self, rank: int, reason: str) -> None:
         super().__init__(f"worker {rank} died: {reason}")
         self.rank = rank
-
-
-def adam_sparse_row_update(value: np.ndarray, m: np.ndarray, v: np.ndarray,
-                           rows: np.ndarray, grads: np.ndarray, *, t: int,
-                           lr: float, beta1: float = 0.9,
-                           beta2: float = 0.999, eps: float = 1e-8,
-                           weight_decay: float = 0.0) -> None:
-    """The exact sparse-row branch of :class:`repro.nn.optim.Adam`.
-
-    Operates on raw state arrays (shard slabs) instead of a ``Parameter``,
-    replicating the reference op-for-op so a shard owner's update is
-    bit-identical to what the single-process optimizer would have done to
-    the same rows (pinned by ``test_adam_row_update_matches_optimizer``).
-    """
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    step_size = lr * np.sqrt(bc2) / bc1
-    if weight_decay:
-        grads = grads + weight_decay * value[rows]
-    m_rows = m[rows]
-    m_rows *= beta1
-    m_rows += (1.0 - beta1) * grads
-    sq = np.multiply(grads, grads)
-    sq *= (1.0 - beta2)
-    v_rows = v[rows]
-    v_rows *= beta2
-    v_rows += sq
-    m[rows] = m_rows
-    v[rows] = v_rows
-    denom = np.sqrt(v_rows, out=v_rows)
-    denom += eps
-    update = np.multiply(m_rows, step_size, out=m_rows)
-    update /= denom
-    value[rows] -= update
 
 
 @dataclass
@@ -198,18 +165,19 @@ def _compute_step(ctx: _WorkerCtx, msg: tuple) -> tuple:
 def _apply_shard(ctx: _WorkerCtx, msg: tuple) -> tuple:
     __, adam_t, routed = msg
     t0 = time.process_time()
+    step_size = adam_step_size(ctx.lr, *ctx.betas, adam_t)
     for pkey, parts in routed.items():
         if not parts:
             continue
         state = ctx.sparse[pkey]
         rows, grads = _coalesce(parts)
         slots = state.layout.slot_of_row[rows]
-        adam_sparse_row_update(
-            state.slabs["value"][ctx.rank].array,
-            state.slabs["m"][ctx.rank].array,
-            state.slabs["v"][ctx.rank].array,
-            slots, grads, t=adam_t, lr=ctx.lr, beta1=ctx.betas[0],
-            beta2=ctx.betas[1], eps=ctx.eps, weight_decay=ctx.weight_decay)
+        value, m, v = (state.slabs[which][ctx.rank].array
+                       for which in _STATE_KEYS)
+        if ctx.weight_decay:
+            grads = grads + ctx.weight_decay * value[slots]
+        adam_update_rows(value, m, v, slots, grads, step_size,
+                         *ctx.betas, ctx.eps)
     return ("applied", ctx.rank, time.process_time() - t0)
 
 
@@ -241,7 +209,10 @@ class ShardedTrainer:
     model:
         An :class:`~repro.core.fvae.FVAE` whose tables already cover the
         dataset vocabulary (run ``initialize_from_dataset`` first) and whose
-        config has ``input_dropout == feature_dropout == 0``.
+        config has ``input_dropout == feature_dropout == 0``.  Training runs
+        at the model's dtype — shard slabs and Adam moments adopt it — so
+        ``model.astype("float32")`` first gives the precision
+        :class:`~repro.core.trainer.Trainer` defaults to.
     n_workers:
         Worker processes; also the shard count (colocated PS).
     checkpointer / checkpoint_every:
@@ -371,9 +342,6 @@ class ShardedTrainer:
 
         self._sparse = {}
         for pkey, (param, fname, width) in sparse_index.items():
-            if param.data.dtype != np.float64:
-                raise ValueError("sharded training requires float64 "
-                                 f"parameters; {pkey} is {param.data.dtype}")
             layout = layouts[fname]
             slabs = {}
             for which in _STATE_KEYS:
@@ -381,7 +349,7 @@ class ShardedTrainer:
                 for s in range(self.n_workers):
                     n = int(layout.counts[s])
                     shape = (n,) if width is None else (n, width)
-                    per_shard.append(shm.create(shape, np.float64))
+                    per_shard.append(shm.create(shape, param.data.dtype))
                 slabs[which] = per_shard
             state = _SparseState(pkey=pkey, fieldname=fname, param=param,
                                  layout=layout, slabs=slabs)

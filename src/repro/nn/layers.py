@@ -105,6 +105,11 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for '{name}': {param.data.shape} vs {value.shape}")
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the module computes in (that of its parameters)."""
+        return next(self.parameters()).data.dtype
+
     def astype(self, dtype) -> "Module":
         """Cast every parameter to ``dtype`` in place (float32 training mode).
 

@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.nn.tensor import Parameter, coalesce_rows
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam", "adam_step_size", "adam_update_rows"]
+
+#: Bytes per gathered block of ``adam_update_rows`` (32 rows of 256 float64):
+#: the optimum of the sweep in docs/PERFORMANCE.md — a constant, not a knob.
+_BLOCK_BYTES = 64 * 1024
 
 
 def _coalesce(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -33,6 +37,56 @@ def _coalesce(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     rows = np.concatenate([r for r, __ in parts])
     grads = np.concatenate([g for __, g in parts])
     return coalesce_rows(rows, grads)
+
+
+def adam_step_size(lr: float, beta1: float, beta2: float, t: int):
+    """Bias-corrected step ``lr·√(1-β2ᵗ)/(1-β1ᵗ)`` of Adam's ``t``-th update."""
+    return lr * np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
+
+
+def adam_update_rows(value: np.ndarray, m: np.ndarray, v: np.ndarray,
+                     rows: np.ndarray, grads: np.ndarray, step_size: float,
+                     beta1: float, beta2: float, eps: float) -> None:
+    """Row-sparse Adam on raw state arrays, one cache-sized block at a time.
+
+    Updates ``value[rows]``, ``m[rows]``, ``v[rows]`` in place from the
+    duplicate-free ``(rows, grads)``.  The update is memory-bound: done over
+    all rows at once it streams a dozen ``[R, D]`` passes through DRAM;
+    walking ``rows`` in ``_BLOCK_BYTES`` blocks keeps the chain in L1/L2 with
+    three block-sized scratch buffers, and since every row sees the same
+    operations in the same order the result is bit-identical.  Called by
+    :class:`Adam` and by the sharded trainer's shard owners (on slab views).
+    """
+    if grads.dtype != value.dtype:
+        raise TypeError(f"gradient is {grads.dtype} but the parameter is "
+                        f"{value.dtype}: some op upstream promoted it")
+    # np.take's bounds-checking mode buffers every output: check once here.
+    if rows.size and (rows.min() < 0 or rows.max() >= value.shape[0]):
+        raise IndexError(f"row ids outside [0, {value.shape[0]})")
+    block = max(1, min(rows.size, _BLOCK_BYTES // max(1, value[:1].nbytes)))
+    m_buf, v_buf, w_buf = (np.empty((block,) + value.shape[1:], value.dtype)
+                           for __ in range(3))
+    for lo in range(0, rows.size, block):
+        idx = rows[lo:lo + block]
+        g = grads[lo:lo + block]
+        k = idx.size
+        m_rows = np.take(m, idx, axis=0, out=m_buf[:k], mode="clip")
+        m_rows *= beta1
+        m_rows += np.multiply(g, 1.0 - beta1, out=w_buf[:k])
+        sq = np.multiply(g, g, out=w_buf[:k])  # grads stays caller-visible
+        sq *= (1.0 - beta2)
+        v_rows = np.take(v, idx, axis=0, out=v_buf[:k], mode="clip")
+        v_rows *= beta2
+        v_rows += sq
+        m[idx] = m_rows
+        v[idx] = v_rows
+        denom = np.sqrt(v_rows, out=v_rows)
+        denom += eps
+        update = np.multiply(m_rows, step_size, out=m_rows)
+        update /= denom
+        w_rows = np.take(value, idx, axis=0, out=w_buf[:k], mode="clip")
+        w_rows -= update
+        value[idx] = w_rows
 
 
 class Optimizer:
@@ -161,32 +215,20 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        step_size = self.lr * np.sqrt(bc2) / bc1
+        step_size = adam_step_size(self.lr, self.beta1, self.beta2, self.t)
         for p in self.params:
             if p.sparse_grad_parts:
                 rows, grads = _coalesce(p.sparse_grad_parts)
                 if self.weight_decay:
                     grads = grads + self.weight_decay * p.data[rows]
                 m, v = self._state(p)
-                m_rows = m[rows]
-                m_rows *= self.beta1
-                m_rows += (1.0 - self.beta1) * grads
-                sq = np.multiply(grads, grads)  # grads stays caller-visible
-                sq *= (1.0 - self.beta2)
-                v_rows = v[rows]
-                v_rows *= self.beta2
-                v_rows += sq
-                m[rows] = m_rows
-                v[rows] = v_rows
-                denom = np.sqrt(v_rows, out=v_rows)
-                denom += self.eps
-                update = np.multiply(m_rows, step_size, out=m_rows)
-                update /= denom
-                p.data[rows] -= update
+                adam_update_rows(p.data, m, v, rows, grads, step_size,
+                                 self.beta1, self.beta2, self.eps)
             if p.grad is not None:
                 grad = p.grad
+                if grad.dtype != p.data.dtype:  # in-place ops would down-cast
+                    raise TypeError(f"gradient of {p.name} is {grad.dtype} but "
+                                    f"the parameter is {p.data.dtype}")
                 if self.weight_decay:
                     grad = grad + self.weight_decay * p.data
                 m, v = self._state(p)

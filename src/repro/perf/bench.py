@@ -194,8 +194,8 @@ def bench_capture_throughput(n_users: int, seed: int, epochs: int,
         return {"op": label, "users_per_sec": float(model.history.throughput),
                 "n_users": n_users, "epochs": epochs}
 
-    dyn = run("epoch_dynamic_f64")
-    cap64 = run("epoch_captured_f64", capture=True)
+    dyn = run("epoch_dynamic_f64", precision="float64")
+    cap64 = run("epoch_captured_f64", capture=True, precision="float64")
     cap32 = run("epoch_captured_f32", capture=True, precision="float32")
     return [
         dyn, cap64, cap32,

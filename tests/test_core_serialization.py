@@ -26,6 +26,34 @@ class TestSaveLoad:
         np.testing.assert_allclose(restored.embed_users(tiny_dataset),
                                    small_model.embed_users(tiny_dataset))
 
+    def test_training_precision_survives_the_round_trip(self, small_model,
+                                                        tiny_dataset,
+                                                        tmp_path):
+        path = tmp_path / "model.npz"
+        save_fvae(small_model, path)
+        restored = load_fvae(path)
+        assert {p.data.dtype for p in restored.parameters()} \
+            == {p.data.dtype for p in small_model.parameters()} \
+            == {np.dtype(np.float32)}       # trained at the default
+        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
+                                      small_model.embed_users(tiny_dataset))
+
+    def test_archive_without_a_dtype_field_loads_as_float64(self, small_model,
+                                                            tmp_path):
+        import json
+
+        path = tmp_path / "model.npz"
+        save_fvae(small_model, path)
+        with np.load(path, allow_pickle=True) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta["dtype"]                   # what every older archive looks like
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        np.savez(path, **arrays)
+        restored = load_fvae(path)
+        assert {p.data.dtype for p in restored.parameters()} \
+            == {np.dtype(np.float64)}
+
     def test_scores_identical_after_round_trip(self, small_model,
                                                tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"

@@ -29,12 +29,11 @@ from repro.core import FVAE, FVAEConfig
 from repro.core.trainer import Trainer
 from repro.data import make_kd_like
 from repro.distributed.sharded import (ShardedEmbeddingService, ShardedTrainer,
-                                       adam_sparse_row_update,
                                        build_field_layout, shm)
 from repro.hashing import DynamicHashTable
 from repro.hashing.stable import (assign_shards, rebalance_moves, shard_for,
                                   shard_of_ids, stable_hash, stable_hash_ids)
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, adam_step_size, adam_update_rows
 from repro.nn.tensor import Parameter
 from repro.resilience import StoreUnavailableError
 from repro.resilience.faults import FaultEvent, FaultKind, FaultSchedule
@@ -142,19 +141,28 @@ def test_field_layout_rejects_non_dense_rows():
 # -- Adam sparse-row arithmetic (fast) -----------------------------------------
 
 def test_adam_row_update_matches_optimizer():
+    """What a shard owner runs on its slab — the shared kernel, fed the
+    shared step size — is the optimizer's own sparse step, bit for bit."""
+    for dtype in (np.float64, np.float32):
+        _check_row_update_matches_optimizer(dtype)
+
+
+def _check_row_update_matches_optimizer(dtype):
     rng = np.random.default_rng(3)
-    data = rng.normal(size=(12, 5))
+    data = rng.normal(size=(12, 5)).astype(dtype)
     param = Parameter(data.copy(), sparse=True)
     opt = Adam([param], lr=0.01)
 
-    value, m, v = data.copy(), np.zeros((12, 5)), np.zeros((12, 5))
+    value, m, v = data.copy(), np.zeros_like(data), np.zeros_like(data)
     for t in range(1, 4):
         rows = np.unique(rng.integers(0, 12, size=6))
-        grads = rng.normal(size=(rows.size, 5))
+        grads = rng.normal(size=(rows.size, 5)).astype(dtype)
         param.add_sparse_grad(rows, grads.copy(), assume_unique=True)
         opt.step()
         param.zero_grad()
-        adam_sparse_row_update(value, m, v, rows, grads.copy(), t=t, lr=0.01)
+        adam_update_rows(value, m, v, rows, grads.copy(),
+                         adam_step_size(0.01, 0.9, 0.999, t),
+                         0.9, 0.999, 1e-8)
         assert np.array_equal(value, param.data), f"diverged at t={t}"
 
 
@@ -190,21 +198,30 @@ def test_fault_injection_requires_checkpointer():
 
 @pytest.mark.slow
 def test_one_worker_is_bit_exact_vs_trainer(shard_cluster):
-    ref_model, ref_data = small_model()
-    ref_hist = Trainer(ref_model, lr=1e-3).fit(ref_data, epochs=2,
-                                               batch_size=16, rng=0)
-    sh_model, sh_data = small_model()
-    sh_hist = ShardedTrainer(sh_model, n_workers=1, lr=1e-3).fit(
-        sh_data, epochs=2, batch_size=16, rng=0)
+    # The sharded trainer runs at the model's dtype, so it is given the one
+    # the reference ended up at — Trainer's default first, then float64.
+    for kwargs, expected in (({}, np.float32),
+                             ({"precision": "float64"}, np.float64)):
+        ref_model, ref_data = small_model()
+        ref_hist = Trainer(ref_model, lr=1e-3, **kwargs).fit(
+            ref_data, epochs=2, batch_size=16, rng=0)
+        assert ref_model.dtype == expected
+        sh_model, sh_data = small_model()
+        sh_hist = ShardedTrainer(sh_model.astype(ref_model.dtype),
+                                 n_workers=1, lr=1e-3).fit(
+            sh_data, epochs=2, batch_size=16, rng=0)
 
-    assert [r.loss for r in ref_hist.epochs] == [r.loss for r in sh_hist.epochs]
-    assert max_param_diff(ref_model, sh_model) == 0.0
+        assert [r.loss for r in ref_hist.epochs] \
+            == [r.loss for r in sh_hist.epochs]
+        assert max_param_diff(ref_model, sh_model) == 0.0
 
 
 @pytest.mark.slow
 def test_sharded_matches_reference_to_summation_order(shard_cluster):
+    # float64 on both sides: 1e-12 is a float64 summation-order bound.
     ref_model, ref_data = small_model()
-    Trainer(ref_model, lr=1e-3).fit(ref_data, epochs=2, batch_size=16, rng=0)
+    Trainer(ref_model, lr=1e-3, precision="float64").fit(
+        ref_data, epochs=2, batch_size=16, rng=0)
     sh_model, sh_data = small_model()
     trainer = ShardedTrainer(sh_model, n_workers=3, lr=1e-3)
     trainer.fit(sh_data, epochs=2, batch_size=16, rng=0)

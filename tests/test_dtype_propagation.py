@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import FVAE, FVAEConfig
 from repro.core.trainer import Trainer
+from repro.obs.callbacks import TrainerCallback
 from repro.nn import (MLP, Dropout, Embedding, LayerNorm, Linear, Parameter,
                       Sequential, Tensor, functional as F, gaussian_kl,
                       gaussian_kl_to, mse, multinomial_nll)
@@ -254,3 +255,59 @@ class TestFloat32Training:
         f64 = np.asarray(run(None))
         f32 = np.asarray(run("float32"))
         np.testing.assert_allclose(f32, f64, rtol=1e-3)
+
+
+def _tiny_config(**overrides) -> FVAEConfig:
+    return FVAEConfig(latent_dim=4, encoder_hidden=[8], decoder_hidden=[8],
+                      anneal_steps=5, embedding_capacity=16, seed=0,
+                      **overrides)
+
+
+class _StepProbe(TrainerCallback):
+    """Per-step losses, plus every dtype the first step left behind."""
+
+    def __init__(self) -> None:
+        self.losses: list[float] = []
+        self.dtypes: dict[str, set] = {}
+
+    def on_batch_end(self, trainer, epoch, step, loss, diagnostics) -> None:
+        self.losses.append(loss)
+        if self.dtypes:
+            return
+        found = {"param": set(), "grad": set(), "moment": set()}
+        for p in trainer.model.parameters():
+            found["param"].add(p.data.dtype)
+            if p.grad is not None:
+                found["grad"].add(p.grad.dtype)
+            found["grad"].update(g.dtype for __, g in p.sparse_grad_parts)
+        for key, state in trainer.optimizer.state_arrays().items():
+            if key != "t":
+                found["moment"].add(state.dtype)
+        self.dtypes = found
+
+
+class TestDefaultPrecision:
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_default_fit_step_is_float32_throughout(self, tiny_schema,
+                                                    tiny_dataset, fused):
+        probe = _StepProbe()
+        FVAE(tiny_schema, _tiny_config(fused=fused)).fit(
+            tiny_dataset, epochs=1, batch_size=3, callbacks=[probe])
+        assert probe.dtypes == {"param": {np.dtype(np.float32)},
+                                "grad": {np.dtype(np.float32)},
+                                "moment": {np.dtype(np.float32)}}
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_float64_stays_selectable_and_reproduces_pinned_losses(
+            self, tiny_schema, tiny_dataset, fused):
+        # Literals from the commit before float32 became the default (when
+        # float64 was): the first three per-step losses of this run.
+        probe = _StepProbe()
+        FVAE(tiny_schema, _tiny_config(fused=fused)).fit(
+            tiny_dataset, epochs=2, batch_size=2, rng=0, callbacks=[probe],
+            precision="float64")
+        assert probe.dtypes["param"] == {np.dtype(np.float64)}
+        # rel 1e-9: far inside float32's 1e-7, outside cross-BLAS drift
+        assert probe.losses[:3] == pytest.approx(
+            [2.1518139039639657, 1.103269171649152, 2.838848133877579],
+            rel=1e-9)

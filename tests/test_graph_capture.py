@@ -247,8 +247,9 @@ class TestCapturedTraining:
 
     def _run(self, tiny_schema, tiny_dataset, feature_dropout=0.5, **extra):
         model = make_model(tiny_schema, feature_dropout=feature_dropout)
-        trainer = Trainer(model, lr=1e-3,
-                          precision=extra.pop("precision", None))
+        ctor = {"precision": extra.pop("precision")} \
+            if "precision" in extra else {}
+        trainer = Trainer(model, lr=1e-3, **ctor)
         history = trainer.fit(tiny_dataset, **fit_kwargs(**extra))
         return model, trainer, history
 
