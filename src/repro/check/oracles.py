@@ -335,10 +335,10 @@ def _oracle_bulk_lookup(rng: np.random.Generator) -> Pairs:
 
 
 @register_oracle("serve.proxy_batch_vs_scalar",
-                 description="ServingProxy batched degradation chain vs the "
-                             "scalar get_embedding loop — same vectors, masks "
-                             "and per-source counts in legacy, resilient and "
-                             "store-outage modes (distinct keys)")
+                 description="ServingProxy degradation chain, one full batch "
+                             "vs the per-key loop of batches of one — same "
+                             "vectors, masks and per-source counts in legacy, "
+                             "resilient and store-outage modes (distinct keys)")
 def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
     from repro.lookalike import EmbeddingStore, ServingProxy
     from repro.lookalike.serving import ServingResilience

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.lookalike.store import EmbeddingStore, LRUCache
+from repro.lookalike.store import EmbeddingStore, LRUCache, _RowTable
 from repro.obs import runtime as obs
 from repro.resilience.guards import (CircuitBreaker, CircuitOpenError,
                                      DeadlineExceeded, RetryPolicy,
@@ -39,6 +40,12 @@ __all__ = ["ServingProxy", "ServingResilience"]
 #: Errors treated as "the store is unavailable" rather than "the user is
 #: unknown".  ``StoreUnavailableError`` is a ``ConnectionError`` subclass.
 _STORE_ERRORS = (ConnectionError, TimeoutError, OSError)
+
+#: Where a row came from, in chain order.  Inside the chain a source is its
+#: index here; everything below ``_DEFAULT`` was served by a real tier.
+_SOURCES = np.array(["cache", "store", "stale", "inferred", "default", "miss"],
+                    dtype=object)
+_CACHE, _STORE, _STALE, _INFERRED, _DEFAULT, _MISS = range(len(_SOURCES))
 
 
 @dataclass
@@ -90,10 +97,13 @@ class ServingProxy:
 
     Passing ``resilience=ServingResilience(...)`` arms the degradation chain:
     ``cache → store (retry + breaker) → stale snapshot → inference →
-    default embedding``.  The stale snapshot is a write-through copy of every
-    embedding the proxy has ever served from the store, so a store outage
-    degrades freshness rather than availability.  In resilient mode
-    :meth:`get_embedding` never returns ``None``.
+    default embedding``.  The stale tier keeps a *copy* of the version last
+    served of every embedding that came from the store or from inference, as
+    rows of one growable matrix behind its own key → row map (memory = rows
+    ever served × dim × 8 B; it holds no view of a result, of the cache or of
+    the store), so a store outage degrades freshness rather than
+    availability.  In resilient mode :meth:`get_embedding` never returns
+    ``None``.
 
     With a telemetry session installed every lookup lands in the
     ``serving.lookup_seconds`` latency histogram and a ``serving.lookups``
@@ -115,22 +125,9 @@ class ServingProxy:
         self.corruptions = 0     # corrupt store rows detected and rerouted
         self.deadline_skips = 0  # store reads skipped on an expired deadline
         self.source_counts: Counter[str] = Counter()
-        self._stale: dict[Hashable, np.ndarray] = {}
+        self._stale = _RowTable(store.dim)
 
     # -- lookup chain ----------------------------------------------------------
-
-    def _store_get(self, user_id: Hashable) -> np.ndarray | None:
-        """One guarded store read; raises on unavailability."""
-        res = self.resilience
-        if res is None:
-            return self.store.get(user_id)
-
-        def attempt() -> np.ndarray | None:
-            if res.breaker is not None:
-                return res.breaker.call(lambda: self.store.get(user_id))
-            return self.store.get(user_id)
-
-        return res.retry.call(attempt, name="store.get")
 
     def _store_get_batch(self,
                          keys: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,19 +163,6 @@ class ServingProxy:
 
         return res.retry.call(attempt, name="store.get_batch")
 
-    def lookup(self, user_id: Hashable) -> tuple[np.ndarray | None, str]:
-        """Return ``(embedding, source)``; the full degradation chain.
-
-        ``source`` is one of ``cache``/``store``/``stale``/``inferred``/
-        ``default``/``miss`` (``miss`` — with a ``None`` embedding — only
-        when no resilience policy is attached).
-        """
-        with obs.latency("serving.lookup_seconds"):
-            vec, source = self._lookup(user_id)
-            obs.count("serving.lookups", source=source)
-            self.source_counts[source] += 1
-        return vec, source
-
     def _note_corrupt(self, n: int) -> None:
         """Tally corrupt store rows (never served — rerouted to fallbacks)."""
         self.corruptions += n
@@ -192,219 +176,173 @@ class ServingProxy:
         obs.count("serving.deadline_skips")
         obs.event("deadline.short_circuit", error=type(exc).__name__)
 
-    def _row_ok(self, vec: np.ndarray) -> bool:
-        return vec.shape == (self.store.dim,) and bool(np.isfinite(vec).all())
+    def lookup(self, user_id: Hashable) -> tuple[np.ndarray | None, str]:
+        """Return ``(embedding, source)``: :meth:`lookup_batch` of one key.
 
-    def _lookup(self, user_id: Hashable) -> tuple[np.ndarray | None, str]:
-        vec = self.cache.get(user_id)
-        if vec is not None:
-            return vec, "cache"
-
-        source = None
-        try:
-            with obs.span("proxy.store"):
-                vec = self._store_get(user_id)
-            if vec is not None and not self._row_ok(np.asarray(vec)):
-                # corrupt payload: never serve it — reroute to the fallbacks
-                self._note_corrupt(1)
-                vec = None
-                stale = self._stale.get(user_id)
-                if stale is not None:
-                    vec, source = stale, "stale"
-            elif vec is not None:
-                source = "store"
-                if self.resilience is not None:
-                    self._stale[user_id] = vec
-        except DeadlineExceeded as exc:
-            # budget spent: short-circuit straight to the degraded tiers
-            self._note_deadline_skip(exc)
-            stale = self._stale.get(user_id)
-            if stale is not None:
-                vec, source = stale, "stale"
-        except (CircuitOpenError,) + _STORE_ERRORS as exc:
-            self.store_errors += 1
-            obs.count("serving.store_errors")
-            obs.event("store.outage", error=type(exc).__name__)
-            stale = self._stale.get(user_id)
-            if stale is not None:
-                vec, source = stale, "stale"
-
-        if vec is None and self._infer_fn is not None:
-            vec = self._infer_fn(user_id)
-            if vec is not None:
-                self.inferences += 1
-                source = "inferred"
-                try:
-                    self.store.put(user_id, vec)
-                except _STORE_ERRORS:
-                    pass  # store write-back is best-effort
-                if self.resilience is not None:
-                    self._stale[user_id] = vec
-
-        if vec is None:
-            if self.resilience is None:
-                return None, "miss"
-            return self.resilience.default_for(self.store.dim), "default"
-        self.cache.put(user_id, vec)
-        return vec, source
-
-    # -- batched lookup chain --------------------------------------------------
+        ``source`` is one of ``cache``/``store``/``stale``/``inferred``/
+        ``default``/``miss`` (``miss`` — with a ``None`` embedding — only
+        when no resilience policy is attached).
+        """
+        matrix, codes = self._resolve([user_id], "serving.lookup_seconds")
+        code = codes[0]
+        return (None if code == _MISS else matrix[0]), _SOURCES[code]
 
     def lookup_batch(self, user_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`lookup`: ``(matrix, sources)`` aligned with input.
+        """Return ``(matrix, sources)`` aligned with ``user_ids``.
 
         The whole degradation chain runs on key *groups* instead of single
         keys: one cache probe, one guarded store gather, one stale sweep for
         the outage case, then inference and defaults for the remainder.
         Metrics are aggregated — one ``serving.lookups`` update per source
-        seen, one cache counter update per probe.
+        seen, one cache counter update per probe.  ``matrix`` is a fresh
+        writable float64 array that aliases no tier.
 
         Duplicate keys that miss the cache are resolved once and every
         occurrence shares the result (one coherent read); because the whole
         batch resolves together, each occurrence reports the same source,
-        where the scalar loop would label the second occurrence a fresh
-        ``cache`` hit.
+        where a loop of :meth:`lookup` would label the second occurrence a
+        fresh ``cache`` hit.
         """
-        user_ids = list(user_ids)
-        with obs.latency("serving.batch_lookup_seconds"):
-            out, sources, counts = self._lookup_batch(user_ids)
-            for source, amount in counts.items():
-                obs.count("serving.lookups", amount, source=source)
-            self.source_counts.update(counts)
-        return out, sources
+        matrix, codes = self._resolve(list(user_ids),
+                                      "serving.batch_lookup_seconds")
+        return matrix, _SOURCES[codes]
 
-    def _lookup_batch(self,
-                      user_ids) -> tuple[np.ndarray, np.ndarray, Counter]:
-        """The chain itself; returns ``(matrix, sources, source_counts)``."""
+    def _resolve(self, user_ids: list[Hashable],
+                 metric: str) -> tuple[np.ndarray, np.ndarray]:
+        """Run the chain under the ``metric`` histogram and tally the sources.
+
+        Sources travel as integer codes (indices into ``_SOURCES``); callers
+        turn them into the public strings, or not at all.
+        """
+        with obs.latency(metric):
+            out, codes = self._chain(user_ids)
+            counts = np.bincount(codes, minlength=len(_SOURCES)).tolist()
+            for source, amount in zip(_SOURCES, counts):
+                if amount:
+                    obs.count("serving.lookups", amount, source=source)
+                    self.source_counts[source] += amount
+        return out, codes
+
+    def _chain(self, user_ids: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+        """The chain itself: ``(matrix, source_codes)`` aligned with input.
+
+        Per-key work is dict lookups only (cache probe, miss dedupe, each
+        tier's own key → row map); every tier moves its vectors in one gather
+        or one scatter.
+        """
         dim = self.store.dim
-        out = np.zeros((len(user_ids), dim), dtype=np.float64)
-        sources = np.empty(len(user_ids), dtype=object)
-        counts: Counter[str] = Counter()
+        n = len(user_ids)
+        out = np.empty((n, dim), dtype=np.float64)
+        codes = np.zeros(n, dtype=np.intp)      # _CACHE unless a miss below
 
-        # 1. cache: one probe over the raw positions, one fancy-indexed
-        # scatter of the hits — the steady-state fast path ends here
+        # 1. cache: one probe over the raw positions, one scatter of the
+        # hits — the steady-state fast path ends here
         with obs.span("proxy.cache"):
             hit_matrix, hit = self.cache.get_many(user_ids)
-        hit_rows = np.flatnonzero(hit)
-        if hit_rows.size:
-            out[hit_rows] = hit_matrix
-            sources[hit_rows] = "cache"
-            counts["cache"] = int(hit_rows.size)
+        if len(hit_matrix):
+            out[hit] = hit_matrix
+        if len(hit_matrix) == n:
+            return out, codes
         miss_rows = np.flatnonzero(~hit)
-        if not miss_rows.size:
-            return out, sources, counts
 
         # Dedupe the *misses* only (warm traffic has few): each unique key
         # resolves once and every occurrence shares the row.
-        uniq: list[Hashable] = []
         first: dict[Hashable, int] = {}
-        back = np.empty(miss_rows.size, dtype=np.int64)
-        for i, pos in enumerate(miss_rows):
-            uid = user_ids[pos]
-            row = first.get(uid)
-            if row is None:
-                row = first[uid] = len(uniq)
-                uniq.append(uid)
-            back[i] = row
+        back = [first.setdefault(user_ids[pos], len(first))
+                for pos in miss_rows.tolist()]
+        uniq = list(first)
+        rcode = np.full(len(uniq), _STORE, dtype=np.intp)
+        absent = sweep = np.empty(0, dtype=np.intp)
+        res = None
 
-        res = np.zeros((len(uniq), dim), dtype=np.float64)
-        rsrc = np.empty(len(uniq), dtype=object)
-        pending = np.arange(len(uniq))
-
-        # 2. store: one guarded gather for the whole pending group; an
-        # outage (or an expired request deadline) fails the group as a unit
-        # and the stale sweep takes over
-
-        def stale_sweep(rows) -> np.ndarray:
-            """Serve stale snapshots where possible; return the leftovers."""
-            still = []
-            for row in rows:
-                stale = self._stale.get(uniq[row])
-                if stale is not None:
-                    res[row] = stale
-                    rsrc[row] = "stale"
-                else:
-                    still.append(row)
-            return np.asarray(still, dtype=np.int64)
-
+        # 2. store: one guarded gather for the whole group; an outage (or an
+        # expired request deadline) fails the group as a unit and every row
+        # goes to the stale sweep
         try:
             with obs.span("proxy.store"):
                 got, found = self._store_get_batch(uniq)
         except DeadlineExceeded as exc:
             self._note_deadline_skip(exc)
-            pending = stale_sweep(pending)
+            sweep = np.arange(len(uniq))
         except (CircuitOpenError,) + _STORE_ERRORS as exc:
             self.store_errors += 1
             obs.count("serving.store_errors")
             obs.event("store.outage", error=type(exc).__name__)
-            pending = stale_sweep(pending)
+            sweep = np.arange(len(uniq))
         else:
             got = np.asarray(got)
+            absent = np.flatnonzero(~found)
             if got.ndim != 2 or got.shape[1] != dim:
-                # wrong-dim payload: the whole read is unusable
-                good = np.zeros_like(found)
-                corrupt = found.copy()
+                sweep = np.flatnonzero(found)   # wrong-dim payload: unusable
             else:
-                finite = np.isfinite(got).all(axis=1)
-                good = found & finite
-                corrupt = found & ~finite
-            good_rows = pending[good]
-            if good_rows.size:
-                res[good_rows] = got[good]
-                rsrc[good_rows] = "store"
-                if self.resilience is not None:
-                    for row in good_rows:
-                        self._stale[uniq[row]] = res[row]
-            if corrupt.any():
-                self._note_corrupt(int(corrupt.sum()))
-                leftovers = stale_sweep(pending[corrupt])
-            else:
-                leftovers = np.empty(0, dtype=np.int64)
-            pending = np.sort(np.concatenate([pending[~found], leftovers]))
+                # own copy: the tiers below write their rows into it
+                res = np.array(got, dtype=np.float64)
+                if not np.isfinite(res).all():
+                    bad = ~np.isfinite(res).all(axis=1)
+                    res[bad] = 0.0
+                    sweep = np.flatnonzero(bad & found)
+            if sweep.size:
+                self._note_corrupt(int(sweep.size))
+        if res is None:
+            res = np.zeros((len(uniq), dim), dtype=np.float64)
 
-        # 3. inference for the remainder, with one batched write-back
+        # 3. stale snapshot for the rows the store failed on or corrupted
+        pending = absent
+        if sweep.size:
+            vectors, has = self._stale.read(
+                [uniq[row] for row in sweep.tolist()])
+            res[sweep[has]] = vectors[has]
+            rcode[sweep[has]] = _STALE
+            pending = np.sort(np.concatenate([absent, sweep[~has]]))
+
+        # 4. inference for the remainder, with one batched write-back
         if pending.size and self._infer_fn is not None:
             with obs.span("proxy.infer"):
                 still, wb_keys, wb_rows = [], [], []
-                for row in pending:
+                for row in pending.tolist():
                     vec = self._infer_fn(uniq[row])
                     if vec is None:
                         still.append(row)
                         continue
                     self.inferences += 1
                     res[row] = vec
-                    rsrc[row] = "inferred"
                     wb_keys.append(uniq[row])
-                    wb_rows.append(res[row])
-                    if self.resilience is not None:
-                        self._stale[uniq[row]] = res[row]
-                if wb_keys:
+                    wb_rows.append(row)
+                if wb_rows:
+                    rcode[wb_rows] = _INFERRED
                     try:
-                        self.store.put_many(wb_keys, np.stack(wb_rows))
+                        self.store.put_many(wb_keys, res[wb_rows])
                     except _STORE_ERRORS:
                         pass  # store write-back is best-effort
-                pending = np.asarray(still, dtype=np.int64)
+                pending = np.asarray(still, dtype=np.intp)
 
-        # 4. defaults (resilient) or misses (legacy); neither is cached
+        # 5. defaults (resilient) or misses (legacy)
         if pending.size:
             if self.resilience is None:
-                rsrc[pending] = "miss"
+                rcode[pending] = _MISS
             else:
                 res[pending] = self.resilience.default_for(dim)
-                rsrc[pending] = "default"
+                rcode[pending] = _DEFAULT
 
-        cacheable = ((rsrc == "store") | (rsrc == "stale")
-                     | (rsrc == "inferred"))
-        cache_rows = np.flatnonzero(cacheable)
-        if cache_rows.size:
-            self.cache.put_many([uniq[row] for row in cache_rows],
-                                res[cache_rows])
+        # 6. whatever a real tier served is cached and — as the last version
+        # *served*, a copy — snapshotted (a row that came from the snapshot
+        # is rewritten with itself); defaults and misses are neither
+        served = rcode < _DEFAULT
+        if served.all():
+            keys, vectors = uniq, res
+        else:
+            keys, vectors = list(compress(uniq, served.tolist())), res[served]
+        if keys:
+            self.cache.put_many(keys, vectors)
+            if self.resilience is not None:
+                self._stale.write(keys, vectors)
 
-        miss_sources = rsrc[back]
-        out[miss_rows] = res[back]
-        sources[miss_rows] = miss_sources
-        counts.update(miss_sources.tolist())
-        return out, sources, counts
+        if len(uniq) < len(back):
+            back = np.fromiter(back, np.intp, len(back))
+            res, rcode = res[back], rcode[back]
+        out[miss_rows] = res
+        codes[miss_rows] = rcode
+        return out, codes
 
     # -- public API ------------------------------------------------------------
 
@@ -463,8 +401,8 @@ class ServingProxy:
         a row; in resilient mode every lookup resolves and neither applies.
         """
         user_ids = list(user_ids)
-        matrix, sources = self.lookup_batch(user_ids)
-        miss = np.asarray(sources == "miss", dtype=bool)
+        matrix, codes = self._resolve(user_ids, "serving.batch_lookup_seconds")
+        miss = codes == _MISS
         if miss.any():
             if default is None:
                 uid = user_ids[int(np.argmax(miss))]
@@ -480,10 +418,9 @@ class ServingProxy:
         could not genuinely resolve (legacy misses — zero-filled — and
         resilient default rows).
         """
-        matrix, sources = self.lookup_batch(user_ids)
-        mask = np.asarray((sources != "miss") & (sources != "default"),
-                          dtype=bool)
-        return matrix, mask
+        matrix, codes = self._resolve(list(user_ids),
+                                      "serving.batch_lookup_seconds")
+        return matrix, codes < _DEFAULT
 
     @property
     def cache_hit_rate(self) -> float:

@@ -17,6 +17,7 @@ lazily instead of deserialising it.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -28,7 +29,68 @@ from repro.utils.fileio import mmap_npz_member
 __all__ = ["EmbeddingStore", "LRUCache"]
 
 
-class EmbeddingStore:
+class _RowTable:
+    """Key → row index over one growable ``(n, dim)`` float64 matrix.
+
+    The columnar core under :class:`EmbeddingStore` and the serving proxy's
+    stale tier: per-key work is one dict lookup, everything that touches
+    vectors is one fancy-indexed gather or scatter.  Rows are append-only —
+    a key keeps its row for the lifetime of the table — and the table holds
+    *copies*: neither :meth:`write` nor :meth:`read` aliases a caller's array.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self._index: dict[Hashable, int] = {}
+        self._matrix = np.empty((0, dim), dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._index
+
+    def rows_for(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """Row index per key (``-1`` for keys not in the table)."""
+        return np.fromiter(map(self._index.get, keys, repeat(-1)),
+                           dtype=np.int64, count=len(keys))
+
+    def write(self, keys: Sequence[Hashable], matrix: np.ndarray) -> None:
+        """``matrix[i]`` becomes the row of ``keys[i]``; new keys append rows.
+
+        One scatter for the batch.  Duplicate keys resolve last-wins, as the
+        per-key loop would: NumPy assigns repeated indices in order (it does
+        not promise to — ``tests/test_serve_columnar.py`` pins it).
+        """
+        index = self._index
+        live = len(index)
+        rows = [index.setdefault(key, len(index)) for key in keys]
+        if len(index) > self._matrix.shape[0]:
+            capacity = max(len(index), 2 * self._matrix.shape[0], 8)
+            grown = np.empty((capacity, self.dim), dtype=np.float64)
+            grown[:live] = self._matrix[:live]
+            self._matrix = grown
+        self._matrix[np.fromiter(rows, np.intp, len(rows))] = matrix
+
+    def read(self, keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(matrix, found_mask)`` — zero rows for absent keys.
+
+        One gather for the batch, by plain fancy indexing: on the adopted
+        mmap ``ndarray.take`` would first copy the *whole* matrix (it wants
+        an aligned array; an ``.npz`` member is not).  The result is a fresh
+        writable ``ndarray`` the caller owns.
+        """
+        rows = self.rows_for(keys)
+        found = rows >= 0
+        if not self._index:
+            return np.zeros((len(keys), self.dim), dtype=np.float64), found
+        out = self._matrix[rows]  # an absent key (-1) gathers the last row
+        if not found.all():
+            out[~found] = 0.0
+        return out, found
+
+
+class EmbeddingStore(_RowTable):
     """Bulk key → vector store (the HDFS stand-in).
 
     All vectors must share one dimension; reads and writes are vectorised
@@ -40,37 +102,15 @@ class EmbeddingStore:
     def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive: {dim}")
-        self.dim = dim
-        self._index: dict[Hashable, int] = {}
-        self._matrix = np.empty((0, dim), dtype=np.float64)
+        super().__init__(dim)
         #: True while the matrix is an adopted read-only mmap; the first
         #: write materialises a private in-memory copy (copy-on-write).
         self._readonly = False
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._index)
 
     # -- writes ----------------------------------------------------------------
-
-    def _writable_rows(self, extra: int) -> None:
-        """Make the matrix privately owned with room for ``extra`` new rows."""
-        needed = len(self._index) + extra
-        if self._readonly:
-            grown = np.empty((max(needed, len(self._index)), self.dim))
-            grown[:len(self._index)] = self._matrix[:len(self._index)]
-            self._matrix = grown
-            self._readonly = False
-        if needed > self._matrix.shape[0]:
-            capacity = max(needed, 2 * self._matrix.shape[0], 8)
-            grown = np.empty((capacity, self.dim), dtype=np.float64)
-            grown[:len(self._index)] = self._matrix[:len(self._index)]
-            self._matrix = grown
 
     def put(self, key: Hashable, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64)
@@ -84,34 +124,16 @@ class EmbeddingStore:
         if matrix.shape != (len(keys), self.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} != ({len(keys)}, {self.dim})")
-        new = sum(1 for key in keys if key not in self._index)
-        self._writable_rows(new)
-        index = self._index
-        next_row = len(index)
-        rows = np.empty(len(keys), dtype=np.int64)
-        for pos, key in enumerate(keys):
-            row = index.get(key)
-            if row is None:
-                row = index[key] = next_row
-                next_row += 1
-            rows[pos] = row
-        # One fancy-indexed write; duplicate keys resolve last-wins, same as
-        # the per-key loop this replaces.
-        self._matrix[rows] = matrix
+        if self._readonly:
+            self._matrix = np.array(self._matrix[:len(self._index)])
+            self._readonly = False
+        self.write(keys, matrix)
 
     # -- reads -----------------------------------------------------------------
 
     def get(self, key: Hashable) -> np.ndarray | None:
         row = self._index.get(key)
         return None if row is None else self._matrix[row]
-
-    def rows_for(self, keys: Sequence[Hashable]) -> np.ndarray:
-        """Row index per key (``-1`` for keys not in the store)."""
-        index = self._index
-        rows = np.empty(len(keys), dtype=np.int64)
-        for pos, key in enumerate(keys):
-            rows[pos] = index.get(key, -1)
-        return rows
 
     def get_many(self, keys: Iterable[Hashable]) -> np.ndarray:
         """Stack vectors for ``keys``; raises on any missing key."""
@@ -129,13 +151,9 @@ class EmbeddingStore:
 
         Unlike :meth:`get_many` this never raises on missing keys; the mask
         tells the caller which rows were resolved.  One fancy-indexed gather
-        for the whole batch.
+        for the whole batch (:meth:`_RowTable.read`).
         """
-        rows = self.rows_for(keys)
-        found = rows >= 0
-        out = np.zeros((len(keys), self.dim), dtype=np.float64)
-        out[found] = self._matrix[rows[found]]
-        return out, found
+        return self.read(keys)
 
     def keys(self) -> list[Hashable]:
         return list(self._index)
@@ -281,27 +299,43 @@ class LRUCache:
 
         ``vectors`` is a ``(len(keys), dim)`` matrix or a sequence of 1-D
         vectors; the first vector ever inserted fixes the cache's ``dim``.
+        Every destination slot — evictions included — is decided first, key
+        by key in LRU order, then the vectors land in one scatter; a slot
+        named twice (a duplicate key, or a key evicted again inside a batch
+        larger than the cache) keeps the last vector, as in
+        :meth:`_RowTable.write`.
         """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if not len(keys):
+            return
+        if self._matrix is None:
+            self._matrix = np.empty((self.capacity, vectors.shape[-1]),
+                                    dtype=np.float64)
+        if vectors.shape != (len(keys), self._matrix.shape[1]):
+            raise ValueError(f"vectors shape {vectors.shape} != "
+                             f"({len(keys)}, {self._matrix.shape[1]})")
         slots = self._slots
-        matrix = self._matrix
+        slot_get, refresh, evict = slots.get, slots.move_to_end, slots.popitem
+        fresh = self._next_slot
+        capacity = self.capacity
         evicted = 0
-        for key, vector in zip(keys, vectors):
-            if matrix is None:
-                dim = int(np.asarray(vector).shape[-1])
-                matrix = self._matrix = np.empty((self.capacity, dim),
-                                                 dtype=np.float64)
-            slot = slots.get(key)
-            if slot is None:
-                if self._next_slot < self.capacity:
-                    slot = self._next_slot
-                    self._next_slot += 1
+        dest: list[int] = []
+        append = dest.append
+        for key in keys:
+            slot = slot_get(key)
+            if slot is not None:
+                refresh(key)
+            else:
+                if fresh < capacity:
+                    slot = fresh
+                    fresh += 1
                 else:  # full: evict the LRU entry and recycle its slot
-                    __, slot = slots.popitem(last=False)
+                    slot = evict(False)[1]
                     evicted += 1
                 slots[key] = slot
-            else:
-                slots.move_to_end(key)
-            matrix[slot] = vector
+            append(slot)
+        self._next_slot = fresh
+        self._matrix[np.fromiter(dest, np.intp, len(dest))] = vectors
         if evicted:
             self.evictions += evicted
             obs.count("cache.evictions", evicted, cache=self.name)
