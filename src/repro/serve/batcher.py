@@ -32,10 +32,13 @@ pile-up) is layered on the same queue:
   instead of hanging in ``.result()`` forever.  ``MicroBatcher`` is a
   context manager (drains on clean exit, fails pending on exceptions).
 
-The clock is injectable (the repo-wide ``ManualClock`` pattern), so deadline
-semantics are tested deterministically — no sleeps, no wall-clock flakes.
-Thread-safe: submits may come from many threads; ``flush_fn`` runs outside
-the lock.
+Cost is paid per flushed batch, not per request: a submit is one slotted
+handle, one clock read and one pass under the queue lock; every handle waits
+on the batcher's one :class:`threading.Condition`, notified once per completed
+group; traces and gauges are touched only under a telemetry session.  The
+clock is injectable (the repo-wide ``ManualClock`` pattern), so deadlines are
+tested without sleeps.  Thread-safe: submits may come from many threads;
+``flush_fn`` runs outside the lock.
 """
 
 from __future__ import annotations
@@ -63,26 +66,29 @@ class ShutdownError(RuntimeError):
 
 
 class PendingResult:
-    """Handle for one submitted key; resolves when its batch is flushed."""
+    """Handle for one submitted key; resolves when its batch is flushed.
 
-    __slots__ = ("key", "_event", "_value", "_error", "_span", "_submitted",
+    Plain slots plus the owning batcher's condition: the batcher writes
+    ``_value`` / ``_error``, then ``_done``, then notifies once per group.
+    ``_span`` is the request's root trace span (opened at submit, closed at
+    resolve/fail, by the batcher); ``_enqueued`` feeds the throttle.
+    """
+
+    __slots__ = ("key", "_resolved", "_done", "_value", "_error", "_span",
                  "_deadline", "_enqueued")
 
-    def __init__(self, key: Hashable) -> None:
+    def __init__(self, key: Hashable, resolved: threading.Condition,
+                 deadline: Deadline | None, enqueued: float) -> None:
         self.key = key
-        self._event = threading.Event()
-        self._value = None
-        self._error: BaseException | None = None
-        # request-scoped tracing: the request's root trace span (owned by the
-        # batcher: opened at submit, closed at resolve/fail) and submit time.
-        self._span = None
-        self._submitted = 0.0
-        self._deadline: Deadline | None = None
-        self._enqueued = 0.0  # batcher-clock submit time (throttle feed)
+        self._resolved = resolved
+        self._done = False
+        self._value = self._error = self._span = None
+        self._deadline = deadline
+        self._enqueued = enqueued  # submit time on the batcher's clock
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     @property
     def shed(self) -> bool:
@@ -96,19 +102,14 @@ class PendingResult:
         ``timeout`` (seconds) an unresolved wait raises :class:`TimeoutError`
         instead of blocking forever.
         """
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"request for key {self.key!r} still pending")
+        if not self._done:
+            with self._resolved:
+                if not self._resolved.wait_for(lambda: self._done, timeout):
+                    raise TimeoutError(
+                        f"request for key {self.key!r} still pending")
         if self._error is not None:
             raise self._error
         return self._value
-
-    def _resolve(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
 
 
 class MicroBatcher:
@@ -170,6 +171,7 @@ class MicroBatcher:
         self.throttle = throttle
         self._clock = clock
         self._lock = threading.Lock()
+        self._resolved = threading.Condition()  # the one every handle waits on
         self._queue: list[PendingResult] = []
         self._deadline: float | None = None
         self._closed = False
@@ -208,34 +210,44 @@ class MicroBatcher:
 
     # -- admission -------------------------------------------------------------
 
+    def _complete(self, group: Sequence[PendingResult],
+                  error: BaseException | None = None) -> None:
+        """Finish a group (values already stored): flags, one wake-up, spans.
+
+        The notify runs under the condition after every flag is set: a waiter
+        sees its flag before parking or is parked before the notify.
+        """
+        for pending in group:
+            pending._error = error
+            pending._done = True
+        with self._resolved:
+            self._resolved.notify_all()
+        if obs.enabled():
+            for pending in group:
+                obs.end_trace_span(pending._span, error=error)
+
     def _shed(self, pending: PendingResult, cause: str) -> None:
         """Resolve a shed request per the policy (never reaches the store)."""
         self.shed_counts[cause] += 1
         obs.count("serve.shed", policy=self.policy, cause=cause)
-        if self.policy == "degrade" and cause != "closed":
-            # degrade_fn is caller code (e.g. a prior lookup) and may itself
-            # fail; the handle must still resolve and its span must still end,
-            # so a raising degrade falls back to a plain admission failure.
+        error: BaseException | None = None
+        if cause == "closed":
+            error = ShutdownError(
+                f"batcher closed; request {pending.key!r} refused")
+        elif self.policy == "degrade":
+            # degrade_fn is caller code and may itself fail; the handle must
+            # still resolve (and its span end) — as a plain admission failure
             try:
-                value = self.degrade_fn(pending.key)
+                pending._value = self.degrade_fn(pending.key)
             except Exception as exc:
                 error = AdmissionError(
                     f"request {pending.key!r} shed ({cause}, policy=degrade) "
                     f"and degrade_fn failed: {exc!r}")
                 error.__cause__ = exc
-                pending._fail(error)
-                obs.end_trace_span(pending._span, error=error)
-            else:
-                pending._resolve(value)
-                obs.end_trace_span(pending._span)
-            return
-        error: BaseException = (
-            ShutdownError(f"batcher closed; request {pending.key!r} refused")
-            if cause == "closed" else
-            AdmissionError(f"request {pending.key!r} shed ({cause}, "
-                           f"policy={self.policy})"))
-        pending._fail(error)
-        obs.end_trace_span(pending._span, error=error)
+        else:
+            error = AdmissionError(f"request {pending.key!r} shed ({cause}, "
+                                   f"policy={self.policy})")
+        self._complete((pending,), error)
 
     def submit(self, key: Hashable,
                deadline: Deadline | None = None) -> PendingResult:
@@ -251,45 +263,45 @@ class MicroBatcher:
         :class:`AdmissionError` / the ``degrade_fn`` value /
         :class:`ShutdownError` after :meth:`close`.
 
-        Each submit opens its own request trace (when a telemetry session is
-        installed): the batcher owns the request root from here until the
-        handle resolves or fails, so the queue wait, the shared flush, and
-        every proxy/store/LSH sub-span land inside it before the trace is
-        finalized for tail-based retention.
+        One clock read stamps the enqueue time and arms / tests the flush
+        deadline.  Only while a telemetry session is installed does a submit
+        open its own request trace: the batcher owns that root until the
+        handle resolves or fails, so the queue wait, the shared flush and every
+        proxy/store/LSH sub-span land inside it before the trace is finalized.
         """
-        pending = PendingResult(key)
-        pending._deadline = deadline
-        pending._span = obs.begin_request("serve.request", key=str(key))
-        pending._submitted = obs.trace_now()
-        pending._enqueued = self._clock()
-        reason = None
-        victim: PendingResult | None = None
-        shed_cause: str | None = None
+        now = self._clock()
+        pending = PendingResult(key, self._resolved, deadline, now)
+        traced = obs.enabled()
+        if traced:
+            pending._span = obs.begin_request("serve.request", key=str(key))
+        reason = victim = shed_cause = None
         with self._lock:
             self.submitted += 1
+            queue = self._queue
             if self._closed:
                 shed_cause = "closed"
             elif self.throttle is not None and \
-                    self.throttle.should_shed(len(self._queue)):
+                    self.throttle.should_shed(len(queue)):
                 shed_cause = "throttle"
-            elif self.max_queue is not None and \
-                    len(self._queue) >= self.max_queue:
+            elif self.max_queue is not None and len(queue) >= self.max_queue:
                 shed_cause = "queue_full"
             # A throttle shed can fire at any queue depth (the sojourn-tail
             # signal is depth-independent); with nothing queued there is no
             # victim to evict, so the new arrival is shed instead.
-            if shed_cause in ("throttle", "queue_full") and \
-                    self.policy == "drop_oldest" and self._queue:
-                victim = self._queue.pop(0)
+            if shed_cause is not None and shed_cause != "closed" and \
+                    self.policy == "drop_oldest" and queue:
+                victim = queue.pop(0)
             if victim is not None or shed_cause is None:
-                self._queue.append(pending)
-                if len(self._queue) >= self.max_batch:
+                queue.append(pending)
+                if len(queue) >= self.max_batch:
                     reason = "size"
                 elif self._deadline is None:
-                    self._deadline = self._clock() + self.max_delay_seconds
-                elif self._clock() >= self._deadline:
+                    self._deadline = now + self.max_delay_seconds
+                elif now >= self._deadline:
                     reason = "deadline"
-            obs.gauge_set("serve.queue_depth", len(self._queue))
+            depth = len(queue)
+        if traced:
+            obs.gauge_set("serve.queue_depth", depth)
         if victim is not None:
             self._shed(victim, shed_cause)
         elif shed_cause is not None:
@@ -341,16 +353,10 @@ class MicroBatcher:
             self._closed = True
         if drain:
             return self._flush("close")
-        with self._lock:
-            batch = self._queue
-            self._queue = []
-            self._deadline = None
-            obs.gauge_set("serve.queue_depth", 0.0)
-        error = ShutdownError("batcher closed with requests pending")
-        for pending in batch:
-            pending._fail(error)
-            obs.end_trace_span(pending._span, error=error)
+        batch = self._take_queue()
         if batch:
+            self._complete(
+                batch, ShutdownError("batcher closed with requests pending"))
             obs.count("serve.shutdown_failed", len(batch))
         return len(batch)
 
@@ -365,12 +371,16 @@ class MicroBatcher:
 
     # -- flushing --------------------------------------------------------------
 
-    def _flush(self, reason: str) -> int:
+    def _take_queue(self) -> list[PendingResult]:
         with self._lock:
             batch = self._queue
             self._queue = []
             self._deadline = None
-            obs.gauge_set("serve.queue_depth", 0.0)
+        obs.gauge_set("serve.queue_depth", 0.0)
+        return batch
+
+    def _flush(self, reason: str) -> int:
+        batch = self._take_queue()
         if not batch:
             return 0
         self.flush_reasons[reason] += 1
@@ -380,72 +390,61 @@ class MicroBatcher:
         # their own sub-batch under the expired budget, so the proxy below
         # short-circuits the store and serves the degraded tiers instead of
         # spending retries on callers that already gave up.
-        live: list[PendingResult] = []
-        lapsed: list[PendingResult] = []
+        live, lapsed = [], []
         for p in batch:
             expired = p._deadline is not None and p._deadline.expired
             (lapsed if expired else live).append(p)
-        done = 0
-        if live:
-            budgets = [p._deadline for p in live if p._deadline is not None]
-            scope = min(budgets, key=lambda d: d.expires_at) \
-                if budgets else None
-            done += self._run_batch(live, reason, scope)
         if lapsed:
             self.expired_flushed += len(lapsed)
             obs.count("serve.expired_requests", len(lapsed))
-            scope = min((p._deadline for p in lapsed),
-                        key=lambda d: d.expires_at)
-            done += self._run_batch(lapsed, reason, scope)
-        return done
+        try:
+            if live:
+                self._run_batch(live, reason)
+        finally:   # an interrupt in the live flush must not strand these
+            if lapsed:
+                self._run_batch(lapsed, reason)
+        return len(batch)
 
-    def _run_batch(self, batch: list[PendingResult], reason: str,
-                   scope: Deadline | None) -> int:
-        # Retroactive queue-wait spans (one per request), then one fan-in
-        # flush span shared by every request trace in the batch; activating
-        # it makes the flush_fn's own spans/events children of the flush.
-        now = obs.trace_now()
-        for pending in batch:
-            obs.record_span("batcher.wait", pending._span,
-                            pending._submitted, now)
-        flush_span = obs.begin_fanin(
-            "batcher.flush", [p._span for p in batch if p._span is not None],
-            trigger=reason, batch_size=len(batch))
-        token = obs.activate_span(flush_span)
+    def _run_batch(self, batch: list[PendingResult], reason: str) -> None:
+        """One ``flush_fn`` call under the group's tightest admitted budget."""
+        flush_span = token = None
+        if obs.enabled():
+            # Retroactive queue-wait spans (one per request, from its root's
+            # start), then one fan-in flush span shared by the batch's traces;
+            # activating it makes flush_fn's own spans/events its children.
+            parents = [p._span for p in batch if p._span is not None]
+            now = obs.trace_now()
+            for span in parents:
+                obs.record_span("batcher.wait", span, span.start, now)
+            flush_span = obs.begin_fanin("batcher.flush", parents,
+                                         trigger=reason, batch_size=len(batch))
+            token = obs.activate_span(flush_span)
+        scope = min((p._deadline for p in batch if p._deadline is not None),
+                    key=lambda d: d.expires_at, default=None)
         keys = [pending.key for pending in batch]
         started = self._clock()
+        error: BaseException | None = None
         try:
             with deadline_scope(scope):
                 values = self._flush_fn(keys)
+            # a generator has no length: nothing to pair the keys with
+            count = len(values) if hasattr(values, "__len__") else "unsized"
+            if count != len(batch):
+                raise ValueError(
+                    f"flush_fn returned {count} values for {len(batch)} keys")
+            for pending, value in zip(batch, values):
+                pending._value = value
         except BaseException as exc:
+            error = exc
+            if not isinstance(exc, Exception):
+                raise   # Ctrl-C / SystemExit: fail the handles, then propagate
+        finally:
+            # the one exit: handles resolve, spans end, the throttle is fed
             obs.deactivate_span(token)
-            obs.end_trace_span(flush_span, error=exc)
-            for pending in batch:
-                pending._fail(exc)
-                obs.end_trace_span(pending._span, error=exc)
-            self._feed_throttle(batch, started)
-            return len(batch)
-        obs.deactivate_span(token)
-        obs.end_trace_span(flush_span)
-        if len(values) != len(batch):
-            exc = ValueError(
-                f"flush_fn returned {len(values)} values for {len(batch)} keys")
-            for pending in batch:
-                pending._fail(exc)
-                obs.end_trace_span(pending._span, error=exc)
-            return len(batch)
-        for pending, value in zip(batch, values):
-            pending._resolve(value)
-            obs.end_trace_span(pending._span)
-        self._feed_throttle(batch, started)
-        return len(batch)
-
-    def _feed_throttle(self, batch: list[PendingResult],
-                       started: float) -> None:
-        throttle = self.throttle
-        if throttle is None:
-            return
-        now = self._clock()
-        throttle.record_flush(now - started, len(batch))
-        for pending in batch:
-            throttle.record(now - pending._enqueued)
+            obs.end_trace_span(flush_span, error=error)
+            self._complete(batch, error)
+            if self.throttle is not None:
+                finished = self._clock()
+                self.throttle.record_flush(finished - started, len(batch))
+                for pending in batch:
+                    self.throttle.record(finished - pending._enqueued)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.lookalike import (EmbeddingStore, LRUCache, ServingProxy,
                              ServingResilience)
 from repro.resilience import CircuitBreaker, FlakyEmbeddingStore, RetryPolicy
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, ShutdownError
 from repro.utils import ManualClock as FakeClock
 
 DIM = 4
@@ -301,12 +306,45 @@ class TestMicroBatcher:
         with pytest.raises(ValueError, match="1 values for 2 keys"):
             a.result()
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_unsized_flush_result_fails_the_batch(self, traced):
+        """A generator has no len(): the batch fails, it does not leak."""
+        from repro.obs import runtime as obs
+
+        with obs.session() if traced else contextlib.nullcontext() as session:
+            batcher = MicroBatcher(lambda keys: (k for k in keys),
+                                   max_batch=2, clock=FakeClock())
+            a = batcher.submit("a")
+            b = batcher.submit("b")         # size flush; must not raise
+        for handle in (a, b):
+            assert handle.done
+            with pytest.raises(ValueError, match="unsized values "
+                                                 "for 2 keys"):
+                handle.result(timeout=0.1)
+        if traced:
+            assert session.traces.open_traces == 0
+            assert len(session.traces.error_traces()) == 2
+
+    def test_interrupt_fails_the_handles_and_propagates(self):
+        def flush_fn(keys):
+            raise KeyboardInterrupt
+
+        batcher = MicroBatcher(flush_fn, max_batch=2, clock=FakeClock())
+        a = batcher.submit("a")
+        with pytest.raises(KeyboardInterrupt):
+            batcher.submit("b")             # the flushing caller sees Ctrl-C
+        assert a.done and len(batcher) == 0
+        with pytest.raises(KeyboardInterrupt):
+            a.result(timeout=0.1)           # and no waiter is left hanging
+
     def test_result_timeout(self):
         batcher = MicroBatcher(lambda keys: keys, max_batch=100,
                                clock=FakeClock())
         pending = batcher.submit("a")
         with pytest.raises(TimeoutError, match="'a'"):
             pending.result(timeout=0.01)
+        assert batcher.flush() == 1         # a timed-out wait loses nothing
+        assert pending.result(timeout=0.1) == "a"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
@@ -324,6 +362,151 @@ class TestMicroBatcher:
         for key, handle in zip(("a", "b", "c"), handles):
             np.testing.assert_array_equal(handle.result(), store.get(key))
         assert proxy.source_counts["store"] == 3
+
+
+def park(handle, timeout=30.0):
+    """Block in ``handle.result(timeout)`` on a thread; the outcome lands in
+    ``thread.outcome`` as ``("ok", value)`` or ``("err", exception)`` and the
+    time spent blocked in ``thread.blocked``.  The default timeout outlasts
+    :func:`joined`'s, so a lost wake-up fails the join instead of passing late.
+    """
+    def run():
+        start = time.monotonic()
+        try:
+            thread.outcome = ("ok", handle.result(timeout=timeout))
+        except BaseException as exc:
+            thread.outcome = ("err", exc)
+        thread.blocked = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.outcome = None
+    thread.start()
+    return thread
+
+
+def wait_parked(batcher, n, timeout=5.0):
+    """Spin until exactly ``n`` threads sit inside the batcher's condition."""
+    end = time.monotonic() + timeout
+    while len(batcher._resolved._waiters) != n:
+        assert time.monotonic() < end, "waiters never parked"
+        time.sleep(0.001)
+
+
+def joined(*threads, timeout=5.0):
+    for thread in threads:
+        thread.join(timeout)
+    return not any(thread.is_alive() for thread in threads)
+
+
+class TestMicroBatcherThreads:
+    """One condition for every handle: nothing is lost, nobody wakes early."""
+
+    def test_concurrent_submitters_and_a_flusher(self):
+        n_threads, per_thread = 8, 200
+        sizes, failures = [], []
+        stop = threading.Event()
+
+        def flush_fn(keys):
+            sizes.append(len(keys))
+            return [("v", key) for key in keys]
+
+        batcher = MicroBatcher(flush_fn, max_batch=4, max_delay_seconds=1e-4)
+
+        def client(tid):
+            try:
+                for i in range(per_thread):
+                    key = (tid, i)
+                    if batcher.submit(key).result(timeout=5) != ("v", key):
+                        failures.append(key)
+            except BaseException as exc:   # TimeoutError included
+                failures.append(exc)
+
+        def flusher():
+            while not stop.is_set():
+                batcher.poll()
+                batcher.flush()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(tid,),
+                                        daemon=True)
+                       for tid in range(n_threads)]
+            pump = threading.Thread(target=flusher, daemon=True)
+            for thread in (*clients, pump):
+                thread.start()
+            done = joined(*clients, timeout=60.0)
+            stop.set()
+            assert joined(pump) and done
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert sum(sizes) == batcher.submitted == n_threads * per_thread
+        assert len(batcher) == 0 and batcher.shed == 0
+
+    def _two_batches(self):
+        """Batch k (a1, a2) in flight behind ``gate``, batch k+1 (b1) queued,
+        one waiter parked on each handle."""
+        gate = threading.Event()
+
+        def flush_fn(keys):
+            if "a1" in keys:
+                assert gate.wait(5.0)
+            return [key.upper() for key in keys]
+
+        batcher = MicroBatcher(flush_fn, max_batch=100, clock=FakeClock())
+        a_waiters = [park(batcher.submit(key)) for key in ("a1", "a2")]
+        wait_parked(batcher, 2)
+        flusher = threading.Thread(target=batcher.flush, daemon=True)
+        flusher.start()
+        while len(batcher):                 # batch k has left the queue
+            time.sleep(0.001)
+        b1 = batcher.submit("b1")
+        b_waiter = park(b1)
+        wait_parked(batcher, 3)
+        return batcher, gate, flusher, a_waiters, b1, b_waiter
+
+    def test_a_batch_wakes_its_own_waiters_only(self):
+        batcher, gate, flusher, a_waiters, b1, b_waiter = self._two_batches()
+        gate.set()
+        assert joined(flusher, *a_waiters)
+        assert [t.outcome for t in a_waiters] == [("ok", "A1"), ("ok", "A2")]
+        wait_parked(batcher, 1)             # b1's waiter woke and re-parked
+        assert b_waiter.is_alive() and not b1.done and len(batcher) == 1
+        assert batcher.flush() == 1
+        assert joined(b_waiter) and b_waiter.outcome == ("ok", "B1")
+
+    def test_close_wakes_parked_waiters_with_shutdown_error(self):
+        batcher = MicroBatcher(lambda keys: keys, max_batch=100,
+                               clock=FakeClock())
+        waiters = [park(batcher.submit(key)) for key in ("a", "b", "c")]
+        wait_parked(batcher, 3)
+        closer = threading.Thread(target=batcher.close, daemon=True)
+        closer.start()
+        assert joined(closer, *waiters)
+        for thread in waiters:
+            kind, error = thread.outcome
+            assert kind == "err" and isinstance(error, ShutdownError)
+
+    def test_without_the_batch_notify_a_parked_waiter_sleeps_out_its_timeout(
+            self, monkeypatch):
+        """Mutation smoke check: the one ``notify_all`` per completed group is
+        what wakes waiters.  Patched out, a waiter parked before the flush
+        stays parked after it and only comes back when its own timeout runs
+        out (``Condition.wait_for`` re-reads the flag then, so it returns the
+        value late rather than raising) — bounded, so it cannot hang the suite.
+        """
+        batcher = MicroBatcher(lambda keys: keys, max_batch=100,
+                               clock=FakeClock())
+        handle = batcher.submit("a")
+        waiter = park(handle, timeout=0.5)
+        wait_parked(batcher, 1)             # provably parked before the flush
+        monkeypatch.setattr(batcher._resolved, "notify_all", lambda: None)
+        assert batcher.flush() == 1 and handle.done
+        assert len(batcher._resolved._waiters) == 1     # nobody woke it
+        assert joined(waiter) and waiter.outcome == ("ok", "a")
+        assert waiter.blocked >= 0.5
 
 
 class TestMicroBatcherTracing:

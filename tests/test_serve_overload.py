@@ -206,6 +206,30 @@ class TestAdaptiveThrottle:
         assert shed.done and shed.shed
         assert batcher.shed_counts == {"throttle": 1}
 
+    @pytest.mark.parametrize("bad_result", [
+        lambda keys: keys[:-1],             # wrong length
+        lambda keys: (k for k in keys),     # no length at all
+    ], ids=["short", "unsized"])
+    def test_a_rejected_flush_result_still_feeds_the_throttle(self,
+                                                              bad_result):
+        clock = FakeClock()
+        throttle = AdaptiveThrottle(0.05, min_samples=2, window=16)
+
+        def slow_bad_flush(keys):
+            clock.advance(0.2)
+            return bad_result(keys)
+
+        batcher = MicroBatcher(slow_bad_flush, max_batch=2, clock=clock,
+                               throttle=throttle)
+        a, b = batcher.submit("a"), batcher.submit("b")
+        for handle in (a, b):
+            with pytest.raises(ValueError, match="values for 2 keys"):
+                handle.result(timeout=0.1)
+        # the flush cost 200ms whatever it returned: service time and both
+        # sojourns are recorded, so the next arrival is shed
+        assert throttle.observed_quantile > 0.05
+        assert batcher.submit("c").shed
+
 
 class TestShutdown:
     def test_close_fails_pending_instead_of_hanging(self):
@@ -299,6 +323,24 @@ class TestBatcherDeadlines:
         np.testing.assert_array_equal(live_handle.result(), store.get(1))
         assert proxy.source_counts["stale"] == 1
         assert proxy.source_counts["store"] == 1
+
+    def test_interrupted_live_flush_does_not_strand_the_lapsed_batch(self):
+        clock = FakeClock()
+
+        def flush_fn(keys):
+            if "live" in keys:
+                raise KeyboardInterrupt
+            return [f"v:{k}" for k in keys]
+
+        batcher = MicroBatcher(flush_fn, max_batch=8, clock=clock)
+        lapsed = batcher.submit("late", deadline=Deadline(0.01, clock=clock))
+        live = batcher.submit("live", deadline=Deadline(60.0, clock=clock))
+        clock.advance(0.05)
+        with pytest.raises(KeyboardInterrupt):
+            batcher.flush()
+        assert lapsed.result(timeout=0.1) == "v:late"
+        with pytest.raises(KeyboardInterrupt):
+            live.result(timeout=0.1)
 
     def test_live_batch_runs_under_tightest_admitted_budget(self):
         clock = FakeClock()
