@@ -3,34 +3,12 @@
 Usage::
 
     python scripts/bench_check.py --current bench.json \
-        [--baseline benchmarks/results/BENCH_PR3.json] [--tolerance 0.20]
+        [--baseline benchmarks/results/BENCH_PR5.json] [--tolerance 0.20]
 
 Absolute milliseconds and users/sec vary wildly across CI hardware, so the
 gate is built on *relative* quantities that cancel the machine out.  The
 report's ``meta.suite`` field selects which family of gates applies (the
 baseline, when given, must come from the same suite):
-
-``training`` (``BENCH_PR8.json``):
-
-* ``epoch_speedup`` — fused+prefetch vs unfused+sync end-to-end throughput,
-  measured inside the same process on the same machine.  This is the number
-  the perf layer exists to move; it must stay above ``1 - tolerance`` times
-  the committed baseline's ratio (and never drop below 1.0 - tolerance in
-  absolute terms: the optimized path beating the reference path is the
-  invariant, not a particular wall-clock figure).
-* ``sampled_softmax kernel ratio`` — unfused p50 / fused p50 for the
-  forward+backward microbenchmark, same-machine by construction.
-* ``capture_speedup`` — captured float32-throughout epoch throughput vs the
-  dynamic float64 fused+prefetch baseline.  Must hold the promised >= 1.5x
-  (scaled by the tolerance) and must not regress more than the tolerance
-  against the committed baseline.
-* ``capture_speedup_exact`` — captured float64 vs dynamic float64: the
-  bit-exact replay parity guard.  Must stay above ``1 - tolerance`` (the
-  capture machinery is not allowed to cost throughput).
-
-Baselines that predate a ratio (e.g. ``BENCH_PR3.json`` has no capture
-records) skip the baseline comparison for that ratio, keeping absolute
-gates only.
 
 ``serving`` (``BENCH_PR5.json``):
 
@@ -41,9 +19,8 @@ gates only.
   must hold ≥2x (scaled by the tolerance).
 
 Both serving ratios are additionally checked against the committed baseline
-with the same relative tolerance, mirroring the training gates — but only
-when both reports were measured at the same workload size (same
-``meta.quick`` flag): the quick CI smoke probes a 2k-vector index while the
+with the same relative tolerance — but only when both reports were measured
+at the same workload size (same ``meta.quick`` flag): the quick CI smoke probes a 2k-vector index while the
 committed baseline uses 10k vectors, and those ratios are not comparable.
 
 ``sharded`` (``BENCH_PR9.json``):
@@ -84,16 +61,9 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_BASELINE = Path("benchmarks/results/BENCH_PR8.json")
-
 #: Absolute speedup floors the serving fast path promises (before the
 #: tolerance scaling): the acceptance bars of the serving-suite benchmarks.
 SERVING_FLOORS = {"serving_batch_speedup": 3.0, "lsh_batch_speedup": 2.0}
-
-#: The static-graph capture promise: captured float32 training holds >= 1.5x
-#: epoch throughput over the dynamic float64 fused+prefetch baseline, and the
-#: bit-exact float64 replay stays at parity (>= 1.0, tolerance-scaled).
-CAPTURE_FLOORS = {"capture_speedup": 1.5, "capture_speedup_exact": 1.0}
 
 #: The sharded parameter-server promise: 4 workers deliver >= 1.6x epoch
 #: throughput over 1 on the critical path; wall-clock must match whenever
@@ -119,27 +89,11 @@ def _records(report: dict) -> dict[str, dict]:
 
 
 def _suite(report: dict) -> str:
-    return report.get("meta", {}).get("suite", "training")
+    return report.get("meta", {}).get("suite", "")
 
 
 def _is_quick(report: dict) -> bool:
     return bool(report.get("meta", {}).get("quick", False))
-
-
-def _epoch_speedup(report: dict) -> float:
-    rec = _records(report).get("epoch_speedup")
-    if rec is None:
-        raise KeyError("report has no 'epoch_speedup' record")
-    return float(rec["ratio"])
-
-
-def _kernel_ratio(report: dict) -> float:
-    recs = _records(report)
-    unfused = recs.get("sampled_softmax_unfused_fwd_bwd")
-    fused = recs.get("sampled_softmax_fused_fwd_bwd")
-    if unfused is None or fused is None:
-        raise KeyError("report is missing the sampled_softmax fwd_bwd records")
-    return float(unfused["p50_ms"]) / float(fused["p50_ms"])
 
 
 def _ratio(report: dict, op: str) -> float:
@@ -147,58 +101,6 @@ def _ratio(report: dict, op: str) -> float:
     if rec is None:
         raise KeyError(f"report has no '{op}' record")
     return float(rec["ratio"])
-
-
-def check_training(current: dict, baseline: dict | None,
-                   tolerance: float) -> list[str]:
-    failures: list[str] = []
-    floor = 1.0 - tolerance
-
-    speedup = _epoch_speedup(current)
-    if speedup < floor:
-        failures.append(
-            f"epoch_speedup {speedup:.3f} < {floor:.3f}: the fused+prefetch "
-            "path no longer beats the unfused+sync reference")
-
-    kernel = _kernel_ratio(current)
-    if kernel < floor:
-        failures.append(
-            f"sampled_softmax kernel ratio {kernel:.3f} < {floor:.3f}: the "
-            "fused kernel is slower than the unfused chain")
-
-    for op, promised in CAPTURE_FLOORS.items():
-        ratio = _ratio(current, op)
-        cap_floor = promised * floor
-        if ratio < cap_floor:
-            failures.append(
-                f"{op} {ratio:.3f} < {cap_floor:.3f}: captured training no "
-                f"longer holds its promised {promised:.1f}x over the dynamic "
-                "float64 baseline")
-
-    if baseline is not None:
-        base_speedup = _epoch_speedup(baseline)
-        if speedup < base_speedup * floor:
-            failures.append(
-                f"epoch_speedup {speedup:.3f} regressed more than "
-                f"{tolerance:.0%} vs baseline {base_speedup:.3f}")
-        base_kernel = _kernel_ratio(baseline)
-        if kernel < base_kernel * floor:
-            failures.append(
-                f"sampled_softmax kernel ratio {kernel:.3f} regressed more "
-                f"than {tolerance:.0%} vs baseline {base_kernel:.3f}")
-        base_records = _records(baseline)
-        for op in CAPTURE_FLOORS:
-            # Pre-capture baselines (BENCH_PR3.json) have no capture records;
-            # the absolute floors above still apply.
-            if op not in base_records:
-                continue
-            base = _ratio(baseline, op)
-            ratio = _ratio(current, op)
-            if ratio < base * floor:
-                failures.append(
-                    f"{op} {ratio:.3f} regressed more than {tolerance:.0%} "
-                    f"vs baseline {base:.3f}")
-    return failures
 
 
 def check_serving(current: dict, baseline: dict | None,
@@ -319,7 +221,7 @@ def check(current: dict, baseline: dict | None, tolerance: float,
         return check_sharded(current, baseline, tolerance)
     if suite == "ann":
         return check_ann(current, baseline, tolerance)
-    return check_training(current, baseline, tolerance)
+    raise ValueError(f"unknown bench suite '{suite}'")
 
 
 def _summary(report: dict) -> str:
@@ -331,37 +233,33 @@ def _summary(report: dict) -> str:
         parts += [f"{op}={_recall_value(report, op):.3f}"
                   for op in ANN_RECALL_FLOORS]
         return " ".join(parts)
-    if _suite(report) == "sharded":
-        w = SHARDED_WORKERS
-        return (f"critical_path_w{w}="
-                f"{_ratio(report, f'sharded_critical_path_speedup_w{w}'):.3f}"
-                f" wall_w{w}="
-                f"{_ratio(report, f'sharded_wall_speedup_w{w}'):.3f}"
-                f" simulated_w{w}="
-                f"{_ratio(report, f'simulated_speedup_w{w}'):.3f}"
-                f" cores={report.get('meta', {}).get('cores')}")
-    return (f"epoch_speedup={_epoch_speedup(report):.3f} "
-            f"kernel_ratio={_kernel_ratio(report):.3f} "
-            + " ".join(f"{op}={_ratio(report, op):.3f}"
-                       for op in CAPTURE_FLOORS))
+    w = SHARDED_WORKERS
+    return (f"critical_path_w{w}="
+            f"{_ratio(report, f'sharded_critical_path_speedup_w{w}'):.3f}"
+            f" wall_w{w}="
+            f"{_ratio(report, f'sharded_wall_speedup_w{w}'):.3f}"
+            f" simulated_w{w}="
+            f"{_ratio(report, f'simulated_speedup_w{w}'):.3f}"
+            f" cores={report.get('meta', {}).get('cores')}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--current", required=True,
                         help="bench JSON produced by this run")
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                        help="committed baseline JSON (skipped if missing)")
+    parser.add_argument("--baseline", default=None,
+                        help="committed baseline JSON of the same suite "
+                             "(absolute checks only when omitted or missing)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed relative regression (default 0.20)")
     args = parser.parse_args(argv)
 
     current = json.loads(Path(args.current).read_text())
-    baseline_path = Path(args.baseline)
-    baseline = (json.loads(baseline_path.read_text())
-                if baseline_path.exists() else None)
-    if baseline is None:
-        print(f"note: no baseline at {baseline_path}; absolute checks only",
+    baseline = None
+    if args.baseline and Path(args.baseline).exists():
+        baseline = json.loads(Path(args.baseline).read_text())
+    else:
+        print(f"note: no baseline ({args.baseline}); absolute checks only",
               file=sys.stderr)
 
     failures = check(current, baseline, args.tolerance)

@@ -29,8 +29,7 @@ from repro.check.gradcheck import (GradcheckCase, GradcheckFailure,
                                    GradcheckReport, gradcheck, covered_ops,
                                    register_case, required_ops, run_gradchecks,
                                    uncovered_ops)
-from repro.check.golden import (DATASET_GOLDEN, RUN_GOLDEN,
-                                check_captured_golden, check_golden,
+from repro.check.golden import (DATASET_GOLDEN, RUN_GOLDEN, check_golden,
                                 compare_dataset_digests, compare_run_digest,
                                 dataset_digests, default_golden_dir,
                                 load_golden, run_digest, update_golden)
@@ -52,5 +51,5 @@ __all__ = [
     "table_bijection", "moment_shapes",
     "RUN_GOLDEN", "DATASET_GOLDEN", "default_golden_dir", "run_digest",
     "dataset_digests", "compare_run_digest", "compare_dataset_digests",
-    "load_golden", "update_golden", "check_golden", "check_captured_golden",
+    "load_golden", "update_golden", "check_golden",
 ]

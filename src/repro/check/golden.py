@@ -35,8 +35,7 @@ import numpy as np
 __all__ = ["RUN_GOLDEN", "DATASET_GOLDEN", "RUN_RTOL", "RUN_ATOL",
            "DATASET_ATOL", "default_golden_dir", "run_digest",
            "dataset_digests", "compare_run_digest", "compare_dataset_digests",
-           "load_golden", "update_golden", "check_golden",
-           "check_captured_golden"]
+           "load_golden", "update_golden", "check_golden"]
 
 RUN_GOLDEN = "GOLDEN_run.json"
 DATASET_GOLDEN = "GOLDEN_datasets.json"
@@ -63,16 +62,12 @@ def default_golden_dir() -> Path:
 
 # -- digest construction -------------------------------------------------------
 
-def run_digest(quick: bool = True, seed: int = 0, loader=None,
-               capture: bool = False) -> dict:
+def run_digest(quick: bool = True, seed: int = 0, loader=None) -> dict:
     """Train a seeded FVAE mini-run and digest everything that must not drift.
 
     ``loader`` injects a batch pipeline into ``Trainer.fit`` (used by the
     mutation tests to prove a loader reorder is caught); ``None`` uses the
-    default synchronous loader.  ``capture=True`` routes the run through the
-    static-tape capture path — the digest must equal the committed dynamic
-    golden bit-for-float, which is how ``repro check`` proves captured
-    training doesn't drift.
+    default synchronous loader.
     """
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
@@ -89,7 +84,7 @@ def run_digest(quick: bool = True, seed: int = 0, loader=None,
     # The committed digests pin float64 bits; the training default is float32.
     model.fit(train, epochs=preset["epochs"],
               batch_size=preset["batch_size"], rng=seed, loader=loader,
-              capture=capture, precision="float64")
+              precision="float64")
 
     result = evaluate_tag_prediction(model, test, rng=seed)
     history = model.history
@@ -285,25 +280,6 @@ def update_golden(directory: str | Path | None = None, seed: int = 0,
         "datasets": dataset_digests(seed=seed),
     })
     return [run_path, dataset_path]
-
-
-def check_captured_golden(quick: bool = True,
-                          directory: str | Path | None = None,
-                          seed: int = 0) -> list[str]:
-    """Re-run the golden mini-run through static-tape capture and diff it.
-
-    The captured run must land inside the *same* tolerance envelope as the
-    committed dynamic digest — on any one machine the captured and dynamic
-    runs are bit-identical, so a divergence here means the replay path
-    changed the arithmetic.
-    """
-    golden_run = load_golden(RUN_GOLDEN, directory)
-    policy = golden_run.get("policy", {})
-    mode = "quick" if quick else "full"
-    return compare_run_digest(golden_run[mode],
-                              run_digest(quick=quick, seed=seed, capture=True),
-                              rtol=float(policy.get("rtol", RUN_RTOL)),
-                              atol=float(policy.get("atol", RUN_ATOL)))
 
 
 def check_golden(quick: bool = True, directory: str | Path | None = None,

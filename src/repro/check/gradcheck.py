@@ -67,27 +67,14 @@ class GradcheckReport:
         return f"[{status}] {self.case} ({self.op}){detail}"
 
 
-def _analytic_grads(fn: Callable[[], Tensor], wrt: Sequence[Tensor], *,
-                    captured: bool = False) -> list[np.ndarray]:
+def _analytic_grads(fn: Callable[[], Tensor],
+                    wrt: Sequence[Tensor]) -> list[np.ndarray]:
     for t in wrt:
         t.zero_grad()
-    if captured:
-        # Trace once (fully dynamic, records the tape), discard the traced
-        # gradients, then take the analytic gradients from a pure replay —
-        # so the numbers under test come from the static-tape path.
-        from repro.nn.graph import capture_function
-
-        cap = capture_function(fn)
-        if cap.tape.root.out.size != 1:
-            raise ValueError("gradcheck requires a scalar-valued fn")
-        for t in wrt:
-            t.zero_grad()
-        out = cap.replay()
-    else:
-        out = fn()
-        if out.size != 1:
-            raise ValueError("gradcheck requires a scalar-valued fn")
-        out.backward()
+    out = fn()
+    if out.size != 1:
+        raise ValueError("gradcheck requires a scalar-valued fn")
+    out.backward()
     grads = []
     for t in wrt:
         if isinstance(t, Parameter):
@@ -118,8 +105,7 @@ def _numerical_grad(fn: Callable[[], Tensor], t: Tensor, eps: float) -> np.ndarr
 
 def gradcheck(fn: Callable[[], Tensor], wrt: Sequence[Tensor], *,
               eps: float = 1e-6, rtol: float = 1e-5, atol: float = 1e-7,
-              names: Sequence[str] | None = None,
-              captured: bool = False) -> list[GradcheckFailure]:
+              names: Sequence[str] | None = None) -> list[GradcheckFailure]:
     """Compare analytical and central-difference gradients of ``fn``.
 
     Parameters
@@ -136,13 +122,9 @@ def gradcheck(fn: Callable[[], Tensor], wrt: Sequence[Tensor], *,
         Central-difference step and the tolerance of the comparison
         ``|a - n| <= atol + rtol * |n|`` (checked at the worst element).
 
-    ``captured=True`` takes the analytic gradients from a static-tape
-    replay (:func:`repro.nn.graph.capture_function`) instead of the dynamic
-    engine, proving the captured path computes the same derivatives.
-
     Returns the (possibly empty) list of failures; empty means pass.
     """
-    analytic = _analytic_grads(fn, wrt, captured=captured)
+    analytic = _analytic_grads(fn, wrt)
     names = list(names) if names is not None \
         else [t.name or f"wrt[{i}]" for i, t in enumerate(wrt)]
     failures: list[GradcheckFailure] = []
@@ -238,19 +220,14 @@ def uncovered_ops() -> set[str]:
 
 
 def run_gradchecks(seed: int = 0, cases: Sequence[str] | None = None,
-                   captured: bool = False) -> list[GradcheckReport]:
-    """Run all (or the named) registered cases; returns one report per case.
-
-    ``captured=True`` routes every case's analytic gradients through the
-    static-tape replay path (see :func:`gradcheck`).
-    """
+                   ) -> list[GradcheckReport]:
+    """Run all (or the named) registered cases; returns one report per case."""
     selected = case_names() if cases is None else list(cases)
     reports = []
     for name in selected:
         case = _CASES[name]
         fn, wrt = case.build(seed)
-        failures = gradcheck(fn, wrt, rtol=case.rtol, atol=case.atol,
-                             captured=captured)
+        failures = gradcheck(fn, wrt, rtol=case.rtol, atol=case.atol)
         reports.append(GradcheckReport(case=name, op=case.op,
                                        passed=not failures, failures=failures))
     return reports

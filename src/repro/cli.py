@@ -7,7 +7,8 @@ Commands mirror the deployment workflow of §IV-D at example scale:
 * ``evaluate``     — tag prediction / reconstruction with a saved model
 * ``embed``        — write user embeddings from a saved model to .npz
 * ``benchmark``    — quick FVAE-vs-Mult-VAE throughput comparison
-* ``bench``        — hot-path microbenchmarks → benchmarks/results/BENCH_*.json
+* ``bench``        — serving / sharded / ANN microbenchmark suites →
+  benchmarks/results/BENCH_*.json
 * ``lookalike``    — audience expansion over synthetic embeddings with a
   selectable index (``--index none|lsh|ivf``) and quantized store
   (``--quant none|int8|pq``); reports recall vs the exact configuration
@@ -105,29 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--epochs", type=int, default=2)
 
     p_microbench = sub.add_parser(
-        "bench", help="hot-path microbenchmarks (fused softmax, embedding "
-                      "bag, sparse Adam, epoch throughput)")
+        "bench", help="serving, sharded-training and ANN microbenchmark "
+                      "suites")
     p_microbench.add_argument("--quick", action="store_true",
                               help="fewer repeats / smaller preset (CI smoke)")
     p_microbench.add_argument("--out", default=None, metavar="PATH",
                               help="output JSON path (default: "
-                                   "benchmarks/results/BENCH_PR8.json for "
-                                   "training, BENCH_PR5.json for serving, "
-                                   "BENCH_PR9.json for sharded, "
+                                   "benchmarks/results/BENCH_PR5.json for "
+                                   "serving, BENCH_PR9.json for sharded, "
                                    "BENCH_PR10.json for ann)")
-    p_microbench.add_argument("--users", type=int, default=None,
-                              help="override the epoch-throughput preset size")
     p_microbench.add_argument("--seed", type=int, default=0)
-    p_microbench.add_argument("--suite",
-                              choices=("training", "serving", "sharded",
-                                       "ann"),
-                              default="training",
-                              help="training: PR 3 hot-path stages; serving: "
-                                   "batched lookup / LSH / inference-forward "
-                                   "/ cold-start stages; sharded: real "
-                                   "multi-process PS scaling vs simulator; "
-                                   "ann: quantized stores + IVF recall/QPS "
-                                   "vs exact scan")
+    p_microbench.add_argument("--suite", required=True,
+                              choices=("serving", "sharded", "ann"),
+                              help="serving: batched lookup / LSH / "
+                                   "inference-forward / cold-start stages; "
+                                   "sharded: real multi-process PS scaling "
+                                   "vs simulator; ann: quantized stores + "
+                                   "IVF recall/QPS vs exact scan")
 
     p_lookalike = sub.add_parser(
         "lookalike", help="audience expansion over synthetic clustered "
@@ -414,16 +409,11 @@ def _cmd_benchmark(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     from repro.perf import run_bench
-    from repro.perf.bench import (ANN_OUTPUT, DEFAULT_OUTPUT, SERVING_OUTPUT,
-                                  SHARDED_OUTPUT, render_report)
+    from repro.perf.bench import SUITES, render_report
 
-    suite = getattr(args, "suite", "training")
-    path = args.out or {"training": DEFAULT_OUTPUT,
-                        "serving": SERVING_OUTPUT,
-                        "sharded": SHARDED_OUTPUT,
-                        "ann": ANN_OUTPUT}[suite]
-    report = run_bench(quick=args.quick, out=path, users=args.users,
-                       seed=args.seed, suite=suite)
+    path = args.out or SUITES[args.suite][0]
+    report = run_bench(args.suite, quick=args.quick, out=path,
+                       seed=args.seed)
     print(render_report(report), file=out)
     print(f"results written to {path}", file=out)
     return 0
@@ -684,17 +674,14 @@ def _cmd_check(args, out) -> int:
     failures = 0
 
     uncovered = check.uncovered_ops()
-    for captured in (False, True):
-        reports = check.run_gradchecks(seed=args.seed, captured=captured)
-        bad = [r for r in reports if not r.passed]
-        failures += len(bad)
-        label = "gradcheck (captured)" if captured else "gradcheck"
-        extra = "" if captured else f", {len(uncovered)} uncovered"
-        print(f"{label}: {len(reports)} cases over "
-              f"{len(check.required_ops())} ops — "
-              f"{len(bad)} failed{extra}", file=out)
-        for report in bad:
-            print(f"  {report}", file=out)
+    reports = check.run_gradchecks(seed=args.seed)
+    bad = [r for r in reports if not r.passed]
+    failures += len(bad)
+    print(f"gradcheck: {len(reports)} cases over "
+          f"{len(check.required_ops())} ops — "
+          f"{len(bad)} failed, {len(uncovered)} uncovered", file=out)
+    for report in bad:
+        print(f"  {report}", file=out)
     failures += len(uncovered)
     for op in sorted(uncovered):
         print(f"  UNCOVERED {op}: register a gradcheck case", file=out)
@@ -715,16 +702,6 @@ def _cmd_check(args, out) -> int:
                                   seed=args.seed)
     failures += len(problems)
     print(f"golden ({mode}): {len(problems)} divergences", file=out)
-    for problem in problems[:20]:
-        print(f"  {problem}", file=out)
-    if len(problems) > 20:
-        print(f"  ... and {len(problems) - 20} more", file=out)
-
-    problems = check.check_captured_golden(quick=args.quick,
-                                           directory=args.golden_dir,
-                                           seed=args.seed)
-    failures += len(problems)
-    print(f"golden captured ({mode}): {len(problems)} divergences", file=out)
     for problem in problems[:20]:
         print(f"  {problem}", file=out)
     if len(problems) > 20:

@@ -53,11 +53,6 @@ class FVAEConfig:
     batched_softmax:
         When False the decoder computes the softmax over the *entire* known
         vocabulary each step (ablation; this is what makes Mult-VAE slow).
-    fused:
-        Use the fused ``sampled_softmax_nll`` kernel for the per-field
-        reconstruction term (one forward/backward closure, coalesced
-        row-sparse gradients).  ``False`` keeps the unfused reference chain
-        — both are bit-identical in loss and gradients.
     seed:
         Seed for parameter init, sampling, and the reparametrisation noise.
     """
@@ -77,7 +72,6 @@ class FVAEConfig:
     embedding_capacity: int = 1024
     binarize_targets: bool = True
     batched_softmax: bool = True
-    fused: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

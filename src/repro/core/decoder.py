@@ -130,21 +130,12 @@ class FieldAwareDecoder(Module):
         return F.log_softmax(logits, axis=-1)
 
     def recon_nll(self, trunk: Tensor, field: str, candidate_rows: np.ndarray,
-                  targets: np.ndarray, scale: float = 1.0,
-                  fused: bool = True) -> Tensor:
-        """Reconstruction NLL of ``targets`` over ``candidate_rows``.
-
-        ``fused=True`` dispatches to the single-closure kernel; ``fused=False``
-        keeps the unfused reference chain (``log_probs`` → mul → sum → scale).
-        Both produce bit-identical losses and gradients.
+                  targets: np.ndarray, scale: float = 1.0) -> Tensor:
+        """Reconstruction NLL of ``targets`` over ``candidate_rows``: the
+        fused batched-softmax kernel (see :meth:`FieldOutputHead.nll_for_rows`).
         """
-        if fused:
-            return self._heads[field].nll_for_rows(trunk, candidate_rows,
-                                                   targets, scale=scale)
-        log_probs = self.log_probs(trunk, field, candidate_rows)
-        # float64 counts would promote the chain, and every gradient behind it
-        targets = np.asarray(targets, dtype=log_probs.data.dtype)
-        return -(Tensor(targets) * log_probs).sum() * scale
+        return self._heads[field].nll_for_rows(trunk, candidate_rows,
+                                               targets, scale=scale)
 
     def full_scores(self, z_mu: np.ndarray, field: str,
                     chunk: int = 4096) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

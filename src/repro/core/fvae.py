@@ -27,7 +27,7 @@ from repro.core.encoder import FieldAwareEncoder
 from repro.data.dataset import MultiFieldDataset, UserBatch
 from repro.data.fields import FieldSchema
 from repro.nn import gaussian_kl
-from repro.nn.layers import Dropout, Module
+from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, is_inference, no_grad
 from repro.sampling import get_sampler, select_candidates
 from repro.utils.rng import new_rng
@@ -83,20 +83,6 @@ class FVAE(Module, UserRepresentationModel):
         self._step = 0
 
     # -- training --------------------------------------------------------------
-
-    def capture_rng_sources(self) -> list:
-        """RNG streams a replay fallback must rewind (see ``nn.graph``).
-
-        Everything drawn *inside* a training step: reparameterisation noise
-        and candidate sampling (``self._rng``), feature corruption
-        (``encoder._feature_rng``), and hidden-layer dropout masks.
-        """
-        sources = [self._rng, self.encoder._feature_rng]
-        for module in self.modules():
-            rng = getattr(module, "_rng", None)
-            if rng is not None and isinstance(module, Dropout):
-                sources.append(rng)
-        return sources
 
     def reparameterize(self, mu: Tensor, logvar: Tensor, sample: bool,
                        noise: np.ndarray | None = None) -> Tensor:
@@ -179,8 +165,7 @@ class FVAE(Module, UserRepresentationModel):
             if self.config.binarize_targets:
                 targets = (targets > 0).astype(np.float64)
             nll = self.decoder.recon_nll(trunk, field, rows, targets,
-                                         scale=scale,
-                                         fused=self.config.fused)
+                                         scale=scale)
             recon_terms.append((self._alphas[field], nll))
             diagnostics[f"nll_{field}"] = nll.item()
             diagnostics[f"candidates_{field}"] = float(cand.size)

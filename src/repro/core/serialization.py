@@ -19,7 +19,7 @@ raw ``KeyError``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +118,14 @@ def load_fvae(path: str | Path, freeze_tables: bool = True,
         if missing_arrays:
             raise SerializationError(
                 f"{path} is missing arrays: {sorted(missing_arrays)}")
-        model = FVAE(schema, FVAEConfig(**meta["config"]))
+        config = dict(meta["config"])
+        # Retired kernel selector: both values trained the same bits.
+        config.pop("fused", None)
+        unknown = sorted(set(config) - {f.name for f in fields(FVAEConfig)})
+        if unknown:
+            raise SerializationError(
+                f"{path} config has unknown keys: {unknown}")
+        model = FVAE(schema, FVAEConfig(**config))
         # float32 weights in a float64 model embed differently in the last
         # digits; archives from before the field existed were always float64.
         model.astype(meta.get("dtype", "float64"))

@@ -152,7 +152,6 @@ class Trainer:
         self.base_lr = lr
         self.lr_schedule = lr_schedule
         self.clip_norm = clip_norm
-        self.capturer = None  # set by fit(capture=True); exposes stats()
         if optimizer == "adam":
             self.optimizer: Optimizer = Adam(model.parameters(), lr=lr,
                                              weight_decay=weight_decay)
@@ -175,7 +174,6 @@ class Trainer:
             checkpoint_every: int = 0,
             resume_from: Checkpoint | Checkpointer | str | Path | bool | None = None,
             loader=None,
-            capture: bool = False,
             ) -> TrainHistory:
         """Train for up to ``epochs`` epochs (or until ``max_seconds`` elapse).
 
@@ -203,14 +201,6 @@ class Trainer:
         synchronous in-loop batcher.  Loaders receive the already-shuffled
         epoch order and touch no RNG, so training history, RNG draws, and
         checkpoint/resume equality are bit-identical across loaders.
-
-        ``capture=True`` routes each step through a
-        :class:`~repro.nn.graph.StepCapturer`: the first step of each batch
-        signature is traced onto a static tape, later steps replay it with
-        preallocated workspaces, and any structural divergence (ragged last
-        batch, mid-fit shape change) falls back to the dynamic path
-        bit-exactly.  In float64 a captured run is bit-identical to a
-        dynamic one (guarded by the ``nn.graph.replay_vs_dynamic`` oracle).
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive: {epochs}")
@@ -228,12 +218,6 @@ class Trainer:
             from repro.perf.pipeline import SyncLoader
 
             loader = SyncLoader()
-        capturer = None
-        if capture:
-            from repro.nn.graph import StepCapturer
-
-            capturer = StepCapturer(self.model)
-        self.capturer = capturer
         history = TrainHistory()
         timer = Timer()
         step = getattr(self.model, "_step", 0)
@@ -262,8 +246,7 @@ class Trainer:
 
         n_users = len(dataset)
         from repro.perf.pipeline import n_batches
-        total_batches = n_batches(n_users, batch_size,
-                                  getattr(loader, "drop_last", False))
+        total_batches = n_batches(n_users, batch_size)
 
         budget_exhausted = False
         for epoch in range(start_epoch, epochs):
@@ -293,15 +276,9 @@ class Trainer:
                             batch = next(batches)
                         with obs.span("forward"):
                             self.optimizer.zero_grad()
-                            if capturer is not None:
-                                loss, diag = capturer.forward(batch, step)
-                            else:
-                                loss, diag = self.model.loss_on_batch(batch, step)
+                            loss, diag = self.model.loss_on_batch(batch, step)
                         with obs.span("backward"):
-                            if capturer is not None:
-                                capturer.backward(loss)
-                            else:
-                                loss.backward()
+                            loss.backward()
                         if self.clip_norm is not None:
                             with obs.span("clip"):
                                 clip_grad_norm(self.optimizer.params,

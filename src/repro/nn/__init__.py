@@ -6,8 +6,6 @@ gradient path the paper's efficiency tricks require.
 """
 
 from repro.nn import functional
-from repro.nn.graph import (CapturedFunction, ReplayMismatch, StepCapturer,
-                            Tape, batch_signature, capture_function)
 from repro.nn.layers import (MLP, Dropout, Embedding, LayerNorm, Linear,
                              Module, Sequential)
 from repro.nn.losses import gaussian_kl, gaussian_kl_to, mse, multinomial_nll
@@ -27,6 +25,4 @@ __all__ = [
     "Optimizer", "SGD", "Adam",
     "ConstantLR", "StepDecay", "CosineDecay", "WarmupWrapper", "clip_grad_norm",
     "multinomial_nll", "gaussian_kl", "gaussian_kl_to", "mse",
-    "Tape", "StepCapturer", "CapturedFunction", "capture_function",
-    "batch_signature", "ReplayMismatch",
 ]

@@ -17,10 +17,8 @@ paper's efficiency section (§IV-C) relies on:
   for the batch's candidate feature set only (cost ``O(N̄_b·D)``).
 
 Every op follows the static-kernel protocol of :mod:`repro.nn.tensor`
-(``forward(ws, args, *parent_arrays)`` / ``backward(grad, parents, saved,
-args)``), so the dynamic autograd path and the captured-replay path of
-:mod:`repro.nn.graph` execute the same code and stay bit-identical.  All ops
-are dtype-preserving: float32 inputs produce float32 outputs (the dropout
+(``forward(args, *parent_arrays)`` / ``backward(grad, parents, saved,
+args)``).  All ops are dtype-preserving: float32 inputs produce float32 outputs (the dropout
 mask and sampled-softmax targets are cast to the operand dtype instead of
 silently promoting to float64).
 """
@@ -32,8 +30,8 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from repro.nn.tensor import (Parameter, Tensor, _buf, _dispatch, _out,
-                             as_tensor, coalesce_rows, stable_sigmoid)
+from repro.nn.tensor import (Parameter, Tensor, _dispatch, as_tensor,
+                             coalesce_rows, stable_sigmoid)
 
 __all__ = [
     "relu", "tanh", "sigmoid", "exp", "log", "softplus",
@@ -72,18 +70,8 @@ class OpSoftplus:
     name = "softplus"
 
     @staticmethod
-    def forward(ws, args, a):
-        if ws is None:
-            return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), None
-        t = _buf(ws, "t", a.shape, a.dtype)
-        np.abs(a, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        out = _out(ws, a.shape, a.dtype)
-        np.maximum(a, 0.0, out=out)
-        np.add(out, t, out=out)
-        return out, None
+    def forward(args, a):
+        return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a))), None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -127,12 +115,8 @@ class OpRows:
     name = "rows"
 
     @staticmethod
-    def forward(ws, args, w):
-        if ws is None:
-            return w[args], None
-        out = _out(ws, args.shape + w.shape[1:], w.dtype)
-        np.take(w, args, axis=0, out=out, mode="clip")
-        return out, None
+    def forward(args, w):
+        return w[args], None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -200,12 +184,10 @@ def embedding_bag_data(weight_data: np.ndarray, indices: np.ndarray,
 
 
 class OpEmbeddingBag:
-    # SciPy allocates the (B, D) / (U, D) products itself — the kernel's only
-    # D-wide buffers — so nothing here goes through the replay arena.
     name = "embedding_bag"
 
     @staticmethod
-    def forward(ws, args, w):
+    def forward(args, w):
         return embedding_bag_data(w, *args)
 
     @staticmethod
@@ -251,16 +233,13 @@ class OpSampledSoftmaxNLL:
     name = "sampled_softmax_nll"
 
     @staticmethod
-    def forward(ws, args, h, w, b):
+    def forward(args, h, w, b):
         cand, targets, scale = args
         # One (B, C) working buffer carried through logits → shifted →
         # log_probs; every in-place step keeps the op order (and hence
         # rounding) of the unfused ``rows → matmul → take → log_softmax →
         # mul → sum → neg → mul`` reference chain, so losses and gradients
-        # stay bit-identical to it.  The big (B, C) and (C, D) matrices
-        # deliberately stay fresh allocations on replay: arena reuse for them
-        # measured slower than malloc's recycled hot buffers
-        # (docs/PERFORMANCE.md, "Rejected capture designs").
+        # stay bit-identical to it.
         w_rows = w[cand]
         logits = h @ w_rows.T
         logits += b[cand]
@@ -344,17 +323,10 @@ class OpSoftmax:
     name = "softmax"
 
     @staticmethod
-    def forward(ws, args, a):
-        if ws is None:
-            shifted = a - a.max(axis=args, keepdims=True)
-            e = np.exp(shifted)
-            out = e / e.sum(axis=args, keepdims=True)
-            return out, out
-        s = _buf(ws, "s", a.shape, a.dtype)
-        np.subtract(a, a.max(axis=args, keepdims=True), out=s)
-        np.exp(s, out=s)
-        out = _out(ws, a.shape, a.dtype)
-        np.divide(s, s.sum(axis=args, keepdims=True), out=out)
+    def forward(args, a):
+        shifted = a - a.max(axis=args, keepdims=True)
+        e = np.exp(shifted)
+        out = e / e.sum(axis=args, keepdims=True)
         return out, out
 
     @staticmethod
@@ -373,20 +345,10 @@ class OpLogSoftmax:
     name = "log_softmax"
 
     @staticmethod
-    def forward(ws, args, a):
-        if ws is None:
-            shifted = a - a.max(axis=args, keepdims=True)
-            logsumexp = np.log(np.exp(shifted).sum(axis=args, keepdims=True))
-            out = shifted - logsumexp
-            return out, out
-        s = _buf(ws, "s", a.shape, a.dtype)
-        np.subtract(a, a.max(axis=args, keepdims=True), out=s)
-        e = _buf(ws, "e", a.shape, a.dtype)
-        np.exp(s, out=e)
-        logsumexp = e.sum(axis=args, keepdims=True)
-        np.log(logsumexp, out=logsumexp)
-        out = _out(ws, a.shape, a.dtype)
-        np.subtract(s, logsumexp, out=out)
+    def forward(args, a):
+        shifted = a - a.max(axis=args, keepdims=True)
+        logsumexp = np.log(np.exp(shifted).sum(axis=args, keepdims=True))
+        out = shifted - logsumexp
         return out, out
 
     @staticmethod
@@ -406,26 +368,15 @@ class OpDropout:
     name = "dropout"
 
     @staticmethod
-    def forward(ws, args, a):
+    def forward(args, a):
         p, rng = args
         # The uniform draw stays float64 (the generator's native stream, so
         # float32 and float64 models drop the same features), but the mask is
         # materialised in the input dtype: no silent promotion of the output.
-        if ws is None:
-            keep = rng.random(a.shape) >= p
-            mask = keep.astype(a.dtype)
-        else:
-            draw = _buf(ws, "draw", a.shape, np.float64)
-            rng.random(out=draw)
-            mask = _buf(ws, "mask", a.shape, a.dtype)
-            np.greater_equal(draw, p, out=mask)
+        keep = rng.random(a.shape) >= p
+        mask = keep.astype(a.dtype)
         mask /= (1.0 - p)
-        if ws is None:
-            out = a * mask
-        else:
-            out = _out(ws, a.shape, a.dtype)
-            np.multiply(a, mask, out=out)
-        return out, mask
+        return a * mask, mask
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -447,16 +398,9 @@ class OpConcat:
     name = "concat"
 
     @staticmethod
-    def forward(ws, args, *arrs):
+    def forward(args, *arrs):
         axis, splits = args
-        if ws is None:
-            return np.concatenate(arrs, axis=axis), None
-        shape = list(arrs[0].shape)
-        ax = axis % len(shape)
-        shape[ax] = sum(a.shape[ax] for a in arrs)
-        out = _out(ws, tuple(shape), np.result_type(*arrs))
-        np.concatenate(arrs, axis=axis, out=out)
-        return out, None
+        return np.concatenate(arrs, axis=axis), None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -480,12 +424,8 @@ class OpStackRows:
     name = "stack_rows"
 
     @staticmethod
-    def forward(ws, args, *arrs):
-        if ws is None:
-            return np.stack(arrs, axis=0), None
-        out = _out(ws, (len(arrs),) + arrs[0].shape, np.result_type(*arrs))
-        np.stack(arrs, axis=0, out=out)
-        return out, None
+    def forward(args, *arrs):
+        return np.stack(arrs, axis=0), None
 
     @staticmethod
     def backward(grad, parents, saved, args):

@@ -17,14 +17,9 @@ autograd engine:
   number of *touched* rows rather than the full feature vocabulary.
 
 Every differentiable operation is expressed as an *op kernel*: a pair of
-static methods ``forward(ws, args, *parent_arrays)`` / ``backward(grad,
-parents, saved, args)`` on a small op class.  The dynamic path wraps a kernel
-call in one closure per op; the static-graph capture layer
-(:mod:`repro.nn.graph`) records the kernel sequence once and replays it with
-preallocated workspaces.  Because both paths run the *same* kernel code, they
-are bit-identical by construction.  ``ws`` is ``None`` on the dynamic path
-(fresh allocations) or a tape node exposing ``out_view``/``buf`` workspace
-views on the replay path.
+static methods ``forward(args, *parent_arrays)`` / ``backward(grad, parents,
+saved, args)`` on a small op class.  :func:`_dispatch` runs the forward and
+binds one backward closure per op call.
 
 Only the operations needed by the models in this repository are implemented,
 but each supports full NumPy broadcasting and is exercised by finite-difference
@@ -39,21 +34,11 @@ import numpy as np
 
 __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled", "as_tensor",
            "inference_mode", "is_inference",
-           "stable_sigmoid", "coalesce_rows", "GraphError"]
+           "stable_sigmoid", "coalesce_rows"]
 
 
 _GRAD_ENABLED = True
 _INFERENCE_MODE = False
-
-#: Active capture tape (or ``None``).  Set exclusively by
-#: :mod:`repro.nn.graph` while tracing or replaying a captured step; every op
-#: dispatch consults it.  Kept here (not in graph.py) so the hot-path check is
-#: a plain module-global load with no cross-module indirection.
-_ACTIVE_TAPE = None
-
-
-class GraphError(RuntimeError):
-    """Raised when static-graph capture cannot represent an operation."""
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -126,18 +111,9 @@ class inference_mode:
     :func:`is_inference` and run on plain ``np.ndarray``s — same arithmetic,
     zero wrapper allocation.  Serving-side forwards (proxy ``infer_fn``,
     look-alike expansion) live in this context.
-
-    Entering inference mode *inside a captured region* (while a trace or
-    replay tape is active) raises: the raw-array fast path would bypass op
-    dispatch entirely, silently desynchronising the tape cursor.
     """
 
     def __enter__(self) -> "inference_mode":
-        if _ACTIVE_TAPE is not None:
-            raise GraphError(
-                "inference_mode cannot be entered inside a captured "
-                "(trace/replay) region: the raw-array fast path bypasses op "
-                "dispatch and would desynchronise the tape")
         global _GRAD_ENABLED, _INFERENCE_MODE
         self._prev = (_GRAD_ENABLED, _INFERENCE_MODE)
         _GRAD_ENABLED = False
@@ -169,80 +145,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# -- workspace helpers shared by every op kernel ------------------------------
-
-def _out(ws, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """The op's output buffer: fresh on the dynamic path, arena view on replay."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    return ws.out_view(shape, dtype)
-
-
-def _buf(ws, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A named scratch buffer that survives until the node's backward runs."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    return ws.buf(key, shape, dtype)
-
-
-def _mm(ws, key: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` into a keyed workspace when both operands are 2-D."""
-    if ws is None or a.ndim != 2 or b.ndim != 2:
-        return a @ b
-    out = ws.buf(key, (a.shape[0], b.shape[1]), np.result_type(a, b))
-    return np.matmul(a, b, out=out)
-
-
-def _reduce_shape(shape: tuple[int, ...], axis, keepdims: bool,
-                  ) -> tuple[int, ...]:
-    """Output shape of ``sum(axis=..., keepdims=...)`` over ``shape``."""
-    if axis is None:
-        return tuple(1 for _ in shape) if keepdims else ()
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = {a % len(shape) for a in axes}
-    if keepdims:
-        return tuple(1 if i in axes else s for i, s in enumerate(shape))
-    return tuple(s for i, s in enumerate(shape) if i not in axes)
-
-
-def _pow_data(a: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """``a ** e`` into ``out``, replicating ndarray's scalar-power fast paths
-    (square / sqrt / reciprocal / copy) so results stay bit-identical to the
-    allocating ``a ** e`` expression."""
-    if e == 2.0:
-        return np.square(a, out=out)
-    if e == 0.5:
-        return np.sqrt(a, out=out)
-    if e == -1.0:
-        return np.reciprocal(a, out=out)
-    if e == 1.0:
-        return np.positive(a, out=out)
-    return np.power(a, e, out=out)
-
-
 # -- op kernels ---------------------------------------------------------------
 #
 # Each op is a namespace class with two static methods:
 #
-#   forward(ws, args, *parent_arrays) -> (out_data, saved)
-#       ``ws`` is None (dynamic: allocate fresh) or a tape node (replay: write
-#       into reused workspace views).  ``saved`` carries forward-pass values
-#       the backward needs (activation outputs, masks, gathered rows).
+#   forward(args, *parent_arrays) -> (out_data, saved)
+#       ``args`` are the op's non-tensor arguments; ``saved`` carries
+#       forward-pass values the backward needs (activation outputs, masks,
+#       gathered rows).
 #   backward(grad, parents, saved, args) -> None
 #       Accumulates into ``parents[i].grad`` / sparse parts.  Reads parent
 #       data *live* (``parents[i].data``), so dynamic-hash-table growth
-#       between steps is transparent to a replayed tape.
+#       between forward and backward is transparent.
 #
-# The dynamic path binds one closure per op call around these kernels; the
-# capture layer stores (op, parents, args) once and calls the statics.
+# :func:`_dispatch` binds one closure per op call around these kernels.
 
 class OpAdd:
     name = "add"
 
     @staticmethod
-    def forward(ws, args, a, b):
-        out = _out(ws, np.broadcast_shapes(a.shape, b.shape),
-                   np.result_type(a, b))
+    def forward(args, a, b):
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                       np.result_type(a, b))
         np.add(a, b, out=out)
         return out, None
 
@@ -259,8 +183,8 @@ class OpNeg:
     name = "neg"
 
     @staticmethod
-    def forward(ws, args, a):
-        out = _out(ws, a.shape, a.dtype)
+    def forward(args, a):
+        out = np.empty(a.shape, a.dtype)
         np.negative(a, out=out)
         return out, None
 
@@ -273,9 +197,9 @@ class OpMul:
     name = "mul"
 
     @staticmethod
-    def forward(ws, args, a, b):
-        out = _out(ws, np.broadcast_shapes(a.shape, b.shape),
-                   np.result_type(a, b))
+    def forward(args, a, b):
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                       np.result_type(a, b))
         np.multiply(a, b, out=out)
         return out, None
 
@@ -292,9 +216,9 @@ class OpDiv:
     name = "div"
 
     @staticmethod
-    def forward(ws, args, a, b):
-        out = _out(ws, np.broadcast_shapes(a.shape, b.shape),
-                   np.result_type(a, b))
+    def forward(args, a, b):
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                       np.result_type(a, b))
         np.divide(a, b, out=out)
         return out, None
 
@@ -312,12 +236,8 @@ class OpPow:
     name = "pow"
 
     @staticmethod
-    def forward(ws, args, a):
-        if ws is None:
-            return a ** args, None
-        out = _out(ws, a.shape, a.dtype)
-        _pow_data(a, args, out)
-        return out, None
+    def forward(args, a):
+        return a ** args, None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -329,37 +249,28 @@ class OpMatmul:
     name = "matmul"
 
     @staticmethod
-    def forward(ws, args, a, b):
-        if ws is not None and a.ndim == 2 and b.ndim == 2:
-            out = _out(ws, (a.shape[0], b.shape[1]), np.result_type(a, b))
-            np.matmul(a, b, out=out)
-            return out, ws
-        return a @ b, ws
+    def forward(args, a, b):
+        return a @ b, None
 
     @staticmethod
     def backward(grad, parents, saved, args):
         p0, p1 = parents
         a, b = p0.data, p1.data
-        ws = saved                              # tape node or None
         if p0.requires_grad:
             if a.ndim == 1 and b.ndim == 1:      # dot -> scalar
                 ga = grad * b
-            elif a.ndim == 1:                     # vector @ matrix -> vector
-                ga = grad @ b.T
             elif b.ndim == 1:                     # matrix @ vector -> vector
                 ga = np.outer(grad, b)
-            else:                                 # matrix @ matrix
-                ga = _mm(ws, "ga", grad, b.T)
+            else:                                 # (vector or matrix) @ matrix
+                ga = grad @ b.T
             p0._accumulate(ga)
         if p1.requires_grad:
             if a.ndim == 1 and b.ndim == 1:
                 gb = grad * a
             elif a.ndim == 1:
                 gb = np.outer(a, grad)
-            elif b.ndim == 1:
-                gb = a.T @ grad
             else:
-                gb = _mm(ws, "gb", a.T, grad)
+                gb = a.T @ grad
             p1._accumulate(gb)
 
 
@@ -367,8 +278,8 @@ class OpReshape:
     name = "reshape"
 
     @staticmethod
-    def forward(ws, args, a):
-        return a.reshape(args), None            # view: no workspace needed
+    def forward(args, a):
+        return a.reshape(args), None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -380,8 +291,8 @@ class OpTranspose:
     name = "T"
 
     @staticmethod
-    def forward(ws, args, a):
-        return a.T, None                        # view: no workspace needed
+    def forward(args, a):
+        return a.T, None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -392,7 +303,7 @@ class OpGetitem:
     name = "getitem"
 
     @staticmethod
-    def forward(ws, args, a):
+    def forward(args, a):
         return a[args], None
 
     @staticmethod
@@ -413,13 +324,9 @@ class OpSum:
     name = "sum"
 
     @staticmethod
-    def forward(ws, args, a):
+    def forward(args, a):
         axis, keepdims = args
-        if ws is None:
-            return a.sum(axis=axis, keepdims=keepdims), None
-        out = _out(ws, _reduce_shape(a.shape, axis, keepdims), a.dtype)
-        np.sum(a, axis=axis, out=out, keepdims=keepdims)
-        return out, None
+        return a.sum(axis=axis, keepdims=keepdims), None
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -435,8 +342,8 @@ class OpExp:
     name = "exp"
 
     @staticmethod
-    def forward(ws, args, a):
-        out = _out(ws, a.shape, a.dtype)
+    def forward(args, a):
+        out = np.empty(a.shape, a.dtype)
         np.exp(a, out=out)
         return out, out
 
@@ -449,8 +356,8 @@ class OpLog:
     name = "log"
 
     @staticmethod
-    def forward(ws, args, a):
-        out = _out(ws, a.shape, a.dtype)
+    def forward(args, a):
+        out = np.empty(a.shape, a.dtype)
         np.log(a, out=out)
         return out, None
 
@@ -464,8 +371,8 @@ class OpTanh:
     name = "tanh"
 
     @staticmethod
-    def forward(ws, args, a):
-        out = _out(ws, a.shape, a.dtype)
+    def forward(args, a):
+        out = np.empty(a.shape, a.dtype)
         np.tanh(a, out=out)
         return out, out
 
@@ -478,8 +385,8 @@ class OpSigmoid:
     name = "sigmoid"
 
     @staticmethod
-    def forward(ws, args, a):
-        out = stable_sigmoid(a)                 # np.where output: fresh array
+    def forward(args, a):
+        out = stable_sigmoid(a)
         return out, out
 
     @staticmethod
@@ -491,15 +398,9 @@ class OpRelu:
     name = "relu"
 
     @staticmethod
-    def forward(ws, args, a):
-        if ws is None:
-            mask = a > 0
-            return a * mask, mask
-        mask = _buf(ws, "mask", a.shape, np.bool_)
-        np.greater(a, 0, out=mask)
-        out = _out(ws, a.shape, a.dtype)
-        np.multiply(a, mask, out=out)
-        return out, mask
+    def forward(args, a):
+        mask = a > 0
+        return a * mask, mask
 
     @staticmethod
     def backward(grad, parents, saved, args):
@@ -515,18 +416,13 @@ def _op_closure(op, parents, saved, args) -> Callable[[np.ndarray], None]:
 
 
 def _dispatch(op, parents: tuple, args, *pdata) -> "Tensor":
-    """Run an op kernel: dynamically, or through the active capture tape.
+    """Run an op kernel and, when a gradient is needed, bind its backward.
 
     ``parents`` are the input Tensors, ``args`` the op's non-tensor arguments
-    (index arrays, axes, exponents...), ``pdata`` the parents' arrays.  On the
-    dynamic path this builds exactly one closure; while a tape is active the
-    call is recorded (trace) or matched against the tape cursor and executed
-    into preallocated workspaces (replay) — see :mod:`repro.nn.graph`.
+    (index arrays, axes, exponents...), ``pdata`` the parents' arrays.  Builds
+    exactly one closure per differentiable op call.
     """
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        return tape.dispatch(op, parents, args, pdata)
-    out_data, saved = op.forward(None, args, *pdata)
+    out_data, saved = op.forward(args, *pdata)
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
@@ -571,8 +467,8 @@ class Tensor:
 
     # Make ``ndarray <op> Tensor`` defer to our reflected operators instead
     # of numpy's sequence-iteration fallback, which would silently build an
-    # object array of per-element getitem ops (wrong dtype, O(numel) graph
-    # nodes, and an op sequence the static tape cannot replay).
+    # object array of per-element getitem ops (wrong dtype and O(numel)
+    # graph nodes).
     __array_priority__ = 100
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None) -> None:
@@ -597,13 +493,7 @@ class Tensor:
 
         Library ops go through :func:`_dispatch` with static kernels; this
         remains for tests that monkeypatch ops with handwritten closures.
-        Such ops carry no replayable kernel, so they refuse to run while a
-        capture tape is active rather than silently desynchronising it.
         """
-        if _ACTIVE_TAPE is not None:
-            raise GraphError(
-                "Tensor._make closures cannot be captured; define a static "
-                "op kernel and dispatch it instead")
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -657,15 +547,11 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def backward(self, grad: np.ndarray | None = None,
-                 order_out: list | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to 1 for scalar outputs; non-scalar outputs require
-        an explicit seed gradient of matching shape.  ``order_out``, when
-        given, collects every tensor whose backward actually ran, in
-        processing order — the capture tape records this once at trace time
-        and replays it without re-deriving the topological sort.
+        an explicit seed gradient of matching shape.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -684,8 +570,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                if order_out is not None:
-                    order_out.append(node)
                 # Free intermediate gradients and graph references eagerly:
                 # leaves (parameters / inputs) keep their grads.
                 node._backward = None

@@ -5,9 +5,7 @@ from counter deltas between frames), serving latency percentiles from the
 log-bucket histograms, cache hit rate, the per-source lookup breakdown
 (cache/store/stale/inferred/default/miss) with proportional bars, micro-
 batcher flush triggers, circuit-breaker states, trace-store retention,
-static-graph capture activity (trace/replay/fallback counts and workspace-
-arena footprint, when a captured training run is feeding the registry), and —
-when an :class:`~repro.obs.slo.SLOEngine` is attached — the SLO verdict
+and — when an :class:`~repro.obs.slo.SLOEngine` is attached — the SLO verdict
 table with error-budget burn.
 
 Everything is derived from plain snapshot events, so the renderer is a pure
@@ -130,22 +128,6 @@ def render_dashboard(events: Iterable[Mapping], qps: float | None = None,
         lines.append("")
         lines.append(f"batcher flushes  {parts}  "
                      f"(mean batch {mean_batch:.1f})")
-
-    # static-graph capture / workspace arena (training runs)
-    cap = {key: _num(ev["value"], 0.0)
-           for key in ("captures", "replays", "fallbacks")
-           if (ev := _get(index, f"nn.graph.{key}"))}
-    if cap:
-        parts = "  ".join(f"{key}={int(n)}" for key, n in cap.items())
-        line = f"capture  {parts}"
-        reuses = _get(index, "nn.alloc.arena_reuses")
-        if reuses is not None:
-            line += f"  arena_reuses={int(_num(reuses['value'], 0.0))}"
-        live = _get(index, "nn.alloc.workspace_bytes_live")
-        if live is not None:
-            line += f"  workspace={_num(live['value'], 0.0) / 1e6:.2f}MB"
-        lines.append("")
-        lines.append(line)
 
     # breaker states
     breakers = [(labels, ev) for (name, labels), ev in index.items()

@@ -8,10 +8,9 @@
   candidate caches) on a background thread while the current batch computes —
   NumPy releases the GIL inside matmul, so the overlap is real.  Both yield
   **bit-identical** batches in the same order.
-* :mod:`repro.perf.bench` — the ``python -m repro bench`` microbenchmark
-  runner producing ``benchmarks/results/BENCH_*.json`` trajectories
-  (embedding_bag fwd/bwd, sampled-softmax fwd/bwd, optimizer step, and
-  end-to-end epoch throughput fused+prefetch vs the unfused reference).
+* :mod:`repro.perf.bench` — the ``python -m repro bench --suite ...``
+  microbenchmark runner producing ``benchmarks/results/BENCH_*.json``
+  reports (training throughput lives in the repo benchmark, ``bench/``).
 * :mod:`repro.perf.bench_serving` — the ``--suite serving`` stages: batched
   store/proxy/LSH lookups vs their scalar loops, inference-mode encoder
   forward, and mmap vs eager snapshot cold starts.

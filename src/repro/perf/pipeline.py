@@ -34,24 +34,15 @@ from repro.obs import runtime as obs
 __all__ = ["BatchLoader", "SyncLoader", "PrefetchLoader", "n_batches"]
 
 
-def n_batches(n: int, batch_size: int, drop_last: bool = False) -> int:
-    """Batches in an epoch of ``n`` users: ceil, or floor with ``drop_last``."""
+def n_batches(n: int, batch_size: int) -> int:
+    """Batches in an epoch of ``n`` users; the last one may be ragged."""
     if n <= 0:
         return 0
-    return n // batch_size if drop_last else -(-n // batch_size)
+    return -(-n // batch_size)
 
 
 class BatchLoader:
-    """Loader protocol: generate an epoch's batches for a given order.
-
-    ``drop_last`` (a constructor option on the concrete loaders) skips the
-    ragged final batch of each epoch so every batch has exactly
-    ``batch_size`` users — useful under static-graph capture, where a
-    uniform batch shape means one tape and zero dynamic fallbacks.  The
-    trainer reads the attribute to size its epoch loop.
-    """
-
-    drop_last = False
+    """Loader protocol: generate an epoch's batches for a given order."""
 
     def epoch(self, dataset: MultiFieldDataset, order: np.ndarray,
               batch_size: int, first_batch: int = 0,
@@ -65,27 +56,23 @@ class BatchLoader:
 class SyncLoader(BatchLoader):
     """The classic in-loop batcher: materialise each batch on demand."""
 
-    def __init__(self, drop_last: bool = False) -> None:
-        self.drop_last = bool(drop_last)
-
     def epoch(self, dataset: MultiFieldDataset, order: np.ndarray,
               batch_size: int, first_batch: int = 0) -> Iterator[UserBatch]:
         order = np.asarray(order, dtype=np.int64)
-        total = n_batches(order.size, batch_size, self.drop_last)
+        total = n_batches(order.size, batch_size)
         for b in range(first_batch, total):
             yield dataset.batch(order[b * batch_size:(b + 1) * batch_size])
 
 
 def _epoch_batches(dataset: MultiFieldDataset, order: np.ndarray,
-                   batch_size: int, first_batch: int,
-                   drop_last: bool = False) -> Iterator[UserBatch]:
+                   batch_size: int, first_batch: int) -> Iterator[UserBatch]:
     """Produce the epoch's batches from one up-front reorder.
 
     ``dataset.subset(order)`` pays the row gather once; every batch is then a
     contiguous zero-copy ``row_range`` slice of the reordered CSR blocks —
     value-identical to ``dataset.batch(order[a:b])``.
     """
-    total = n_batches(order.size, batch_size, drop_last)
+    total = n_batches(order.size, batch_size)
     if total <= first_batch:
         return
     reordered = dataset.subset(order)
@@ -111,17 +98,14 @@ class PrefetchLoader(BatchLoader):
         Queue depth: how many prepared batches may wait ahead of the
         consumer.  2 is enough to hide preparation behind compute; larger
         values only add memory.
-    drop_last:
-        Skip the ragged final batch of each epoch (see :class:`BatchLoader`).
     """
 
     _POLL_SECONDS = 0.05
 
-    def __init__(self, prefetch: int = 2, drop_last: bool = False) -> None:
+    def __init__(self, prefetch: int = 2) -> None:
         if prefetch < 1:
             raise ValueError(f"prefetch depth must be >= 1: {prefetch}")
         self.prefetch = prefetch
-        self.drop_last = bool(drop_last)
 
     def __repr__(self) -> str:
         return f"PrefetchLoader(prefetch={self.prefetch})"
@@ -135,7 +119,7 @@ class PrefetchLoader(BatchLoader):
         def produce() -> None:
             try:
                 for batch in _epoch_batches(dataset, order, batch_size,
-                                            first_batch, self.drop_last):
+                                            first_batch):
                     if not self._put(out, stop, ("ok", batch)):
                         return
                 self._put(out, stop, ("done", None))

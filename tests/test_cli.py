@@ -222,6 +222,12 @@ class TestLookalikeCommand:
         args = build_parser().parse_args(["bench", "--suite", "ann"])
         assert args.suite == "ann"
 
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "--suite",
+                                                  "training"]])
+    def test_bench_requires_a_known_suite(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_rejects_unknown_index(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lookalike", "--index", "kdtree"])

@@ -54,6 +54,38 @@ class TestSaveLoad:
         assert {p.data.dtype for p in restored.parameters()} \
             == {np.dtype(np.float64)}
 
+    @staticmethod
+    def _rewrite_config(path, **changes):
+        import json
+
+        with np.load(path, allow_pickle=True) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["config"].update(changes)
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_archive_with_the_retired_fused_key_loads(self, small_model,
+                                                      tiny_dataset, tmp_path,
+                                                      fused):
+        path = tmp_path / "model.npz"
+        save_fvae(small_model, path)
+        self._rewrite_config(path, fused=fused)   # every pre-removal archive
+        restored = load_fvae(path)
+        assert restored.config == small_model.config
+        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
+                                      small_model.embed_users(tiny_dataset))
+
+    def test_unknown_config_key_rejected(self, small_model, tmp_path):
+        from repro.core.serialization import SerializationError
+
+        path = tmp_path / "model.npz"
+        save_fvae(small_model, path)
+        self._rewrite_config(path, bogus=1)
+        with pytest.raises(SerializationError, match="bogus"):
+            load_fvae(path)
+
     def test_scores_identical_after_round_trip(self, small_model,
                                                tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"

@@ -4,8 +4,9 @@
 :class:`SyncLoader`: same batches, same order, no RNG touched — which makes
 training *bit-exact* regardless of which loader is plugged into
 ``Trainer.fit(loader=...)``.  The tests here pin batch-level equality, the
-end-to-end bit-exact training history, worker shutdown on early exit, and
-smoke-test the ``python -m repro bench`` harness output.
+end-to-end bit-exact training history, worker shutdown on early exit, the
+epoch's batch count, and smoke-test the ``python -m repro bench`` harness
+output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.core import FVAE, FVAEConfig
 from repro.data.loaders import make_kd_like
 from repro.perf.bench import run_bench
-from repro.perf.pipeline import PrefetchLoader, SyncLoader
+from repro.perf.pipeline import PrefetchLoader, SyncLoader, n_batches
 
 
 @pytest.fixture(scope="module")
@@ -112,38 +113,45 @@ class TestBitExactTraining:
         assert sync_params == pre_params
 
 
+class TestNBatches:
+    @pytest.mark.parametrize("n,bs,expected", [
+        (6, 4, 2), (8, 4, 2), (3, 4, 1), (0, 4, 0)])
+    def test_n_batches_is_ceil(self, n, bs, expected):
+        assert n_batches(n, bs) == expected
+
+    def test_sync_loader_keeps_ragged_last_batch(self, kd_small):
+        batches = list(SyncLoader().epoch(kd_small, np.arange(6),
+                                          batch_size=4))
+        assert [b.n_users for b in batches] == [4, 2]
+
+
 class TestBenchHarness:
     def test_quick_bench_writes_report(self, tmp_path):
         out = tmp_path / "bench.json"
-        report = run_bench(quick=True, out=out, users=120, seed=0)
+        report = run_bench("serving", quick=True, out=out, seed=0)
 
         on_disk = json.loads(out.read_text())
         assert on_disk == report
-        assert report["meta"]["bench"] == "PR8"
+        assert report["meta"]["bench"] == "PR5"
+        assert report["meta"]["suite"] == "serving"
         assert report["meta"]["quick"] is True
 
         ops = {r["op"] for r in report["results"]}
-        assert {"embedding_bag_fwd", "embedding_bag_fwd_bwd",
-                "sampled_softmax_fused_fwd", "sampled_softmax_fused_fwd_bwd",
-                "sampled_softmax_unfused_fwd_bwd", "adam_sparse_step",
-                "epoch_unfused_sync", "epoch_fused_prefetch",
-                "epoch_speedup", "epoch_dynamic_f64", "epoch_captured_f64",
-                "epoch_captured_f32", "capture_speedup",
-                "capture_speedup_exact"} <= ops
+        assert {"store_get_many", "proxy_get_embeddings_batch",
+                "serving_batch_speedup", "lsh_batch_speedup",
+                "encoder_inference_speedup",
+                "cold_start_mmap_speedup"} <= ops
         for record in report["results"]:
             if "p50_ms" in record:
                 assert 0.0 < record["p50_ms"] <= record["p95_ms"]
-            if "users_per_sec" in record:
-                assert record["users_per_sec"] > 0.0
-        speedup = next(r for r in report["results"]
-                       if r["op"] == "epoch_speedup")
-        assert speedup["ratio"] > 0.0
+            if "ratio" in record:
+                assert record["ratio"] > 0.0
 
     def test_cli_entry_point(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "cli_bench.json"
-        main(["bench", "--quick", "--users", "100", "--out", str(out)])
+        main(["bench", "--quick", "--suite", "serving", "--out", str(out)])
         assert out.exists()
         captured = capsys.readouterr().out
-        assert "epoch_speedup" in captured
+        assert "serving_batch_speedup" in captured

@@ -150,6 +150,30 @@ class TestTrainerResume:
         for a, b in zip(ref_history.epochs, history.epochs):
             assert a.loss == b.loss and a.epoch == b.epoch
 
+    def test_kill_and_resume_exact_ragged_batches(self, tiny_schema,
+                                                  tiny_dataset, tmp_path):
+        # 6 users / batch 4: each epoch ends on a ragged batch of 2, and the
+        # kill lands mid-epoch, so resume has to restore the shuffle cursor
+        # across a short batch as well as the full ones.
+        ref_model = make_model(tiny_schema)
+        ref_model.fit(tiny_dataset, epochs=3, batch_size=4, rng=0)
+        ref_state = {k: v.copy() for k, v in ref_model.state_dict().items()}
+
+        ck = Checkpointer(tmp_path, keep_last=20)
+        crashed = make_model(tiny_schema)
+        with pytest.raises(Kill):
+            crashed.fit(tiny_dataset, epochs=3, batch_size=4, rng=0,
+                        checkpointer=ck, checkpoint_every=1,
+                        callbacks=[KillAfterBatches(3)])
+        resumed = make_model(tiny_schema)
+        resumed.fit(tiny_dataset, epochs=3, batch_size=4, rng=0,
+                    checkpointer=ck, resume_from=True)
+        state = resumed.state_dict()
+        assert set(state) == set(ref_state)
+        for key in ref_state:
+            np.testing.assert_array_equal(state[key], ref_state[key],
+                                          err_msg=key)
+
     def test_resume_loses_at_most_one_interval(self, tiny_schema,
                                                tiny_dataset, tmp_path):
         """Crash right before a checkpoint: resume replays < interval steps."""
