@@ -1,11 +1,12 @@
 """``repro.check`` — the correctness-verification layer.
 
-PR 3 made "bit-exact by contract" the load-bearing promise of the hot path:
-the fused sampled-softmax kernel, the coalesced sparse gradients, and the
-prefetching loader all claim equality with slower reference implementations.
-This package turns those claims (and the analytical gradients of every
-differentiable op) into mechanically checkable artifacts, so future
-optimisations cannot silently drift:
+Every optimisation of the hot path claims equality with a slower reference
+implementation — bit-exact (coalesced sparse gradients, the field worker vs
+inline tasks) or within a dtype-scaled tolerance where it sums in another
+order (the CSR batched-softmax kernel vs the dense chain kept in
+:mod:`repro.check.reference`).  This package turns those claims (and the
+analytical gradients of every differentiable op) into mechanically
+checkable artifacts, so future optimisations cannot silently drift:
 
 * :mod:`repro.check.gradcheck` — central-difference numerical gradient checks
   with a *case registry* and an op-coverage sweep that fails when any

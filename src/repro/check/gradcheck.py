@@ -190,8 +190,8 @@ def covered_ops() -> set[str]:
 
 
 # Differentiable-op paths that do not appear in any ``__all__`` but are
-# load-bearing contracts: the unfused sampled-softmax reference chain must
-# stay checked as long as the fused kernel claims bit-equality with it.
+# load-bearing contracts: the dense sampled-softmax reference chain must
+# stay checked as long as the kernel is held to it.
 _EXTRA_REQUIRED = {"functional.sampled_softmax_nll.unfused"}
 
 # Exported names that are not differentiable ops.
@@ -357,51 +357,61 @@ def _case_embedding_bag_duplicates(seed: int):
 
 
 def _softmax_nll_inputs(seed: int, sparse: bool):
+    """Two fields over one trunk ``h``: dense count targets (an empty row in
+    the second field) with their candidate rows and output heads."""
     rng = new_rng(seed)
     h = _tensor(rng, (3, 4), name="h")
-    weight = Parameter(rng.normal(scale=0.5, size=(7, 4)), name="weight",
-                       sparse=sparse)
-    bias = Parameter(rng.normal(scale=0.1, size=7), name="bias", sparse=sparse)
-    cand = np.array([0, 2, 3, 6, 1])
-    targets = rng.integers(0, 3, size=(3, 5)).astype(np.float64)
-    targets[0, 0] = 1.0  # at least one positive
-    return h, weight, bias, cand, targets
+    fields = []
+    for k, cand in enumerate((np.array([0, 2, 3, 6, 1]), np.array([4, 5]))):
+        weight = Parameter(rng.normal(scale=0.5, size=(7, 4)),
+                           name=f"weight{k}", sparse=sparse)
+        bias = Parameter(rng.normal(scale=0.1, size=7), name=f"bias{k}",
+                         sparse=sparse)
+        targets = rng.integers(0, 3, size=(3, cand.size)).astype(np.float64)
+        targets[0, 0] = 1.0  # at least one positive
+        fields.append((weight, bias, cand, targets))
+    fields[1][3][2] = 0.0
+    return h, fields
+
+
+def _kernel_case(seed: int, sparse: bool):
+    from repro.check.reference import csr_from_dense
+
+    h, fields = _softmax_nll_inputs(seed, sparse)
+    blocks = [csr_from_dense(targets) for *__, targets in fields]
+    w = new_rng(seed + 5).uniform(0.5, 1.5, size=len(fields))
+
+    def fn():
+        from repro.nn import functional as F
+
+        return _weighted_sum(F.sampled_softmax_nll(
+            h, [f[0] for f in fields], [f[1] for f in fields],
+            [f[2] for f in fields], blocks, scale=0.5), w)
+
+    return fn, [h] + [p for f in fields for p in f[:2]]
 
 
 @register_case("functional.sampled_softmax_nll",
                name="functional.sampled_softmax_nll.dense")
 def _case_fused_dense(seed: int):
-    def fn():
-        from repro.nn import functional as F
-
-        return F.sampled_softmax_nll(h, weight, bias, cand, targets, scale=0.5)
-
-    h, weight, bias, cand, targets = _softmax_nll_inputs(seed, sparse=False)
-    return fn, [h, weight, bias]
+    return _kernel_case(seed, sparse=False)
 
 
 @register_case("functional.sampled_softmax_nll",
                name="functional.sampled_softmax_nll.sparse")
 def _case_fused_sparse(seed: int):
-    def fn():
-        from repro.nn import functional as F
-
-        return F.sampled_softmax_nll(h, weight, bias, cand, targets, scale=0.5)
-
-    h, weight, bias, cand, targets = _softmax_nll_inputs(seed + 1, sparse=True)
-    return fn, [h, weight, bias]
+    return _kernel_case(seed + 1, sparse=True)
 
 
 @register_case("functional.sampled_softmax_nll.unfused")
 def _case_unfused(seed: int):
     def fn():
-        from repro.nn import functional as F
+        from repro.check.reference import softmax_nll_chain
 
-        logits = h @ F.rows(weight, cand).T + F.take(bias, cand)
-        log_probs = F.log_softmax(logits, axis=-1)
-        return -(Tensor(targets) * log_probs).sum() * 0.5
+        return softmax_nll_chain(h, weight, bias, cand, targets, 0.5)
 
-    h, weight, bias, cand, targets = _softmax_nll_inputs(seed + 2, sparse=True)
+    h, fields = _softmax_nll_inputs(seed + 2, sparse=True)
+    weight, bias, cand, targets = fields[0]
     return fn, [h, weight, bias]
 
 

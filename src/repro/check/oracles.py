@@ -1,7 +1,8 @@
 """Differential oracles: optimised implementations vs their references.
 
 Every hot-path optimisation in this repo claims equivalence with a slower
-reference implementation (most of them *bit-exact*).  An :class:`Oracle`
+reference implementation (bit-exact, or within a stated tolerance where it
+sums in another order).  An :class:`Oracle`
 makes that claim declarative and mechanically checkable: a registered
 function builds seeded randomized inputs, runs both implementations, and
 returns ``{label: (reference, optimised)}`` array pairs; the runner asserts
@@ -123,58 +124,104 @@ def run_oracles(seeds: Iterable[int] = (0, 1, 2),
 
 # -- built-in oracles ----------------------------------------------------------
 #
-# One per optimisation shipped in PR 3 (fused kernel, coalesced gradients,
-# prefetch pipeline, vectorised hash lookups) plus the gradient-scatter entry
-# points they rely on.  All late-bind their subjects so monkeypatched
-# implementations are what gets checked.  The unfused softmax chain in
-# ``_softmax_case`` is the reference the fused kernel is pinned to; no
-# product code runs it.
+# One per optimisation (the batched-softmax kernel and its field worker,
+# coalesced gradients, vectorised hash lookups, ...) plus the
+# gradient-scatter entry points they rely on.  All late-bind their subjects
+# so monkeypatched implementations are what gets checked.  The dense chain
+# of ``repro.check.reference`` is what the kernel is held to; no product
+# code runs it.
 
-def _softmax_case(rng: np.random.Generator, sparse: bool) -> Pairs:
+_SOFTMAX_FIELDS = (7, 1, 4, 5)   # candidates per field; C = 1 included
+
+
+def _softmax_case(rng: np.random.Generator, sparse: bool,
+                  dtype=np.float64) -> Callable[[str], dict]:
+    """Four fields' inputs, and ``run(mode)`` returning the losses and
+    gradients of the ``"chain"``, of the kernel ``"inline"``, or of the
+    kernel under a field ``"worker"``."""
+    from contextlib import nullcontext
+
+    from repro.check.reference import csr_from_dense, softmax_nll_chain
     from repro.nn import functional as F
+    from repro.nn.parallel import FieldWorker
     from repro.nn.tensor import Parameter, Tensor
 
-    B, D, J, C = 5, 6, 12, 7
-    h_data = rng.normal(size=(B, D))
-    w_data = rng.normal(scale=0.3, size=(J, D))
-    b_data = rng.normal(scale=0.1, size=J)
-    cand = np.sort(rng.choice(J, size=C, replace=False))
-    targets = rng.integers(0, 3, size=(B, C)).astype(np.float64)
+    B, D, J = 5, 6, 12
+    h_data = rng.normal(size=(B, D)).astype(dtype)
+    heads, cands, dense = [], [], []
+    for C in _SOFTMAX_FIELDS:
+        heads.append((rng.normal(scale=0.3, size=(J, D)).astype(dtype),
+                      rng.normal(scale=0.1, size=J).astype(dtype)))
+        cands.append(np.sort(rng.choice(J, size=C, replace=False)))
+        counts = rng.integers(0, 3, size=(B, C)).astype(np.float64)
+        counts[1] = 0.0                      # a user with no target here
+        dense.append(counts)
+    seed = rng.uniform(0.5, 1.5, size=len(heads)).astype(dtype)
     scale = 1.0 / B
 
-    def run(kernel: bool):
+    def run(mode: str) -> dict:
         h = Tensor(h_data.copy(), requires_grad=True)
-        weight = Parameter(w_data.copy(), name="w", sparse=sparse)
-        bias = Parameter(b_data.copy(), name="b", sparse=sparse)
-        if kernel:
-            loss = F.sampled_softmax_nll(h, weight, bias, cand, targets,
-                                         scale=scale)
-        else:
-            logits = h @ F.rows(weight, cand).T + F.take(bias, cand)
-            log_probs = F.log_softmax(logits, axis=-1)
-            loss = -(Tensor(targets) * log_probs).sum() * scale
-        loss.backward()
-        return (np.asarray(loss.data).copy(), h.grad.copy(),
-                weight.densify_grad(), bias.densify_grad())
+        params = [(Parameter(w.copy(), name=f"w{k}", sparse=sparse),
+                   Parameter(b.copy(), name=f"b{k}", sparse=sparse))
+                  for k, (w, b) in enumerate(heads)]
+        with FieldWorker() if mode == "worker" else nullcontext():
+            if mode == "chain":
+                nlls = [softmax_nll_chain(h, w, b, cand, targets, scale)
+                        for (w, b), cand, targets in zip(params, cands, dense)]
+                losses = np.array([nll.data for nll in nlls])
+                total = sum(nll * weight for nll, weight in zip(nlls, seed))
+            else:
+                out = F.sampled_softmax_nll(
+                    h, [w for w, __ in params], [b for __, b in params],
+                    cands, [csr_from_dense(d) for d in dense], scale=scale)
+                losses = out.data.copy()
+                total = (out * Tensor(seed)).sum()
+            total.backward()
+        got = {"loss": losses, "grad_h": h.grad.copy()}
+        for k, (w, b) in enumerate(params):
+            got[f"grad_weight{k}"] = w.densify_grad()
+            got[f"grad_bias{k}"] = b.densify_grad()
+        return got
 
-    ref_loss, ref_gh, ref_gw, ref_gb = run(kernel=False)
-    opt_loss, opt_gh, opt_gw, opt_gb = run(kernel=True)
-    return {"loss": (ref_loss, opt_loss), "grad_h": (ref_gh, opt_gh),
-            "grad_weight": (ref_gw, opt_gw), "grad_bias": (ref_gb, opt_gb)}
+    return run
+
+
+def _pairs(ref: dict, opt: dict, prefix: str = "") -> Pairs:
+    return {prefix + label: (ref[label], opt[label]) for label in ref}
 
 
 @register_oracle("nn.sampled_softmax_nll.fused_vs_unfused.dense",
-                 description="fused kernel vs rows→matmul→take→log_softmax "
-                             "chain on dense parameters (bit-exact)")
+                 exact=False, rtol=1e-12, atol=1e-12,
+                 description="CSR batched-softmax kernel (four fields, C = 1 "
+                             "and an empty target row included) vs the dense "
+                             "rows→matmul→take→log_softmax chain on dense "
+                             "parameters, float64 (summation order differs)")
 def _oracle_fused_dense(rng: np.random.Generator) -> Pairs:
-    return _softmax_case(rng, sparse=False)
+    run = _softmax_case(rng, sparse=False)
+    return _pairs(run("chain"), run("inline"))
 
 
 @register_oracle("nn.sampled_softmax_nll.fused_vs_unfused.sparse",
-                 description="fused kernel vs unfused chain on row-sparse "
-                             "parameters (bit-exact)")
+                 exact=False, rtol=1e-12, atol=1e-12,
+                 description="CSR batched-softmax kernel vs the dense chain "
+                             "on row-sparse parameters, float64")
 def _oracle_fused_sparse(rng: np.random.Generator) -> Pairs:
-    return _softmax_case(rng, sparse=True)
+    run = _softmax_case(rng, sparse=True)
+    return _pairs(run("chain"), run("inline"))
+
+
+@register_oracle("nn.sampled_softmax_nll.worker_vs_inline",
+                 description="batched-softmax kernel with its fields split "
+                             "between the caller and a field worker thread "
+                             "vs all fields inline: losses and every "
+                             "gradient, float64 and float32 (bit-exact)")
+def _oracle_field_worker(rng: np.random.Generator) -> Pairs:
+    pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for dtype in (np.float64, np.float32):
+        run = _softmax_case(rng, sparse=True, dtype=dtype)
+        pairs.update(_pairs(run("inline"), run("worker"),
+                            prefix=f"{np.dtype(dtype).name}."))
+    return pairs
 
 
 @register_oracle("tensor.coalesce_rows", exact=False, rtol=1e-12, atol=1e-12,
@@ -270,32 +317,6 @@ def _oracle_embedding_bag(rng: np.random.Generator) -> Pairs:
     want = onehot @ w_data
     return {"forward": (want, out.data), "forward_arrays": (want, raw),
             "grad_weight": (onehot.T @ grad, weight.densify_grad())}
-
-
-@register_oracle("perf.prefetch_vs_sync_loader",
-                 description="PrefetchLoader batches vs SyncLoader batches "
-                             "for one shuffled epoch (bit-exact arrays)")
-def _oracle_loaders(rng: np.random.Generator) -> Pairs:
-    from repro.data import make_sc_like
-    from repro.perf.pipeline import PrefetchLoader, SyncLoader
-
-    data = make_sc_like(n_users=60, seed=int(rng.integers(0, 2 ** 31))).dataset
-    order = np.arange(len(data))
-    rng.shuffle(order)
-    sync = list(SyncLoader().epoch(data, order, batch_size=17))
-    pre = list(PrefetchLoader(prefetch=2).epoch(data, order, batch_size=17))
-
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "n_batches": (np.asarray(len(sync)), np.asarray(len(pre)))}
-    for b, (s, p) in enumerate(zip(sync, pre)):
-        pairs[f"batch{b}.user_ids"] = (s.user_ids, p.user_ids)
-        for name in s.fields:
-            sf, pf = s.fields[name], p.fields[name]
-            pairs[f"batch{b}.{name}.indices"] = (sf.indices, pf.indices)
-            pairs[f"batch{b}.{name}.offsets"] = (sf.offsets, pf.offsets)
-            if sf.weights is not None:
-                pairs[f"batch{b}.{name}.weights"] = (sf.weights, pf.weights)
-    return pairs
 
 
 @register_oracle("hashing.bulk_lookup",

@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--resume", action="store_true",
                          help="resume from the latest valid checkpoint in "
                               "--checkpoint-dir (fresh start when none)")
-    p_train.add_argument("--prefetch", type=int, default=0, metavar="DEPTH",
-                         help="prepare batches on a background thread, DEPTH "
-                              "deep (0: synchronous; training stays "
-                              "bit-identical)")
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved model")
     add_dataset_args(p_eval)
@@ -339,10 +335,6 @@ def _cmd_train(args, out) -> int:
         fit_kwargs.update(checkpointer=args.checkpoint_dir,
                           checkpoint_every=args.checkpoint_every,
                           resume_from=args.resume)
-    if args.prefetch > 0:
-        from repro.perf import PrefetchLoader
-
-        fit_kwargs.update(loader=PrefetchLoader(prefetch=args.prefetch))
     if args.telemetry:
         with obs.session() as telemetry:
             model.fit(synthetic.dataset, callbacks=[obs.TelemetryCallback()],

@@ -9,6 +9,8 @@ for an arbitrary *candidate subset* of features — the batched softmax.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.data.fields import FieldSchema
@@ -61,23 +63,6 @@ class FieldOutputHead(Module):
         self.weight.data = grown_w
         self.bias.data = grown_b
 
-    def logits_for_rows(self, trunk: Tensor, rows: np.ndarray) -> Tensor:
-        """Logits of the candidate rows: ``trunk @ W[rows].T + b[rows]``."""
-        self.ensure_capacity(int(rows.max()) + 1 if rows.size else 0)
-        return trunk @ F.rows(self.weight, rows).T + F.take(self.bias, rows)
-
-    def nll_for_rows(self, trunk: Tensor, rows: np.ndarray,
-                     targets: np.ndarray, scale: float = 1.0) -> Tensor:
-        """Fused batched-softmax NLL over the candidate rows.
-
-        One forward / one backward closure via
-        :func:`repro.nn.functional.sampled_softmax_nll`; bit-identical to
-        ``-(targets * log_softmax(logits_for_rows(...))).sum() * scale``.
-        """
-        self.ensure_capacity(int(rows.max()) + 1 if rows.size else 0)
-        return F.sampled_softmax_nll(trunk, self.weight, self.bias, rows,
-                                     targets, scale=scale)
-
     def __repr__(self) -> str:
         return f"FieldOutputHead(trunk_dim={self.trunk_dim}, capacity={self.capacity})"
 
@@ -124,18 +109,18 @@ class FieldAwareDecoder(Module):
             h = act(layer(h))
         return h
 
-    def log_probs(self, trunk: Tensor, field: str, candidate_rows: np.ndarray) -> Tensor:
-        """Log multinomial probabilities over ``candidate_rows`` (batched softmax)."""
-        logits = self._heads[field].logits_for_rows(trunk, candidate_rows)
-        return F.log_softmax(logits, axis=-1)
-
-    def recon_nll(self, trunk: Tensor, field: str, candidate_rows: np.ndarray,
-                  targets: np.ndarray, scale: float = 1.0) -> Tensor:
-        """Reconstruction NLL of ``targets`` over ``candidate_rows``: the
-        fused batched-softmax kernel (see :meth:`FieldOutputHead.nll_for_rows`).
-        """
-        return self._heads[field].nll_for_rows(trunk, candidate_rows,
-                                               targets, scale=scale)
+    def recon_nll(self, trunk: Tensor, fields: Sequence[str],
+                  candidate_rows: Sequence[np.ndarray], targets: Sequence,
+                  scale: float = 1.0) -> Tensor:
+        """Per-field reconstruction NLLs ``(len(fields),)``: each field's CSR
+        ``targets`` under its batched softmax over ``candidate_rows`` (see
+        :func:`repro.nn.functional.sampled_softmax_nll`)."""
+        heads = [self._heads[field] for field in fields]
+        for head, rows in zip(heads, candidate_rows):
+            head.ensure_capacity(int(rows.max()) + 1 if rows.size else 0)
+        return F.sampled_softmax_nll(trunk, [head.weight for head in heads],
+                                     [head.bias for head in heads],
+                                     candidate_rows, targets, scale=scale)
 
     def full_scores(self, z_mu: np.ndarray, field: str,
                     chunk: int = 4096) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -151,8 +151,9 @@ class FVAE(Module, UserRepresentationModel):
         scale = 1.0 / batch.n_users if recon_scale is None else recon_scale
         if candidates is None:
             candidates = self._field_candidates(batch)
-        recon_terms: list[tuple[float, Tensor]] = []
-        diagnostics: dict[str, float] = {}
+        fields: list[str] = []
+        field_rows: list[np.ndarray] = []
+        targets = []
         for field, cand in candidates.items():
             table = self.encoder.bag(field).table
             rows = table.rows_for_ids(cand)
@@ -161,19 +162,20 @@ class FVAE(Module, UserRepresentationModel):
                 cand, rows = cand[known], rows[known]
             if cand.size == 0:
                 continue
-            targets = batch.fields[field].dense_targets(cand)
-            if self.config.binarize_targets:
-                targets = (targets > 0).astype(np.float64)
-            nll = self.decoder.recon_nll(trunk, field, rows, targets,
-                                         scale=scale)
-            recon_terms.append((self._alphas[field], nll))
-            diagnostics[f"nll_{field}"] = nll.item()
-            diagnostics[f"candidates_{field}"] = float(cand.size)
+            fields.append(field)
+            field_rows.append(rows)
+            targets.append(batch.fields[field].csr_targets(
+                cand, binarize=self.config.binarize_targets))
 
-        if recon_terms:
-            recon = recon_terms[0][1] * (recon_terms[0][0] / self._alpha_norm)
-            for alpha, nll in recon_terms[1:]:
-                recon = recon + nll * (alpha / self._alpha_norm)
+        diagnostics: dict[str, float] = {}
+        if fields:
+            nlls = self.decoder.recon_nll(trunk, fields, field_rows, targets,
+                                          scale=scale)
+            for k, field in enumerate(fields):
+                term = nlls[k] * (self._alphas[field] / self._alpha_norm)
+                recon = term if k == 0 else recon + term
+                diagnostics[f"nll_{field}"] = float(nlls.data[k])
+                diagnostics[f"candidates_{field}"] = float(field_rows[k].size)
         else:
             recon = mu.sum() * 0.0  # keeps the graph alive for degenerate batches
         kl = gaussian_kl(mu, logvar)

@@ -13,6 +13,12 @@ list of callbacks (see :class:`repro.obs.callbacks.TrainerCallback`).
 Progress output goes through the ``repro.core.trainer`` logger;
 ``verbose=True`` attaches a stream handler as a convenience.
 
+Two cores: ``fit`` owns one field worker thread for its duration when that
+thread gets a core of its own (two CPUs beside single-threaded BLAS, as the
+benchmark runs) and joins it however ``fit`` exits.  The decoder's
+per-field softmax tasks split between the caller and that worker
+(:mod:`repro.nn.parallel`); outside ``fit`` the same tasks run inline.
+
 Resilience: ``fit`` integrates with :class:`repro.resilience.Checkpointer`.
 With ``checkpointer=`` set, an atomic checkpoint (parameters, optimizer
 moments, hash tables, RNG states, epoch/batch cursor, partial-epoch
@@ -33,6 +39,7 @@ import numpy as np
 
 from repro.data.dataset import MultiFieldDataset
 from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.parallel import field_worker
 from repro.nn.schedules import clip_grad_norm
 from repro.obs import runtime as obs
 from repro.resilience.checkpoint import (Checkpoint, CheckpointError,
@@ -201,6 +208,9 @@ class Trainer:
         synchronous in-loop batcher.  Loaders receive the already-shuffled
         epoch order and touch no RNG, so training history, RNG draws, and
         checkpoint/resume equality are bit-identical across loaders.
+
+        Parameters, losses and optimizer state are bit-identical whether the
+        field worker runs or not.
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive: {epochs}")
@@ -249,156 +259,173 @@ class Trainer:
         total_batches = n_batches(n_users, batch_size)
 
         budget_exhausted = False
-        for epoch in range(start_epoch, epochs):
-            self.model.train()
-            for cb in callbacks:
-                cb.on_epoch_start(self, epoch)
-            if epoch == start_epoch and resume_cursor > 0 \
-                    and resume_order is not None:
-                # Mid-epoch resume: replay the interrupted epoch's shuffle
-                # order from the saved batch cursor.
-                order = resume_order
-                first_batch = resume_cursor
-                progress = resume_progress or _EpochProgress()
-            else:
-                order = np.arange(n_users)
-                rng.shuffle(order)
-                first_batch = 0
-                progress = _EpochProgress()
-            cursor = first_batch
-            interrupted = False
-            timer.start()
-            with obs.span("epoch"):
-                batches = loader.epoch(dataset, order, batch_size, first_batch)
-                try:
-                    for b in range(first_batch, total_batches):
-                        with obs.span("batch_iter"):
-                            batch = next(batches)
-                        with obs.span("forward"):
-                            self.optimizer.zero_grad()
-                            loss, diag = self.model.loss_on_batch(batch, step)
-                        with obs.span("backward"):
-                            loss.backward()
-                        if self.clip_norm is not None:
-                            with obs.span("clip"):
-                                clip_grad_norm(self.optimizer.params,
-                                               self.clip_norm)
-                        with obs.span("optimizer_step"):
-                            if self.lr_schedule is not None:
-                                self.optimizer.lr = \
-                                    self.base_lr * self.lr_schedule(step)
-                            self.optimizer.step()
-                        step += 1
-                        cursor = b + 1
-                        progress.n_seen += batch.n_users
-                        progress.losses.append(diag.get("loss", loss.item()))
-                        progress.recons.append(diag.get("recon", float("nan")))
-                        progress.kls.append(diag.get("kl", float("nan")))
-                        progress.betas.append(diag.get("beta", float("nan")))
-                        obs.count("trainer.batches")
-                        obs.count("trainer.users", batch.n_users)
-                        if checkpointer is not None and checkpoint_every \
-                                and step % checkpoint_every == 0:
-                            self._save_checkpoint(
-                                checkpointer, rng, history, step=step,
-                                epoch=epoch, cursor=cursor, order=order,
-                                progress=progress,
-                                elapsed=base_elapsed + timer.current,
-                                best_metric=best_metric,
-                                since_best=since_best)
-                        for cb in callbacks:
-                            cb.on_batch_end(self, epoch, step,
-                                            progress.losses[-1], diag)
-                        if max_seconds is not None \
-                                and timer.current >= max_seconds:
-                            interrupted = True
-                            budget_exhausted = True
-                            break
-                finally:
-                    # Retire the loader (stops a prefetch worker mid-epoch on
-                    # budget break / early exit; no-op for plain generators).
-                    close = getattr(batches, "close", None)
-                    if close is not None:
-                        close()
-            epoch_time = timer.stop()
-
-            if interrupted and checkpointer is not None:
-                # Snapshot the in-progress epoch so a later run can resume it
-                # from this exact batch.  (Saved before the partial record is
-                # appended: the checkpointed history only holds full epochs.)
-                self._save_checkpoint(
-                    checkpointer, rng, history, step=step, epoch=epoch,
-                    cursor=cursor, order=order, progress=progress,
-                    elapsed=base_elapsed + timer.elapsed,
-                    best_metric=best_metric, since_best=since_best)
-
-            losses = progress.losses
-            record = EpochRecord(
-                epoch=epoch,
-                loss=float(np.mean(losses)) if losses else float("nan"),
-                recon=float(np.mean(progress.recons)) if losses else float("nan"),
-                kl=float(np.mean(progress.kls)) if losses else float("nan"),
-                beta=progress.betas[-1] if losses else float("nan"),
-                epoch_time=epoch_time,
-                cumulative_time=base_elapsed + timer.elapsed,
-                users_per_second=(progress.n_seen / epoch_time
-                                  if losses and epoch_time > 0
-                                  else float("nan")),
-                n_batches=len(losses),
-                interrupted=interrupted,
-            )
-
-            if eval_fn is not None and (epoch + 1) % eval_every == 0 \
-                    and not interrupted:
-                was_training = self.model.training
-                self.model.eval()
-                record.eval_metrics = dict(eval_fn())
-                if was_training:
-                    self.model.train()
-
-            history.epochs.append(record)
-            for cb in callbacks:
-                cb.on_epoch_end(self, record)
-            if logger.isEnabledFor(logging.INFO):
-                extra = " ".join(f"{k}={v:.4f}" for k, v in record.eval_metrics.items())
-                flag = " (interrupted)" if interrupted else ""
-                logger.info("[epoch %d] loss=%.4f kl=%.4f time=%.2fs %s%s",
-                            epoch, record.loss, record.kl,
-                            record.cumulative_time, extra, flag)
-
-            if budget_exhausted:
-                break
-            if early_stopping_metric and record.eval_metrics:
-                current = record.eval_metrics.get(early_stopping_metric)
-                if current is None:
-                    raise KeyError(f"eval_fn did not report '{early_stopping_metric}'")
-                if current > best_metric + 1e-6:
-                    best_metric = current
-                    since_best = 0
+        with field_worker() as worker:
+            for epoch in range(start_epoch, epochs):
+                self.model.train()
+                for cb in callbacks:
+                    cb.on_epoch_start(self, epoch)
+                if epoch == start_epoch and resume_cursor > 0 \
+                        and resume_order is not None:
+                    # Mid-epoch resume: replay the interrupted epoch's shuffle
+                    # order from the saved batch cursor.
+                    order = resume_order
+                    first_batch = resume_cursor
+                    progress = resume_progress or _EpochProgress()
                 else:
-                    since_best += 1
-                    if since_best >= patience:
-                        if checkpointer is not None:
-                            self._save_checkpoint(
-                                checkpointer, rng, history, step=step,
-                                epoch=epoch + 1, cursor=0, order=None,
-                                progress=None,
-                                elapsed=base_elapsed + timer.elapsed,
-                                best_metric=best_metric, since_best=since_best)
-                        break
-            if checkpointer is not None:
-                self._save_checkpoint(
-                    checkpointer, rng, history, step=step, epoch=epoch + 1,
-                    cursor=0, order=None, progress=None,
-                    elapsed=base_elapsed + timer.elapsed,
-                    best_metric=best_metric, since_best=since_best)
-            if max_seconds is not None and timer.elapsed >= max_seconds:
-                break
+                    order = np.arange(n_users)
+                    rng.shuffle(order)
+                    first_batch = 0
+                    progress = _EpochProgress()
+                cursor = first_batch
+                interrupted = False
+                timer.start()
+                with obs.span("epoch"):
+                    batches = loader.epoch(dataset, order, batch_size, first_batch)
+                    try:
+                        for b in range(first_batch, total_batches):
+                            with obs.span("batch_iter"):
+                                batch = next(batches)
+                            with obs.span("forward"):
+                                self.optimizer.zero_grad()
+                                loss, diag = self.model.loss_on_batch(batch, step)
+                            with obs.span("backward"):
+                                loss.backward()
+                            if self.clip_norm is not None:
+                                with obs.span("clip"):
+                                    clip_grad_norm(self.optimizer.params,
+                                                   self.clip_norm)
+                            with obs.span("optimizer_step"):
+                                if self.lr_schedule is not None:
+                                    self.optimizer.lr = \
+                                        self.base_lr * self.lr_schedule(step)
+                                self.optimizer.step()
+                            step += 1
+                            cursor = b + 1
+                            progress.n_seen += batch.n_users
+                            progress.losses.append(diag.get("loss", loss.item()))
+                            progress.recons.append(diag.get("recon", float("nan")))
+                            progress.kls.append(diag.get("kl", float("nan")))
+                            progress.betas.append(diag.get("beta", float("nan")))
+                            times = (None if worker is None
+                                     else worker.take_times())
+                            if obs.enabled():
+                                self._observe_step(batch.n_users, times)
+                            if checkpointer is not None and checkpoint_every \
+                                    and step % checkpoint_every == 0:
+                                self._save_checkpoint(
+                                    checkpointer, rng, history, step=step,
+                                    epoch=epoch, cursor=cursor, order=order,
+                                    progress=progress,
+                                    elapsed=base_elapsed + timer.current,
+                                    best_metric=best_metric,
+                                    since_best=since_best)
+                            for cb in callbacks:
+                                cb.on_batch_end(self, epoch, step,
+                                                progress.losses[-1], diag)
+                            if max_seconds is not None \
+                                    and timer.current >= max_seconds:
+                                interrupted = True
+                                budget_exhausted = True
+                                break
+                    finally:
+                        # Retire the loader mid-epoch on a budget break or an
+                        # early exit (no-op for plain generators).
+                        close = getattr(batches, "close", None)
+                        if close is not None:
+                            close()
+                epoch_time = timer.stop()
 
-        self.model.eval()
-        for cb in callbacks:
-            cb.on_train_end(self, history)
+                if interrupted and checkpointer is not None:
+                    # Snapshot the in-progress epoch so a later run can resume it
+                    # from this exact batch.  (Saved before the partial record is
+                    # appended: the checkpointed history only holds full epochs.)
+                    self._save_checkpoint(
+                        checkpointer, rng, history, step=step, epoch=epoch,
+                        cursor=cursor, order=order, progress=progress,
+                        elapsed=base_elapsed + timer.elapsed,
+                        best_metric=best_metric, since_best=since_best)
+
+                losses = progress.losses
+                record = EpochRecord(
+                    epoch=epoch,
+                    loss=float(np.mean(losses)) if losses else float("nan"),
+                    recon=float(np.mean(progress.recons)) if losses else float("nan"),
+                    kl=float(np.mean(progress.kls)) if losses else float("nan"),
+                    beta=progress.betas[-1] if losses else float("nan"),
+                    epoch_time=epoch_time,
+                    cumulative_time=base_elapsed + timer.elapsed,
+                    users_per_second=(progress.n_seen / epoch_time
+                                      if losses and epoch_time > 0
+                                      else float("nan")),
+                    n_batches=len(losses),
+                    interrupted=interrupted,
+                )
+
+                if eval_fn is not None and (epoch + 1) % eval_every == 0 \
+                        and not interrupted:
+                    was_training = self.model.training
+                    self.model.eval()
+                    record.eval_metrics = dict(eval_fn())
+                    if was_training:
+                        self.model.train()
+
+                history.epochs.append(record)
+                for cb in callbacks:
+                    cb.on_epoch_end(self, record)
+                if logger.isEnabledFor(logging.INFO):
+                    extra = " ".join(f"{k}={v:.4f}"
+                                     for k, v in record.eval_metrics.items())
+                    flag = " (interrupted)" if interrupted else ""
+                    logger.info("[epoch %d] loss=%.4f kl=%.4f time=%.2fs %s%s",
+                                epoch, record.loss, record.kl,
+                                record.cumulative_time, extra, flag)
+
+                if budget_exhausted:
+                    break
+                if early_stopping_metric and record.eval_metrics:
+                    current = record.eval_metrics.get(early_stopping_metric)
+                    if current is None:
+                        raise KeyError(f"eval_fn did not report "
+                                       f"'{early_stopping_metric}'")
+                    if current > best_metric + 1e-6:
+                        best_metric = current
+                        since_best = 0
+                    else:
+                        since_best += 1
+                        if since_best >= patience:
+                            if checkpointer is not None:
+                                self._save_checkpoint(
+                                    checkpointer, rng, history, step=step,
+                                    epoch=epoch + 1, cursor=0, order=None,
+                                    progress=None,
+                                    elapsed=base_elapsed + timer.elapsed,
+                                    best_metric=best_metric, since_best=since_best)
+                            break
+                if checkpointer is not None:
+                    self._save_checkpoint(
+                        checkpointer, rng, history, step=step, epoch=epoch + 1,
+                        cursor=0, order=None, progress=None,
+                        elapsed=base_elapsed + timer.elapsed,
+                        best_metric=best_metric, since_best=since_best)
+                if max_seconds is not None and timer.elapsed >= max_seconds:
+                    break
+
+            self.model.eval()
+            for cb in callbacks:
+                cb.on_train_end(self, history)
         return history
+
+    @staticmethod
+    def _observe_step(n_users: int, times: tuple[float, float] | None) -> None:
+        """Per-step telemetry, called only while a session is installed."""
+        obs.count("trainer.batches")
+        obs.count("trainer.users", n_users)
+        if times is not None:
+            # The caller's wait for the field worker after finishing its own
+            # group, against the worker's busy time: a second vCPU taken by
+            # a neighbour shows as wait rising toward busy.
+            obs.observe("trainer.field_worker.wait_ms", 1e3 * times[0])
+            obs.observe("trainer.field_worker.busy_ms", 1e3 * times[1])
 
     # -- checkpoint plumbing ---------------------------------------------------
 

@@ -31,7 +31,7 @@ class FieldBatch:
     The derived arrays every forward pass needs — the user-id-per-index
     segment array and the sorted unique feature set — are deterministic per
     batch, so they are computed lazily once and cached (the encoder's input
-    weighting, candidate selection, and ``dense_targets`` all reuse them
+    weighting, candidate selection, and ``csr_targets`` all reuse them
     instead of rebuilding ``np.repeat``/``np.unique`` results each call).
     """
 
@@ -70,31 +70,37 @@ class FieldBatch:
         """
         return self.unique_with_counts()[0]
 
-    def warm_caches(self) -> "FieldBatch":
-        """Populate the lazy caches eagerly (prefetch-thread hook)."""
-        self.segment_ids()
-        self.unique_with_counts()
-        return self
+    def csr_targets(self, columns: np.ndarray,
+                    binarize: bool = False) -> CSRMatrix:
+        """Reconstruction targets over the sorted ``columns``: a
+        ``(B, len(columns))`` CSR block.
 
-    def dense_targets(self, columns: np.ndarray) -> np.ndarray:
-        """Counts restricted to ``columns`` as a dense ``(B, len(columns))`` array.
-
-        Features outside ``columns`` are dropped — exactly the behaviour of the
-        batched softmax with feature sampling, where removed candidates do not
-        contribute to the multinomial likelihood.
+        Entry ``(i, j)`` sums user ``i``'s weights (occurrences when
+        unweighted) of feature ``columns[j]``; ``binarize`` maps each sum to
+        ``1.0`` if positive and ``0.0`` otherwise.  Every ``(i, j)`` appears
+        once, columns ascending within a row.  Features outside ``columns``
+        are dropped — the batched softmax with feature sampling, where
+        removed candidates do not contribute to the multinomial likelihood.
         """
         columns = np.asarray(columns, dtype=np.int64)
-        pos = np.searchsorted(columns, self.indices)
-        pos = np.clip(pos, 0, max(columns.size - 1, 0))
-        keep = columns.size > 0
-        inside = (columns[pos] == self.indices) if keep else np.zeros(self.indices.size, bool)
-        out = np.zeros((self.n_users, columns.size))
-        if not inside.any():
-            return out
-        row_of = self.segment_ids()
-        vals = np.ones(self.indices.size) if self.weights is None else self.weights
-        np.add.at(out, (row_of[inside], pos[inside]), vals[inside])
-        return out
+        n_cols = columns.size
+        if n_cols == 0:
+            return CSRMatrix.empty(self.n_users, 0)
+        pos = np.minimum(np.searchsorted(columns, self.indices), n_cols - 1)
+        inside = columns[pos] == self.indices
+        keys, which = np.unique(self.segment_ids()[inside] * n_cols
+                                + pos[inside], return_inverse=True)
+        weights = None if self.weights is None else self.weights[inside]
+        # bincount sums duplicates in occurrence order, in float64
+        values = np.bincount(which, weights=weights,
+                             minlength=keys.size).astype(np.float64,
+                                                         copy=False)
+        if binarize:
+            values = (values > 0).astype(np.float64)
+        indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n_cols, minlength=self.n_users),
+                  out=indptr[1:])
+        return CSRMatrix(indptr, keys % n_cols, values, n_cols)
 
 
 @dataclass

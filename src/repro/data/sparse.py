@@ -112,23 +112,6 @@ class CSRMatrix:
 
     # -- transforms ------------------------------------------------------------
 
-    def row_range(self, start: int, stop: int,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Zero-copy slice of the contiguous row block ``[start, stop)``.
-
-        Returns ``(offsets, indices, weights)`` where ``offsets`` is rebased
-        to start at 0 — exactly the arrays ``take_rows(np.arange(start,
-        stop))`` would produce, but as views into the parent storage (no
-        gather).  This is the fast path for batching a pre-shuffled dataset.
-        """
-        if not 0 <= start <= stop <= self.n_rows:
-            raise ValueError(f"row range [{start}, {stop}) out of bounds "
-                             f"for {self.n_rows} rows")
-        lo, hi = self.indptr[start], self.indptr[stop]
-        offsets = self.indptr[start:stop + 1] - lo
-        weights = None if self.weights is None else self.weights[lo:hi]
-        return offsets, self.indices[lo:hi], weights
-
     def take_rows(self, row_idx: np.ndarray) -> "CSRMatrix":
         """Return a new CSR containing only ``row_idx`` (in the given order)."""
         row_idx = np.asarray(row_idx, dtype=np.int64)

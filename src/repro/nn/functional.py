@@ -12,9 +12,10 @@ paper's efficiency section (§IV-C) relies on:
 * :func:`embedding_bag` — per-bag sum of embedding rows as one CSR × dense
   product, i.e. the first encoder layer computed directly from sparse feature
   ids (cost ``O(N̄·D)`` instead of ``O(J·D)``, in arithmetic and in memory).
-* The decoder's *batched softmax* is the composition
-  ``log_softmax(h @ rows(W, cand).T + take(b, cand))`` — logits are computed
-  for the batch's candidate feature set only (cost ``O(N̄_b·D)``).
+* :func:`sampled_softmax_nll` — the decoder's *batched softmax*,
+  ``log_softmax(h @ W[cand].T + b[cand])`` over the batch's candidate
+  feature set only (cost ``O(N̄_b·D)``), scored at the observed entries of
+  CSR targets; one independent task per field.
 
 Every op follows the static-kernel protocol of :mod:`repro.nn.tensor`
 (``forward(args, *parent_arrays)`` / ``backward(grad, parents, saved,
@@ -25,11 +26,13 @@ silently promoting to float64).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from repro.nn.parallel import run_tasks
 from repro.nn.tensor import (Parameter, Tensor, _dispatch, as_tensor,
                              coalesce_rows, stable_sigmoid)
 
@@ -83,10 +86,6 @@ def softplus(x: Tensor) -> Tensor:
     """``log(1 + e^x)`` computed stably as ``max(x,0) + log1p(e^-|x|)``."""
     x = as_tensor(x)
     return _dispatch(OpSoftplus, (x,), None, x.data)
-
-
-def _is_sparse_param(t: Tensor) -> bool:
-    return isinstance(t, Parameter) and t.sparse
 
 
 def _scatter_grad(weight: Tensor, index: np.ndarray, grad_rows: np.ndarray,
@@ -229,94 +228,117 @@ def embedding_bag(weight: Tensor, indices: np.ndarray, offsets: np.ndarray,
                      (indices, offsets, per_index_weights), weight.data)
 
 
+def _field_nll(h, w, b, cand, targets, scale):
+    """One field's forward task: ``(nll, saved)``.  NumPy only — it may run
+    on the field worker (see :mod:`repro.nn.parallel`)."""
+    n_rows, n_cols = h.shape[0], cand.size
+    w_rows = w[cand]
+    logits = h @ w_rows.T
+    logits += b[cand]
+    logits -= logits.max(axis=-1, keepdims=True)
+    # Row-major flat positions of the observed entries: the forward is a
+    # gather of log-probabilities there, the backward a scatter.
+    rows = np.repeat(np.arange(n_rows), np.diff(targets.indptr))
+    flat = rows * n_cols + targets.indices
+    vals = (np.ones(flat.size, logits.dtype) if targets.weights is None
+            else targets.weights.astype(logits.dtype, copy=False))
+    log_probs = logits.reshape(-1)[flat]
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=-1)
+    probs /= total[:, None]
+    log_probs -= np.log(total)[rows]
+    nll = -(vals * log_probs).sum() * scale
+    return nll, (w_rows, probs, rows, flat, vals)
+
+
+def _field_grads(coef, h, saved, need_h, need_w, need_b):
+    """One field's backward task: ``(dh, dW[cand], db[cand])``, ``None`` for
+    a gradient nobody needs.  NumPy only; consumes ``saved``."""
+    w_rows, glogits, rows, flat, vals = saved
+    g = vals * coef
+    rowsum = np.bincount(rows, weights=g, minlength=glogits.shape[0])
+    # glogits = scatter(g) - softmax * rowsum(g), built in the softmax
+    # buffer the forward kept: no second exp, no dense target matrix.
+    glogits *= -rowsum.astype(glogits.dtype)[:, None]
+    np.add.at(glogits.reshape(-1), flat, g)
+    return (glogits @ w_rows if need_h else None,
+            glogits.T @ h if need_w else None,
+            glogits.sum(axis=0) if need_b else None)
+
+
 class OpSampledSoftmaxNLL:
     name = "sampled_softmax_nll"
 
     @staticmethod
-    def forward(args, h, w, b):
-        cand, targets, scale = args
-        # One (B, C) working buffer carried through logits → shifted →
-        # log_probs; every in-place step keeps the op order (and hence
-        # rounding) of the unfused ``rows → matmul → take → log_softmax →
-        # mul → sum → neg → mul`` reference chain, so losses and gradients
-        # stay bit-identical to it.
-        w_rows = w[cand]
-        logits = h @ w_rows.T
-        logits += b[cand]
-        np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
-        e = np.exp(logits)
-        logsumexp = e.sum(axis=-1, keepdims=True)
-        np.log(logsumexp, out=logsumexp)
-        log_probs = np.subtract(logits, logsumexp, out=logits)
-        prod = np.multiply(targets, log_probs, out=e)
-        nll = -prod.sum() * scale
-        return np.asarray(nll), (w_rows, log_probs)
+    def forward(args, h, *heads):
+        cands, targets, scale = args
+        tasks = [partial(_field_nll, h, heads[2 * k], heads[2 * k + 1],
+                         cand, target, scale)
+                 for k, (cand, target) in enumerate(zip(cands, targets))]
+        done = run_tasks(tasks, [cand.size for cand in cands])
+        return np.array([nll for nll, __ in done]), [s for __, s in done]
 
     @staticmethod
     def backward(grad, parents, saved, args):
-        h, weight, bias = parents
-        cand, targets, scale = args
-        w_rows, log_probs = saved
-        coef = -(grad * scale)
-        g = coef * targets
-        soft = np.exp(log_probs)
-        soft *= g.sum(axis=-1, keepdims=True)
-        glogits = np.subtract(g, soft, out=g)
-        if h.requires_grad:
-            h._accumulate(glogits @ w_rows)
-        if weight.requires_grad:
-            # (h.T @ glogits).T — not glogits.T @ h — to replicate the
-            # reference path's transposed matmul rounding exactly; the copy
-            # makes the row-major layout the optimizer's ufuncs expect.
-            # Candidate rows are unique by construction, so the coalesce
-            # sort + segment sum is skipped outright.
-            gw = np.ascontiguousarray((h.data.T @ glogits).T)
-            _scatter_grad(weight, cand, gw, assume_unique=True)
-        if bias.requires_grad:
-            _scatter_grad(bias, cand, glogits.sum(axis=0), assume_unique=True)
+        cands, __, scale = args
+        h, heads = parents[0], parents[1:]
+        tasks = [partial(_field_grads, -(grad[k] * scale), h.data, saved[k],
+                         h.requires_grad, heads[2 * k].requires_grad,
+                         heads[2 * k + 1].requires_grad)
+                 for k in range(len(cands))]
+        grads = run_tasks(tasks, [cand.size for cand in cands])
+        # Back on the calling thread, in field order: the same sums in the
+        # same order whichever thread computed each field.  Candidate rows
+        # are unique, so the coalescing sort + segment sum is skipped.
+        for k, (dh, gw, gb) in enumerate(grads):
+            if dh is not None:
+                h._accumulate(dh)
+            if gw is not None:
+                _scatter_grad(heads[2 * k], cands[k], gw, assume_unique=True)
+            if gb is not None:
+                _scatter_grad(heads[2 * k + 1], cands[k], gb,
+                              assume_unique=True)
 
 
-def sampled_softmax_nll(h: Tensor, weight: Tensor, bias: Tensor,
-                        candidate_rows: np.ndarray, targets: np.ndarray,
-                        scale: float = 1.0) -> Tensor:
-    """Fused batched-softmax reconstruction NLL over a candidate set.
+def sampled_softmax_nll(h: Tensor, weights: Sequence[Tensor],
+                        biases: Sequence[Tensor],
+                        candidate_rows: Sequence[np.ndarray],
+                        targets: Sequence, scale: float = 1.0) -> Tensor:
+    """Batched-softmax reconstruction NLLs of one or more fields: ``(F,)``.
 
-    Computes, in one forward and one backward kernel,
+    Field ``k`` scores its CSR ``targets`` under the softmax of
+    ``h @ weights[k][cand].T + biases[k][cand]`` over its candidates (Eq. 1):
+    ``nll[k] = -scale * sum(x * log_probs[i, j])`` over the observed entries
+    ``(i, j, x)`` only, Mult-VAE's multinomial likelihood.  Each field is one
+    forward task and one backward task (``glogits = scatter(coef·x) −
+    softmax·rowsum(coef·x)`` and its three products); inside ``Trainer.fit``
+    they may split across two threads (:mod:`repro.nn.parallel`) with
+    bit-identical results.  The dense chain of :mod:`repro.check.reference`
+    agrees to a dtype-scaled tolerance.
 
-    .. code-block:: python
-
-        logits    = h @ weight[cand].T + bias[cand]
-        log_probs = log_softmax(logits, axis=-1)
-        nll       = -(targets * log_probs).sum() * scale
-
-    which is bit-identical to the unfused reference chain
-    ``rows → matmul → take → log_softmax → mul → sum → neg → mul`` but
-    materializes no intermediate Tensors and builds no autograd sub-graph:
-    the backward pass produces ``h.grad`` densely and row-sparse (coalesced)
-    gradients for ``weight``/``bias``.
-
-    Parameters
-    ----------
-    h:
-        ``(B, D)`` decoder trunk activations.
-    weight, bias:
-        Output head parameters of shape ``(J, D)`` and ``(J,)``; dense or
-        row-sparse :class:`Parameter` (sparse params record coalesced parts).
-    candidate_rows:
-        ``(C,)`` int64 row ids of the batch's candidate features.
-    targets:
-        ``(B, C)`` dense target matrix aligned with ``candidate_rows``.
-    scale:
-        Multiplier applied to the summed NLL (e.g. ``1 / n_users``).
+    ``h`` is the ``(B, D)`` trunk output shared by every field.  Per field:
+    the head's ``(J, D)`` weight and ``(J,)`` bias (dense or row-sparse
+    :class:`Parameter`), ``(C,)`` unique candidate row ids, and a ``(B, C)``
+    CSR block with ``indptr``, ``indices``, ``weights`` (``None``: ones) and
+    ``n_cols`` — the :class:`~repro.data.sparse.CSRMatrix` that
+    :meth:`~repro.data.dataset.FieldBatch.csr_targets` builds.  ``scale``
+    multiplies every field's NLL (e.g. ``1 / B``).
     """
     h = as_tensor(h)
-    cand = np.asarray(candidate_rows, dtype=np.int64)
-    # Cast targets to the logits dtype (not a hard-coded float64) so a
-    # float32 model runs float32 throughout.
-    targets = np.asarray(targets,
-                         dtype=np.result_type(h.data.dtype, weight.data.dtype))
-    return _dispatch(OpSampledSoftmaxNLL, (h, weight, bias),
-                     (cand, targets, scale), h.data, weight.data, bias.data)
+    cands = [np.asarray(rows, dtype=np.int64) for rows in candidate_rows]
+    targets = list(targets)
+    if not 0 < len(cands) == len(weights) == len(biases) == len(targets):
+        raise ValueError("need one weight, bias, candidate set and target "
+                         "block per field, and at least one field")
+    for cand, block in zip(cands, targets):
+        if block.indptr.size != h.data.shape[0] + 1 or block.n_cols != cand.size:
+            raise ValueError(
+                f"targets of shape ({block.indptr.size - 1}, {block.n_cols}) "
+                f"do not match {h.data.shape[0]} rows x {cand.size} candidates")
+    heads = tuple(p for pair in zip(weights, biases) for p in pair)
+    return _dispatch(OpSampledSoftmaxNLL, (h,) + heads,
+                     (cands, targets, scale), h.data,
+                     *(p.data for p in heads))
 
 
 class OpSoftmax:

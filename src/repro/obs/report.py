@@ -73,6 +73,23 @@ def _histogram_table(hists: list[dict]) -> str:
         rows, title="Histograms", float_fmt="{:.6g}")
 
 
+def _field_worker_line(hists: list[dict]) -> str | None:
+    """Training's wait for its field worker against the worker's busy time.
+
+    Near 0 the two cores overlap; a ratio rising toward 1 means the worker
+    thread got less than a core (a neighbour took the second vCPU).
+    """
+    by_name = {h["name"]: h for h in hists}
+    if "trainer.field_worker.wait_ms" not in by_name:
+        return None
+    wait = _as_float(by_name["trainer.field_worker.wait_ms"]["sum"])
+    busy = _as_float(by_name["trainer.field_worker.busy_ms"]["sum"])
+    if not busy:
+        return None
+    return (f"field worker: caller waited {wait:.1f} ms for {busy:.1f} ms "
+            f"of worker tasks (wait/busy = {wait / busy:.3f})")
+
+
 def render_events(events: Iterable[Mapping]) -> str:
     """Render snapshot events (e.g. from ``load_jsonl``) as a text report."""
     by_type: dict[str, list[dict]] = {}
@@ -93,6 +110,9 @@ def render_events(events: Iterable[Mapping]) -> str:
     hists = by_type.get("histogram", []) + by_type.get("loghist", [])
     if hists:
         sections.append(_histogram_table(hists))
+        line = _field_worker_line(hists)
+        if line:
+            sections.append(line)
     if not sections:
         return "no telemetry events"
     return "\n\n".join(sections)

@@ -13,9 +13,8 @@ to run.  Tests inject ``SpanTracer(clock=...)`` (e.g. a
 :class:`repro.utils.ManualClock`) to make durations deterministic too.
 
 The stack of *open* spans is per-thread (``threading.local``): spans opened
-from a daemon thread (``PrefetchLoader`` batch prep, a ``MicroBatcher``
-flush) nest under that thread's own spans, never under whatever the main
-thread happens to have open.  The aggregated tree is shared — all threads
+from a daemon thread (a ``MicroBatcher`` flush) nest under that thread's own
+spans, never under whatever the main thread happens to have open.  The aggregated tree is shared — all threads
 fold their timings into the same nodes (child creation is atomic via
 ``dict.setdefault``; concurrent ``count``/``total`` updates on the *same*
 node may lose an increment under free-threading, an accepted tolerance for

@@ -1,13 +1,9 @@
-"""Performance layer: prefetching batch pipeline + benchmark harness.
+"""Performance layer: the trainer's batch loader + benchmark harness.
 
 ``repro.perf`` holds the machinery that keeps the hot path honest:
 
-* :mod:`repro.perf.pipeline` — batch loaders for the trainer.
-  :class:`SyncLoader` reproduces the classic in-loop ``dataset.batch`` call;
-  :class:`PrefetchLoader` prepares the next batch (CSR slicing, segment and
-  candidate caches) on a background thread while the current batch computes —
-  NumPy releases the GIL inside matmul, so the overlap is real.  Both yield
-  **bit-identical** batches in the same order.
+* :mod:`repro.perf.pipeline` — the trainer's batch loader protocol and its
+  one implementation, :class:`SyncLoader` (``dataset.batch`` per step).
 * :mod:`repro.perf.bench` — the ``python -m repro bench --suite ...``
   microbenchmark runner producing ``benchmarks/results/BENCH_*.json``
   reports (training throughput lives in the repo benchmark, ``bench/``).
@@ -17,6 +13,6 @@
 """
 
 from repro.perf.bench import run_bench
-from repro.perf.pipeline import BatchLoader, PrefetchLoader, SyncLoader
+from repro.perf.pipeline import BatchLoader, SyncLoader
 
-__all__ = ["BatchLoader", "SyncLoader", "PrefetchLoader", "run_bench"]
+__all__ = ["BatchLoader", "SyncLoader", "run_bench"]

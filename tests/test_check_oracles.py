@@ -16,23 +16,24 @@ class TestBuiltinOracles:
         assert not failed, "\n".join(str(r) for r in failed)
         assert len(reports) == 3 * len(oracle_names())
 
-    def test_fused_unfused_is_bit_exact(self):
+    def test_fused_unfused_within_dtype_tolerance(self):
+        # the CSR kernel sums the chain's terms in another order
         for name in ("nn.sampled_softmax_nll.fused_vs_unfused.dense",
                      "nn.sampled_softmax_nll.fused_vs_unfused.sparse"):
             report = run_oracle(name, seed=3)
             assert report.passed
-            assert report.exact
-            assert report.max_abs_diff == 0.0
+            assert not report.exact
+            assert report.max_abs_diff < 64 * np.finfo(np.float64).eps
+
+    def test_worker_inline_oracle_is_bit_exact(self):
+        report = run_oracle("nn.sampled_softmax_nll.worker_vs_inline", seed=3)
+        assert report.passed and report.exact
+        assert report.max_abs_diff == 0.0
 
     def test_coalesce_oracle_is_tolerance_bounded(self):
         # sort+reduceat vs add.at differ in float summation order by design
         report = run_oracle("tensor.coalesce_rows", seed=0)
         assert report.passed and not report.exact
-
-    def test_loader_oracle_covers_all_batches(self):
-        report = run_oracle("perf.prefetch_vs_sync_loader", seed=0)
-        assert report.passed
-        assert report.max_abs_diff == 0.0
 
     def test_report_rendering(self):
         report = run_oracle("hashing.bulk_lookup", seed=1)

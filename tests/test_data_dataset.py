@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.check.reference import dense_targets
 from repro.data import CSRMatrix, FieldSchema, FieldSpec, MultiFieldDataset
 
 
@@ -68,21 +69,47 @@ class TestBatching:
         uniq = fb.unique_features()
         assert np.all(np.diff(uniq) > 0)
 
+    # The dense reference targets (repro.check.reference) and the CSR
+    # targets the product trains on must describe the same matrix.
+
     def test_dense_targets_full_candidates(self, tiny_dataset):
         fb = tiny_dataset.batch(np.array([0, 1]))["ch1"]
-        targets = fb.dense_targets(np.arange(8))
+        targets = dense_targets(fb, np.arange(8))
         np.testing.assert_allclose(targets[0, 0], 2.0)  # weighted count
         np.testing.assert_allclose(targets[1, 2], 1.0)
+        np.testing.assert_array_equal(
+            fb.csr_targets(np.arange(8)).to_dense(), targets)
 
     def test_dense_targets_restricted_candidates_drop_outside(self, tiny_dataset):
         fb = tiny_dataset.batch(np.array([0]))["ch1"]  # features {0, 1}
-        targets = fb.dense_targets(np.array([1, 5]))
+        targets = dense_targets(fb, np.array([1, 5]))
         np.testing.assert_allclose(targets, [[1.0, 0.0]])
+        block = fb.csr_targets(np.array([1, 5]))
+        assert block.shape == (1, 2) and block.nnz == 1
+        np.testing.assert_array_equal(block.to_dense(), targets)
 
     def test_dense_targets_empty_candidates(self, tiny_dataset):
         fb = tiny_dataset.batch(np.array([0]))["ch1"]
-        targets = fb.dense_targets(np.empty(0, dtype=np.int64))
+        targets = dense_targets(fb, np.empty(0, dtype=np.int64))
         assert targets.shape == (1, 0)
+        block = fb.csr_targets(np.empty(0, dtype=np.int64))
+        assert block.shape == (1, 0) and block.nnz == 0
+
+    def test_csr_targets_sum_duplicates_and_binarize(self):
+        schema = FieldSchema([FieldSpec("f", 10)])
+        data = MultiFieldDataset.from_user_lists(
+            schema, {"f": [[3, 1, 3, 3], [], [9, 1]]},
+            {"f": [[0.5, 2.0, 1.0, 0.25], [], [4.0, 1.0]]})
+        fb = data.batch(np.arange(3))["f"]
+        columns = np.array([1, 3, 7])        # 9 is not a candidate
+        block = fb.csr_targets(columns)
+        np.testing.assert_array_equal(block.indptr, [0, 2, 2, 3])
+        np.testing.assert_array_equal(block.indices, [0, 1, 0])
+        np.testing.assert_array_equal(block.weights, [2.0, 1.75, 1.0])
+        np.testing.assert_array_equal(block.to_dense(),
+                                      dense_targets(fb, columns))
+        binary = fb.csr_targets(columns, binarize=True)
+        np.testing.assert_array_equal(binary.weights, [1.0, 1.0, 1.0])
 
     def test_iter_batches_covers_all_users_once(self, tiny_dataset):
         seen = np.concatenate([b.user_ids for b in

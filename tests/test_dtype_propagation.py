@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.check.reference import csr_from_dense
 from repro.core import FVAE, FVAEConfig
 from repro.core.trainer import Trainer
 from repro.obs.callbacks import TrainerCallback
@@ -73,8 +74,9 @@ def _case_sampled_softmax(rng, dtype):
     w = _param(rng, (20, 6), dtype, sparse=True)
     b = Parameter(np.zeros(20, dtype=dtype), sparse=True)
     cand = np.array([0, 2, 5, 9, 13])
-    targets = (rng.random((3, 5)) < 0.4).astype(dtype)
-    return F.sampled_softmax_nll(h, w, b, cand, targets, scale=0.5), [h, w, b]
+    targets = csr_from_dense((rng.random((3, 5)) < 0.4).astype(np.float64))
+    out = F.sampled_softmax_nll(h, [w], [b], [cand], [targets], scale=0.5)
+    return out.sum(), [h, w, b]
 
 
 def _case_softmax(rng, dtype):

@@ -1,24 +1,36 @@
-"""Fused sampled-softmax kernel vs the unfused reference chain.
+"""Batched-softmax kernel: worker vs inline, vs the dense chain, vs finite
+differences.
 
-The contract of :func:`repro.nn.functional.sampled_softmax_nll` is *bit*
-equality — not tolerance equality — with the composition
-``rows → matmul → take → log_softmax → mul → sum → neg → mul``: same loss
-float, same gradient arrays for ``h`` and every parameter.  These tests pin
-that contract, check the kernel against finite differences, and property-test
-the gradient-coalescing segment sum against the ``np.add.at`` reference.
+:func:`repro.nn.functional.sampled_softmax_nll` scores CSR targets with one
+task per field.  Run with a field worker thread its fields split across two
+threads, and the result must be *bit*-identical to the inline run: same loss
+floats, same gradient arrays for ``h`` and every parameter.  Against the
+dense reference chain of :mod:`repro.check.reference` it sums the same terms
+in another order, so it is held to a dtype-scaled tolerance there — over
+duplicate features (summed or binarized), weighted counts, empty rows,
+candidate sets that exclude features, and a single candidate.  The tests
+also check the kernel against finite differences and property-test the
+gradient-coalescing segment sum against the ``np.add.at`` reference.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.reference import (chain_tolerance, csr_from_dense,
+                                   dense_targets, softmax_nll_chain)
+from repro.data import FieldSchema, FieldSpec, MultiFieldDataset
 from repro.nn import functional as F
+from repro.nn.parallel import FieldWorker
 from repro.nn.tensor import Parameter, Tensor, coalesce_rows
 
 VOCAB, DIM, BATCH, CAND = 64, 8, 12, 24
+SPLIT = (8, 1, 7, 8)   # the candidate set cut into four fields, C = 1 included
 
 
 def _inputs(seed: int = 0, sorted_cand: bool = True):
@@ -34,47 +46,51 @@ def _inputs(seed: int = 0, sorted_cand: bool = True):
     return h_data, w_data, b_data, cand, targets
 
 
-def _unfused(h_data, w_data, b_data, cand, targets, scale, sparse):
-    h = Tensor(h_data, requires_grad=True)
-    weight = Parameter(w_data.copy(), sparse=sparse)
-    bias = Parameter(b_data.copy(), sparse=sparse)
-    logits = h @ F.rows(weight, cand).T + F.take(bias, cand)
-    nll = -(Tensor(targets) * F.log_softmax(logits, axis=-1)).sum() * scale
-    nll.backward()
-    return nll.item(), h.grad, weight, bias
+def _kernel(h_data, fields, scale, sparse, worker=False):
+    """Run the kernel over ``fields`` = [(w_data, b_data, cand, dense)];
+    returns (nlls, h.grad, [(weight, bias)])."""
+    h = Tensor(h_data.copy(), requires_grad=True)
+    params = [(Parameter(w.copy(), sparse=sparse),
+               Parameter(b.copy(), sparse=sparse)) for w, b, *__ in fields]
+    seed = np.arange(1, len(fields) + 1, dtype=h_data.dtype)  # 1 for one
+    with FieldWorker() if worker else nullcontext():
+        nlls = F.sampled_softmax_nll(
+            h, [w for w, __ in params], [b for __, b in params],
+            [cand for *__, cand, __ in fields],
+            [csr_from_dense(dense) for *__, dense in fields], scale=scale)
+        (nlls * Tensor(seed)).sum().backward()
+    return nlls.data, h.grad, params
 
 
 def _fused(h_data, w_data, b_data, cand, targets, scale, sparse):
-    h = Tensor(h_data, requires_grad=True)
-    weight = Parameter(w_data.copy(), sparse=sparse)
-    bias = Parameter(b_data.copy(), sparse=sparse)
-    nll = F.sampled_softmax_nll(h, weight, bias, cand, targets, scale=scale)
-    nll.backward()
-    return nll.item(), h.grad, weight, bias
+    nlls, gh, [(weight, bias)] = _kernel(
+        h_data, [(w_data, b_data, cand, targets)], scale, sparse)
+    return float(nlls[0]), gh, weight, bias
+
+
+def _split_fields(w_data, b_data, cand, targets):
+    edges = np.cumsum((0,) + SPLIT)
+    return [(w_data, b_data, cand[lo:hi], targets[:, lo:hi])
+            for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 class TestFusedBitExactness:
-    """Loss and every gradient must match the reference chain bit-for-bit."""
+    """Fields split across a worker thread: every bit of the inline run."""
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
     @pytest.mark.parametrize("sorted_cand", [True, False],
                              ids=["sorted", "unsorted"])
     def test_loss_and_grads_bit_exact(self, sparse, sorted_cand):
         h_data, w_data, b_data, cand, targets = _inputs(sorted_cand=sorted_cand)
-        scale = 1.0 / BATCH
-        ref_loss, ref_h, ref_w, ref_b = _unfused(
-            h_data, w_data, b_data, cand, targets, scale, sparse)
-        fus_loss, fus_h, fus_w, fus_b = _fused(
-            h_data, w_data, b_data, cand, targets, scale, sparse)
+        fields = _split_fields(w_data, b_data, cand, targets)
+        inline = _kernel(h_data, fields, 1.0 / BATCH, sparse)
+        split = _kernel(h_data, fields, 1.0 / BATCH, sparse, worker=True)
 
-        assert repr(ref_loss) == repr(fus_loss)
-        assert np.array_equal(ref_h, fus_h)
-        # densify_grad canonicalises part row order (the fused kernel records
-        # assume_unique parts in candidate order, the reference path may have
-        # coalesced to sorted order) without perturbing any value: each row is
-        # touched exactly once per part, so no summation reorder happens.
-        assert np.array_equal(ref_w.densify_grad(), fus_w.densify_grad())
-        assert np.array_equal(ref_b.densify_grad(), fus_b.densify_grad())
+        assert inline[0].tobytes() == split[0].tobytes()
+        assert np.array_equal(inline[1], split[1])
+        for (w1, b1), (w2, b2) in zip(inline[2], split[2]):
+            assert np.array_equal(w1.densify_grad(), w2.densify_grad())
+            assert np.array_equal(b1.densify_grad(), b2.densify_grad())
 
     def test_sparse_params_record_single_unique_part(self):
         h_data, w_data, b_data, cand, targets = _inputs()
@@ -98,6 +114,74 @@ class TestFusedBitExactness:
                                    rtol=1e-12)
         np.testing.assert_allclose(b2.densify_grad(), 0.25 * b1.densify_grad(),
                                    rtol=1e-12)
+
+
+def _field_batch(rng):
+    """Nine users over 30 features: duplicates inside rows, weighted counts,
+    and an empty row."""
+    rows, weights = [], []
+    for user in range(9):
+        n = 0 if user == 2 else int(rng.integers(1, 9))
+        rows.append(rng.integers(0, 30, size=n).tolist())
+        weights.append(rng.uniform(0.5, 3.0, size=n).tolist())
+    schema = FieldSchema([FieldSpec("f", 30)])
+    data = MultiFieldDataset.from_user_lists(schema, {"f": rows},
+                                             {"f": weights})
+    return data.batch(np.arange(9))["f"]
+
+
+class TestKernelVsChain:
+    """CSR kernel vs the dense reference chain at a dtype-scaled tolerance."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("binarize", [False, True],
+                             ids=["counts", "binarized"])
+    @pytest.mark.parametrize("candidates", ["all", "subset", "single"])
+    def test_matches_chain(self, dtype, binarize, candidates):
+        rng = np.random.default_rng(5)
+        fb = _field_batch(rng)
+        cand = fb.unique_features()
+        if candidates == "subset":     # features outside are dropped
+            cand = cand[::2]
+        elif candidates == "single":
+            cand = cand[:1]
+        dense = dense_targets(fb, cand)
+        if binarize:
+            dense = (dense > 0).astype(np.float64)
+        h_data = rng.normal(size=(fb.n_users, DIM)).astype(dtype)
+        w_data = rng.normal(0.0, 0.3, size=(30, DIM)).astype(dtype)
+        b_data = rng.normal(0.0, 0.1, size=30).astype(dtype)
+
+        h = Tensor(h_data.copy(), requires_grad=True)
+        weight = Parameter(w_data.copy(), sparse=True)
+        bias = Parameter(b_data.copy(), sparse=True)
+        nll = F.sampled_softmax_nll(h, [weight], [bias], [cand],
+                                    [fb.csr_targets(cand, binarize)], 0.25)
+        nll.sum().backward()
+
+        rh = Tensor(h_data.copy(), requires_grad=True)
+        rw = Parameter(w_data.copy(), sparse=True)
+        rb = Parameter(b_data.copy(), sparse=True)
+        chain = softmax_nll_chain(rh, rw, rb, cand, dense, 0.25)
+        chain.backward()
+
+        tol = chain_tolerance(dtype)
+        for got, want in ((nll.data[0], chain.data), (h.grad, rh.grad),
+                          (weight.densify_grad(), rw.densify_grad()),
+                          (bias.densify_grad(), rb.densify_grad())):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * np.abs(want).max())
+
+    def test_mismatched_targets_rejected(self):
+        h = Tensor(np.zeros((3, DIM)), requires_grad=True)
+        w = Parameter(np.zeros((5, DIM)))
+        b = Parameter(np.zeros(5))
+        with pytest.raises(ValueError, match="do not match"):
+            F.sampled_softmax_nll(h, [w], [b], [np.array([0, 1])],
+                                  [csr_from_dense(np.ones((3, 3)))])
+        with pytest.raises(ValueError, match="one weight"):
+            F.sampled_softmax_nll(h, [], [], [], [])
 
 
 class TestFusedFiniteDifference:

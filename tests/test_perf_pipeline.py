@@ -1,12 +1,10 @@
-"""Prefetching batch pipeline: determinism contract and bench harness smoke.
+"""Batch loader contract and bench harness smoke.
 
-:class:`repro.perf.pipeline.PrefetchLoader` must be a drop-in for
-:class:`SyncLoader`: same batches, same order, no RNG touched — which makes
-training *bit-exact* regardless of which loader is plugged into
-``Trainer.fit(loader=...)``.  The tests here pin batch-level equality, the
-end-to-end bit-exact training history, worker shutdown on early exit, the
-epoch's batch count, and smoke-test the ``python -m repro bench`` harness
-output.
+:class:`repro.perf.pipeline.SyncLoader` must yield exactly the batches
+``dataset.batch(order[a:b])`` would, in order, from any starting batch —
+which keeps training bit-exact across loaders and checkpoint resumes.  The
+tests here pin that, the epoch's batch count, and smoke-test the
+``python -m repro bench`` harness output.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import FVAE, FVAEConfig
 from repro.data.loaders import make_kd_like
 from repro.perf.bench import run_bench
-from repro.perf.pipeline import PrefetchLoader, SyncLoader, n_batches
+from repro.perf.pipeline import SyncLoader, n_batches
 
 
 @pytest.fixture(scope="module")
@@ -39,78 +36,17 @@ def _assert_batches_equal(a, b):
 
 
 class TestLoaderEquivalence:
-    def test_prefetch_yields_sync_batches(self, kd_small):
-        order = np.random.default_rng(0).permutation(kd_small.n_users)
-        sync = list(SyncLoader().epoch(kd_small, order, batch_size=48))
-        pre = list(PrefetchLoader().epoch(kd_small, order, batch_size=48))
-        assert len(sync) == len(pre) == 4  # 160 users / 48 -> ceil = 4
-        for a, b in zip(sync, pre):
-            _assert_batches_equal(a, b)
-
     def test_first_batch_resume_offset(self, kd_small):
-        order = np.arange(kd_small.n_users)
-        sync = list(SyncLoader().epoch(kd_small, order, batch_size=50,
-                                       first_batch=2))
-        pre = list(PrefetchLoader().epoch(kd_small, order, batch_size=50,
+        order = np.random.default_rng(0).permutation(kd_small.n_users)
+        batches = list(SyncLoader().epoch(kd_small, order, batch_size=50,
                                           first_batch=2))
-        assert len(sync) == len(pre) == 2
-        for a, b in zip(sync, pre):
-            _assert_batches_equal(a, b)
+        assert len(batches) == 2  # batches 2 and 3 of ceil(160 / 50) = 4
+        for got, start in zip(batches, (100, 150)):
+            _assert_batches_equal(got, kd_small.batch(order[start:start + 50]))
 
     def test_empty_order(self, kd_small):
         empty = np.array([], dtype=np.int64)
-        assert list(PrefetchLoader().epoch(kd_small, empty, 32)) == []
-
-    def test_prefetch_depth_validated(self):
-        with pytest.raises(ValueError, match="prefetch depth"):
-            PrefetchLoader(prefetch=0)
-
-    def test_early_consumer_exit_stops_worker(self, kd_small):
-        import threading
-
-        order = np.arange(kd_small.n_users)
-        before = threading.active_count()
-        gen = PrefetchLoader().epoch(kd_small, order, batch_size=16)
-        next(gen)
-        gen.close()  # trainer break / early stopping path
-        deadline = 50
-        while threading.active_count() > before and deadline:
-            deadline -= 1
-            threading.Event().wait(0.05)
-        assert threading.active_count() <= before
-
-    def test_worker_exception_surfaces(self, kd_small):
-        class Broken(PrefetchLoader):
-            pass
-
-        loader = Broken()
-        # An out-of-range order makes the worker's gather raise; the consumer
-        # must see that exception, not a hang or a silent truncation.
-        bad = np.array([kd_small.n_users + 5], dtype=np.int64)
-        with pytest.raises(IndexError):
-            list(loader.epoch(kd_small, bad, batch_size=8))
-
-
-class TestBitExactTraining:
-    """Same shuffle, same noise, same floats — whichever loader runs."""
-
-    def _train(self, loader):
-        data = make_kd_like(n_users=160, seed=3)
-        config = FVAEConfig(latent_dim=8, encoder_hidden=[16],
-                            decoder_hidden=[16], seed=3)
-        model = FVAE(data.dataset.schema, config)
-        kwargs = {"loader": loader} if loader is not None else {}
-        model.fit(data.dataset, epochs=2, batch_size=48, lr=1e-3, **kwargs)
-        losses = [repr(x) for x in model.history.series("loss")]
-        params = {name: repr(p.data.sum())
-                  for name, p in model.named_parameters()}
-        return losses, params
-
-    def test_prefetch_history_bit_exact_vs_sync(self):
-        sync_losses, sync_params = self._train(None)
-        pre_losses, pre_params = self._train(PrefetchLoader())
-        assert sync_losses == pre_losses
-        assert sync_params == pre_params
+        assert list(SyncLoader().epoch(kd_small, empty, 32)) == []
 
 
 class TestNBatches:
