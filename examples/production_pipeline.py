@@ -5,7 +5,7 @@ data construction  →  offline training  →  model archive  →  online servin
 1. replay raw behaviour logs and build top-K weighted profiles;
 2. train the FVAE offline and persist it (dynamic hash tables included);
 3. reload the archive as the serving side would, infer embeddings;
-4. serve audience recall through an LSH index and report matching-stage
+4. serve audience recall through an IVF index and report matching-stage
    metrics (Recall@K / NDCG@K).
 
 Run with::
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import FVAE, FVAEConfig, make_sc_like
 from repro.core import load_fvae, save_fvae
-from repro.lookalike import LSHIndex, LookalikeSystem
+from repro.lookalike import IVFIndex, LookalikeSystem
 from repro.metrics import topk_report
 from repro.pipeline import ProfileBuilder, SyntheticLogStream
 
@@ -57,13 +57,13 @@ def main() -> None:
     embeddings = serving_model.embed_users(dataset)
     print(f"inferred {embeddings.shape[0]:,} serving embeddings")
 
-    # -- 4. online recall: LSH vs exact -----------------------------------------
-    index = LSHIndex(dim=embeddings.shape[1], n_tables=8, n_bits=10,
+    # -- 4. online recall: IVF vs exact -----------------------------------------
+    index = IVFIndex(dim=embeddings.shape[1], n_lists=32, nprobe=4,
                      seed=0).fit(embeddings)
     queries = embeddings[:50]
     recall = index.recall_at_k(queries, k=20)
-    print(f"LSH recall@20 vs exact scan: {recall:.1%} "
-          f"({index.n_tables} tables x {index.n_bits} bits)")
+    print(f"IVF recall@20 vs exact scan: {recall:.1%} "
+          f"({index.nprobe} of {index.n_lists} lists probed)")
 
     system = LookalikeSystem(embeddings)
     topic0 = np.flatnonzero(ground_truth.topics == 0)

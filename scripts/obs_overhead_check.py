@@ -13,17 +13,18 @@ why the serving fast path instruments per *batch*, never per key — one
 latency observation and a handful of counters amortized over the whole
 vectorised lookup.
 
-This script measures that promise on the ops the PR-5 serving suite exists
-to protect, with a live telemetry session against no session at all:
+This script measures that promise on the batched serving and recall paths,
+with a live telemetry session against no session at all:
 
-* ``proxy_get_embeddings_batch`` — 10k warm-cache users in one call (the
-  ``serving_batch_speedup`` numerator), **gated** at ``--tolerance``.
-* ``lsh_query_batch`` — batched ANN candidate lookup, **gated**.
-* ``proxy_get_scalar_loop`` — the per-key reference path the batch path is
-  benchmarked against.  Its per-call metrics put telemetry in the same
-  order of magnitude as the lookup itself, so it is **reported, not
-  gated**; the batch fast path is the production path (see
-  docs/OBSERVABILITY.md for the policy and measured numbers).
+* ``proxy_get_embeddings_batch`` — 10k warm-cache users in one call,
+  **gated** at ``--tolerance``.
+* ``ivf_query_batch`` — a batch of top-10 look-alike queries through the IVF
+  index (``IVFIndex.query_batch``), **gated**.
+* ``proxy_get_scalar_loop`` — the per-key path, a batch of one per call.
+  Its per-call metrics put telemetry in the same order of magnitude as the
+  lookup itself, so it is **reported, not gated**; the batch fast path is
+  the production path (see docs/OBSERVABILITY.md for the policy and
+  measured numbers).
 
 Each round times plain / instrumented / plain back to back; the gate
 compares fast-quartile means and the two plain streams double as an A/A
@@ -52,12 +53,12 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.lookalike import EmbeddingStore, LSHIndex, ServingProxy
+from repro.lookalike import EmbeddingStore, IVFIndex, ServingProxy
 from repro.serve import ServingWorkload
 
 
 def build_ops(users: int, dim: int = 16, seed: int = 7):
-    """The PR-5 serving-suite ops as closures, warmed and ready to time."""
+    """The timed ops as closures, warmed and ready to time."""
     rng = np.random.default_rng(seed)
     keys = [f"u{i}" for i in range(users)]
     store = EmbeddingStore(dim=dim)
@@ -69,7 +70,7 @@ def build_ops(users: int, dim: int = 16, seed: int = 7):
 
     n_vectors = max(users // 5, 256)
     vectors = rng.normal(size=(n_vectors, dim))
-    index = LSHIndex(dim=dim, n_tables=8, n_bits=10, seed=0).fit(vectors)
+    index = IVFIndex(dim, n_lists=32, nprobe=4, seed=0).fit(vectors)
     queries = vectors[:200] + rng.normal(0, 0.05, size=(200, dim))
     index.query_batch(queries, 10)              # warm the index path
 
@@ -77,7 +78,7 @@ def build_ops(users: int, dim: int = 16, seed: int = 7):
     return [
         ("proxy_get_embeddings_batch", True,
          lambda: proxy.get_embeddings_batch(keys)),
-        ("lsh_query_batch", True,
+        ("ivf_query_batch", True,
          lambda: index.query_batch(queries, 10)),
         ("proxy_get_scalar_loop", False,
          lambda: [proxy.get_embedding(k) for k in scalar_keys]),
@@ -148,7 +149,7 @@ def check_chrome_export(path: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=10_000,
-                        help="warm-cache users, as in the PR-5 suite")
+                        help="warm-cache users in the proxy batch")
     parser.add_argument("--repeats", type=int, default=60,
                         help="A/B/A rounds; the gate compares "
                              "fast-quartile means")

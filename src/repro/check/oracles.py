@@ -410,37 +410,6 @@ def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
     return pairs
 
 
-@register_oracle("lookalike.lsh.batch_vs_scalar",
-                 description="LSHIndex.candidates_batch/query_batch vs the "
-                             "looped scalar candidates/query — identical "
-                             "candidate sets and neighbour rankings, with "
-                             "and without the exact fallback")
-def _oracle_lsh_batch(rng: np.random.Generator) -> Pairs:
-    from repro.lookalike import LSHIndex
-
-    dim = 16
-    vectors = rng.normal(size=(300, dim))
-    index = LSHIndex(dim=dim, n_tables=4, n_bits=6,
-                     seed=int(rng.integers(0, 2 ** 31))).fit(vectors)
-    # Near-duplicates of stored points (dense buckets) plus fresh noise
-    # (sparse buckets, which exercise the exact fallback when enabled).
-    queries = np.vstack([
-        vectors[:5] + rng.normal(0.0, 0.05, size=(5, dim)),
-        rng.normal(size=(3, dim)) * 3.0,
-    ])
-
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    batched = index.candidates_batch(queries)
-    for i, query in enumerate(queries):
-        pairs[f"candidates.q{i}"] = (index.candidates(query), batched[i])
-    for fallback in (False, True):
-        results = index.query_batch(queries, k=8, fallback_to_exact=fallback)
-        for i, query in enumerate(queries):
-            scalar = index.query(query, k=8, fallback_to_exact=fallback)
-            pairs[f"query.fallback_{fallback}.q{i}"] = (scalar, results[i])
-    return pairs
-
-
 @register_oracle("core.encoder.inference_vs_autograd",
                  description="FVAE.encode_batch raw-array inference forward "
                              "vs the eval-mode autograd Tensor forward "

@@ -7,10 +7,8 @@ Commands mirror the deployment workflow of §IV-D at example scale:
 * ``evaluate``     — tag prediction / reconstruction with a saved model
 * ``embed``        — write user embeddings from a saved model to .npz
 * ``benchmark``    — quick FVAE-vs-Mult-VAE throughput comparison
-* ``bench``        — serving / sharded / ANN microbenchmark suites →
-  benchmarks/results/BENCH_*.json
 * ``lookalike``    — audience expansion over synthetic embeddings with a
-  selectable index (``--index none|lsh|ivf``) and quantized store
+  selectable index (``--index none|ivf``) and quantized store
   (``--quant none|int8|pq``); reports recall vs the exact configuration
 * ``faults``       — fault-injected distributed training overhead table
 * ``report``       — render a telemetry JSONL dump (``train --telemetry``)
@@ -101,35 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(p_bench)
     p_bench.add_argument("--epochs", type=int, default=2)
 
-    p_microbench = sub.add_parser(
-        "bench", help="serving, sharded-training and ANN microbenchmark "
-                      "suites")
-    p_microbench.add_argument("--quick", action="store_true",
-                              help="fewer repeats / smaller preset (CI smoke)")
-    p_microbench.add_argument("--out", default=None, metavar="PATH",
-                              help="output JSON path (default: "
-                                   "benchmarks/results/BENCH_PR5.json for "
-                                   "serving, BENCH_PR9.json for sharded, "
-                                   "BENCH_PR10.json for ann)")
-    p_microbench.add_argument("--seed", type=int, default=0)
-    p_microbench.add_argument("--suite", required=True,
-                              choices=("serving", "sharded", "ann"),
-                              help="serving: batched lookup / LSH / "
-                                   "inference-forward / cold-start stages; "
-                                   "sharded: real multi-process PS scaling "
-                                   "vs simulator; ann: quantized stores + "
-                                   "IVF recall/QPS vs exact scan")
-
     p_lookalike = sub.add_parser(
         "lookalike", help="audience expansion over synthetic clustered "
-                          "embeddings: exact / LSH / IVF retrieval over a "
+                          "embeddings: exact or IVF retrieval over a "
                           "float64, int8 or product-quantized store")
     p_lookalike.add_argument("--users", type=int, default=5000,
                              help="number of users to embed (default: 5000)")
     p_lookalike.add_argument("--dim", type=int, default=32,
                              help="embedding dimension (default: 32)")
     p_lookalike.add_argument("--seed", type=int, default=0)
-    p_lookalike.add_argument("--index", choices=("none", "lsh", "ivf"),
+    p_lookalike.add_argument("--index", choices=("none", "ivf"),
                              default="none",
                              help="retrieval index (none: exact scan)")
     p_lookalike.add_argument("--quant", choices=("none", "int8", "pq"),
@@ -396,18 +375,6 @@ def _cmd_benchmark(args, out) -> int:
     result = run_table5(scale=scale, datasets=(args.dataset.upper(),),
                         epochs=args.epochs)
     print(result.to_text(), file=out)
-    return 0
-
-
-def _cmd_bench(args, out) -> int:
-    from repro.perf import run_bench
-    from repro.perf.bench import SUITES, render_report
-
-    path = args.out or SUITES[args.suite][0]
-    report = run_bench(args.suite, quick=args.quick, out=path,
-                       seed=args.seed)
-    print(render_report(report), file=out)
-    print(f"results written to {path}", file=out)
     return 0
 
 
@@ -748,7 +715,6 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
     "embed": _cmd_embed,
     "benchmark": _cmd_benchmark,
-    "bench": _cmd_bench,
     "lookalike": _cmd_lookalike,
     "faults": _cmd_faults,
     "report": _cmd_report,

@@ -81,6 +81,8 @@ class FVAEConfig:
             raise ValueError(f"sampling_rate must be in (0, 1]: {self.sampling_rate}")
         if self.beta < 0:
             raise ValueError(f"beta must be non-negative: {self.beta}")
+        if self.sampler not in ("uniform", "frequency", "zipfian"):
+            raise ValueError(f"unknown sampler '{self.sampler}'")
         if self.input_weighting not in ("binary", "log1p", "l2"):
             raise ValueError(f"unknown input_weighting '{self.input_weighting}'")
         if self.anneal_steps < 0:

@@ -6,7 +6,7 @@ behaviour simulator standing in for live traffic.
 """
 
 from repro.lookalike.ab_test import ABTestReport, OnlineABTest, UploaderBehaviorSimulator
-from repro.lookalike.ann import IVFIndex, LSHIndex, exact_top_k
+from repro.lookalike.ann import IVFIndex, exact_top_k
 from repro.lookalike.quality import (expansion_lift, expansion_precision,
                                      precision_at_depths)
 from repro.lookalike.quant import (Int8Quantizer, PQQuantizer,
@@ -20,6 +20,6 @@ __all__ = [
     "LookalikeSystem",
     "UploaderBehaviorSimulator", "OnlineABTest", "ABTestReport",
     "expansion_precision", "expansion_lift", "precision_at_depths",
-    "LSHIndex", "IVFIndex", "exact_top_k",
+    "IVFIndex", "exact_top_k",
     "Int8Quantizer", "PQQuantizer", "QuantizedEmbeddingStore",
 ]

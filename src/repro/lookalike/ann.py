@@ -1,19 +1,14 @@
-"""Approximate nearest-neighbour recall: random-hyperplane LSH and IVF.
+"""Approximate nearest-neighbour recall: an inverted-file (IVF) index.
 
 The paper's look-alike system recalls accounts by L2 similarity over
 billion-scale embedding sets; exact scans do not serve at that scale, so
-production deployments put an ANN index in the online module.  Two
-self-contained indexes live here:
-
-* :class:`LSHIndex` — signed-random-projection (SimHash) with multi-table
-  probing: vectors hashing to the same bucket in any table become
-  candidates, and only candidates are scored exactly.
-* :class:`IVFIndex` — inverted file in the FastVAE / inverted-multi-index
-  tradition: a seeded k-means partitions the rows into ``n_lists`` cells
-  and :meth:`~IVFIndex.fit` stores the vectors *list-contiguous*, so a
-  probed cell is a slice of one matrix.  A query batch is answered
-  list-major: one coarse-assignment matmul, then one small GEMM per probed
-  cell scoring all of that cell's queries at once.
+production deployments put an ANN index in the online module.
+:class:`IVFIndex` follows the FastVAE / inverted-multi-index tradition: a
+seeded k-means partitions the rows into ``n_lists`` cells and
+:meth:`~IVFIndex.fit` stores the vectors *list-contiguous*, so a probed cell
+is a slice of one matrix.  A query batch is answered list-major: one
+coarse-assignment matmul, then one small GEMM per probed cell scoring all of
+that cell's queries at once.
 
 Distances are computed in GEMM form, ``‖v‖² − 2·q·v + ‖q‖²``, by the index
 and by the ground truth (:func:`exact_top_k`) alike; both select with the
@@ -37,9 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import runtime as obs
-from repro.utils.rng import new_rng
 
-__all__ = ["LSHIndex", "IVFIndex", "exact_top_k"]
+__all__ = ["IVFIndex", "exact_top_k"]
 
 _SCAN_CHUNK_BYTES = 32 * 2 ** 20
 
@@ -120,223 +114,6 @@ def exact_top_k(vectors: np.ndarray, queries: np.ndarray, k: int,
         raise ValueError("cannot scan an empty vector set")
     return _scan_top_k(vectors, np.arange(vectors.shape[0], dtype=np.int64),
                        queries, k, chunk_bytes)
-
-
-def _recall_against_exact(approx: list[np.ndarray],
-                          exact: np.ndarray, k: int) -> float:
-    """Fraction of exact top-``k`` ids present in the approximate results."""
-    hits = sum(np.isin(exact[q], approx[q]).sum()
-               for q in range(exact.shape[0]))
-    return hits / (exact.shape[1] * exact.shape[0])
-
-
-class LSHIndex:
-    """Multi-table signed-random-projection index over row vectors.
-
-    Parameters
-    ----------
-    dim:
-        Vector dimensionality.
-    n_tables:
-        Independent hash tables (union of candidates across tables).
-    n_bits:
-        Hyperplanes per table; bucket count is ``2**n_bits`` per table.
-    seed:
-        Seed for the hyperplane draws.
-    """
-
-    def __init__(self, dim: int, n_tables: int = 8, n_bits: int = 12,
-                 seed: int | np.random.Generator | None = 0) -> None:
-        if dim <= 0 or n_tables <= 0 or n_bits <= 0:
-            raise ValueError("dim, n_tables and n_bits must be positive")
-        if n_bits > 62:
-            raise ValueError(f"n_bits too large for integer bucket keys: {n_bits}")
-        rng = new_rng(seed)
-        self.dim = dim
-        self.n_tables = n_tables
-        self.n_bits = n_bits
-        self._planes = rng.normal(size=(n_tables, n_bits, dim))
-        #: Per-table posting lists: ``_sorted_keys[t]`` ascending bucket keys,
-        #: ``_order[t]`` the row index stored at each posting-list slot.
-        self._sorted_keys: np.ndarray | None = None
-        self._order: np.ndarray | None = None
-        self._vectors: np.ndarray | None = None
-
-    def _bucket_keys(self, vectors: np.ndarray) -> np.ndarray:
-        """Bucket key of each vector in each table, shape ``(n, n_tables)``."""
-        bits = np.einsum("tbd,nd->ntb", self._planes, vectors) > 0
-        powers = 1 << np.arange(self.n_bits, dtype=np.int64)
-        return (bits * powers).sum(axis=2)
-
-    def fit(self, vectors: np.ndarray) -> "LSHIndex":
-        """Index ``vectors`` (``(n, dim)``); replaces any previous contents."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) vectors, got {vectors.shape}")
-        self._vectors = vectors
-        keys = self._bucket_keys(vectors)                       # (n, n_tables)
-        order = np.argsort(keys, axis=0, kind="stable")         # (n, n_tables)
-        self._order = np.ascontiguousarray(order.T)             # (n_tables, n)
-        self._sorted_keys = np.ascontiguousarray(
-            np.take_along_axis(keys, order, axis=0).T)          # (n_tables, n)
-        obs.gauge_set("lsh.size", vectors.shape[0])
-        return self
-
-    @property
-    def size(self) -> int:
-        return 0 if self._vectors is None else self._vectors.shape[0]
-
-    # -- candidate generation --------------------------------------------------
-
-    def candidates(self, query: np.ndarray) -> np.ndarray:
-        """Union of the query's bucket members across tables, sorted unique."""
-        return self.candidates_batch(np.atleast_2d(query))[0]
-
-    def candidates_batch(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Per-query candidate row indices; one hashing matmul for all.
-
-        Every query's candidate set is sorted unique, so candidate order is
-        deterministic and identical between the scalar and batch paths.
-        """
-        if self._vectors is None:
-            raise RuntimeError("index is empty; call fit() first")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        qkeys = self._bucket_keys(queries)                      # (q, n_tables)
-        # Vectorised bucket probes: per table, the posting-list range of
-        # every query's bucket in one searchsorted pair.
-        lo = np.empty_like(qkeys)
-        hi = np.empty_like(qkeys)
-        for table in range(self.n_tables):
-            sorted_keys = self._sorted_keys[table]
-            lo[:, table] = np.searchsorted(sorted_keys, qkeys[:, table], "left")
-            hi[:, table] = np.searchsorted(sorted_keys, qkeys[:, table], "right")
-
-        n_queries = queries.shape[0]
-        size = self.size
-        if n_queries == 1:
-            # Single query (the scalar path): direct concat + unique beats
-            # the ragged machinery below.
-            slices = [self._order[t, lo[0, t]:hi[0, t]]
-                      for t in range(self.n_tables)]
-            merged = np.concatenate(slices) if slices else \
-                np.empty(0, dtype=np.int64)
-            return [np.unique(merged)]
-        # Gather every (query, table) posting-list slice in one ragged
-        # arange: slice (q, t) covers order.ravel()[t*size + lo : t*size + hi].
-        starts = (lo + np.arange(self.n_tables, dtype=np.int64) * size).ravel()
-        lengths = (hi - lo).ravel()
-        total = int(lengths.sum())
-        if total == 0:
-            return [np.empty(0, dtype=np.int64) for __ in range(n_queries)]
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        flat_pos = (np.repeat(starts - offsets, lengths)
-                    + np.arange(total, dtype=np.int64))
-        candidates = self._order.ravel()[flat_pos]
-        # Per-query sorted unique via one global sort of (query, candidate)
-        # composite keys — identical output to per-query ``np.unique``.
-        per_query_counts = lengths.reshape(n_queries, self.n_tables).sum(axis=1)
-        owners = np.repeat(np.arange(n_queries, dtype=np.int64),
-                           per_query_counts)
-        composite = owners * size + candidates
-        composite.sort()
-        keep = np.empty(total, dtype=bool)
-        keep[0] = True
-        np.not_equal(composite[1:], composite[:-1], out=keep[1:])
-        composite = composite[keep]
-        owners = composite // size
-        candidates = composite - owners * size
-        bounds = np.searchsorted(owners, np.arange(n_queries + 1))
-        return [candidates[bounds[q]:bounds[q + 1]]
-                for q in range(n_queries)]
-
-    # -- top-k queries ---------------------------------------------------------
-
-    @staticmethod
-    def _top_k(candidate_idx: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
-        """Shared top-``k`` selection so scalar and batch tie-break alike."""
-        if candidate_idx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        top = min(k, candidate_idx.size)
-        best = np.argpartition(d2, top - 1)[:top]
-        order = np.argsort(d2[best])
-        return candidate_idx[best[order]]
-
-    def query(self, query: np.ndarray, k: int,
-              fallback_to_exact: bool = True) -> np.ndarray:
-        """Approximate top-``k`` nearest rows by L2 distance.
-
-        When the candidate set is smaller than ``k`` and
-        ``fallback_to_exact`` is set, the query falls back to an exact scan
-        (guaranteed results beat silent truncation in serving).
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive: {k}")
-        with obs.latency("lsh.query_seconds"), obs.span("lsh.query"):
-            query = np.asarray(query, dtype=np.float64).ravel()
-            candidate_idx = self.candidates(query)
-            obs.observe("lsh.candidates", candidate_idx.size)
-            if candidate_idx.size < k and fallback_to_exact:
-                candidate_idx = np.arange(self.size)
-                obs.count("lsh.exact_fallbacks")
-            vectors = self._vectors[candidate_idx]
-            d2 = np.sum((vectors - query) ** 2, axis=1)
-            return self._top_k(candidate_idx, d2, k)
-
-    def query_batch(self, queries: np.ndarray, k: int,
-                    fallback_to_exact: bool = True) -> list[np.ndarray]:
-        """Batched :meth:`query`: per-query top-``k`` row index arrays.
-
-        All queries are hashed in one matmul and every table probed with one
-        ``searchsorted`` pair for the whole batch; rescoring then runs per
-        query over its (small, cache-resident) candidate set with exactly the
-        scalar path's expression, so per-query results are bit-identical to
-        looped :meth:`query` calls.  (A single flat rescore over all
-        ``(query, candidate)`` pairs was measured *slower* here: the
-        many-megabyte gather and repeat temporaries fall out of cache,
-        while per-query chunks stay in L2 — see docs/PERFORMANCE.md.)
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive: {k}")
-        with obs.latency("lsh.query_batch_seconds"), obs.span("lsh.query_batch"):
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            per_query = self.candidates_batch(queries)
-            fallbacks = 0
-            if fallback_to_exact:
-                everything = None
-                for q, candidate_idx in enumerate(per_query):
-                    if candidate_idx.size < k:
-                        if everything is None:
-                            everything = np.arange(self.size)
-                        per_query[q] = everything
-                        fallbacks += 1
-            obs.observe_many("lsh.candidates",
-                             [candidate_idx.size
-                              for candidate_idx in per_query])
-            if fallbacks:
-                obs.count("lsh.exact_fallbacks", fallbacks)
-            vectors = self._vectors
-            results = []
-            for q in range(queries.shape[0]):
-                candidate_idx = per_query[q]
-                # Same rescoring expression as the scalar path, bit for bit.
-                d2 = np.sum((vectors[candidate_idx] - queries[q]) ** 2,
-                            axis=1)
-                results.append(self._top_k(candidate_idx, d2, k))
-            return results
-
-    def recall_at_k(self, queries: np.ndarray, k: int) -> float:
-        """Fraction of exact top-``k`` neighbours the index retrieves.
-
-        One batched approximate pass plus one chunked exact scan
-        (:func:`exact_top_k`) — peak ground-truth memory stays bounded
-        instead of allocating an ``(n_queries, n)`` distance matrix.
-        """
-        if self._vectors is None:
-            raise RuntimeError("index is empty; call fit() first")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        approx = self.query_batch(queries, k, fallback_to_exact=False)
-        exact = exact_top_k(self._vectors, queries, k)
-        return _recall_against_exact(approx, exact, k)
 
 
 class IVFIndex:
@@ -530,4 +307,5 @@ class IVFIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         approx = self.query_batch(queries, k, fallback_to_exact=False)
         exact = _scan_top_k(self._vectors, self._order, queries, k)
-        return _recall_against_exact(approx, exact, k)
+        hits = sum(np.isin(row, got).sum() for row, got in zip(exact, approx))
+        return hits / exact.size

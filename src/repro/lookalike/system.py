@@ -11,7 +11,7 @@ At deployment scale the online module neither stores float64 rows nor scans
 them exhaustively; the constructor therefore accepts a quantization mode
 (``quant="int8"``/``"pq"`` — the online matrix becomes a
 :class:`~repro.lookalike.quant.QuantizedEmbeddingStore` and every online
-read sees dequantized rows) and an ANN index (``index="lsh"``/``"ivf"`` —
+read sees dequantized rows) and an ANN index (``index="ivf"`` —
 :meth:`expand_audience` probes the index instead of scanning).  The default
 (``quant="none"``, ``index=None``) is the exact path, unchanged bit for
 bit; it stays the oracle reference the approximate configurations are
@@ -25,7 +25,7 @@ import numpy as np
 __all__ = ["LookalikeSystem"]
 
 _QUANT_MODES = ("none", "int8", "pq")
-_INDEX_KINDS = (None, "none", "lsh", "ivf")
+_INDEX_KINDS = (None, "none", "ivf")
 
 
 class LookalikeSystem:
@@ -41,14 +41,14 @@ class LookalikeSystem:
         :class:`~repro.lookalike.quant.QuantizedEmbeddingStore` trained on
         the matrix (4–64x memory cut; see :attr:`serving_bytes`).
     index:
-        ``None``/``"none"`` (exact scan), ``"lsh"`` or ``"ivf"``: ANN index
-        used by :meth:`expand_audience`, built over the online matrix
-        (the dequantized rows when the system is quantized).
+        ``None``/``"none"`` (exact scan) or ``"ivf"``: ANN index used by
+        :meth:`expand_audience`, built over the online matrix (the
+        dequantized rows when the system is quantized).
     seed:
         Seed for codebook training and index construction.
     index_params:
         Extra keyword arguments for the index constructor (e.g.
-        ``{"n_lists": 128, "nprobe": 16}`` or ``{"n_tables": 12}``).
+        ``{"n_lists": 128, "nprobe": 16}``).
     """
 
     def __init__(self, user_embeddings: np.ndarray, *,
@@ -79,13 +79,7 @@ class LookalikeSystem:
             self._online = store.as_matrix()[1]
         else:
             self._online = user_embeddings
-        if self.index_kind == "lsh":
-            from repro.lookalike.ann import LSHIndex
-
-            params = dict(index_params or {})
-            params.setdefault("seed", seed)
-            self.index = LSHIndex(self.dim, **params).fit(self._online)
-        elif self.index_kind == "ivf":
+        if self.index_kind == "ivf":
             from repro.lookalike.ann import IVFIndex
 
             params = dict(index_params or {})

@@ -9,7 +9,7 @@ an immutable record.
 
 Why *traces* plural on one span: the serving path fans requests **in** —
 ``MicroBatcher`` coalesces many single-key requests into one flush, and that
-flush (plus everything beneath it: cache probe, guarded store read, LSH,
+flush (plus everything beneath it: cache probe, guarded store read, IVF,
 inference) is genuinely shared work.  Rather than duplicating those spans per
 request we record each once with the full set of member trace ids and a
 *per-trace* parent map, so every request's reconstructed trace contains the

@@ -83,7 +83,7 @@ def render_dashboard(events: Iterable[Mapping], qps: float | None = None,
     latency_rows = []
     for name, label in (("serving.lookup_seconds", "lookup (scalar)"),
                         ("serving.batch_lookup_seconds", "lookup (batch)"),
-                        ("lsh.query_seconds", "lsh query"),
+                        ("ivf.query_batch_seconds", "ivf query batch"),
                         ("serve.request_seconds", "request e2e")):
         ev = _get(index, name)
         if ev is None:

@@ -1,11 +1,10 @@
 """Batched-softmax candidate selection and feature-sampling strategies."""
 
-from repro.sampling.strategies import (CodebookSampler, FeatureSampler,
-                                       FrequencySampler, UniformSampler,
-                                       ZipfianSampler, get_sampler,
-                                       select_candidates)
+from repro.sampling.strategies import (FeatureSampler, FrequencySampler,
+                                       UniformSampler, ZipfianSampler,
+                                       get_sampler, select_candidates)
 
 __all__ = [
     "FeatureSampler", "UniformSampler", "FrequencySampler", "ZipfianSampler",
-    "CodebookSampler", "get_sampler", "select_candidates",
+    "get_sampler", "select_candidates",
 ]

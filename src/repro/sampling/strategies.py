@@ -25,8 +25,7 @@ from repro.obs import runtime as obs
 from repro.utils.rng import new_rng
 
 __all__ = ["FeatureSampler", "UniformSampler", "FrequencySampler",
-           "ZipfianSampler", "CodebookSampler", "get_sampler",
-           "select_candidates"]
+           "ZipfianSampler", "get_sampler", "select_candidates"]
 
 
 def _weighted_sample_without_replacement(candidates: np.ndarray,
@@ -109,67 +108,20 @@ class ZipfianSampler(FeatureSampler):
         return _weighted_sample_without_replacement(candidates, weights, n, rng)
 
 
-class CodebookSampler(FeatureSampler):
-    """Draw candidates balanced across coarse-quantizer cells (FastVAE-style).
-
-    FastVAE's training-side result is that the codebook built for retrieval
-    doubles as a negative-sampling structure: partition the feature
-    embeddings with the same seeded k-means the IVF index uses
-    (:func:`repro.lookalike.quant.kmeans`) and weight each candidate by the
-    inverse of its cell's population, so kept candidates spread across
-    embedding-space regions instead of piling into the densest cluster.
-    Features the codebook has never seen fall back to weight 1 (their own
-    singleton cell).
-
-    Off by default everywhere — it needs trained feature embeddings, so it
-    is constructed explicitly (``get_sampler("codebook",
-    embeddings=...)``) rather than by bare name, and ships as an
-    ablation-benched alternative, not a config default.
-    """
-
-    name = "codebook"
-
-    def __init__(self, embeddings: np.ndarray, n_cells: int = 16,
-                 seed: int = 0, n_iters: int = 10) -> None:
-        from repro.lookalike.quant import kmeans
-
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        if embeddings.ndim != 2 or embeddings.shape[0] == 0:
-            raise ValueError("embeddings must be a non-empty (n, d) matrix")
-        n_cells = min(n_cells, embeddings.shape[0])
-        __, assign = kmeans(embeddings, n_cells, seed=seed, n_iters=n_iters)
-        self.n_cells = n_cells
-        self._cell_of = assign
-        self._cell_size = np.bincount(assign, minlength=n_cells).astype(
-            np.float64)
-
-    def _draw(self, candidates, frequencies, n, rng):
-        known = candidates < self._cell_of.shape[0]
-        weights = np.ones(candidates.size, dtype=np.float64)
-        cells = self._cell_of[candidates[known]]
-        weights[known] = 1.0 / self._cell_size[cells]
-        return _weighted_sample_without_replacement(candidates, weights, n, rng)
-
-
 _SAMPLERS = {
     "uniform": UniformSampler,
     "frequency": FrequencySampler,
     "zipfian": ZipfianSampler,
-    "codebook": CodebookSampler,
 }
 
 
-def get_sampler(name: str, **kwargs) -> FeatureSampler:
-    """Instantiate a sampler by name.
-
-    ``uniform`` / ``frequency`` / ``zipfian`` take no arguments;
-    ``codebook`` requires ``embeddings=`` (and accepts ``n_cells``,
-    ``seed``, ``n_iters``).
-    """
+def get_sampler(name: str) -> FeatureSampler:
+    """Instantiate a sampler by name: ``uniform``, ``frequency`` or
+    ``zipfian``."""
     key = name.lower()
     if key not in _SAMPLERS:
         raise KeyError(f"unknown sampler '{name}'; available: {sorted(_SAMPLERS)}")
-    return _SAMPLERS[key](**kwargs)
+    return _SAMPLERS[key]()
 
 
 def select_candidates(batch_field: FieldBatch, rate: float = 1.0,

@@ -2,7 +2,7 @@
 
 Serving traffic arrives one key at a time, but every layer below
 (:meth:`ServingProxy.get_embeddings_batch`, the columnar store, the
-multi-query LSH index) is fastest on whole batches.  :class:`MicroBatcher`
+list-major IVF index) is fastest on whole batches.  :class:`MicroBatcher`
 sits in between: requests queue up and the queue is flushed as one call to
 ``flush_fn`` when it reaches ``max_batch`` entries (size trigger) or the
 oldest entry has waited ``max_delay_seconds`` (deadline trigger, checked on
@@ -267,7 +267,7 @@ class MicroBatcher:
         deadline.  Only while a telemetry session is installed does a submit
         open its own request trace: the batcher owns that root until the
         handle resolves or fails, so the queue wait, the shared flush and every
-        proxy/store/LSH sub-span land inside it before the trace is finalized.
+        proxy/store/index sub-span land inside it before the trace is finalized.
         """
         now = self._clock()
         pending = PendingResult(key, self._resolved, deadline, now)

@@ -196,7 +196,7 @@ class TestLookalikeCommand:
         assert "recall vs exact scan 1.000" in text
 
     @pytest.mark.parametrize("index,quant", [("ivf", "int8"),
-                                             ("lsh", "pq"),
+                                             ("ivf", "pq"),
                                              ("none", "pq")])
     def test_index_quant_combos(self, index, quant):
         code, text = run_cli("lookalike", "--users", "600", "--dim", "8",
@@ -218,16 +218,14 @@ class TestLookalikeCommand:
         assert "ivf.probes" in text
         assert "quant.bytes_saved" in text
 
-    def test_bench_parser_accepts_ann_suite(self):
-        args = build_parser().parse_args(["bench", "--suite", "ann"])
-        assert args.suite == "ann"
-
-    @pytest.mark.parametrize("argv", [["bench"], ["bench", "--suite",
-                                                  "training"]])
-    def test_bench_requires_a_known_suite(self, argv):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
-
     def test_rejects_unknown_index(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lookalike", "--index", "kdtree"])
+
+    def test_lsh_index_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lookalike", "--index=lsh"])
+
+    def test_bench_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--suite", "ann"])

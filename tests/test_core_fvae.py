@@ -192,6 +192,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FVAEConfig(input_weighting="sqrt")
 
+    @pytest.mark.parametrize("name", ["codebook", "bogus"])
+    def test_invalid_sampler_fails_at_construction(self, name):
+        with pytest.raises(ValueError, match="sampler"):
+            FVAEConfig(sampler=name)
+
+    @pytest.mark.parametrize("name", ["uniform", "frequency", "zipfian"])
+    def test_fig5_samplers_accepted(self, name):
+        assert FVAEConfig(sampler=name).sampler == name
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             FVAEConfig(embedding_capacity=0)

@@ -271,7 +271,7 @@ class TestLookalikeSystemQuantIndex:
         assert system.serving_bytes == embeddings.nbytes
 
     @pytest.mark.parametrize("quant", ["int8", "pq"])
-    @pytest.mark.parametrize("index", [None, "lsh", "ivf"])
+    @pytest.mark.parametrize("index", [None, "ivf"])
     def test_grid_overlaps_exact(self, embeddings, quant, index):
         exact = LookalikeSystem(embeddings)
         system = LookalikeSystem(embeddings, quant=quant, index=index, seed=0)

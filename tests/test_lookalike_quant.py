@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lookalike import Int8Quantizer, PQQuantizer, QuantizedEmbeddingStore
+from repro.lookalike import (Int8Quantizer, PQQuantizer,
+                             QuantizedEmbeddingStore, exact_top_k)
 from repro.lookalike.quant import kmeans
 from repro.lookalike.store import EmbeddingStore
 from repro.utils.rng import new_rng
@@ -285,3 +286,48 @@ class TestQuantizedEmbeddingStore:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             QuantizedEmbeddingStore(8, mode="fp4")
+
+
+def mixture(rng, n, dim, n_clusters=32, spread=0.35):
+    """Gaussian-mixture rows, the shape real user embeddings take."""
+    centers = rng.normal(size=(n_clusters, dim))
+    assign = rng.integers(0, n_clusters, size=n)
+    return centers[assign] + rng.normal(scale=spread, size=(n, dim))
+
+
+class TestServingFloors:
+    """What the quantized serving tier promises at dim 64: the memory cut
+    against the float64 matrix and the recall@100 an exact scan over the
+    dequantized rows keeps against the float64 ground truth.  Both are
+    deterministic given the seed and the corpus size.  The PQ floors are for
+    the residual-coded configuration."""
+
+    K = 100
+    PQ = {"n_subvectors": 32, "n_coarse": 64}
+
+    def store_and_recall(self, n, mode, **kwargs):
+        rng = np.random.default_rng(0)
+        matrix = mixture(rng, n, 64)
+        queries = mixture(rng, 50, 64)
+        store = QuantizedEmbeddingStore(64, mode=mode, seed=0, **kwargs)
+        store.put_many(np.arange(n), matrix)
+        truth = exact_top_k(matrix, queries, self.K)
+        served = exact_top_k(store.as_matrix()[1], queries, self.K)
+        recall = np.mean([np.isin(t, s).mean() for t, s in zip(truth, served)])
+        return matrix.nbytes / store.nbytes, recall
+
+    def test_int8_memory_and_recall(self):
+        reduction, recall = self.store_and_recall(8_000, "int8")
+        assert reduction >= 4.0
+        assert recall >= 0.95
+
+    def test_residual_pq_recall(self):
+        __, recall = self.store_and_recall(2_000, "pq", **self.PQ)
+        assert recall >= 0.85
+
+    @pytest.mark.slow
+    def test_residual_pq_memory(self):
+        # The codebooks are a fixed cost; 8k rows amortise them past 8x.
+        reduction, recall = self.store_and_recall(8_000, "pq", **self.PQ)
+        assert reduction >= 8.0
+        assert recall >= 0.85

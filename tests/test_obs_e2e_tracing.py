@@ -156,18 +156,19 @@ class TestTracedServingPath:
                 assert trace.root.status == "error"
                 assert trace.span_named("batcher.flush").status == "error"
 
-    def test_lsh_and_encoder_spans_nest_when_called_in_context(self):
-        from repro.lookalike.ann import LSHIndex
+    def test_ivf_query_span_nests_under_the_request_root(self):
+        from repro.lookalike.ann import IVFIndex
 
         rng = np.random.default_rng(0)
-        index = LSHIndex(dim=DIM, seed=0).fit(rng.normal(size=(32, DIM)))
+        index = IVFIndex(dim=DIM, n_lists=4, nprobe=2,
+                         seed=0).fit(rng.normal(size=(32, DIM)))
         with obs.session() as telemetry:
             with obs.request("rank"):
                 index.query(rng.normal(size=DIM), k=4)
             trace = telemetry.traces.traces()[0]
-            lsh = trace.span_named("lsh.query")
-            assert lsh is not None
-            assert lsh.parent_in(trace.trace_id) == trace.root.span_id
+            ivf = trace.span_named("ivf.query_batch")
+            assert ivf is not None
+            assert ivf.parent_in(trace.trace_id) == trace.root.span_id
 
     def test_no_per_request_records_without_active_context(self):
         __, __f, proxy, __b = make_stack()

@@ -16,7 +16,7 @@ import pytest
 from repro.core import FVAE, FVAEConfig, Trainer
 from repro.data import make_kd_like
 from repro.hashing import DynamicHashTable
-from repro.lookalike.ann import LSHIndex
+from repro.lookalike.ann import IVFIndex
 from repro.lookalike.serving import ServingProxy
 from repro.lookalike.store import EmbeddingStore
 from repro.obs import TelemetryCallback, TrainerCallback
@@ -183,17 +183,17 @@ class TestServingInstrumentation:
         assert by_source == {"cache": 1, "store": 1, "inferred": 1, "miss": 1}
         assert reg.get("serving.lookup_seconds").count == 4
 
-    def test_lsh_query_latency_and_candidates(self):
+    def test_ivf_query_latency_and_candidates(self):
         rng = np.random.default_rng(0)
         vectors = rng.normal(size=(200, 8))
         with obs.session() as telemetry:
-            index = LSHIndex(dim=8, n_tables=4, n_bits=6, seed=0).fit(vectors)
+            index = IVFIndex(dim=8, n_lists=8, nprobe=2, seed=0).fit(vectors)
             for q in vectors[:20]:
                 index.query(q, k=5)
         reg = telemetry.registry
-        assert reg.get("lsh.size").value == 200
-        assert reg.get("lsh.query_seconds").count == 20
-        assert reg.get("lsh.candidates").count == 20
+        assert reg.get("ivf.size").value == 200
+        assert reg.get("ivf.query_batch_seconds").count == 20
+        assert reg.get("ivf.candidates").count == 20
 
 
 class TestHashTableInstrumentation:

@@ -1,21 +1,17 @@
-"""Batch loader contract and bench harness smoke.
+"""Batch loader contract.
 
 :class:`repro.perf.pipeline.SyncLoader` must yield exactly the batches
 ``dataset.batch(order[a:b])`` would, in order, from any starting batch —
 which keeps training bit-exact across loaders and checkpoint resumes.  The
-tests here pin that, the epoch's batch count, and smoke-test the
-``python -m repro bench`` harness output.
+tests here pin that and the epoch's batch count.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.data.loaders import make_kd_like
-from repro.perf.bench import run_bench
 from repro.perf.pipeline import SyncLoader, n_batches
 
 
@@ -60,34 +56,3 @@ class TestNBatches:
                                           batch_size=4))
         assert [b.n_users for b in batches] == [4, 2]
 
-
-class TestBenchHarness:
-    def test_quick_bench_writes_report(self, tmp_path):
-        out = tmp_path / "bench.json"
-        report = run_bench("serving", quick=True, out=out, seed=0)
-
-        on_disk = json.loads(out.read_text())
-        assert on_disk == report
-        assert report["meta"]["bench"] == "PR5"
-        assert report["meta"]["suite"] == "serving"
-        assert report["meta"]["quick"] is True
-
-        ops = {r["op"] for r in report["results"]}
-        assert {"store_get_many", "proxy_get_embeddings_batch",
-                "serving_batch_speedup", "lsh_batch_speedup",
-                "encoder_inference_speedup",
-                "cold_start_mmap_speedup"} <= ops
-        for record in report["results"]:
-            if "p50_ms" in record:
-                assert 0.0 < record["p50_ms"] <= record["p95_ms"]
-            if "ratio" in record:
-                assert record["ratio"] > 0.0
-
-    def test_cli_entry_point(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "cli_bench.json"
-        main(["bench", "--quick", "--suite", "serving", "--out", str(out)])
-        assert out.exists()
-        captured = capsys.readouterr().out
-        assert "serving_batch_speedup" in captured

@@ -136,67 +136,3 @@ class TestSelectCandidates:
             keeps += 0 in out
         assert keeps > 45
 
-
-class TestCodebookSampler:
-    def make_embeddings(self, seed=0):
-        # two dense clusters and one sparse one
-        rng = np.random.default_rng(seed)
-        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        sizes = (70, 25, 5)
-        return np.concatenate([
-            centers[c] + 0.2 * rng.normal(size=(size, 2))
-            for c, size in enumerate(sizes)])
-
-    def test_contract_matches_other_samplers(self, rng):
-        from repro.sampling import CodebookSampler
-
-        sampler = CodebookSampler(self.make_embeddings(), n_cells=3)
-        out = sampler.sample(np.arange(100), np.ones(100), 0.3, rng)
-        assert out.size == 30
-        assert np.all(np.diff(out) > 0)
-
-    def test_deterministic_per_seed(self):
-        from repro.sampling import CodebookSampler
-
-        embeddings = self.make_embeddings()
-        a = CodebookSampler(embeddings, n_cells=3, seed=1)
-        b = CodebookSampler(embeddings, n_cells=3, seed=1)
-        np.testing.assert_array_equal(a._cell_of, b._cell_of)
-        out_a = a.sample(np.arange(100), np.ones(100), 0.2,
-                         np.random.default_rng(5))
-        out_b = b.sample(np.arange(100), np.ones(100), 0.2,
-                         np.random.default_rng(5))
-        np.testing.assert_array_equal(out_a, out_b)
-
-    def test_balances_across_cells(self, rng):
-        from repro.sampling import CodebookSampler
-
-        sampler = CodebookSampler(self.make_embeddings(), n_cells=3)
-        hits = np.zeros(100)
-        for __ in range(300):
-            hits[sampler.sample(np.arange(100), np.ones(100), 0.1, rng)] += 1
-        # the 5-member sparse cluster is kept far more often per feature
-        # than the 70-member dense one
-        assert hits[95:].mean() > 2 * hits[:70].mean()
-
-    def test_unseen_features_fall_back_to_unit_weight(self, rng):
-        from repro.sampling import CodebookSampler
-
-        sampler = CodebookSampler(self.make_embeddings(), n_cells=3)
-        candidates = np.arange(200)  # 100..199 unknown to the codebook
-        out = sampler.sample(candidates, np.ones(200), 0.5, rng)
-        assert np.any(out >= 100)
-
-    def test_get_sampler_requires_embeddings(self):
-        from repro.sampling import get_sampler
-
-        with pytest.raises(TypeError):
-            get_sampler("codebook")
-        sampler = get_sampler("codebook", embeddings=self.make_embeddings())
-        assert sampler.name == "codebook"
-
-    def test_validation(self):
-        from repro.sampling import CodebookSampler
-
-        with pytest.raises(ValueError):
-            CodebookSampler(np.zeros((0, 3)))
