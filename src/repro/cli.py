@@ -27,7 +27,8 @@ Commands mirror the deployment workflow of §IV-D at example scale:
   gate verdict
 * ``chaos``        — the acceptance chaos run: bursty traffic against a
   scripted fault schedule (store failures, outage window, stragglers,
-  corrupted rows), scored against the SLO engine
+  corrupted rows), scored against the SLO engine and replayed with the same
+  seed, which must reproduce it bit for bit; exit code is the verdict
 
 ``train`` grows crash-safety flags: ``--checkpoint-dir`` /
 ``--checkpoint-every`` write atomic checkpoints during training and
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos", help="acceptance chaos run: burst + store failures + "
-                      "outage window, scored against SLOs")
+                      "outage window, scored against SLOs, then replayed "
+                      "with the same seed")
     add_loadtest_args(p_chaos, duration=30.0, rate=60.0)
     p_chaos.add_argument("--failure-rate", type=float, default=0.2,
                          help="background store failure probability "
@@ -697,16 +699,27 @@ def _cmd_loadtest(args, out) -> int:
 def _cmd_chaos(args, out) -> int:
     from repro.loadtest import run_chaos
 
-    result = run_chaos(duration=args.duration, rate=args.rate,
-                       burst_multiplier=args.burst_multiplier,
-                       burst_seconds=args.burst_seconds,
-                       failure_rate=args.failure_rate,
-                       outage_seconds=args.outage_seconds,
-                       seed=args.seed, n_users=args.users,
-                       shed_rate_limit=args.shed_limit,
-                       **_loadtest_harness_kwargs(args))
+    kwargs = dict(duration=args.duration, rate=args.rate,
+                  burst_multiplier=args.burst_multiplier,
+                  burst_seconds=args.burst_seconds,
+                  failure_rate=args.failure_rate,
+                  outage_seconds=args.outage_seconds,
+                  seed=args.seed, n_users=args.users,
+                  shed_rate_limit=args.shed_limit,
+                  **_loadtest_harness_kwargs(args))
+    result = run_chaos(**kwargs)
     print(result.render(), file=out)
-    return 0 if result.passed else 1
+    # the property every verdict above leans on: same seed, same run
+    replay = run_chaos(**kwargs)
+    identical = (np.array_equal(replay.latencies, result.latencies)
+                 and replay.shed_counts == result.shed_counts
+                 and replay.source_counts == result.source_counts
+                 and replay.passed == result.passed)
+    print("replay with the same seed: " + (
+        "bit-identical" if identical else
+        "DIVERGED (a wall clock or unseeded RNG leaked into the "
+        "virtual-time stack)"), file=out)
+    return 0 if result.passed and identical else 1
 
 
 _COMMANDS = {

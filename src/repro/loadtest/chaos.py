@@ -230,10 +230,6 @@ class ChaosStore:
                 obs.count("chaos.injected_corruptions")
         return vec
 
-    def get_many(self, ids: Sequence[Hashable]):
-        return {user_id: vec for user_id in ids
-                if (vec := self.get(user_id)) is not None}
-
     def get_batch(self, ids: Sequence[Hashable]):
         t = self._enter_read(len(ids))
         matrix, found = self.store.get_batch(ids)

@@ -53,6 +53,7 @@ class LoadTestResult:
 
     name: str
     requests: int
+    resolved: int                    # handles resolved, any outcome
     completed: int
     shed: int
     shed_counts: Counter
@@ -83,8 +84,15 @@ class LoadTestResult:
 
     @property
     def passed(self) -> bool:
-        """The chaos gate: no unhandled errors, bounded shed, SLOs green."""
+        """The chaos gate: no unhandled errors, every request resolved,
+        bounded shed, SLOs green.
+
+        Requests are counted by resolved handle, not as completed + shed: a
+        request shed under ``policy="degrade"`` is answered by the fallback
+        and so is both.
+        """
         return (self.unhandled == 0
+                and self.resolved == self.requests
                 and self.shed_rate <= self.shed_rate_limit
                 and self.slo_passed)
 
@@ -298,6 +306,7 @@ class LoadTestHarness:
         return LoadTestResult(
             name=name,
             requests=self.batcher.submitted,
+            resolved=len(resolved),
             completed=len(latencies),
             shed=self.batcher.shed,
             shed_counts=Counter(self.batcher.shed_counts),

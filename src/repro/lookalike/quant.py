@@ -19,20 +19,16 @@ small per-store codebook instead of float64 rows —
   smaller for dim-64 with 8 subvectors); the training-set round-trip error
   is recorded as :attr:`PQQuantizer.train_bound`.
 
-The store duck-types :class:`~repro.lookalike.store.EmbeddingStore` —
-``get``/``put``/``get_many``/``put_many``/``get_batch``/``rows_for``/
-``as_matrix``/``save_snapshot``/``load(mmap=True)`` — so it drops into the
-:class:`~repro.lookalike.serving.ServingProxy` resilience chain and the
-batched serving fast path unchanged.  Reads dequantize on the fly (serving
-sees plain float64 rows); the exact float store remains the oracle-pinned
-reference (``repro check``: ``lookalike.quant.dequant_bound`` and
-``serve.quantized_proxy_vs_exact``).
-
-Snapshots follow the PR-5 cold-start pattern: :meth:`save_snapshot` writes
-the uint8 code matrix uncompressed so :meth:`QuantizedEmbeddingStore.load`
-can adopt it as a read-only ``np.memmap``
-(:func:`~repro.utils.fileio.mmap_npz_member`), with copy-on-write on the
-first ``put``.
+The store is a subclass of :class:`~repro.lookalike.store.EmbeddingStore`
+that adds a codec and nothing else: the key index, row growth, batch reads
+(``get``/``get_many``/``get_batch``/``rows_for``/``as_matrix``) and the
+snapshot format (``save_snapshot``/``load(mmap=True)`` with copy-on-write on
+the first ``put``) are the float store's, run over a uint8 code matrix.  It
+drops into the :class:`~repro.lookalike.serving.ServingProxy` resilience
+chain and the batched serving fast path unchanged.  Reads dequantize on the
+fly (serving sees plain float64 rows); the exact float store remains the
+oracle-pinned reference (``repro check``: ``lookalike.quant.dequant_bound``
+and ``serve.quantized_proxy_vs_exact``).
 
 All quantizer training is **deterministic per seed**: the same training
 matrix and seed produce bit-identical scales, codebooks and codes.
@@ -40,12 +36,12 @@ matrix and seed produce bit-identical scales, codebooks and codes.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from repro.lookalike.store import EmbeddingStore
 from repro.obs import runtime as obs
 from repro.utils.rng import new_rng
 
@@ -356,14 +352,15 @@ class PQQuantizer:
 _QUANTIZERS = {"int8": Int8Quantizer, "pq": PQQuantizer}
 
 
-class QuantizedEmbeddingStore:
-    """Key → vector store holding uint8 codes instead of float64 rows.
+class QuantizedEmbeddingStore(EmbeddingStore):
+    """:class:`~repro.lookalike.store.EmbeddingStore` whose rows are uint8 codes.
 
-    Duck-types :class:`~repro.lookalike.store.EmbeddingStore`: the same
-    read/write/persistence surface, with every read dequantizing on the fly
-    (callers see float64 rows of the right ``dim``) and every write
-    quantizing through the store's codebook.  Rows are append-only, exactly
-    like the float store, so :meth:`rows_for` indices stay valid.
+    The store core — key index, append-only rows, copy-on-write over an
+    adopted mmap, the batch reads and the snapshot format — is the float
+    store's; this class is its codec.  Every write quantizes through the
+    store's codebook and every read dequantizes (callers see float64 rows of
+    the right ``dim``).  The archive holds the codes as ``codes`` plus the
+    ``mode`` and the ``quantizer_*`` state.
 
     The quantizer trains **once**: explicitly via :meth:`fit_quantizer`
     (or :meth:`from_store`), or implicitly on the first ``put_many`` batch.
@@ -372,31 +369,33 @@ class QuantizedEmbeddingStore:
 
     Memory accounting: :attr:`nbytes` is codes + codebook;
     :attr:`bytes_saved` is the cut versus a float64 matrix of the same
-    shape, also published as the ``quant.bytes_saved`` gauge.
+    shape, also published as the ``quant.bytes_saved`` gauge on every write.
     """
+
+    _ROWS = "codes"
 
     def __init__(self, dim: int, mode: str = "int8", *,
                  n_subvectors: int = 8, n_centroids: int = 256,
                  seed: int = 0, train_iters: int = 20,
                  n_coarse: int = 0) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive: {dim}")
+        super().__init__(dim)
         if mode not in _QUANTIZERS:
             raise ValueError(
                 f"unknown quantization mode '{mode}'; "
                 f"available: {sorted(_QUANTIZERS)}")
-        self.dim = dim
-        self.mode = mode
         if mode == "int8":
-            self._quantizer: Int8Quantizer | PQQuantizer = Int8Quantizer(dim)
+            quantizer: Int8Quantizer | PQQuantizer = Int8Quantizer(dim)
         else:
-            self._quantizer = PQQuantizer(dim, n_subvectors=n_subvectors,
-                                          n_centroids=n_centroids, seed=seed,
-                                          n_iters=train_iters,
-                                          n_coarse=n_coarse)
-        self._index: dict[Hashable, int] = {}
-        self._codes = np.empty((0, self._quantizer.code_width), dtype=np.uint8)
-        self._readonly = False
+            quantizer = PQQuantizer(dim, n_subvectors=n_subvectors,
+                                    n_centroids=n_centroids, seed=seed,
+                                    n_iters=train_iters, n_coarse=n_coarse)
+        self._use(quantizer)
+
+    def _use(self, quantizer: Int8Quantizer | PQQuantizer) -> None:
+        """Make ``quantizer`` the codec of this (still empty) store."""
+        self.mode = quantizer.mode
+        self._quantizer = quantizer
+        self._matrix = np.empty((0, quantizer.code_width), dtype=np.uint8)
 
     @classmethod
     def from_store(cls, store, mode: str = "int8",
@@ -406,15 +405,6 @@ class QuantizedEmbeddingStore:
         quantized = cls(store.dim, mode=mode, **kwargs)
         quantized.put_many(keys, matrix)
         return quantized
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._index)
 
     @property
     def quantizer(self) -> Int8Quantizer | PQQuantizer:
@@ -439,120 +429,32 @@ class QuantizedEmbeddingStore:
         """Round-trip error bound: per-dimension (int8) or L2 (pq)."""
         return self._quantizer.bound()
 
-    # -- writes ----------------------------------------------------------------
+    # -- the codec -------------------------------------------------------------
 
-    def _writable_rows(self, extra: int) -> None:
-        """Private, grown code matrix with room for ``extra`` new rows."""
-        needed = len(self._index) + extra
-        if self._readonly:
-            grown = np.empty((max(needed, len(self._index)),
-                              self._codes.shape[1]), dtype=np.uint8)
-            grown[:len(self._index)] = self._codes[:len(self._index)]
-            self._codes = grown
-            self._readonly = False
-        if needed > self._codes.shape[0]:
-            capacity = max(needed, 2 * self._codes.shape[0], 8)
-            grown = np.empty((capacity, self._codes.shape[1]), dtype=np.uint8)
-            grown[:len(self._index)] = self._codes[:len(self._index)]
-            self._codes = grown
-
-    def put(self, key: Hashable, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise ValueError(f"vector shape {vector.shape} != ({self.dim},)")
-        self.put_many([key], vector[None, :])
-
-    def put_many(self, keys: Iterable[Hashable], matrix: np.ndarray) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        keys = list(keys)
-        if matrix.shape != (len(keys), self.dim):
-            raise ValueError(
-                f"matrix shape {matrix.shape} != ({len(keys)}, {self.dim})")
+    def _encode(self, matrix: np.ndarray) -> np.ndarray:
         if not self._quantizer.trained:
-            if not keys:
-                return
             # Train-on-first-write: the first batch is the codebook's
             # training set (the bulk-load path quantizes the whole snapshot).
             self._quantizer.fit(matrix)
-        codes = self._quantizer.quantize(matrix)
-        new = sum(1 for key in keys if key not in self._index)
-        self._writable_rows(new)
-        index = self._index
-        next_row = len(index)
-        rows = np.empty(len(keys), dtype=np.int64)
-        for pos, key in enumerate(keys):
-            row = index.get(key)
-            if row is None:
-                row = index[key] = next_row
-                next_row += 1
-            rows[pos] = row
-        # Last-wins duplicate semantics, same as EmbeddingStore.put_many.
-        self._codes[rows] = codes
+        return self._quantizer.quantize(matrix)
+
+    def _decode(self, rows: np.ndarray) -> np.ndarray:
+        return self._quantizer.dequantize(rows)
+
+    def put_many(self, keys: Iterable[Hashable], matrix: np.ndarray) -> None:
+        super().put_many(keys, matrix)
         obs.gauge_set("quant.bytes_saved", self.bytes_saved, mode=self.mode)
-
-    # -- reads -----------------------------------------------------------------
-
-    def get(self, key: Hashable) -> np.ndarray | None:
-        row = self._index.get(key)
-        if row is None:
-            return None
-        return self._quantizer.dequantize(self._codes[row][None, :])[0]
-
-    def rows_for(self, keys: Sequence[Hashable]) -> np.ndarray:
-        """Row index per key (``-1`` for keys not in the store)."""
-        index = self._index
-        rows = np.empty(len(keys), dtype=np.int64)
-        for pos, key in enumerate(keys):
-            rows[pos] = index.get(key, -1)
-        return rows
-
-    def get_many(self, keys: Iterable[Hashable]) -> np.ndarray:
-        """Stack dequantized vectors for ``keys``; raises on a missing key."""
-        keys = list(keys)
-        rows = self.rows_for(keys)
-        missing = np.flatnonzero(rows < 0)
-        if missing.size:
-            key = keys[int(missing[0])]
-            raise KeyError(f"no embedding stored for key {key!r}")
-        if not len(keys):
-            return np.empty((0, self.dim), dtype=np.float64)
-        return self._quantizer.dequantize(self._codes[rows])
-
-    def get_batch(self,
-                  keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
-        """``(matrix, found_mask)`` — zero rows for absent keys, no raise."""
-        rows = self.rows_for(keys)
-        found = rows >= 0
-        out = np.zeros((len(keys), self.dim), dtype=np.float64)
-        hit = np.flatnonzero(found)
-        if hit.size:
-            out[hit] = self._quantizer.dequantize(self._codes[rows[hit]])
-        return out, found
-
-    def keys(self) -> list[Hashable]:
-        return list(self._index)
-
-    def as_matrix(self) -> tuple[list[Hashable], np.ndarray]:
-        """``(keys, dequantized_matrix)`` with aligned ordering.
-
-        Unlike ``EmbeddingStore.as_matrix`` the matrix is **materialised**
-        (dequantized), not a view — writing through it changes nothing.
-        """
-        n = len(self._index)
-        if n == 0:
-            return [], np.empty((0, self.dim), dtype=np.float64)
-        return list(self._index), self._quantizer.dequantize(self._codes[:n])
 
     def as_codes(self) -> tuple[list[Hashable], np.ndarray]:
         """``(keys, code_matrix)`` — the live uint8 codes, zero-copy view."""
-        return list(self._index), self._codes[:len(self._index)]
+        return list(self._index), self._matrix[:len(self._index)]
 
     # -- memory accounting -------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
         """Bytes held: live code rows plus the codebook."""
-        return (len(self._index) * self._codes.shape[1]
+        return (len(self._index) * self._matrix.shape[1]
                 + self._quantizer.nbytes)
 
     @property
@@ -562,57 +464,17 @@ class QuantizedEmbeddingStore:
 
     # -- persistence -----------------------------------------------------------
 
-    def _payload(self) -> dict:
-        keys, codes = self.as_codes()
-        payload = {"keys": np.asarray(keys, dtype=object),
-                   "codes": np.ascontiguousarray(codes),
-                   "dim": self.dim, "mode": self.mode}
+    def _archive(self) -> dict:
+        members = {"dim": self.dim, "mode": self.mode}
         for name, value in self._quantizer.state().items():
-            payload[f"quantizer_{name}"] = value
-        return payload
-
-    def save(self, path: str | Path) -> None:
-        np.savez_compressed(path, **self._payload())
-
-    def save_snapshot(self, path: str | Path) -> None:
-        """Uncompressed snapshot; :meth:`load` can memory-map the codes."""
-        np.savez(path, **self._payload())
+            members[f"quantizer_{name}"] = value
+        return members
 
     @classmethod
-    def load(cls, path: str | Path,
-             mmap: bool = False) -> "QuantizedEmbeddingStore":
-        """Load a saved store; ``mmap=True`` adopts the codes zero-copy.
-
-        Mapping only works for :meth:`save_snapshot` archives; otherwise —
-        or when mapping fails — the codes load eagerly.  A mapped store is
-        read-only until the first write, which materialises a private copy
-        (copy-on-write, the PR-5 cold-start pattern).
-        """
-        from repro.utils.fileio import mmap_npz_member
-
-        mapped = mmap_npz_member(path, "codes") if mmap else None
-        with np.load(path, allow_pickle=True) as payload:
-            mode = str(payload["mode"])
-            dim = int(payload["dim"])
-            store = cls(dim, mode=mode)
-            prefix = "quantizer_"
-            state = {name[len(prefix):]: payload[name]
-                     for name in payload.files if name.startswith(prefix)}
-            store._quantizer = _QUANTIZERS[mode].from_state(dim, state)
-            keys = list(payload["keys"])
-            width = store._quantizer.code_width
-            if mapped is not None and mapped.shape == (len(keys), width):
-                store._index = {key: row for row, key in enumerate(keys)}
-                store._codes = mapped
-                store._readonly = True
-            else:
-                codes = np.asarray(payload["codes"], dtype=np.uint8)
-                store._index = {key: row for row, key in enumerate(keys)}
-                store._codes = codes.copy()
-        obs.gauge_set("quant.bytes_saved", store.bytes_saved, mode=mode)
+    def _from_archive(cls, payload) -> "QuantizedEmbeddingStore":
+        dim, prefix = int(payload["dim"]), "quantizer_"
+        state = {name[len(prefix):]: payload[name]
+                 for name in payload.files if name.startswith(prefix)}
+        store = cls(dim)
+        store._use(_QUANTIZERS[str(payload["mode"])].from_state(dim, state))
         return store
-
-    @property
-    def is_mapped(self) -> bool:
-        """True while the codes are still the adopted read-only mmap."""
-        return self._readonly

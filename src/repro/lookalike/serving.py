@@ -137,20 +137,8 @@ class ServingProxy:
         a failure anywhere fails the batch (and counts once against the
         breaker), success resolves every present key in one gather.
         """
-        store = self.store
-
         def read() -> tuple[np.ndarray, np.ndarray]:
-            if hasattr(store, "get_batch"):
-                return store.get_batch(keys)
-            # stores without a batch read: per-key fallback loop
-            out = np.zeros((len(keys), store.dim), dtype=np.float64)
-            found = np.zeros(len(keys), dtype=bool)
-            for pos, key in enumerate(keys):
-                vec = store.get(key)
-                if vec is not None:
-                    out[pos] = vec
-                    found[pos] = True
-            return out, found
+            return self.store.get_batch(keys)
 
         res = self.resilience
         if res is None:

@@ -5,13 +5,18 @@ The paper's offline module persists inferred user embeddings to bulk storage
 (Redis).  :class:`EmbeddingStore` is the bulk store (with npz persistence);
 :class:`LRUCache` is the bounded cache with hit/miss accounting.
 
-Layout: the store is *columnar* — one contiguous ``(capacity, dim)`` float64
-matrix plus a key→row dict.  Batch reads (:meth:`EmbeddingStore.get_many`,
-:meth:`EmbeddingStore.get_batch`) are single fancy-indexing ops over that
-matrix rather than per-key Python loops, and :meth:`EmbeddingStore.load` can
-adopt a read-only ``np.memmap`` of an uncompressed snapshot
-(:meth:`EmbeddingStore.save_snapshot`) so cold starts page the matrix in
-lazily instead of deserialising it.
+Layout: the store is *columnar* — one contiguous ``(capacity, width)`` matrix
+of stored rows plus a key→row dict (:class:`_RowTable`).  Batch reads
+(:meth:`EmbeddingStore.get_many`, :meth:`EmbeddingStore.get_batch`) are single
+fancy-indexing ops over that matrix rather than per-key Python loops, and
+:meth:`EmbeddingStore.load` can adopt a read-only ``np.memmap`` of an
+uncompressed snapshot (:meth:`EmbeddingStore.save_snapshot`) so cold starts
+page the matrix in lazily instead of deserialising it.
+
+Every vector crosses one encode/decode pair on its way in and out.  Here it
+is the identity (stored rows are the float64 vectors); the quantized store
+(:class:`~repro.lookalike.quant.QuantizedEmbeddingStore`) is this class with
+a codec, storing uint8 codes.
 """
 
 from __future__ import annotations
@@ -30,25 +35,37 @@ __all__ = ["EmbeddingStore", "LRUCache"]
 
 
 class _RowTable:
-    """Key → row index over one growable ``(n, dim)`` float64 matrix.
+    """Key → row index over one growable ``(n, width)`` matrix of stored rows.
 
     The columnar core under :class:`EmbeddingStore` and the serving proxy's
     stale tier: per-key work is one dict lookup, everything that touches
-    vectors is one fancy-indexed gather or scatter.  Rows are append-only —
-    a key keeps its row for the lifetime of the table — and the table holds
+    rows is one fancy-indexed gather or scatter.  Rows are append-only — a
+    key keeps its row for the lifetime of the table — and the table holds
     *copies*: neither :meth:`write` nor :meth:`read` aliases a caller's array.
+
+    The matrix may be an adopted read-only mmap (:meth:`EmbeddingStore.load`);
+    the first :meth:`write` then detaches onto a private in-memory copy
+    (copy-on-write) and the file is never touched.
     """
 
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
+    def __init__(self, width: int) -> None:
+        #: Width of the rows :meth:`read` returns.
+        self.dim = width
         self._index: dict[Hashable, int] = {}
-        self._matrix = np.empty((0, dim), dtype=np.float64)
+        self._matrix = np.empty((0, width), dtype=np.float64)
+        #: True while the matrix is an adopted read-only mmap.
+        self._readonly = False
 
     def __len__(self) -> int:
         return len(self._index)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._index
+
+    @property
+    def is_mapped(self) -> bool:
+        """True while the matrix is still the adopted read-only mmap."""
+        return self._readonly
 
     def rows_for(self, keys: Sequence[Hashable]) -> np.ndarray:
         """Row index per key (``-1`` for keys not in the table)."""
@@ -60,16 +77,21 @@ class _RowTable:
 
         One scatter for the batch.  Duplicate keys resolve last-wins, as the
         per-key loop would: NumPy assigns repeated indices in order (it does
-        not promise to — ``tests/test_serve_columnar.py`` pins it).
+        not promise to — ``tests/test_serve_columnar.py`` pins it).  A write
+        to the adopted mmap first copies the live rows, exactly sized;
+        growth doubles the capacity.
         """
         index = self._index
         live = len(index)
         rows = [index.setdefault(key, len(index)) for key in keys]
-        if len(index) > self._matrix.shape[0]:
-            capacity = max(len(index), 2 * self._matrix.shape[0], 8)
-            grown = np.empty((capacity, self.dim), dtype=np.float64)
+        if self._readonly or len(index) > self._matrix.shape[0]:
+            capacity = len(index) if self._readonly else \
+                max(len(index), 2 * self._matrix.shape[0], 8)
+            grown = np.empty((capacity, self._matrix.shape[1]),
+                             dtype=self._matrix.dtype)
             grown[:live] = self._matrix[:live]
             self._matrix = grown
+            self._readonly = False
         self._matrix[np.fromiter(rows, np.intp, len(rows))] = matrix
 
     def read(self, keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
@@ -77,17 +99,26 @@ class _RowTable:
 
         One gather for the batch, by plain fancy indexing: on the adopted
         mmap ``ndarray.take`` would first copy the *whole* matrix (it wants
-        an aligned array; an ``.npz`` member is not).  The result is a fresh
+        an aligned array; an ``.npz`` member is not).  Gathered rows pass
+        through :meth:`_decode` and absent keys are zeroed *after* it (a zero
+        code need not decode to a zero vector).  The result is a fresh
         writable ``ndarray`` the caller owns.
         """
         rows = self.rows_for(keys)
         found = rows >= 0
         if not self._index:
             return np.zeros((len(keys), self.dim), dtype=np.float64), found
-        out = self._matrix[rows]  # an absent key (-1) gathers the last row
-        if not found.all():
-            out[~found] = 0.0
+        if found.all():
+            return self._decode(self._matrix[rows]), found
+        missing = ~found
+        rows[missing] = 0            # any written row: its code decodes
+        out = self._decode(self._matrix[rows])
+        out[missing] = 0.0
         return out, found
+
+    def _decode(self, rows: np.ndarray) -> np.ndarray:
+        """Stored rows → float64 vectors: the identity for a float64 table."""
+        return rows
 
 
 class EmbeddingStore(_RowTable):
@@ -97,18 +128,26 @@ class EmbeddingStore(_RowTable):
     over one contiguous row-major matrix.  Rows are append-only: a key keeps
     its row for the lifetime of the store, so row indices from
     :meth:`rows_for` stay valid across later writes.
+
+    Writes pass through :meth:`_encode` and reads through :meth:`_decode`,
+    the identity here; a subclass with a codec changes the stored rows (and
+    the archive member :attr:`_ROWS` that holds them) and nothing else.
     """
+
+    #: Archive member holding the stored rows.
+    _ROWS = "matrix"
 
     def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive: {dim}")
         super().__init__(dim)
-        #: True while the matrix is an adopted read-only mmap; the first
-        #: write materialises a private in-memory copy (copy-on-write).
-        self._readonly = False
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._index)
+
+    def _encode(self, matrix: np.ndarray) -> np.ndarray:
+        """float64 vectors → stored rows: the identity here."""
+        return matrix
 
     # -- writes ----------------------------------------------------------------
 
@@ -124,26 +163,25 @@ class EmbeddingStore(_RowTable):
         if matrix.shape != (len(keys), self.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} != ({len(keys)}, {self.dim})")
-        if self._readonly:
-            self._matrix = np.array(self._matrix[:len(self._index)])
-            self._readonly = False
-        self.write(keys, matrix)
+        if keys:
+            self.write(keys, self._encode(matrix))
 
     # -- reads -----------------------------------------------------------------
 
     def get(self, key: Hashable) -> np.ndarray | None:
-        row = self._index.get(key)
-        return None if row is None else self._matrix[row]
+        """The key's vector as a fresh array (writing into it changes
+        nothing stored), or ``None``."""
+        vectors, found = self.read([key])
+        return vectors[0] if found[0] else None
 
     def get_many(self, keys: Iterable[Hashable]) -> np.ndarray:
         """Stack vectors for ``keys``; raises on any missing key."""
         keys = list(keys)
-        rows = self.rows_for(keys)
-        missing = np.flatnonzero(rows < 0)
-        if missing.size:
-            key = keys[int(missing[0])]
+        vectors, found = self.read(keys)
+        if not found.all():
+            key = keys[int(np.argmin(found))]
             raise KeyError(f"no embedding stored for key {key!r}")
-        return self._matrix[rows]
+        return vectors
 
     def get_batch(self,
                   keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,54 +199,63 @@ class EmbeddingStore(_RowTable):
     def as_matrix(self) -> tuple[list[Hashable], np.ndarray]:
         """Return ``(keys, matrix)`` with aligned ordering.
 
-        The matrix is a zero-copy view of the live store; callers must not
-        write through it.
+        For float64 rows the matrix is a zero-copy view of the live store;
+        callers must not write through it.  A codec materialises it.
         """
-        return list(self._index), self._matrix[:len(self._index)]
+        n = len(self._index)
+        if not n:
+            return [], np.empty((0, self.dim), dtype=np.float64)
+        return list(self._index), self._decode(self._matrix[:n])
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        keys, matrix = self.as_matrix()
-        np.savez_compressed(path, keys=np.asarray(keys, dtype=object),
-                            matrix=matrix, dim=self.dim)
+    def _archive(self) -> dict:
+        """Archive members besides ``keys`` and the stored rows."""
+        return {"dim": self.dim}
+
+    @classmethod
+    def _from_archive(cls, payload) -> "EmbeddingStore":
+        """An empty store configured from an archive's members."""
+        return cls(int(payload["dim"]))
 
     def save_snapshot(self, path: str | Path) -> None:
-        """Write an *uncompressed* snapshot that :meth:`load` can memory-map.
+        """Write an *uncompressed* archive that :meth:`load` can memory-map.
 
-        Same schema as :meth:`save`; the matrix member is stored raw so its
-        byte range in the archive is exactly the in-memory layout.
+        The rows member is stored raw, so its byte range in the archive is
+        exactly the in-memory layout.
         """
-        keys, matrix = self.as_matrix()
-        np.savez(path, keys=np.asarray(keys, dtype=object),
-                 matrix=np.ascontiguousarray(matrix, dtype=np.float64),
-                 dim=self.dim)
+        n = len(self._index)
+        np.savez(path, keys=np.asarray(list(self._index), dtype=object),
+                 **{self._ROWS: np.ascontiguousarray(self._matrix[:n])},
+                 **self._archive())
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "EmbeddingStore":
-        """Load a saved store; ``mmap=True`` adopts the matrix zero-copy.
+        """Load a saved store; ``mmap=True`` adopts the rows zero-copy.
 
         Mapping only works for :meth:`save_snapshot` archives (uncompressed);
-        otherwise — or when mapping fails — the matrix is loaded eagerly.  A
+        otherwise — or when mapping fails — the rows are loaded eagerly.  A
         mapped store is served read-only until the first write, which
-        materialises a private copy.
+        materialises a private copy.  Raises ``ValueError`` when the stored
+        rows do not match the archive's keys and row width.
         """
-        mapped = mmap_npz_member(path, "matrix") if mmap else None
+        mapped = mmap_npz_member(path, cls._ROWS) if mmap else None
         with np.load(path, allow_pickle=True) as payload:
-            store = cls(int(payload["dim"]))
+            store = cls._from_archive(payload)
             keys = list(payload["keys"])
-            if mapped is not None and mapped.shape == (len(keys), store.dim):
-                store._index = {key: row for row, key in enumerate(keys)}
+            shape = (len(keys), store._matrix.shape[1])
+            if mapped is not None and mapped.shape == shape:
                 store._matrix = mapped
                 store._readonly = True
             else:
-                store.put_many(keys, payload["matrix"])
+                store._matrix = np.asarray(payload[cls._ROWS],
+                                           dtype=store._matrix.dtype)
+                if store._matrix.shape != shape:
+                    raise ValueError(
+                        f"archive {cls._ROWS!r} shape {store._matrix.shape} "
+                        f"!= {shape}")
+            store._index = {key: row for row, key in enumerate(keys)}
         return store
-
-    @property
-    def is_mapped(self) -> bool:
-        """True while the matrix is still the adopted read-only mmap."""
-        return self._readonly
 
 
 class LRUCache:

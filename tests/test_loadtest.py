@@ -263,6 +263,46 @@ class TestLoadtestCLI:
         text = out.getvalue()
         assert "outage" in text and "chaos gate: PASS" in text
 
+    def test_chaos_ci_gate_replays_bit_identically(self):
+        out = io.StringIO()
+        code = main(["chaos", "--duration", "30", "--seed", "0"], out=out)
+        lines = out.getvalue().splitlines()
+        assert code == 0
+        assert "chaos gate: PASS" in lines
+        assert lines[-1] == "replay with the same seed: bit-identical"
+
+    def test_chaos_command_fails_on_a_diverged_replay(self, monkeypatch):
+        import repro.loadtest as loadtest
+
+        runs = iter([run_chaos(duration=4.0, seed=0),
+                     run_chaos(duration=4.0, seed=1)])
+        monkeypatch.setattr(loadtest, "run_chaos",
+                            lambda **kwargs: next(runs))
+        out = io.StringIO()
+        assert main(["chaos", "--duration", "4"], out=out) == 1
+        assert "replay with the same seed: DIVERGED" in out.getvalue()
+
+    def test_an_unresolved_request_fails_the_gate(self):
+        result = run_chaos(duration=4.0, seed=0)
+        assert result.passed
+        result.resolved -= 1                       # one request leaked
+        assert not result.passed
+
+    def test_degrade_policy_sheds_and_still_passes(self):
+        # a degraded request is shed *and* answered by the fallback, so it
+        # counts in both ``shed`` and ``completed``; the gate must hold
+        out = io.StringIO()
+        code = main(["chaos", "--duration", "8", "--seed", "0",
+                     "--policy", "degrade", "--max-queue", "8"], out=out)
+        text = out.getvalue()
+        assert code == 0, text
+        assert "shed by cause:" in text and "chaos gate: PASS" in text
+        result = run_chaos(duration=8.0, seed=0, policy="degrade",
+                           max_queue=8)
+        assert result.shed > 0 and result.unhandled == 0
+        assert result.completed + result.shed > result.requests
+        assert result.resolved == result.requests and result.passed
+
     def test_gate_failure_maps_to_exit_code(self):
         out = io.StringIO()
         # a 1-deep queue against a 10x burst sheds far past the 20% limit

@@ -43,15 +43,6 @@ class TestEmbeddingStore:
         for key, row in zip(keys, matrix):
             np.testing.assert_allclose(store.get(key), row)
 
-    def test_save_load_round_trip(self, tmp_path):
-        store = EmbeddingStore(dim=3)
-        store.put_many([1, 2], np.random.default_rng(0).normal(size=(2, 3)))
-        path = tmp_path / "emb.npz"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
-        assert loaded.dim == 3
-        np.testing.assert_allclose(loaded.get(1), store.get(1))
-
 
 class TestLRUCache:
     def test_eviction_order(self):

@@ -1,4 +1,9 @@
-"""Quantized embedding stores: int8 / PQ codecs and the duck-typed store."""
+"""Quantized embedding stores: int8 / PQ codecs and the codec store.
+
+The store behaviour shared with the float store (duplicate and absent keys,
+snapshots, copy-on-write, the archive format) is pinned for every codec in
+``tests/test_store_contract.py``; what is here is about quantization.
+"""
 
 from __future__ import annotations
 
@@ -214,59 +219,6 @@ class TestQuantizedEmbeddingStore:
             err = np.sqrt(np.sum((got - data) ** 2, axis=1))
             assert np.all(err <= store.dequant_bound() + 1e-9)
 
-    def test_absent_key_contract(self, mode):
-        data = clustered(n=20, dim=8)
-        store = self.make_store(mode, data)
-        assert store.get("ghost") is None
-        assert "ghost" not in store
-        rows, mask = store.get_batch(["u0", "ghost", "u5"])
-        assert mask.tolist() == [True, False, True]
-        np.testing.assert_array_equal(rows[1], np.zeros(8))
-
-    def test_last_write_wins(self, mode):
-        data = clustered(n=30, dim=8)
-        store = self.make_store(mode, data)
-        store.put("u3", data[7])
-        np.testing.assert_array_equal(store.get("u3"), store.get("u7"))
-
-    def test_matches_exact_store_interface(self, mode):
-        data = clustered(n=40, dim=8)
-        keys = [f"u{i}" for i in range(40)]
-        exact = EmbeddingStore(8)
-        exact.put_many(keys, data)
-        quant = self.make_store(mode, data)
-        assert sorted(quant.keys()) == sorted(exact.keys())
-        for probe in (["u1", "nope", "u2"], []):
-            __, mask_e = exact.get_batch(probe)
-            __, mask_q = quant.get_batch(probe)
-            np.testing.assert_array_equal(mask_e, mask_q)
-
-    def test_snapshot_mmap_round_trip(self, mode, tmp_path):
-        data = clustered(n=64, dim=8)
-        store = self.make_store(mode, data)
-        path = tmp_path / "snap.npz"
-        store.save_snapshot(path)
-        loaded = QuantizedEmbeddingStore.load(path, mmap=True)
-        assert loaded.is_mapped
-        assert loaded.mode == mode
-        np.testing.assert_array_equal(loaded.as_codes()[1],
-                                      store.as_codes()[1])
-        np.testing.assert_array_equal(loaded.get_many(["u0", "u63"]),
-                                      store.get_many(["u0", "u63"]))
-
-    def test_copy_on_write_after_mmap(self, mode, tmp_path):
-        data = clustered(n=32, dim=8)
-        store = self.make_store(mode, data)
-        path = tmp_path / "snap.npz"
-        store.save_snapshot(path)
-        loaded = QuantizedEmbeddingStore.load(path, mmap=True)
-        loaded.put("fresh", data[0])
-        assert not loaded.is_mapped  # write detaches from the mapping
-        assert len(loaded) == 33
-        # the on-disk snapshot is untouched
-        again = QuantizedEmbeddingStore.load(path, mmap=True)
-        assert len(again) == 32
-
     def test_memory_reduction(self, mode):
         data = clustered(n=500, dim=16)
         store = self.make_store(mode, data)
@@ -286,6 +238,25 @@ class TestQuantizedEmbeddingStore:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             QuantizedEmbeddingStore(8, mode="fp4")
+
+    def test_is_the_float_store_with_a_codec(self):
+        assert issubclass(QuantizedEmbeddingStore, EmbeddingStore)
+        core = {"rows_for", "write", "read", "get", "get_many", "get_batch",
+                "keys", "as_matrix", "save_snapshot", "load", "is_mapped"}
+        assert not core & set(vars(QuantizedEmbeddingStore))
+
+    def test_load_rebuilds_the_saved_pq_layout(self, tmp_path):
+        # dim 12 with 4 sub-vectors: the default 8 does not divide it
+        data = clustered(n=60, dim=12)
+        store = QuantizedEmbeddingStore(12, mode="pq", n_subvectors=4,
+                                        n_centroids=16, n_coarse=3)
+        store.put_many(range(60), data)
+        store.save_snapshot(tmp_path / "snap.npz")
+        loaded = QuantizedEmbeddingStore.load(tmp_path / "snap.npz")
+        assert loaded.quantizer.n_subvectors == 4
+        assert loaded.quantizer.n_coarse == 3
+        np.testing.assert_array_equal(loaded.as_matrix()[1],
+                                      store.as_matrix()[1])
 
 
 def mixture(rng, n, dim, n_clusters=32, spread=0.35):

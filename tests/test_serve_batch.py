@@ -165,12 +165,6 @@ class TestEmbeddingStoreColumnar:
         with pytest.raises(KeyError, match="ghost"):
             store.get_many(["a", "ghost", "b"])
 
-    def test_get_batch_masks_missing(self):
-        store = make_store(["a"])
-        out, found = store.get_batch(["a", "ghost"])
-        assert found.tolist() == [True, False]
-        np.testing.assert_array_equal(out[1], np.zeros(DIM))
-
     def test_rows_stay_stable_across_overwrites(self):
         store = make_store(["a", "b"])
         rows = store.rows_for(["a", "b"])
@@ -178,54 +172,11 @@ class TestEmbeddingStoreColumnar:
         assert store.rows_for(["a", "b"]).tolist() == rows.tolist()
         np.testing.assert_array_equal(store.get("a"), np.ones(DIM))
 
-    def test_put_many_duplicate_keys_last_wins(self):
-        store = EmbeddingStore(dim=1)
-        store.put_many(["a", "a"], np.array([[1.0], [2.0]]))
-        assert len(store) == 1
-        np.testing.assert_array_equal(store.get("a"), [2.0])
-
     def test_as_matrix_alignment(self):
         store = make_store(["a", "b", "c"])
         keys, matrix = store.as_matrix()
         for pos, key in enumerate(keys):
             np.testing.assert_array_equal(matrix[pos], store.get(key))
-
-
-class TestSnapshotMmap:
-    def test_snapshot_round_trip_is_mapped_and_equal(self, tmp_path):
-        store = make_store([f"u{i}" for i in range(20)])
-        path = tmp_path / "snap.npz"
-        store.save_snapshot(path)
-
-        mapped = EmbeddingStore.load(path, mmap=True)
-        assert mapped.is_mapped
-        eager = EmbeddingStore.load(path)
-        assert not eager.is_mapped
-        for key in store.keys():
-            np.testing.assert_array_equal(mapped.get(key), store.get(key))
-            np.testing.assert_array_equal(eager.get(key), store.get(key))
-
-    def test_mapped_store_copy_on_write(self, tmp_path):
-        store = make_store(["a", "b"])
-        path = tmp_path / "snap.npz"
-        store.save_snapshot(path)
-
-        mapped = EmbeddingStore.load(path, mmap=True)
-        mapped.put("a", np.ones(DIM))
-        assert not mapped.is_mapped                   # materialised a copy
-        np.testing.assert_array_equal(mapped.get("a"), np.ones(DIM))
-        np.testing.assert_array_equal(mapped.get("b"), store.get("b"))
-        # the snapshot on disk is untouched
-        again = EmbeddingStore.load(path, mmap=True)
-        np.testing.assert_array_equal(again.get("a"), store.get("a"))
-
-    def test_compressed_save_falls_back_to_eager(self, tmp_path):
-        store = make_store(["a", "b"])
-        path = tmp_path / "store.npz"
-        store.save(path)                              # compressed: not mappable
-        loaded = EmbeddingStore.load(path, mmap=True)
-        assert not loaded.is_mapped
-        np.testing.assert_array_equal(loaded.get("a"), store.get("a"))
 
 
 class TestMicroBatcher:

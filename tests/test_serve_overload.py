@@ -430,9 +430,6 @@ class TestCorruptionRouting:
                 matrix[1] = np.nan
                 return matrix, found
 
-            def get(self, key):
-                return store.get(key)
-
         proxy = self._proxy(OneRowCorrupt(), store)
         matrix, sources = proxy.lookup_batch(["a", "b", "c"])
         assert list(sources) == ["store", "default", "store"]
