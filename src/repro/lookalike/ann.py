@@ -172,7 +172,7 @@ class IVFIndex:
 
     def fit(self, vectors: np.ndarray) -> "IVFIndex":
         """Index ``vectors`` (``(n, dim)``); replaces any previous contents."""
-        from repro.lookalike.quant import kmeans
+        from repro.lookalike.quant import _cell_order, kmeans
 
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
@@ -184,7 +184,7 @@ class IVFIndex:
         n_lists = min(self.n_lists, n)
         self._centroids, assign = kmeans(vectors, n_lists, seed=self.seed,
                                          n_iters=self.train_iters)
-        order = np.argsort(assign, kind="stable")
+        order = _cell_order(assign, n_lists)
         self._order = order
         self._boundaries = np.searchsorted(
             assign[order], np.arange(n_lists + 1, dtype=np.int64))

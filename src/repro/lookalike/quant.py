@@ -47,12 +47,51 @@ from repro.utils.rng import new_rng
 
 __all__ = ["kmeans", "Int8Quantizer", "PQQuantizer", "QuantizedEmbeddingStore"]
 
+#: Bytes of the ``(rows, k)`` distance block :func:`_nearest` scores at a
+#: time: the optimum of the sweep in docs/PERFORMANCE.md — a constant, not a
+#: knob.
+_BLOCK_BYTES = 256 * 1024
 
-def _pairwise_d2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared L2 distances, shape ``(n_points, n_centroids)``."""
-    return ((points ** 2).sum(axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + (centroids ** 2).sum(axis=1)[None, :])
+
+def _nearest(points: np.ndarray, centroids: np.ndarray,
+             p_norm: np.ndarray) -> np.ndarray:
+    """Row index of each point's nearest centroid, ties to the lower index.
+
+    ``p_norm`` is ``(points ** 2).sum(axis=1)``.  The distances
+    ``‖p‖² − 2p·cᵀ + ‖c‖²`` are scored ``_BLOCK_BYTES`` of rows at a time in
+    one scratch buffer, never as an ``(n, k)`` matrix.  Each row sees the
+    same operations in the same order as the whole-matrix formula (doubling
+    the centroids instead of the points is exact), so with single-threaded
+    BLAS the result is bit-identical to its ``argmin``.  (A multi-threaded
+    GEMM rounds by how it is split over threads, blocked or not.)
+
+    Every block has the same row count, at least two: BLAS rounds a small
+    product differently (OpenBLAS takes GEMV for one row and a small-matrix
+    kernel below ~1200 outputs), so a short ragged tail would not match the
+    whole-matrix GEMM.  The last block overlaps its predecessor instead.
+    """
+    n, k = points.shape[0], centroids.shape[0]
+    rows = min(max(n, 1), max(2, _BLOCK_BYTES // (8 * k)))
+    c2t = (2.0 * centroids).T
+    c_norm = (centroids ** 2).sum(axis=1)
+    block = np.empty((rows, k))
+    assign = np.empty(n, dtype=np.intp)
+    for start in range(0, n, rows):
+        lo = min(start, n - rows)
+        np.matmul(points[lo:lo + rows], c2t, out=block)
+        np.subtract(p_norm[lo:lo + rows, None], block, out=block)
+        block += c_norm
+        np.argmin(block, axis=1, out=assign[lo:lo + rows])
+    return assign
+
+
+def _cell_order(assign: np.ndarray, k: int) -> np.ndarray:
+    """Stable argsort of cell ids in ``[0, k)``.
+
+    Sorted as the narrowest integer dtype that holds ``k - 1``: a stable
+    permutation is unique, so the dtype changes only the sort's speed.
+    """
+    return np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
 
 
 def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
@@ -65,7 +104,9 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
     point currently farthest from its centroid (stable ``argsort``, so the
     choice is reproducible).  Stops early on convergence.
     """
-    data = np.asarray(data, dtype=np.float64)
+    # Contiguous once: SciPy would copy a strided view (a PQ sub-space) on
+    # every ``members @ data``.
+    data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"kmeans needs a non-empty (n, d) matrix, got {data.shape}")
     n = data.shape[0]
@@ -73,23 +114,16 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
         raise ValueError(f"k must be in [1, {n}]: {k}")
     rng = new_rng(seed)
     centroids = data[np.sort(rng.choice(n, size=k, replace=False))].copy()
-    # _pairwise_d2 with its per-iteration constants hoisted out of the loop.
-    p_norm = (data ** 2).sum(axis=1)[:, None]
-    data2 = 2.0 * data
+    p_norm = (data ** 2).sum(axis=1)
     ones = np.ones(n)
-
-    def nearest(centroids: np.ndarray) -> np.ndarray:
-        return np.argmin((p_norm - data2 @ centroids.T)
-                         + (centroids ** 2).sum(axis=1)[None, :], axis=1)
-
-    assign = nearest(centroids)
+    assign = _nearest(data, centroids, p_norm)
     for __ in range(n_iters):
         counts = np.bincount(assign, minlength=k)
         # Cluster sums as one CSR product: row c lists c's members ascending,
         # and each is accumulated in that order from 0.0 — bit for bit what
         # ``np.add.at(sums, assign, data)`` computes.
         members = csr_array(
-            (ones, np.argsort(assign, kind="stable"),
+            (ones, _cell_order(assign, k),
              np.concatenate([[0], np.cumsum(counts)])), shape=(k, n))
         sums = members @ data
         filled = counts > 0
@@ -104,7 +138,7 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
         if np.array_equal(updated, centroids):
             break
         centroids = updated
-        assign = nearest(centroids)
+        assign = _nearest(data, centroids, p_norm)
     return centroids, assign
 
 
@@ -289,15 +323,15 @@ class PQQuantizer:
         codes = np.empty((matrix.shape[0], self.code_width), dtype=np.uint8)
         sub_codes = codes
         if self.n_coarse:
-            cells = np.argmin(
-                _pairwise_d2(matrix, self.coarse_centroids), axis=1)
+            cells = _nearest(matrix, self.coarse_centroids,
+                             (matrix ** 2).sum(axis=1))
             codes[:, 0] = cells
             matrix = matrix - self.coarse_centroids[cells]
             sub_codes = codes[:, 1:]
         subs = self._split(matrix)
         for m in range(self.n_subvectors):
-            sub_codes[:, m] = np.argmin(
-                _pairwise_d2(subs[:, m, :], self.codebooks[m]), axis=1)
+            sub_codes[:, m] = _nearest(subs[:, m, :], self.codebooks[m],
+                                       (subs[:, m, :] ** 2).sum(axis=1))
         return codes[0] if single else codes
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lookalike import IVFIndex, LookalikeSystem, exact_top_k
+from repro.lookalike.quant import kmeans
 
 
 def clustered_vectors(n_clusters=5, per_cluster=60, dim=16, seed=0):
@@ -221,6 +222,19 @@ class TestListContiguousStorage:
         np.testing.assert_allclose(
             d2[index._order, cells], d2.min(axis=1)[index._order])
         assert index.size == n
+
+    @pytest.mark.parametrize("n_lists", [16, 300])     # uint8 and uint16 sorts
+    def test_lists_are_the_stable_sort_of_the_assignment(self, n_lists):
+        points = clustered_vectors(n_clusters=8, per_cluster=100)
+        index = IVFIndex(points.shape[1], n_lists=n_lists, nprobe=4,
+                         seed=3).fit(points)
+        __, assign = kmeans(points, n_lists, seed=3,
+                            n_iters=index.train_iters)
+        order = np.argsort(assign, kind="stable")
+        np.testing.assert_array_equal(index._order, order)
+        np.testing.assert_array_equal(
+            index._boundaries,
+            np.searchsorted(assign[order], np.arange(n_lists + 1)))
 
     def test_readonly_memmap_is_neither_mutated_nor_retained(self, tmp_path):
         points = clustered_vectors()

@@ -7,11 +7,16 @@ snapshots, copy-on-write, the archive format) is pinned for every codec in
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lookalike import (Int8Quantizer, PQQuantizer,
-                             QuantizedEmbeddingStore, exact_top_k)
+                             QuantizedEmbeddingStore, exact_top_k, quant)
 from repro.lookalike.quant import kmeans
 from repro.lookalike.store import EmbeddingStore
 from repro.utils.rng import new_rng
@@ -24,15 +29,37 @@ def clustered(n=400, dim=16, seed=0, n_clusters=5, spread=0.3):
     return centers[assign] + spread * rng.normal(size=(n, dim))
 
 
+def pairwise_d2(points, centroids):
+    """The whole-matrix distance formula the blocked kernel replaced,
+    verbatim: the reference every nearest-centroid answer must equal."""
+    return ((points ** 2).sum(axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + (centroids ** 2).sum(axis=1)[None, :])
+
+
+def pq_quantize_pairwise(quantizer, matrix):
+    """``PQQuantizer.quantize`` as it was before the blocked kernel,
+    verbatim."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    codes = np.empty((matrix.shape[0], quantizer.code_width), dtype=np.uint8)
+    sub_codes = codes
+    if quantizer.n_coarse:
+        cells = np.argmin(
+            pairwise_d2(matrix, quantizer.coarse_centroids), axis=1)
+        codes[:, 0] = cells
+        matrix = matrix - quantizer.coarse_centroids[cells]
+        sub_codes = codes[:, 1:]
+    subs = quantizer._split(matrix)
+    for m in range(quantizer.n_subvectors):
+        sub_codes[:, m] = np.argmin(
+            pairwise_d2(subs[:, m, :], quantizer.codebooks[m]), axis=1)
+    return codes
+
+
 def kmeans_add_at(data, k, seed=0, n_iters=20):
     """The Lloyd's loop as it was before the CSR cluster sums and the hoisted
     constants, verbatim — the reference :func:`kmeans` must equal bit for
     bit — plus two counters so the tests can tell which branches ran."""
-    def pairwise_d2(points, centroids):
-        return ((points ** 2).sum(axis=1)[:, None]
-                - 2.0 * points @ centroids.T
-                + (centroids ** 2).sum(axis=1)[None, :])
-
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     rng = new_rng(seed)
@@ -66,6 +93,7 @@ class TestKMeans:
         ((300, 16), 64, 20),       # few points per cluster
         ((400, 16), 5, 50),        # converges early
         ((37, 3), 37, 4),          # k == n
+        ((5000, 64), 128, 15),     # 20 kernel blocks, the last overlapping
     ])
     def test_bit_identical_to_the_add_at_loop(self, shape, k, n_iters):
         data = clustered(n=shape[0], dim=shape[1], seed=shape[0])
@@ -116,6 +144,103 @@ class TestKMeans:
             kmeans(np.zeros((0, 3)), 2)
         with pytest.raises(ValueError):
             kmeans(np.zeros((5, 3)), 6)
+
+    def test_scratch_does_not_grow_with_n_times_k(self):
+        k, dim = 128, 8
+        peaks = {}
+        for n in (4_000, 16_000):
+            data = clustered(n=n, dim=dim, seed=1)
+            kmeans(data, k, seed=0, n_iters=2)       # warm imports and caches
+            tracemalloc.start()
+            try:
+                kmeans(data, k, seed=0, n_iters=2)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Per extra row: a few n-vectors (norms, assignments, the member
+        # sort) — not a row of an (n, k) distance matrix, 8·k = 1 KB here.
+        per_row = (peaks[16_000] - peaks[4_000]) / 12_000
+        assert per_row < 8 * dim + 64, peaks
+        assert peaks[4_000] < 4_000 * (8 * dim + 64) + 4 * quant._BLOCK_BYTES
+
+
+#: Ways a caller's ``(n, dim)`` points can sit in memory.
+_LAYOUTS = {
+    "contiguous": lambda sample, n, dim: sample((n, dim)),
+    "sub-space": lambda sample, n, dim: sample((n, dim + 3))[:, 2:2 + dim],
+    "every other row": lambda sample, n, dim: sample((2 * n, dim))[::2],
+    "every other column": lambda sample, n, dim: sample((n, 2 * dim))[:, ::2],
+    "column-major": lambda sample, n, dim: np.asfortranarray(sample((n, dim))),
+}
+
+
+def _nearest_case(draw, rows):
+    """A ``(points, centroids)`` pair whose row count is chosen relative to
+    a block of ``rows`` rows."""
+    n = draw(st.one_of(
+        st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1})),
+        st.builds(lambda blocks, tail: blocks * rows + tail,
+                  st.integers(2, 4), st.integers(1, max(1, rows - 1)))),
+        label="n")
+    k = draw(st.sampled_from([1, 2, 7, 40]), label="k")
+    dim = draw(st.integers(1, 9), label="dim")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16), label="seed"))
+    if draw(st.booleans(), label="small integers"):
+        # exact arithmetic: every tie is a real tie
+        sample = lambda shape: rng.integers(-2, 3, size=shape).astype(float)
+    else:
+        sample = lambda shape: rng.normal(0.0, 3.0, size=shape)
+    layout = draw(st.sampled_from(list(_LAYOUTS)), label="layout")
+    return _LAYOUTS[layout](sample, n, dim), sample((k, dim))
+
+
+class TestNearest:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_one_shot_argmin(self, data):
+        rows = data.draw(st.integers(1, 6), label="block rows")
+        points, centroids = _nearest_case(data.draw, rows)
+        want = np.argmin(pairwise_d2(points, centroids), axis=1)
+        with mock.patch.object(quant, "_BLOCK_BYTES",
+                               rows * 8 * centroids.shape[0]):
+            got = quant._nearest(points, centroids,
+                                 (points ** 2).sum(axis=1))
+        np.testing.assert_array_equal(got, want)
+        if np.array_equal(points, np.round(points)):
+            # exact distances: ties go to the lower centroid index
+            exact = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+            np.testing.assert_array_equal(got, np.argmin(exact, axis=1))
+
+    @pytest.mark.skipif(
+        os.environ.get("OPENBLAS_NUM_THREADS") != "1",
+        reason="a multi-threaded GEMM's rounding depends on how BLAS splits "
+               "it over threads, so the whole-matrix reference is not unique")
+    @pytest.mark.parametrize("k", [64, 128, 300])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, 700])
+    @pytest.mark.parametrize("layout", ["contiguous", "sub-space",
+                                        "column-major"])
+    def test_real_block_size_at_dim_64(self, k, extra, layout):
+        # At d = 64 BLAS's small-product kernels round differently from the
+        # large GEMM.  The centroids are one vector about an ulp apart, so
+        # rounding decides the argmins and a short tail block would show.
+        rows = quant._BLOCK_BYTES // (8 * k)
+        rng = np.random.default_rng(k + extra)
+        points = _LAYOUTS[layout](lambda shape: rng.normal(size=shape),
+                                  rows + extra, 64)
+        centroids = rng.normal(size=64) * (1.0 + 3e-16 * rng.normal(size=(k, 64)))
+        np.testing.assert_array_equal(
+            quant._nearest(points, centroids, (points ** 2).sum(axis=1)),
+            np.argmin(pairwise_d2(points, centroids), axis=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_centroids_too_wide_for_two_rows(self, n):
+        # At the real block size one row of distances fills a block.
+        rng = np.random.default_rng(n)
+        k = quant._BLOCK_BYTES // 8
+        points, centroids = rng.normal(size=(n, 64)), rng.normal(size=(k, 64))
+        np.testing.assert_array_equal(
+            quant._nearest(points, centroids, (points ** 2).sum(axis=1)),
+            np.argmin(pairwise_d2(points, centroids), axis=1))
 
 
 class TestInt8Quantizer:
@@ -189,6 +314,26 @@ class TestPQQuantizer:
         assert clone.n_coarse == 4
         np.testing.assert_array_equal(clone.quantize(data),
                                       quantizer.quantize(data))
+
+    @pytest.mark.parametrize("n_coarse", [0, 16])
+    def test_bit_identical_to_the_pairwise_path(self, n_coarse):
+        # 3000 rows at k = 256 are 24 kernel blocks, the last overlapping.
+        data = clustered(n=3000, dim=16, spread=0.6)
+        quantizer = PQQuantizer(16, n_subvectors=4, n_centroids=256, seed=0,
+                                n_iters=5, n_coarse=n_coarse).fit(data)
+        np.testing.assert_array_equal(quantizer.quantize(data),
+                                      pq_quantize_pairwise(quantizer, data))
+        for rows in (np.asfortranarray(data), data[:1], data[:0]):
+            np.testing.assert_array_equal(quantizer.quantize(rows),
+                                          pq_quantize_pairwise(quantizer, rows))
+        np.testing.assert_array_equal(quantizer.quantize(data[7]),
+                                      pq_quantize_pairwise(quantizer, data[7])[0])
+        if not n_coarse:
+            # codebooks trained on strided sub-space views
+            for m in range(4):
+                want, *__ = kmeans_add_at(data[:, 4 * m:4 * m + 4], 256,
+                                          seed=m, n_iters=5)
+                np.testing.assert_array_equal(quantizer.codebooks[m], want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
