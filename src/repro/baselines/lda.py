@@ -13,7 +13,6 @@ al.'s variational inference: per-document coordinate ascent on
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma
 
 from repro.baselines.base import UserRepresentationModel
 from repro.data.dataset import MultiFieldDataset
@@ -56,9 +55,10 @@ class LDAModel(UserRepresentationModel):
 
     # -- inference helpers ------------------------------------------------------
 
-    def _e_step(self, counts, exp_elog_beta: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Variational E-step; returns (γ, sufficient statistics)."""
+    def _e_step(self, counts, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Variational E-step under topics ``λ``; returns (γ, sufficient stats)."""
+        from scipy.special import digamma
+        exp_elog_beta = np.exp(digamma(lam) - digamma(lam.sum(axis=1, keepdims=True)))
         n_docs = counts.shape[0]
         rng = new_rng(self.seed + 1)
         gamma = rng.gamma(100.0, 0.01, size=(n_docs, self.n_topics))
@@ -93,9 +93,7 @@ class LDAModel(UserRepresentationModel):
         rng = new_rng(self.seed)
         lam = rng.gamma(100.0, 0.01, size=(self.n_topics, n_words))
         for __ in range(self.n_iterations):
-            exp_elog_beta = np.exp(
-                digamma(lam) - digamma(lam.sum(axis=1, keepdims=True)))
-            __, sstats = self._e_step(x, exp_elog_beta)
+            __, sstats = self._e_step(x, lam)
             lam = self.topic_prior + sstats
         self.topic_word_ = lam / lam.sum(axis=1, keepdims=True)
         self._lambda = lam
@@ -109,9 +107,7 @@ class LDAModel(UserRepresentationModel):
         """Normalised topic posterior E[θ_i] as the user representation."""
         self._require_fitted()
         x = dataset.to_scipy(binary=False)
-        exp_elog_beta = np.exp(
-            digamma(self._lambda) - digamma(self._lambda.sum(axis=1, keepdims=True)))
-        gamma, __ = self._e_step(x, exp_elog_beta)
+        gamma, __ = self._e_step(x, self._lambda)
         return gamma / gamma.sum(axis=1, keepdims=True)
 
     def score_field(self, dataset: MultiFieldDataset, field: str) -> np.ndarray:

@@ -9,7 +9,6 @@ Fold-in is simply projecting the (partially blanked) test rows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from repro.baselines.base import UserRepresentationModel
 from repro.data.dataset import MultiFieldDataset
@@ -46,6 +45,7 @@ class PCAModel(UserRepresentationModel):
             raise ValueError("dataset too small for the requested latent_dim")
         # svds on the uncentered sparse matrix; centering is folded into the
         # projection (X - μ)V = XV - μV, keeping the matrix sparse.
+        from scipy.sparse.linalg import svds
         __, __, vt = svds(x, k=k, random_state=self.seed)
         order = np.argsort(-np.linalg.norm(vt, axis=1))  # svds returns unordered
         self.components_ = vt[order]

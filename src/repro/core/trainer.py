@@ -152,10 +152,11 @@ class Trainer:
                  clip_norm: float | None = None,
                  precision: str | None = "float32") -> None:
         self.model = model
+        self.precision = None if precision is None else np.dtype(precision)
         if precision is not None:
             # Cast before the optimizer is built so Adam's lazily-allocated
             # moments adopt the parameter dtype (see Module.astype).
-            model.astype(np.dtype(precision))
+            model.astype(self.precision)
         self.base_lr = lr
         self.lr_schedule = lr_schedule
         self.clip_norm = clip_norm
@@ -495,6 +496,11 @@ class Trainer:
             raise CheckpointError(
                 f"checkpoint was taken with {saved_opt}, but this trainer "
                 f"uses {type(self.optimizer).__name__}")
+        saved = {arr.dtype for name, arr in arrays.items() if name.startswith("param/")}
+        if self.precision is not None and saved - {self.precision}:
+            raise CheckpointError(
+                f"checkpoint holds {', '.join(sorted(map(str, saved)))} "
+                f"parameters, but this trainer trains at {self.precision}")
         restore_model_state(self.model, arrays)
         self.optimizer.load_state_arrays(
             {name[len("opt/"):]: arr for name, arr in arrays.items()

@@ -95,7 +95,8 @@ def _scan_top_k(vectors: np.ndarray, ids: np.ndarray, queries: np.ndarray,
 
 def exact_top_k(vectors: np.ndarray, queries: np.ndarray, k: int,
                 chunk_bytes: int = _SCAN_CHUNK_BYTES) -> np.ndarray:
-    """Exact top-``k`` row indices per query, shape ``(n_queries, k)``.
+    """Exact top-``k`` row indices per query, shape ``(n_queries, min(k, n))``
+    for ``n`` rows: a ``k`` above ``n`` returns every row, ranked.
 
     The distance matrix is computed in row chunks capped at ``chunk_bytes``
     of float64 (default 32MB), merging a running best-``k`` pool between
@@ -246,7 +247,9 @@ class IVFIndex:
 
         When a query's probed cells hold fewer than ``k`` members and
         ``fallback_to_exact`` is set, that query scans all rows instead
-        (guaranteed results beat silent truncation in serving).
+        (guaranteed results beat silent truncation in serving).  A row holds
+        at most ``min(k, n)`` ids for ``n`` indexed rows, fewer without the
+        fallback when its probed cells hold fewer.
         """
         if k <= 0:
             raise ValueError(f"k must be positive: {k}")

@@ -9,7 +9,6 @@ that convention (users without both a positive and a negative are skipped).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro.data.sparse import CSRMatrix
 from repro.utils.rng import new_rng
@@ -29,6 +28,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
+    from scipy.stats import rankdata
     ranks = rankdata(scores)  # average ranks handle ties correctly
     rank_sum = ranks[labels].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

@@ -18,8 +18,9 @@ from repro.nn.tensor import Parameter, coalesce_rows
 
 __all__ = ["Optimizer", "SGD", "Adam", "adam_step_size", "adam_update_rows"]
 
-#: Bytes per gathered block of ``adam_update_rows`` (32 rows of 256 float64):
-#: the optimum of the sweep in docs/PERFORMANCE.md — a constant, not a knob.
+#: Bytes per gathered block of ``adam_update_rows`` (64 rows of 256 float32,
+#: the training default): the optimum of the float32 sweep in
+#: docs/PERFORMANCE.md — a constant, not a knob.
 _BLOCK_BYTES = 64 * 1024
 
 

@@ -59,6 +59,17 @@ class TestExactTopK:
 
 
 class TestIVFIndex:
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_k_larger_than_n_returns_every_row(self, fallback):
+        points = clustered_vectors(n_clusters=1, per_cluster=5)
+        exact = exact_top_k(points, points[:2], k=10)
+        assert exact.shape == (2, 5)
+        index = IVFIndex(dim=points.shape[1], n_lists=2, nprobe=2,
+                         seed=0).fit(points)
+        got = index.query_batch(points[:2], k=10, fallback_to_exact=fallback)
+        assert [row.shape for row in got] == [(5,), (5,)]
+        np.testing.assert_array_equal(np.stack(got), exact)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             IVFIndex(dim=0)

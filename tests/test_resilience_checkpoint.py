@@ -221,6 +221,48 @@ class TestTrainerResume:
             sgd_trainer.fit(tiny_dataset, epochs=2, batch_size=3, rng=0,
                             checkpointer=ck, resume_from=True)
 
+    @pytest.mark.parametrize("saved, resumed_at", [("float64", "float32"),
+                                                   ("float32", "float64")])
+    def test_resume_rejects_precision_mismatch(self, tiny_schema, tiny_dataset,
+                                               tmp_path, saved, resumed_at):
+        ck = Checkpointer(tmp_path)
+        make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=3,
+                                    rng=0, checkpointer=ck, precision=saved)
+        with pytest.raises(CheckpointError, match=f"{saved}.*{resumed_at}"):
+            make_model(tiny_schema).fit(tiny_dataset, epochs=2, batch_size=3,
+                                        rng=0, checkpointer=ck,
+                                        resume_from=True, precision=resumed_at)
+
+    def test_resume_without_precision_keeps_the_saved_dtype(
+            self, tiny_schema, tiny_dataset, tmp_path):
+        ck = Checkpointer(tmp_path)
+        make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=3,
+                                    rng=0, checkpointer=ck, precision="float64")
+        resumed = make_model(tiny_schema).astype(np.float32)
+        resumed.fit(tiny_dataset, epochs=2, batch_size=3, rng=0,
+                    checkpointer=ck, resume_from=True, precision=None)
+        assert {p.data.dtype for p in resumed.parameters()} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_same_precision_resume_is_bit_exact(self, tiny_schema, tiny_dataset,
+                                                tmp_path, precision):
+        ref_model = make_model(tiny_schema)
+        ref_model.fit(tiny_dataset, epochs=3, batch_size=3, rng=0,
+                      precision=precision)
+        ck = Checkpointer(tmp_path, keep_last=20)
+        with pytest.raises(Kill):
+            make_model(tiny_schema).fit(tiny_dataset, epochs=3, batch_size=3,
+                                        rng=0, checkpointer=ck,
+                                        checkpoint_every=1, precision=precision,
+                                        callbacks=[KillAfterBatches(4)])
+        resumed = make_model(tiny_schema)
+        resumed.fit(tiny_dataset, epochs=3, batch_size=3, rng=0,
+                    checkpointer=ck, resume_from=True, precision=precision)
+        for key, value in ref_model.state_dict().items():
+            assert resumed.state_dict()[key].dtype == np.dtype(precision)
+            np.testing.assert_array_equal(resumed.state_dict()[key], value,
+                                          err_msg=key)
+
     def test_checkpoint_arrays_cover_tables_and_rng(self, tiny_schema,
                                                     tiny_dataset, tmp_path):
         ck = Checkpointer(tmp_path)
