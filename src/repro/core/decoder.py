@@ -16,6 +16,7 @@ import numpy as np
 from repro.data.fields import FieldSchema
 from repro.hashing import DynamicHashTable
 from repro.nn import functional as F
+from repro.nn import init
 from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Parameter, Tensor, no_grad
 from repro.utils.rng import new_rng
@@ -53,14 +54,10 @@ class FieldOutputHead(Module):
         if needed <= self.capacity:
             return
         old_capacity = self.capacity
-        new_capacity = max(needed, 2 * old_capacity)
-        grown_w = np.empty((new_capacity, self.trunk_dim), dtype=self.weight.data.dtype)
-        grown_w[:old_capacity] = self.weight.data
-        grown_w[old_capacity:] = self._rng.normal(
-            0.0, self.init_std, size=(new_capacity - old_capacity, self.trunk_dim))
-        grown_b = np.zeros(new_capacity, dtype=self.bias.data.dtype)
+        self.weight.data = init.grow_rows(self.weight.data, needed,
+                                          self._rng, self.init_std)
+        grown_b = np.zeros(self.capacity, dtype=self.bias.data.dtype)
         grown_b[:old_capacity] = self.bias.data
-        self.weight.data = grown_w
         self.bias.data = grown_b
 
     def __repr__(self) -> str:

@@ -16,6 +16,7 @@ from repro.data.dataset import FieldBatch, UserBatch
 from repro.data.fields import FieldSchema
 from repro.hashing import DynamicHashTable
 from repro.nn import functional as F
+from repro.nn import init
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Parameter, Tensor, stable_sigmoid
 from repro.obs import runtime as obs
@@ -65,14 +66,9 @@ class HashedEmbeddingBag(Module):
         return self.table.size
 
     def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self.capacity:
-            return
-        new_capacity = max(needed, 2 * self.capacity)
-        grown = np.empty((new_capacity, self.dim), dtype=self.weight.data.dtype)
-        grown[: self.capacity] = self.weight.data
-        grown[self.capacity:] = self._rng.normal(
-            0.0, self.init_std, size=(new_capacity - self.capacity, self.dim))
-        self.weight.data = grown
+        if needed > self.capacity:
+            self.weight.data = init.grow_rows(self.weight.data, needed,
+                                              self._rng, self.init_std)
 
     def lookup(self, feature_ids: np.ndarray, grow: bool) -> np.ndarray:
         """Map raw feature ids to embedding rows; unknown ids are -1 unless growing."""

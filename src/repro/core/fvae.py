@@ -222,12 +222,15 @@ class FVAE(Module, UserRepresentationModel):
         """Train with the standard :class:`~repro.core.trainer.Trainer` loop."""
         from repro.core.trainer import Trainer
 
-        if warm_start_bias:
-            self.initialize_from_dataset(dataset)
         # `precision` must reach the Trainer constructor (the cast has to
         # precede optimizer construction); everything else goes to fit().
+        # Casting before the warm start grows the tables at the training
+        # precision: the same bits as growing in float64 and casting after
+        # (see repro.nn.init.grow_rows), without the float64 tables.
         trainer = Trainer(self, lr=lr,
                           precision=trainer_kwargs.pop("precision", "float32"))
+        if warm_start_bias:
+            self.initialize_from_dataset(dataset)
         self.history = trainer.fit(dataset, epochs=epochs, batch_size=batch_size,
                                    verbose=verbose, **trainer_kwargs)
         return self

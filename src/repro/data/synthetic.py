@@ -79,11 +79,22 @@ def _power_law_cdf(vocab_size: int, exponent: float) -> np.ndarray:
 
 def _sample_topics_per_draw(theta: np.ndarray, user_of_draw: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
-    """Draw one topic per event from each owning user's mixture."""
-    cum = np.cumsum(theta, axis=1)
+    """Draw one topic per event from each owning user's mixture.
+
+    The topic is the first index whose cumulative mass exceeds ``u``, i.e.
+    the count of cumulative masses ``u`` exceeds — counted one topic column
+    at a time through reused draw-sized buffers, so no ``(draws, topics)``
+    matrix is ever gathered.
+    """
+    columns = np.cumsum(theta, axis=1).T.copy()
     u = rng.random(user_of_draw.size)
-    # topic = first index whose cumulative mass exceeds u
-    return (u[:, None] > cum[user_of_draw]).sum(axis=1).clip(max=theta.shape[1] - 1)
+    topic = np.zeros(u.size, dtype=np.int64)
+    bound = np.empty_like(u)
+    above = np.empty(u.size, dtype=bool)
+    for column in columns:
+        np.take(column, user_of_draw, out=bound, mode="clip")
+        topic += np.greater(u, bound, out=above)
+    return np.minimum(topic, theta.shape[1] - 1, out=topic)
 
 
 def generate_topic_profiles(n_users: int,

@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from repro.lookalike.store import EmbeddingStore
 from repro.obs import runtime as obs
@@ -112,6 +111,7 @@ def kmeans(data: np.ndarray, k: int, seed: int | np.random.Generator = 0,
     n = data.shape[0]
     if not 0 < k <= n:
         raise ValueError(f"k must be in [1, {n}]: {k}")
+    from scipy.sparse import csr_array
     rng = new_rng(seed)
     centroids = data[np.sort(rng.choice(n, size=k, replace=False))].copy()
     p_norm = (data ** 2).sum(axis=1)

@@ -27,14 +27,16 @@ silently promoting to float64).
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from repro.nn.parallel import run_tasks
 from repro.nn.tensor import (Parameter, Tensor, _dispatch, as_tensor,
                              coalesce_rows, stable_sigmoid)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "relu", "tanh", "sigmoid", "exp", "log", "softplus",
@@ -177,6 +179,7 @@ def embedding_bag_data(weight_data: np.ndarray, indices: np.ndarray,
         values = np.ones(indices.size, dtype=weight_data.dtype)
     else:
         values = np.asarray(per_index_weights, dtype=weight_data.dtype)
+    from scipy.sparse import csr_array
     bags = csr_array((values, indices, offsets),
                      shape=(offsets.size - 1, capacity))
     return bags @ weight_data, bags
@@ -194,6 +197,7 @@ class OpEmbeddingBag:
         # dW[u] = A_uᵀ @ grad with A's columns remapped onto the touched rows
         # u: a scatter-add of each bag's grad row into (U, D), already
         # coalesced, ascending and duplicate-free.
+        from scipy.sparse import csr_array
         touched, columns = np.unique(saved.indices, return_inverse=True)
         local = csr_array((saved.data, columns, saved.indptr),
                           shape=(saved.shape[0], touched.size))

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "normal", "zeros"]
+__all__ = ["xavier_uniform", "xavier_normal", "normal", "zeros", "grow_rows"]
+
+#: Bytes of float64 one ``rng.normal`` call draws while :func:`grow_rows`
+#: fills new rows: bounds the draw temporary whatever the table's size.  Not
+#: smaller: glibc raises its mmap and heap-trim thresholds to the largest
+#: mmapped block freed so far (up to 32 MB).  With 1 MB draws nothing larger
+#: than a training step's temporaries was ever freed, so every ``train_kd``
+#: step gave ≈ 7.5 MB of heap back to the kernel and faulted it in again
+#: (docs/PERFORMANCE.md § "Import footprint").
+_DRAW_BYTES = 16 << 20
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
@@ -31,6 +40,27 @@ def normal(shape: tuple[int, ...], rng: np.random.Generator,
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
+
+
+def grow_rows(data: np.ndarray, needed: int, rng: np.random.Generator,
+              std: float) -> np.ndarray:
+    """``data`` grown to ``max(needed, 2 * len(data))`` rows; new rows ~ N(0, std²).
+
+    The new rows are drawn in bounded row chunks straight into
+    ``data.dtype``.  A Generator's normal stream does not depend on how a
+    draw is split, and assigning float64 into float32 rounds exactly as
+    ``astype`` does, so growing a float32 table gives the bits of growing it
+    in float64 and casting afterwards — without the float64 table or the
+    full-size draw temporary.
+    """
+    old, width = data.shape
+    grown = np.empty((max(needed, 2 * old), width), dtype=data.dtype)
+    grown[:old] = data
+    step = max(1, _DRAW_BYTES // (8 * width))
+    for start in range(old, grown.shape[0], step):
+        block = grown[start:start + step]
+        block[...] = rng.normal(0.0, std, size=block.shape)
+    return grown
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

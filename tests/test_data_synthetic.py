@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import (PAPER_STATS, TopicFieldConfig, barabasi_albert_profiles,
                         generate_topic_profiles, get_dataset, make_kd_like,
                         make_qb_like, make_sc_like)
+from repro.data.synthetic import _sample_topics_per_draw
 
 
 class TestTopicProfiles:
@@ -138,3 +142,33 @@ class TestPresets:
         small = make_sc_like(n_users=200, scale=0.5, seed=0)
         assert small.dataset.n_users < big.dataset.n_users
         assert small.dataset.schema.total_vocab < big.dataset.schema.total_vocab
+
+    @pytest.mark.parametrize("n_topics", [1, 3, 8])
+    def test_topic_sampler_matches_the_dense_comparison(self, n_topics):
+        rng = np.random.default_rng(n_topics)
+        theta = rng.dirichlet(np.ones(n_topics), size=50)
+        owners = rng.integers(0, 50, size=2000)
+        got = _sample_topics_per_draw(theta, owners, np.random.default_rng(0))
+        u = np.random.default_rng(0).random(owners.size)
+        cum = np.cumsum(theta, axis=1)
+        expected = (u[:, None] > cum[owners]).sum(axis=1).clip(max=n_topics - 1)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_kd_generator_bits_and_peak_memory(self):
+        # The digest pins every field's CSR arrays; the peak bound fails the
+        # (draws × topics) float64 gather the topic sampler used to build
+        # (47.8 MB at this size, 27.7 MB without it on numpy 2.4).
+        tracemalloc.start()
+        try:
+            dataset = make_kd_like(n_users=8192, seed=0).dataset
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        digest = hashlib.sha256()
+        for name in dataset.field_names:
+            csr = dataset.field(name)
+            for array in (csr.indptr, csr.indices, csr.weights):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "db1776f5354d40e903e6b11dadc07ef96211498423ecc52f7a6dedad35db71ce")
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
