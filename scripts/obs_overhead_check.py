@@ -108,7 +108,7 @@ def measure(ops, rounds: int) -> list[tuple[str, bool, float, float, float]]:
     for name, gated, fn in ops:  # into the timed regions
         fn()  # warm this op right before its timed rounds
         with obs.session(telemetry):
-            fn()  # pre-fill reservoirs so steady-state cost is measured
+            fn()  # create the instruments so steady-state cost is measured
         before, instrumented, after = [], [], []
         gc.disable()  # collector pauses land on random rounds otherwise
         try:

@@ -15,6 +15,11 @@ is installed::
     telemetry.dump_jsonl("run.jsonl")        # replayable event log
     print(telemetry.to_prometheus())         # scrapeable text snapshot
 
+Metrics are counters, gauges, and one histogram kind: ``observe``,
+``observe_many`` and ``latency`` all feed a log-bucket ``LogHistogram``
+(exact count/sum/min/max, percentiles to one 10% bucket).  Neither
+``Telemetry()`` nor ``session()`` takes a sizing option.
+
 Request-scoped tracing rides the same session: ``with obs.request("r"):``
 opens a trace whose spans/events land in ``telemetry.traces`` (tail-sampled,
 Chrome-exportable); ``SLOEngine`` evaluates latency/availability objectives
@@ -33,15 +38,13 @@ from repro.obs.dashboard import Dashboard, render_dashboard
 from repro.obs.exporters import (JsonlWriter, dump_jsonl, events_to_prometheus,
                                  load_jsonl, to_prometheus)
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.registry import (Counter, Gauge, Histogram, LogHistogram,
-                                MetricsRegistry)
+from repro.obs.registry import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.report import render_events, render_report
-from repro.obs.runtime import (Telemetry, begin_fanin, begin_request, capture,
-                               count, current, enabled, end_trace_span, event,
+from repro.obs.runtime import (Telemetry, begin_fanin, begin_request, count,
+                               current, enabled, end_trace_span, event,
                                gauge_set, install, latency, observe,
                                observe_many, record_span, request, session,
-                               span, trace_now,
-                               uninstall)
+                               span, trace_now, uninstall)
 from repro.obs.slo import (Objective, SLOEngine, SLOStatus, availability_slo,
                            latency_slo, parse_objective)
 from repro.obs.trace import SpanNode, SpanTracer
@@ -49,14 +52,14 @@ from repro.obs.tracestore import (SpanRecord, TraceRecord, TraceStore,
                                   dump_chrome, to_chrome, validate_chrome)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "LogHistogram", "MetricsRegistry",
+    "Counter", "Gauge", "LogHistogram", "MetricsRegistry",
     "SpanNode", "SpanTracer",
     "ActiveSpan", "SpanRecord", "TraceRecord", "TraceStore",
     "to_chrome", "dump_chrome", "validate_chrome",
     "Telemetry", "install", "uninstall", "current", "enabled", "session",
     "count", "gauge_set", "observe", "observe_many", "span", "latency",
     "event", "request",
-    "capture", "trace_now", "begin_request", "begin_fanin", "end_trace_span",
+    "trace_now", "begin_request", "begin_fanin", "end_trace_span",
     "record_span",
     "Objective", "SLOEngine", "SLOStatus", "latency_slo", "availability_slo",
     "parse_objective",

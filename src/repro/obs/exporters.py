@@ -6,7 +6,7 @@ Two complementary output formats:
   snapshot (:func:`dump_jsonl`).  Machine-friendly, replayable; this is what
   ``python -m repro report`` consumes.
 * **Prometheus text** — the classic exposition format (counters, gauges, and
-  histogram summaries with quantile labels), for scraping or eyeballing.
+  histograms with cumulative ``_bucket`` lines), for scraping or eyeballing.
 
 Only stdlib ``json`` is used; non-finite floats are serialised as strings
 (``"nan"``/``"inf"``) so every emitted line is strict JSON.
@@ -132,8 +132,7 @@ def _prom_value(value: float) -> str:
 def events_to_prometheus(events: Iterable[Mapping]) -> str:
     """Render snapshot events as Prometheus exposition text.
 
-    Reservoir histograms render as summaries (``quantile`` labels); log-
-    bucket histograms render as true Prometheus *histograms* — cumulative
+    Log-bucket histograms render as Prometheus *histograms* — cumulative
     well-formed ``_bucket{le="..."}`` lines ending in ``le="+Inf"`` plus
     ``_sum`` and ``_count``.  Label values are escaped per the exposition
     format, and an empty event stream yields the empty string (no stray
@@ -144,7 +143,7 @@ def events_to_prometheus(events: Iterable[Mapping]) -> str:
     typed: dict[str, str] = {}
     for event in events:
         kind = event.get("type")
-        if kind not in ("counter", "gauge", "histogram", "loghist"):
+        if kind not in ("counter", "gauge", "loghist"):
             continue
         name = _prom_name(event["name"])
         labels = event.get("labels", {})
@@ -159,7 +158,7 @@ def events_to_prometheus(events: Iterable[Mapping]) -> str:
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name}{_prom_labels(labels)} "
                          f"{_prom_value(event['value'])}")
-        elif kind == "loghist":
+        else:
             lines.append(f"# TYPE {name} histogram")
             for le, cum in event.get("buckets", []):
                 lines.append(
@@ -167,15 +166,6 @@ def events_to_prometheus(events: Iterable[Mapping]) -> str:
                     f" {_prom_value(float(cum))}")
             lines.append(f"{name}_bucket{_prom_labels(labels, {'le': '+Inf'})}"
                          f" {_prom_value(float(event['count']))}")
-            lines.append(f"{name}_sum{_prom_labels(labels)} "
-                         f"{_prom_value(event['sum'])}")
-            lines.append(f"{name}_count{_prom_labels(labels)} "
-                         f"{_prom_value(float(event['count']))}")
-        else:
-            lines.append(f"# TYPE {name} summary")
-            for q, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-                lines.append(f"{name}{_prom_labels(labels, {'quantile': q})} "
-                             f"{_prom_value(event[key])}")
             lines.append(f"{name}_sum{_prom_labels(labels)} "
                          f"{_prom_value(event['sum'])}")
             lines.append(f"{name}_count{_prom_labels(labels)} "

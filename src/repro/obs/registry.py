@@ -8,13 +8,13 @@ paper's efficiency analysis needs (Table V, Figs 6/9/10):
 * :class:`Counter` — monotonically increasing totals (batches seen, cache
   hits, hash-table grow events).
 * :class:`Gauge` — last-written value (table size, load factor, current lr).
-* :class:`Histogram` — distribution sketch over a fixed-size reservoir with
-  exact ``count``/``sum``/``min``/``max`` and reservoir-based percentiles
-  (serving latency p50/p95/p99, candidate-set sizes).
+* :class:`LogHistogram` — log-bucket distribution sketch with exact
+  ``count``/``sum``/``min``/``max`` and bucket-resolution percentiles
+  (serving latency p50/p95/p99, candidate-set sizes).  Every
+  ``obs.observe`` / ``obs.observe_many`` / ``obs.latency`` lands here.
 
-Everything here is plain numpy + stdlib; instruments are deterministic in
-*what* they count (reservoir sampling uses a fixed-seed generator so the kept
-sample depends only on the insertion sequence).
+Everything here is plain numpy + stdlib, and every instrument is a
+deterministic function of what it was fed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "LogHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "LogHistogram", "MetricsRegistry"]
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -82,111 +82,6 @@ class Gauge:
         return f"Gauge({self.name!r}, labels={dict(self.labels)}, value={self.value})"
 
 
-class Histogram:
-    """Distribution sketch: exact moments + fixed-size sampling reservoir.
-
-    ``count``/``sum``/``min``/``max`` are exact over every observation;
-    percentiles come from a reservoir of up to ``reservoir_size`` samples
-    (Vitter's algorithm R with a fixed-seed generator, so the retained sample
-    is a deterministic function of the observation sequence).  When fewer than
-    ``reservoir_size`` values have been observed the reservoir *is* the full
-    sample and percentiles are exact.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: LabelKey = (),
-                 reservoir_size: int = 2048) -> None:
-        if reservoir_size <= 0:
-            raise ValueError(f"reservoir_size must be positive: {reservoir_size}")
-        self.name = name
-        self.labels = labels
-        self.reservoir_size = reservoir_size
-        self._reservoir: list[float] = []
-        self._rng = np.random.default_rng(0)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(value)
-        else:
-            slot = int(self._rng.integers(0, self.count))
-            if slot < self.reservoir_size:
-                self._reservoir[slot] = value
-
-    def observe_many(self, values) -> None:
-        """Bulk observe: vectorised moments plus vectorised Algorithm R.
-
-        The slot draws come from one batched RNG call instead of one call
-        per value, so a full reservoir costs O(len(values)) cheap Python
-        ops rather than len(values) Generator round-trips.  Still a
-        deterministic function of the observation sequence (same acceptance
-        probability R/count per value, later duplicates win a slot, exactly
-        as the sequential loop resolves them)."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
-        start = self.count
-        self.count += int(values.size)
-        self.sum += float(values.sum())
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
-        free = self.reservoir_size - len(self._reservoir)
-        if free > 0:
-            self._reservoir.extend(values[:free].tolist())
-            values = values[free:]
-            start += free
-        if values.size == 0:
-            return
-        counts = np.arange(start + 1, start + values.size + 1)
-        slots = self._rng.integers(0, counts)
-        reservoir, size = self._reservoir, self.reservoir_size
-        for slot, value in zip(slots.tolist(), values.tolist()):
-            if slot < size:
-                reservoir[slot] = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else float("nan")
-
-    def samples(self) -> np.ndarray:
-        """The retained reservoir (== all observations while under capacity)."""
-        return np.asarray(self._reservoir, dtype=np.float64)
-
-    def percentile(self, q: float | list[float]) -> float | np.ndarray:
-        """Reservoir percentile(s); ``nan`` when nothing has been observed."""
-        if not self._reservoir:
-            if isinstance(q, (list, tuple, np.ndarray)):
-                return np.full(len(q), float("nan"))
-            return float("nan")
-        out = np.percentile(self.samples(), q)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def snapshot(self) -> dict:
-        p50, p95, p99 = (self.percentile([50, 95, 99]) if self._reservoir
-                         else (float("nan"),) * 3)
-        return {"type": self.kind, "name": self.name,
-                "labels": dict(self.labels), "count": self.count,
-                "sum": self.sum, "mean": self.mean,
-                "min": self.min if self.count else float("nan"),
-                "max": self.max if self.count else float("nan"),
-                "p50": float(p50), "p95": float(p95), "p99": float(p99)}
-
-    def __repr__(self) -> str:
-        return (f"Histogram({self.name!r}, labels={dict(self.labels)}, "
-                f"count={self.count})")
-
-
 class LogHistogram:
     """Log-bucketed (HDR-style) histogram: O(1) observe, mergeable, and
     accurate high percentiles at millions of observations.
@@ -196,24 +91,22 @@ class LogHistogram:
     zero/negative values get their own underflow bucket.  A reported
     percentile is the *upper bound* of the bucket containing that rank,
     clamped to the exact observed ``max`` — so it can overshoot the true
-    quantile by at most one bucket's relative width (``growth - 1``, 10%
-    at the default) and never undershoots by more than that.  Unlike the
-    reservoir :class:`Histogram` there is no sampling error: every
-    observation is counted, which is what makes p99/p999 trustworthy at
-    millions of observations.  Two histograms with the same ``growth``
+    quantile by at most one bucket's relative width (``growth - 1``, 10%)
+    and never undershoots by more than that.  There is no sampling error:
+    every observation is counted, which is what makes p99/p999 trustworthy
+    at millions of observations.  ``count``/``sum``/``min``/``max`` (and so
+    ``mean``) are exact.  Every histogram shares one ``growth``, so any two
     merge by adding bucket counts (shard-per-thread, merge on snapshot).
+    A non-finite observation is rejected before any state changes.
     """
 
     kind = "loghist"
+    growth = 1.1
+    _log_growth = math.log(growth)
 
-    def __init__(self, name: str, labels: LabelKey = (),
-                 growth: float = 1.1) -> None:
-        if growth <= 1.0:
-            raise ValueError(f"growth must be > 1: {growth}")
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self.growth = growth
-        self._log_growth = math.log(growth)
         self._buckets: dict[int, int] = {}
         self.zeros = 0          # observations <= 0 (their own bucket)
         self.count = 0
@@ -221,8 +114,9 @@ class LogHistogram:
         self.min = float("inf")
         self.max = float("-inf")
 
-    def _index(self, value: float) -> int:
-        return math.floor(math.log(value) / self._log_growth)
+    def _non_finite(self, value: float) -> ValueError:
+        return ValueError(f"histogram {self.name!r} observed a non-finite "
+                          f"value: {value}")
 
     def bucket_upper(self, index: int) -> float:
         """Exclusive upper bound of bucket ``index``."""
@@ -230,6 +124,8 @@ class LogHistogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            raise self._non_finite(value)
         self.count += 1
         self.sum += value
         if value < self.min:
@@ -239,18 +135,21 @@ class LogHistogram:
         if value <= 0.0:
             self.zeros += 1
             return
-        index = self._index(value)
+        index = math.floor(math.log(value) / self._log_growth)
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def observe_many(self, values) -> None:
-        """Vectorised bulk observe (bit-identical totals to looping)."""
+        """Vectorised bulk observe (the same buckets as looping)."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
+        low, high = float(values.min()), float(values.max())  # nan-propagating
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise self._non_finite(float(values[~np.isfinite(values)][0]))
         self.count += int(values.size)
         self.sum += float(values.sum())
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
         positive = values[values > 0.0]
         self.zeros += int(values.size - positive.size)
         if positive.size:
@@ -261,10 +160,7 @@ class LogHistogram:
                 self._buckets[index] = self._buckets.get(index, 0) + n
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other``'s observations into this histogram (same growth)."""
-        if other.growth != self.growth:
-            raise ValueError(f"cannot merge loghist growth={other.growth} "
-                             f"into growth={self.growth}")
+        """Fold ``other``'s observations into this histogram."""
         for index, n in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + n
         self.zeros += other.zeros
@@ -338,13 +234,12 @@ class LogHistogram:
 class MetricsRegistry:
     """Instrument store keyed by ``(name, sorted labels)``.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first call
-    for a key fixes its type, and asking for the same key as a different type
-    raises (a name cannot be both a counter and a gauge).
+    ``counter`` / ``gauge`` / ``log_histogram`` are get-or-create: the first
+    call for a key fixes its type, and asking for the same key as a different
+    type raises (a name cannot be both a counter and a gauge).
     """
 
-    def __init__(self, reservoir_size: int = 2048) -> None:
-        self.reservoir_size = reservoir_size
+    def __init__(self) -> None:
         self._instruments: dict[tuple[str, LabelKey], object] = {}
         self._fast: dict[tuple, object] = {}
 
@@ -357,19 +252,18 @@ class MetricsRegistry:
                            key=lambda m: (m.name, m.labels)))
 
     def _get_or_create(self, cls, name: str,
-                       labels: Mapping[str, object] | None, **kwargs):
+                       labels: Mapping[str, object] | None):
         key = (name, _label_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(name, key[1], **kwargs)
+            inst = cls(name, key[1])
             self._instruments[key] = inst
         elif not isinstance(inst, cls):
             raise TypeError(f"metric {name!r} with labels {dict(key[1])} is a "
                             f"{inst.kind}, not a {cls.kind}")
         return inst
 
-    def _fast_get(self, cls, name: str, labels: Mapping[str, object],
-                  **kwargs):
+    def _fast_get(self, cls, name: str, labels: Mapping[str, object]):
         """Memoized :meth:`_get_or_create` for the instrumented hot path.
 
         Keyed by the raw ``labels.items()`` tuple — unsorted, values left
@@ -381,9 +275,9 @@ class MetricsRegistry:
         try:
             inst = self._fast.get(key)
         except TypeError:  # unhashable label value: skip the memo
-            return self._get_or_create(cls, name, labels, **kwargs)
+            return self._get_or_create(cls, name, labels)
         if inst is None:
-            inst = self._get_or_create(cls, name, labels, **kwargs)
+            inst = self._get_or_create(cls, name, labels)
             self._fast[key] = inst
         return inst
 
@@ -395,16 +289,10 @@ class MetricsRegistry:
               ) -> Gauge:
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, labels: Mapping[str, object] | None = None,
-                  reservoir_size: int | None = None) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, labels,
-            reservoir_size=reservoir_size or self.reservoir_size)
-
     def log_histogram(self, name: str,
                       labels: Mapping[str, object] | None = None,
-                      growth: float = 1.1) -> LogHistogram:
-        return self._get_or_create(LogHistogram, name, labels, growth=growth)
+                      ) -> LogHistogram:
+        return self._get_or_create(LogHistogram, name, labels)
 
     def get(self, name: str, labels: Mapping[str, object] | None = None):
         """Fetch an existing instrument or ``None`` (never creates)."""

@@ -60,14 +60,10 @@ def _gauge_table(gauges: list[dict]) -> str:
 
 
 def _histogram_table(hists: list[dict]) -> str:
-    """One table for both sketch kinds (reservoir + log-bucket)."""
-    rows = []
-    for h in hists:
-        name = h["name"] + (" (log)" if h.get("type") == "loghist" else "")
-        rows.append([name, _fmt_labels(h.get("labels", {})), h["count"],
-                     _as_float(h["mean"]), _as_float(h["p50"]),
-                     _as_float(h["p95"]), _as_float(h["p99"]),
-                     _as_float(h["max"])])
+    rows = [[h["name"], _fmt_labels(h.get("labels", {})), h["count"],
+             _as_float(h["mean"]), _as_float(h["p50"]), _as_float(h["p95"]),
+             _as_float(h["p99"]), _as_float(h["max"])]
+            for h in hists]
     return format_table(
         ["histogram", "labels", "count", "mean", "p50", "p95", "p99", "max"],
         rows, title="Histograms", float_fmt="{:.6g}")
@@ -107,7 +103,7 @@ def render_events(events: Iterable[Mapping]) -> str:
         sections.append(_counter_table(by_type["counter"]))
     if by_type.get("gauge"):
         sections.append(_gauge_table(by_type["gauge"]))
-    hists = by_type.get("histogram", []) + by_type.get("loghist", [])
+    hists = by_type.get("loghist")
     if hists:
         sections.append(_histogram_table(hists))
         line = _field_worker_line(hists)

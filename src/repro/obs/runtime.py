@@ -36,14 +36,13 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.obs import context as _context
-from repro.obs.registry import (Counter, Gauge, Histogram, LogHistogram,
-                                MetricsRegistry)
+from repro.obs.registry import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.trace import SpanTracer
 from repro.obs.tracestore import TraceStore
 
 __all__ = ["Telemetry", "install", "uninstall", "current", "enabled",
            "session", "count", "gauge_set", "observe", "span", "latency",
-           "event", "request", "capture", "trace_now", "begin_request",
+           "event", "request", "trace_now", "begin_request",
            "end_trace_span", "begin_fanin", "record_span", "activate_span",
            "deactivate_span"]
 
@@ -51,14 +50,10 @@ __all__ = ["Telemetry", "install", "uninstall", "current", "enabled",
 class Telemetry:
     """One observability session: metrics registry, span tracer, traces."""
 
-    def __init__(self, reservoir_size: int = 2048,
-                 trace_capacity: int = 256, keep_errors: int = 64,
-                 keep_slowest: int = 32) -> None:
-        self.registry = MetricsRegistry(reservoir_size=reservoir_size)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
-        self.traces = TraceStore(capacity=trace_capacity,
-                                 keep_errors=keep_errors,
-                                 keep_slowest=keep_slowest)
+        self.traces = TraceStore()
 
     def snapshot(self) -> list[dict]:
         """Metrics and spans as one flat, deterministic event list."""
@@ -82,12 +77,10 @@ class Telemetry:
 _TELEMETRY: Telemetry | None = None
 
 
-def install(telemetry: Telemetry | None = None, reservoir_size: int = 2048,
-            ) -> Telemetry:
+def install(telemetry: Telemetry | None = None) -> Telemetry:
     """Make ``telemetry`` (or a fresh session) the process-wide sink."""
     global _TELEMETRY
-    _TELEMETRY = telemetry if telemetry is not None \
-        else Telemetry(reservoir_size=reservoir_size)
+    _TELEMETRY = telemetry if telemetry is not None else Telemetry()
     return _TELEMETRY
 
 
@@ -107,11 +100,11 @@ def enabled() -> bool:
 
 
 @contextmanager
-def session(telemetry: Telemetry | None = None, reservoir_size: int = 2048):
+def session(telemetry: Telemetry | None = None):
     """Install a session for the block, restoring the previous one after."""
     global _TELEMETRY
     previous = _TELEMETRY
-    telemetry = install(telemetry, reservoir_size=reservoir_size)
+    telemetry = install(telemetry)
     try:
         yield telemetry
     finally:
@@ -138,9 +131,7 @@ def observe(name: str, value: float, **labels) -> None:
     t = _TELEMETRY
     if t is None:
         return
-    t.registry._fast_get(Histogram, name, labels,
-                         reservoir_size=t.registry.reservoir_size
-                         ).observe(value)
+    t.registry._fast_get(LogHistogram, name, labels).observe(value)
 
 
 def observe_many(name: str, values, **labels) -> None:
@@ -148,9 +139,7 @@ def observe_many(name: str, values, **labels) -> None:
     t = _TELEMETRY
     if t is None:
         return
-    t.registry._fast_get(Histogram, name, labels,
-                         reservoir_size=t.registry.reservoir_size
-                         ).observe_many(values)
+    t.registry._fast_get(LogHistogram, name, labels).observe_many(values)
 
 
 class _NullSpan:
@@ -260,11 +249,6 @@ def trace_now() -> float:
     return t.traces.clock() if t is not None else 0.0
 
 
-def capture():
-    """The current trace context, for re-activation on another thread."""
-    return _context.current() if _TELEMETRY is not None else None
-
-
 def begin_request(name: str, **attrs):
     """Manually open a trace root (returns ``None`` when uninstrumented).
 
@@ -334,13 +318,11 @@ class _LatencyTimer:
 def latency(name: str, **labels):
     """``with obs.latency("serving.lookup_seconds"):`` → latency histogram.
 
-    Latency metrics land in a log-bucket :class:`LogHistogram` — O(1) per
-    observation, mergeable, and accurate p99/p999 at millions of
-    observations (the sampling reservoir stays available via ``observe()``
-    as the exact-percentile oracle in tests).
+    The block's wall time in seconds is one :func:`observe` into the same
+    log-bucket :class:`LogHistogram` — O(1) per observation, mergeable, and
+    accurate p99/p999 at millions of observations.
     """
     t = _TELEMETRY
     if t is None:
         return _NULL_SPAN
-    return _LatencyTimer(t.registry._fast_get(LogHistogram, name, labels,
-                                              growth=1.1))
+    return _LatencyTimer(t.registry._fast_get(LogHistogram, name, labels))

@@ -16,7 +16,7 @@ def serving_events() -> list[dict]:
     registry.counter("cache.misses", {"cache": "serving"}).inc(30)
     registry.counter("serve.flushes", {"trigger": "size"}).inc(3)
     registry.counter("serve.flushes", {"trigger": "deadline"}).inc(2)
-    registry.histogram("serve.batch_size").observe(8)
+    registry.log_histogram("serve.batch_size").observe(8)
     hist = registry.log_histogram("serving.batch_lookup_seconds")
     hist.observe_many([0.001, 0.002, 0.010])
     registry.gauge("breaker.state", {"breaker": "serving-store"}).set(2.0)

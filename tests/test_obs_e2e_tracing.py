@@ -118,8 +118,9 @@ class TestTracedServingPath:
 
     def test_error_traces_always_retained_past_ring_capacity(self):
         __, flaky, __p, batcher = make_stack(resilient=False)
-        with obs.session(obs.Telemetry(trace_capacity=4,
-                                       keep_slowest=0)) as telemetry:
+        telemetry = obs.Telemetry()
+        telemetry.traces = obs.TraceStore(capacity=4, keep_slowest=0)
+        with obs.session(telemetry):
             flaky.fail_next(1)
             bad = batcher.submit(2)
             batcher.flush()

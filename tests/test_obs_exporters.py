@@ -58,7 +58,7 @@ class TestDumpLoad:
         assert events[0] == {"type": "meta", "run_id": "test-run",
                              "events": written - 1}
         types = {e["type"] for e in events}
-        assert types == {"meta", "counter", "gauge", "histogram", "span"}
+        assert types == {"meta", "counter", "gauge", "loghist", "span"}
         for event in events:          # every line is a flat, strict-JSON object
             assert json.loads(json.dumps(event)) == event
 
@@ -83,9 +83,10 @@ class TestPrometheus:
         assert '# TYPE cache_hits counter' in text
         assert 'cache_hits{cache="serving"} 7.0' in text
         assert '# TYPE hash_table_size gauge' in text
-        assert '# TYPE serving_lookup_seconds summary' in text
-        assert 'serving_lookup_seconds{quantile="0.95"}' in text
+        assert '# TYPE serving_lookup_seconds histogram' in text
+        assert 'serving_lookup_seconds_bucket{le="+Inf"} 100.0' in text
         assert 'serving_lookup_seconds_count 100.0' in text
+        assert " summary" not in text
 
     def test_from_loaded_events(self, tmp_path):
         telemetry = make_session()
@@ -144,7 +145,8 @@ class TestPrometheus:
         dump_jsonl(telemetry, path)
         assert events_to_prometheus(load_jsonl(path)) == \
             to_prometheus(telemetry.registry)
-        assert "lat_seconds (log)" in render_events(load_jsonl(path))
+        report = render_events(load_jsonl(path)).splitlines()
+        assert any(line.startswith("lat_seconds  ") for line in report)
 
 
 class TestReportRendering:

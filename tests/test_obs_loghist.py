@@ -1,10 +1,11 @@
-"""LogHistogram: O(1) log-bucket sketch vs the exact-percentile oracle."""
+"""LogHistogram: O(1) log-bucket sketch vs ``np.percentile`` as the oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.obs import LogHistogram, MetricsRegistry
 
 
@@ -51,10 +52,6 @@ class TestLogHistogram:
         assert a.percentile([50, 99]).tolist() == \
             both.percentile([50, 99]).tolist()
 
-    def test_merge_rejects_growth_mismatch(self):
-        with pytest.raises(ValueError, match="growth"):
-            LogHistogram("a", growth=1.1).merge(LogHistogram("b", growth=1.2))
-
     def test_zero_and_negative_land_in_underflow_bucket(self):
         hist = LogHistogram("z")
         hist.observe_many([0.0, -1.0, 0.5, 2.0])
@@ -91,9 +88,19 @@ class TestLogHistogram:
         assert counts == sorted(counts)      # cumulative
         assert counts[-1] == 3
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="growth"):
-            LogHistogram("bad", growth=1.0)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_rejected_before_any_state_change(self, bad):
+        hist = LogHistogram("lat", (("op", "get"),))
+        hist.observe_many([0.0, 0.5, 2.0])
+        before = (hist.count, hist.sum, hist.zeros, dict(hist._buckets),
+                  hist.min, hist.max)
+        with pytest.raises(ValueError, match="'lat'.*non-finite"):
+            hist.observe(bad)
+        with pytest.raises(ValueError, match="'lat'.*non-finite"):
+            hist.observe_many([1.0, bad, 3.0])
+        assert (hist.count, hist.sum, hist.zeros, dict(hist._buckets),
+                hist.min, hist.max) == before
 
 
 class TestRegistryIntegration:
@@ -103,6 +110,17 @@ class TestRegistryIntegration:
         b = registry.log_histogram("lat", {"op": "get"})
         assert a is b
         assert registry.log_histogram("lat", {"op": "put"}) is not a
+
+    def test_observe_and_latency_share_one_instrument(self):
+        with obs.session() as telemetry:
+            obs.observe("op_seconds", 0.5, op="get")
+            obs.observe_many("op_seconds", [0.25, 1.0], op="get")
+            with obs.latency("op_seconds", op="get"):
+                pass
+        hist = telemetry.registry.get("op_seconds", {"op": "get"})
+        assert isinstance(hist, LogHistogram)
+        assert hist.count == 4
+        assert [e["type"] for e in telemetry.snapshot()] == ["loghist"]
 
     def test_snapshot_includes_loghist_events(self):
         registry = MetricsRegistry()

@@ -1,11 +1,14 @@
-"""repro.obs.registry: counters, gauges, histograms, and the registry."""
+"""repro.obs.registry: counters, gauges, histograms, and the registry.
+
+The log-bucket sketch itself is covered in tests/test_obs_loghist.py.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, LogHistogram, MetricsRegistry
 
 
 class TestCounter:
@@ -40,9 +43,11 @@ class TestGauge:
 
 class TestHistogram:
     def test_exact_moments(self):
-        h = Histogram("h")
-        for v in (1.0, 2.0, 3.0, 10.0):
-            h.observe(v)
+        h = LogHistogram("h")
+        h.observe_many([1.0, 2.0])
+        h.observe(3.0)
+        h.observe(10.0)
+        # count/sum/mean/min/max are exact, not bucketed
         assert h.count == 4
         assert h.sum == 16.0
         assert h.mean == 4.0
@@ -51,50 +56,32 @@ class TestHistogram:
     def test_percentiles_match_numpy_under_capacity(self):
         rng = np.random.default_rng(3)
         values = rng.gamma(2.0, 1.5, size=500)
-        h = Histogram("lat", reservoir_size=2048)
+        h = LogHistogram("lat")
         for v in values:
             h.observe(v)
+        # within one bucket of the exact value: never below the bucket's
+        # lower bound, never more than one bucket width above
         for q in (50, 95, 99):
-            np.testing.assert_allclose(h.percentile(q), np.percentile(values, q))
-        np.testing.assert_allclose(h.percentile([50, 95, 99]),
-                                   np.percentile(values, [50, 95, 99]))
-
-    def test_reservoir_bounded_and_deterministic(self):
-        def fill():
-            h = Histogram("h", reservoir_size=64)
-            for v in range(1000):
-                h.observe(float(v))
-            return h
-
-        a, b = fill(), fill()
-        assert len(a.samples()) == 64
-        assert a.count == 1000
-        np.testing.assert_array_equal(a.samples(), b.samples())
-
-    def test_reservoir_percentile_approximates_population(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(100.0, 10.0, size=20_000)
-        h = Histogram("h", reservoir_size=1024)
-        for v in values:
-            h.observe(v)
-        assert abs(h.percentile(50) - np.percentile(values, 50)) < 2.0
+            exact = float(np.percentile(values, q))
+            assert exact / h.growth <= h.percentile(q) <= exact * h.growth
+        np.testing.assert_array_equal(
+            h.percentile([50, 95, 99]),
+            [h.percentile(q) for q in (50, 95, 99)])
 
     def test_empty_percentile_is_nan(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         assert np.isnan(h.percentile(50))
         assert np.isnan(h.percentile([50, 95])).all()
         assert np.isnan(h.mean)
 
-    def test_invalid_reservoir_size(self):
-        with pytest.raises(ValueError):
-            Histogram("h", reservoir_size=0)
-
     def test_snapshot_keys(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         h.observe(1.0)
         snap = h.snapshot()
         assert {"type", "name", "labels", "count", "sum", "mean", "min",
-                "max", "p50", "p95", "p99"} <= set(snap)
+                "max", "p50", "p95", "p99", "p999", "growth",
+                "buckets"} <= set(snap)
+        assert snap["growth"] == h.growth == 1.1
 
 
 class TestMetricsRegistry:
@@ -126,11 +113,6 @@ class TestMetricsRegistry:
         names = [(e["name"], tuple(sorted(e["labels"].items())))
                  for e in reg.snapshot()]
         assert names == sorted(names)
-
-    def test_default_reservoir_size_propagates(self):
-        reg = MetricsRegistry(reservoir_size=7)
-        assert reg.histogram("h").reservoir_size == 7
-        assert reg.histogram("h2", reservoir_size=3).reservoir_size == 3
 
     def test_reset(self):
         reg = MetricsRegistry()

@@ -204,7 +204,7 @@ class TestRuntime:
         assert obs.uninstall() is None
 
     def test_install_existing_session(self):
-        mine = Telemetry(reservoir_size=4)
+        mine = Telemetry()
         try:
             assert obs.install(mine) is mine
             assert obs.current() is mine
