@@ -7,6 +7,8 @@ telemetry session installed, dumps the JSONL event log, and asserts:
 * the span tree contains the per-batch stages and its stage times sum to
   within tolerance of the epoch wall-clock;
 * counters exist and are internally consistent (batches > 0, users > 0);
+* under glibc, the gauge ``trainer.heap_released_mb`` (the heap ``fit``
+  hands back when it returns) is in the snapshot;
 * ``python -m repro report`` renders the dump.
 
 Exit code 0 on success, 1 with a diagnostic on any violation.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -102,6 +105,10 @@ def main(argv=None) -> int:
     epoch_events = [e for e in events if e["type"] == "epoch"]
     check(len(epoch_events) == len(history.epochs),
           f"{len(epoch_events)} epoch events != {len(history.epochs)} epochs")
+    if platform.libc_ver()[0] == "glibc":
+        gauges = {e.get("name") for e in events if e["type"] == "gauge"}
+        check("trainer.heap_released_mb" in gauges,
+              "snapshot lacks the gauge trainer.heap_released_mb")
 
     # 4. the report command renders the dump
     try:

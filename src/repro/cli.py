@@ -342,6 +342,8 @@ def _cmd_evaluate(args, out) -> int:
     synthetic = _load_dataset(args)
     __, test = synthetic.dataset.split([0.8, 0.2], rng=args.seed)
     model = load_fvae(args.model)
+    if not _schema_matches(model, test, "evaluate"):
+        return 2
     if args.task == "tags":
         result = evaluate_tag_prediction(model, test, rng=args.seed)
         print(f"tag prediction: AUC={result.auc:.4f} mAP={result.map:.4f} "
@@ -356,11 +358,24 @@ def _cmd_evaluate(args, out) -> int:
     return 0
 
 
+def _schema_matches(model, dataset, command: str) -> bool:
+    """Whether ``model`` can run on ``dataset``; says why not on stderr."""
+    try:
+        model.check_schema(dataset)
+    except ValueError as exc:
+        print(f"{command}: {exc}; pass the --dataset the model was trained on",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_embed(args, out) -> int:
     from repro.core import load_fvae
 
     synthetic = _load_dataset(args)
     model = load_fvae(args.model)
+    if not _schema_matches(model, synthetic.dataset, "embed"):
+        return 2
     embeddings = model.embed_users(synthetic.dataset)
     np.savez_compressed(args.output, embeddings=embeddings,
                         topics=synthetic.topics)

@@ -29,7 +29,9 @@ from repro.data.fields import FieldSchema
 from repro.nn import gaussian_kl
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, is_inference, no_grad
+from repro.obs import runtime as obs
 from repro.sampling import get_sampler, select_candidates
+from repro.utils.memory import release_free_heap
 from repro.utils.rng import new_rng
 
 __all__ = ["FVAE"]
@@ -219,9 +221,17 @@ class FVAE(Module, UserRepresentationModel):
     def fit(self, dataset: MultiFieldDataset, epochs: int = 10,
             batch_size: int = 512, lr: float = 1e-3, verbose: bool = False,
             warm_start_bias: bool = True, **trainer_kwargs) -> "FVAE":
-        """Train with the standard :class:`~repro.core.trainer.Trainer` loop."""
+        """Train with the standard :class:`~repro.core.trainer.Trainer` loop.
+
+        When ``fit`` returns, the heap its trainer freed (Adam's moments, the
+        step scratch) goes back to the operating system: the trim thresholds
+        raised for the step loop (:data:`repro.nn.init._DRAW_BYTES`) would
+        otherwise keep it resident for the rest of the process.  The gauge
+        ``trainer.heap_released_mb`` records how much that was.
+        """
         from repro.core.trainer import Trainer
 
+        self.check_schema(dataset)
         # `precision` must reach the Trainer constructor (the cast has to
         # precede optimizer construction); everything else goes to fit().
         # Casting before the warm start grows the tables at the training
@@ -233,7 +243,17 @@ class FVAE(Module, UserRepresentationModel):
             self.initialize_from_dataset(dataset)
         self.history = trainer.fit(dataset, epochs=epochs, batch_size=batch_size,
                                    verbose=verbose, **trainer_kwargs)
+        del trainer     # frees the optimizer moments into the heap
+        released = release_free_heap()
+        if released is not None:
+            obs.gauge_set("trainer.heap_released_mb", released / 2 ** 20)
         return self
+
+    def check_schema(self, dataset: MultiFieldDataset) -> None:
+        """Raise ``ValueError`` unless ``dataset`` has the model's fields."""
+        if dataset.schema != self.schema:
+            raise ValueError(f"dataset schema {dataset.schema!r} does not match "
+                             f"the model's schema {self.schema!r}")
 
     def encode_batch(self, batch: UserBatch,
                      inference: bool | None = None,
@@ -264,6 +284,7 @@ class FVAE(Module, UserRepresentationModel):
     def embed_users(self, dataset: MultiFieldDataset,
                     batch_size: int = 2048) -> np.ndarray:
         """Posterior means ``μ(u_i)`` for every user — the user representation."""
+        self.check_schema(dataset)
         self.eval()
         out = np.empty((dataset.n_users, self.config.latent_dim))
         for start in range(0, dataset.n_users, batch_size):
@@ -276,6 +297,7 @@ class FVAE(Module, UserRepresentationModel):
                                      batch_size: int = 2048,
                                      ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(μ, σ)`` — position and uncertainty of each user (§III)."""
+        self.check_schema(dataset)
         self.eval()
         mu_out = np.empty((dataset.n_users, self.config.latent_dim))
         sigma_out = np.empty_like(mu_out)

@@ -12,7 +12,9 @@ __all__ = ["xavier_uniform", "xavier_normal", "normal", "zeros", "grow_rows"]
 #: mmapped block freed so far (up to 32 MB).  With 1 MB draws nothing larger
 #: than a training step's temporaries was ever freed, so every ``train_kd``
 #: step gave ≈ 7.5 MB of heap back to the kernel and faulted it in again
-#: (docs/PERFORMANCE.md § "Import footprint").
+#: (docs/PERFORMANCE.md § "Import footprint").  The heap the raised
+#: thresholds keep is handed back once, at the end of ``FVAE.fit``
+#: (:func:`repro.utils.memory.release_free_heap`).
 _DRAW_BYTES = 16 << 20
 
 

@@ -80,6 +80,39 @@ class TestTrainEvaluateEmbed:
             assert payload["topics"].shape == (300,)
 
 
+class TestDatasetSchemaMismatch:
+    """A model trained on one preset, run against another (the default sc)."""
+
+    @pytest.fixture(scope="class")
+    def kd_model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli_kd") / "kd.npz"
+        code, __ = run_cli(
+            "train", "--dataset", "kd", "--users", "200", "--epochs", "1",
+            "--latent-dim", "8", "--batch-size", "128", "--output", str(path))
+        assert code == 0
+        return path
+
+    def test_embed_exits_nonzero_and_writes_nothing(self, kd_model, tmp_path,
+                                                    capsys):
+        out_path = tmp_path / "emb.npz"
+        code, text = run_cli("embed", "--users", "200", "--model",
+                             str(kd_model), "--output", str(out_path))
+        assert code == 2
+        assert "embed: dataset schema" in capsys.readouterr().err
+        assert "wrote" not in text
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("task", ["tags", "reconstruction"])
+    def test_evaluate_exits_nonzero(self, kd_model, capsys, task):
+        code, text = run_cli("evaluate", "--users", "200", "--model",
+                             str(kd_model), "--task", task)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "evaluate: dataset schema" in err
+        assert "does not match the model's schema" in err
+        assert text == ""
+
+
 class TestBenchmark:
     def test_benchmark_prints_speedup(self):
         code, text = run_cli("benchmark", "--dataset", "sc",

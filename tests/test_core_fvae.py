@@ -173,6 +173,36 @@ class TestEmbeddingAndScoring:
         assert out["auc"] > 0.7
 
 
+class TestSchemaMismatch:
+    """A dataset with other fields is refused up front, naming both schemas."""
+
+    @staticmethod
+    def _message(model, dataset) -> str:
+        return (f"dataset schema {dataset.schema!r} does not match "
+                f"the model's schema {model.schema!r}")
+
+    @pytest.mark.parametrize("call", [
+        lambda m, d: m.embed_users(d),
+        lambda m, d: m.embed_users_with_uncertainty(d),
+        lambda m, d: m.score_field(d, "tag"),
+    ], ids=["embed_users", "embed_users_with_uncertainty", "score_field"])
+    def test_inference_raises(self, trained_fvae, tiny_dataset, call):
+        with pytest.raises(ValueError) as info:
+            call(trained_fvae, tiny_dataset)
+        assert str(info.value) == self._message(trained_fvae, tiny_dataset)
+
+    def test_fit_raises_before_training(self, tiny_schema, sc_split):
+        train, __ = sc_split
+        model = FVAE(tiny_schema, tiny_config())
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError) as info:
+            model.fit(train, epochs=1)
+        assert str(info.value) == self._message(model, train)
+        assert not hasattr(model, "history")
+        for old, param in zip(before, model.parameters()):
+            np.testing.assert_array_equal(param.data, old)
+
+
 class TestConfigValidation:
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
