@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     # 2. span tree: stages present, and they account for the epoch wall-clock
     tracer = telemetry.tracer
     epoch_total = tracer.total("epoch")
-    stages = ("batch_iter", "forward", "backward", "clip", "optimizer_step")
+    stages = ("batch_iter", "forward", "backward", "optimizer_step")
     stage_total = sum(tracer.total(f"epoch/{s}") for s in stages)
     check(epoch_total > 0, "no 'epoch' span recorded")
     for stage in ("forward", "backward", "optimizer_step"):

@@ -6,7 +6,9 @@ Two scenarios, one exit code:
    train an identical model with per-step checkpointing and kill it mid-epoch
    (a callback raises, standing in for SIGKILL).  A third, fresh model
    resumes from the latest checkpoint and must reproduce the reference run —
-   final loss within tolerance and every parameter array bit-exact.
+   final loss within tolerance and every parameter array bit-exact.  A
+   mid-epoch checkpoint resumed at twice the batch size must be refused
+   (``CheckpointError``): its batch cursor would skip users.
 
 2. **Degraded serving.** Serve lookups through a ServingProxy whose store
    fails 20% of the time (seeded), with retries, a circuit breaker, and the
@@ -65,7 +67,8 @@ def main(argv=None) -> int:
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
     from repro.lookalike import EmbeddingStore, ServingProxy, ServingResilience
-    from repro.resilience import Checkpointer, FlakyEmbeddingStore
+    from repro.resilience import (CheckpointError, Checkpointer,
+                                  FlakyEmbeddingStore)
 
     failures: list[str] = []
 
@@ -102,6 +105,10 @@ def main(argv=None) -> int:
             lost = args.kill_after - latest.step
             check(lost < 1, f"lost {lost} steps despite a checkpoint "
                             f"interval of 1")
+        # Mid-epoch: some, not all, of the epoch's users already trained.
+        mid_epoch = [c for c in map(ck.load, ck.checkpoint_paths())
+                     if 0 < c.meta["n_seen"] < args.users]
+        check(bool(mid_epoch), "no mid-epoch checkpoint survived the crash")
 
         resumed = fresh_model()
         resumed.fit(syn.dataset, epochs=args.epochs, batch_size=128, rng=0,
@@ -117,6 +124,16 @@ def main(argv=None) -> int:
                                                        res_state[key]):
                 check(False, f"parameter {key} differs after resume")
                 break
+
+        if mid_epoch:
+            try:
+                fresh_model().fit(syn.dataset, epochs=args.epochs,
+                                  batch_size=256, rng=0,
+                                  resume_from=mid_epoch[-1])
+                check(False, "a mid-epoch checkpoint taken at batch size 128 "
+                             "resumed at 256 without a CheckpointError")
+            except CheckpointError:
+                pass
 
     # -- scenario 2: serving stays available under 20% store failure ---------
     out = Path(args.out) if args.out else \

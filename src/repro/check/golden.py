@@ -62,13 +62,8 @@ def default_golden_dir() -> Path:
 
 # -- digest construction -------------------------------------------------------
 
-def run_digest(quick: bool = True, seed: int = 0, loader=None) -> dict:
-    """Train a seeded FVAE mini-run and digest everything that must not drift.
-
-    ``loader`` injects a batch pipeline into ``Trainer.fit`` (used by the
-    mutation tests to prove a loader reorder is caught); ``None`` uses the
-    default synchronous loader.
-    """
+def run_digest(quick: bool = True, seed: int = 0) -> dict:
+    """Train a seeded FVAE mini-run and digest everything that must not drift."""
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
     from repro.tasks.tag_prediction import evaluate_tag_prediction
@@ -83,8 +78,7 @@ def run_digest(quick: bool = True, seed: int = 0, loader=None) -> dict:
     model = FVAE(train.schema, config)
     # The committed digests pin float64 bits; the training default is float32.
     model.fit(train, epochs=preset["epochs"],
-              batch_size=preset["batch_size"], rng=seed, loader=loader,
-              precision="float64")
+              batch_size=preset["batch_size"], rng=seed, precision="float64")
 
     result = evaluate_tag_prediction(model, test, rng=seed)
     history = model.history

@@ -150,17 +150,15 @@ def table_bijection(model) -> list[InvariantViolation]:
 
 
 def moment_shapes(optimizer) -> list[InvariantViolation]:
-    """Optimizer moment buffers match their parameters' shapes and stay finite.
+    """Adam's moment buffers match their parameters' shapes and stay finite.
 
     A shape mismatch is legal *transiently* (a dynamic table grew the
     parameter since the last step — Adam re-grows lazily) only while the
     buffer is a prefix of the parameter; anything else is state corruption.
     """
     out: list[InvariantViolation] = []
-    buffer_sets = [("m", getattr(optimizer, "_m", {})),
-                   ("v", getattr(optimizer, "_v", {})),
-                   ("vel", getattr(optimizer, "_velocity", {}))]
-    for i, p in enumerate(getattr(optimizer, "params", ())):
+    buffer_sets = [("m", optimizer._m), ("v", optimizer._v)]
+    for i, p in enumerate(optimizer.params):
         for kind, buffers in buffer_sets:
             buf = buffers.get(id(p))
             if buf is None:

@@ -32,7 +32,8 @@ Commands mirror the deployment workflow of §IV-D at example scale:
 
 ``train`` grows crash-safety flags: ``--checkpoint-dir`` /
 ``--checkpoint-every`` write atomic checkpoints during training and
-``--resume`` continues bit-exactly from the latest one after a kill.
+``--resume`` continues bit-exactly from the latest one after a kill (at the
+``--batch-size`` it was taken with; another exits 2).
 """
 
 from __future__ import annotations
@@ -299,6 +300,7 @@ def _cmd_stats(args, out) -> int:
 def _cmd_train(args, out) -> int:
     from repro import obs
     from repro.core import FVAE, FVAEConfig, save_fvae
+    from repro.resilience import CheckpointError
 
     synthetic = _load_dataset(args)
     config = FVAEConfig(latent_dim=args.latent_dim,
@@ -316,16 +318,21 @@ def _cmd_train(args, out) -> int:
         fit_kwargs.update(checkpointer=args.checkpoint_dir,
                           checkpoint_every=args.checkpoint_every,
                           resume_from=args.resume)
+    try:
+        if args.telemetry:
+            with obs.session() as telemetry:
+                model.fit(synthetic.dataset,
+                          callbacks=[obs.TelemetryCallback()], **fit_kwargs)
+        else:
+            model.fit(synthetic.dataset, **fit_kwargs)
+    except CheckpointError as exc:  # a checkpoint this run cannot resume
+        print(f"cannot resume: {exc}", file=sys.stderr)
+        return 2
     if args.telemetry:
-        with obs.session() as telemetry:
-            model.fit(synthetic.dataset, callbacks=[obs.TelemetryCallback()],
-                      **fit_kwargs)
         events = telemetry.dump_jsonl(
             args.telemetry, run_id=f"train-{args.dataset}-seed{args.seed}")
         print(f"telemetry: {events} events written to {args.telemetry}",
               file=out)
-    else:
-        model.fit(synthetic.dataset, **fit_kwargs)
     save_fvae(model, args.output)
     history = model.history
     print(f"trained {args.epochs} epochs in {history.total_time:.1f}s "

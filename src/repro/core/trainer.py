@@ -7,7 +7,7 @@ so the speed benchmarks (Table V, Fig 6) read throughput straight from the
 training history.
 
 Observability: every batch emits per-stage spans (``batch_iter`` / ``forward``
-/ ``backward`` / ``clip`` / ``optimizer_step``) through :mod:`repro.obs` —
+/ ``backward`` / ``optimizer_step``) through :mod:`repro.obs` —
 free when no telemetry session is installed — and ``fit`` drives an optional
 list of callbacks (see :class:`repro.obs.callbacks.TrainerCallback`).
 Progress output goes through the ``repro.core.trainer`` logger;
@@ -38,12 +38,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.dataset import MultiFieldDataset
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 from repro.nn.parallel import field_worker
-from repro.nn.schedules import clip_grad_norm
 from repro.obs import runtime as obs
+from repro.perf.pipeline import SyncLoader, n_batches
 from repro.resilience.checkpoint import (Checkpoint, CheckpointError,
-                                         Checkpointer, model_state_arrays,
+                                         Checkpointer, check_resume_batch_size,
+                                         model_state_arrays,
                                          restore_model_state)
 from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
                              restore_rng_tree, set_generator_state)
@@ -135,11 +136,7 @@ class Trainer:
     model:
         Object with ``loss_on_batch``, ``parameters()``, ``train()``/``eval()``.
     lr:
-        Learning rate.
-    optimizer:
-        ``"adam"`` (default) or ``"sgd"``.
-    weight_decay:
-        L2 penalty applied inside the optimizer.
+        Adam's learning rate.
     precision:
         Training dtype the model is cast to: ``"float32"`` (default — the
         precision the paper and its VAE baselines train at) or
@@ -147,9 +144,7 @@ class Trainer:
         at); ``None`` leaves the model's dtype alone.
     """
 
-    def __init__(self, model, lr: float = 1e-3, optimizer: str = "adam",
-                 weight_decay: float = 0.0, lr_schedule=None,
-                 clip_norm: float | None = None,
+    def __init__(self, model, lr: float = 1e-3,
                  precision: str | None = "float32") -> None:
         self.model = model
         self.precision = None if precision is None else np.dtype(precision)
@@ -157,37 +152,23 @@ class Trainer:
             # Cast before the optimizer is built so Adam's lazily-allocated
             # moments adopt the parameter dtype (see Module.astype).
             model.astype(self.precision)
-        self.base_lr = lr
-        self.lr_schedule = lr_schedule
-        self.clip_norm = clip_norm
-        if optimizer == "adam":
-            self.optimizer: Optimizer = Adam(model.parameters(), lr=lr,
-                                             weight_decay=weight_decay)
-        elif optimizer == "sgd":
-            self.optimizer = SGD(model.parameters(), lr=lr, weight_decay=weight_decay)
-        else:
-            raise ValueError(f"unknown optimizer '{optimizer}'; use 'adam' or 'sgd'")
+        self.optimizer = Adam(model.parameters(), lr=lr)
 
     def fit(self, dataset: MultiFieldDataset, epochs: int = 10,
             batch_size: int = 512,
             rng: np.random.Generator | int | None = 0,
             eval_fn: Callable[[], dict[str, float]] | None = None,
-            eval_every: int = 1,
-            early_stopping_metric: str | None = None,
-            patience: int = 3,
             max_seconds: float | None = None,
             callbacks: Sequence | None = None,
             verbose: bool = False,
             checkpointer: Checkpointer | str | Path | None = None,
             checkpoint_every: int = 0,
             resume_from: Checkpoint | Checkpointer | str | Path | bool | None = None,
-            loader=None,
             ) -> TrainHistory:
         """Train for up to ``epochs`` epochs (or until ``max_seconds`` elapse).
 
-        ``eval_fn`` is called every ``eval_every`` epochs (training mode is
-        restored afterwards); when ``early_stopping_metric`` names one of its
-        keys, training stops after ``patience`` epochs without improvement.
+        ``eval_fn`` is called after every full epoch (training mode is
+        restored afterwards) and its metrics land in the epoch's record.
         The ``max_seconds`` budget is checked after every batch, so long
         epochs stop promptly; a cut-short epoch is still recorded (with
         ``interrupted=True`` and its true ``n_batches``).  ``callbacks`` are
@@ -202,13 +183,10 @@ class Trainer:
         :class:`~repro.resilience.Checkpoint`, or ``True`` (= latest from
         ``checkpointer``; starts fresh when none exists yet) and continues
         the interrupted run bit-deterministically — including mid-epoch, via
-        the saved shuffle order and batch cursor.
-
-        ``loader`` injects a batch pipeline (see
-        :class:`~repro.perf.pipeline.BatchLoader`); ``None`` uses the
-        synchronous in-loop batcher.  Loaders receive the already-shuffled
-        epoch order and touch no RNG, so training history, RNG draws, and
-        checkpoint/resume equality are bit-identical across loaders.
+        the saved shuffle order and batch cursor.  A mid-epoch checkpoint
+        resumes only at the batch size it was taken with: the cursor counts
+        batches, so another size would skip or repeat users
+        (:class:`~repro.resilience.CheckpointError`).
 
         Parameters, losses and optimizer state are bit-identical whether the
         field worker runs or not.
@@ -225,15 +203,9 @@ class Trainer:
             _attach_verbose_handler()
         if isinstance(checkpointer, (str, Path)):
             checkpointer = Checkpointer(checkpointer)
-        if loader is None:
-            from repro.perf.pipeline import SyncLoader
-
-            loader = SyncLoader()
         history = TrainHistory()
         timer = Timer()
         step = getattr(self.model, "_step", 0)
-        best_metric = -np.inf
-        since_best = 0
         base_elapsed = 0.0
         start_epoch = 0
         resume_cursor = 0
@@ -243,8 +215,8 @@ class Trainer:
         checkpoint = self._resolve_resume(resume_from, checkpointer)
         if checkpoint is not None:
             (step, start_epoch, resume_cursor, resume_order, resume_progress,
-             base_elapsed, best_metric, since_best) = \
-                self._restore_checkpoint(checkpoint, rng, history)
+             base_elapsed) = self._restore_checkpoint(checkpoint, batch_size,
+                                                      rng, history)
             obs.count("checkpoint.resumes")
             logger.info("resumed from %s (epoch %d, batch %d, step %d)",
                         checkpoint.path, start_epoch, resume_cursor, step)
@@ -256,7 +228,6 @@ class Trainer:
             cb.on_train_start(self, dataset)
 
         n_users = len(dataset)
-        from repro.perf.pipeline import n_batches
         total_batches = n_batches(n_users, batch_size)
 
         budget_exhausted = False
@@ -281,7 +252,8 @@ class Trainer:
                 interrupted = False
                 timer.start()
                 with obs.span("epoch"):
-                    batches = loader.epoch(dataset, order, batch_size, first_batch)
+                    batches = SyncLoader().epoch(dataset, order, batch_size,
+                                                 first_batch)
                     try:
                         for b in range(first_batch, total_batches):
                             with obs.span("batch_iter"):
@@ -291,14 +263,7 @@ class Trainer:
                                 loss, diag = self.model.loss_on_batch(batch, step)
                             with obs.span("backward"):
                                 loss.backward()
-                            if self.clip_norm is not None:
-                                with obs.span("clip"):
-                                    clip_grad_norm(self.optimizer.params,
-                                                   self.clip_norm)
                             with obs.span("optimizer_step"):
-                                if self.lr_schedule is not None:
-                                    self.optimizer.lr = \
-                                        self.base_lr * self.lr_schedule(step)
                                 self.optimizer.step()
                             step += 1
                             cursor = b + 1
@@ -317,9 +282,7 @@ class Trainer:
                                     checkpointer, rng, history, step=step,
                                     epoch=epoch, cursor=cursor, order=order,
                                     progress=progress,
-                                    elapsed=base_elapsed + timer.current,
-                                    best_metric=best_metric,
-                                    since_best=since_best)
+                                    elapsed=base_elapsed + timer.current)
                             for cb in callbacks:
                                 cb.on_batch_end(self, epoch, step,
                                                 progress.losses[-1], diag)
@@ -330,10 +293,8 @@ class Trainer:
                                 break
                     finally:
                         # Retire the loader mid-epoch on a budget break or an
-                        # early exit (no-op for plain generators).
-                        close = getattr(batches, "close", None)
-                        if close is not None:
-                            close()
+                        # early exit.
+                        batches.close()
                 epoch_time = timer.stop()
 
                 if interrupted and checkpointer is not None:
@@ -343,8 +304,7 @@ class Trainer:
                     self._save_checkpoint(
                         checkpointer, rng, history, step=step, epoch=epoch,
                         cursor=cursor, order=order, progress=progress,
-                        elapsed=base_elapsed + timer.elapsed,
-                        best_metric=best_metric, since_best=since_best)
+                        elapsed=base_elapsed + timer.elapsed)
 
                 losses = progress.losses
                 record = EpochRecord(
@@ -362,8 +322,7 @@ class Trainer:
                     interrupted=interrupted,
                 )
 
-                if eval_fn is not None and (epoch + 1) % eval_every == 0 \
-                        and not interrupted:
+                if eval_fn is not None and not interrupted:
                     was_training = self.model.training
                     self.model.eval()
                     record.eval_metrics = dict(eval_fn())
@@ -383,31 +342,11 @@ class Trainer:
 
                 if budget_exhausted:
                     break
-                if early_stopping_metric and record.eval_metrics:
-                    current = record.eval_metrics.get(early_stopping_metric)
-                    if current is None:
-                        raise KeyError(f"eval_fn did not report "
-                                       f"'{early_stopping_metric}'")
-                    if current > best_metric + 1e-6:
-                        best_metric = current
-                        since_best = 0
-                    else:
-                        since_best += 1
-                        if since_best >= patience:
-                            if checkpointer is not None:
-                                self._save_checkpoint(
-                                    checkpointer, rng, history, step=step,
-                                    epoch=epoch + 1, cursor=0, order=None,
-                                    progress=None,
-                                    elapsed=base_elapsed + timer.elapsed,
-                                    best_metric=best_metric, since_best=since_best)
-                            break
                 if checkpointer is not None:
                     self._save_checkpoint(
                         checkpointer, rng, history, step=step, epoch=epoch + 1,
                         cursor=0, order=None, progress=None,
-                        elapsed=base_elapsed + timer.elapsed,
-                        best_metric=best_metric, since_best=since_best)
+                        elapsed=base_elapsed + timer.elapsed)
                 if max_seconds is not None and timer.elapsed >= max_seconds:
                     break
 
@@ -461,8 +400,8 @@ class Trainer:
                          rng: np.random.Generator, history: TrainHistory, *,
                          step: int, epoch: int, cursor: int,
                          order: np.ndarray | None,
-                         progress: _EpochProgress | None, elapsed: float,
-                         best_metric: float, since_best: int) -> Path:
+                         progress: _EpochProgress | None,
+                         elapsed: float) -> Path:
         arrays = model_state_arrays(self.model)
         for key, value in self.optimizer.state_arrays().items():
             arrays[f"opt/{key}"] = value
@@ -479,23 +418,22 @@ class Trainer:
             "n_seen": int(progress.n_seen) if progress is not None else 0,
             "elapsed": float(elapsed),
             "model_step": int(getattr(self.model, "_step", step)),
-            "best_metric": float(best_metric),
-            "since_best": int(since_best),
-            "optimizer": type(self.optimizer).__name__,
+            "optimizer": "Adam",
             "history": [asdict(record) for record in history.epochs],
             "rng": {"trainer": get_generator_state(rng),
                     "model": capture_rng_tree(self.model)},
         }
         return checkpointer.save(arrays, meta, step=step)
 
-    def _restore_checkpoint(self, checkpoint: Checkpoint,
+    def _restore_checkpoint(self, checkpoint: Checkpoint, batch_size: int,
                             rng: np.random.Generator, history: TrainHistory):
         meta, arrays = checkpoint.meta, checkpoint.arrays
         saved_opt = meta.get("optimizer")
-        if saved_opt and saved_opt != type(self.optimizer).__name__:
+        if saved_opt and saved_opt != "Adam":
             raise CheckpointError(
                 f"checkpoint was taken with {saved_opt}, but this trainer "
-                f"uses {type(self.optimizer).__name__}")
+                "uses Adam")
+        check_resume_batch_size(meta, arrays.get("epoch_order"), batch_size)
         saved = {arr.dtype for name, arr in arrays.items() if name.startswith("param/")}
         if self.precision is not None and saved - {self.precision}:
             raise CheckpointError(
@@ -525,6 +463,4 @@ class Trainer:
                 betas=arrays["partial/betas"].tolist(),
                 n_seen=int(meta.get("n_seen", 0)))
         return (step, int(meta.get("epoch", 0)), cursor, order, progress,
-                float(meta.get("elapsed", 0.0)),
-                float(meta.get("best_metric", -np.inf)),
-                int(meta.get("since_best", 0)))
+                float(meta.get("elapsed", 0.0)))

@@ -54,9 +54,9 @@ import numpy as np
 from repro.core.trainer import EpochRecord, TrainHistory
 from repro.distributed.sharded import shm
 from repro.distributed.sharded.layout import FieldLayout, build_field_layout
-from repro.nn.optim import (Adam, _coalesce, adam_step_size,
-                            adam_update_rows)
-from repro.resilience.checkpoint import Checkpointer
+from repro.nn.optim import (BETA1, BETA2, EPS, Adam, _coalesce,
+                            adam_step_size, adam_update_rows)
+from repro.resilience.checkpoint import Checkpointer, check_resume_batch_size
 from repro.resilience.faults import FaultKind, FaultSchedule
 from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
                              restore_rng_tree, set_generator_state)
@@ -99,9 +99,6 @@ class _WorkerCtx:
     sparse: dict                  # pkey -> _SparseState
     dense_params: list
     lr: float
-    betas: tuple
-    eps: float
-    weight_decay: float
 
 
 def _pull_touched(ctx: _WorkerCtx, batch, candidates: dict) -> None:
@@ -165,7 +162,7 @@ def _compute_step(ctx: _WorkerCtx, msg: tuple) -> tuple:
 def _apply_shard(ctx: _WorkerCtx, msg: tuple) -> tuple:
     __, adam_t, routed = msg
     t0 = time.process_time()
-    step_size = adam_step_size(ctx.lr, *ctx.betas, adam_t)
+    step_size = adam_step_size(ctx.lr, BETA1, BETA2, adam_t)
     for pkey, parts in routed.items():
         if not parts:
             continue
@@ -174,10 +171,8 @@ def _apply_shard(ctx: _WorkerCtx, msg: tuple) -> tuple:
         slots = state.layout.slot_of_row[rows]
         value, m, v = (state.slabs[which][ctx.rank].array
                        for which in _STATE_KEYS)
-        if ctx.weight_decay:
-            grads = grads + ctx.weight_decay * value[slots]
         adam_update_rows(value, m, v, slots, grads, step_size,
-                         *ctx.betas, ctx.eps)
+                         BETA1, BETA2, EPS)
     return ("applied", ctx.rank, time.process_time() - t0)
 
 
@@ -226,8 +221,6 @@ class ShardedTrainer:
     """
 
     def __init__(self, model, n_workers: int = 2, lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0,
                  checkpointer: Checkpointer | str | Path | None = None,
                  checkpoint_every: int = 0,
                  fault_schedule: FaultSchedule | None = None,
@@ -243,9 +236,6 @@ class ShardedTrainer:
         self.model = model
         self.n_workers = int(n_workers)
         self.lr = float(lr)
-        self.betas = betas
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         if isinstance(checkpointer, (str, Path)):
             checkpointer = Checkpointer(checkpointer)
         self.checkpointer = checkpointer
@@ -366,9 +356,7 @@ class ShardedTrainer:
             slab.array[...] = p.data
             p.data = slab.array
             self._dense_slabs.append(slab)
-        self._dense_opt = Adam(self._dense_params, lr=self.lr,
-                               betas=self.betas, eps=self.eps,
-                               weight_decay=self.weight_decay)
+        self._dense_opt = Adam(self._dense_params, lr=self.lr)
 
     def _spawn_workers(self) -> None:
         self._workers = []
@@ -377,9 +365,7 @@ class ShardedTrainer:
             ctx = _WorkerCtx(rank=rank, n_workers=self.n_workers,
                              model=self.model, dataset=self._dataset,
                              sparse=self._sparse,
-                             dense_params=self._dense_params, lr=self.lr,
-                             betas=self.betas, eps=self.eps,
-                             weight_decay=self.weight_decay)
+                             dense_params=self._dense_params, lr=self.lr)
             proc = self._ctx.Process(target=_worker_loop, args=(ctx, child),
                                      daemon=True, name=f"repro-shard-{rank}")
             proc.start()
@@ -414,7 +400,7 @@ class ShardedTrainer:
                     self._run_batch(dataset, state, b, batch_size)
                 except WorkerDiedError:
                     self.recoveries += 1
-                    self._recover(state, rng, history)
+                    self._recover(state, rng, history, batch_size)
                     restart = True
                     break
                 b += 1
@@ -559,7 +545,8 @@ class ShardedTrainer:
             if proc.pid is not None and proc.is_alive():
                 os.kill(proc.pid, signal.SIGKILL)
 
-    def _recover(self, state: dict, rng, history: TrainHistory) -> None:
+    def _recover(self, state: dict, rng, history: TrainHistory,
+                 batch_size: int) -> None:
         """Roll every shard back to the latest checkpoint and respawn."""
         checkpoint = self.checkpointer.latest() if self.checkpointer else None
         if checkpoint is None:
@@ -567,6 +554,7 @@ class ShardedTrainer:
                                "recover from")
         self._stop_workers(force=True)
         arrays, meta = checkpoint.arrays, checkpoint.meta
+        check_resume_batch_size(meta, arrays.get("epoch_order"), batch_size)
         for pkey, sstate in self._sparse.items():
             for which in _STATE_KEYS:
                 sstate.layout.scatter(arrays[f"sparse/{pkey}/{which}"],

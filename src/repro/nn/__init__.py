@@ -1,4 +1,4 @@
-"""Minimal NumPy deep-learning substrate (autograd, layers, optimizers).
+"""Minimal NumPy deep-learning substrate (autograd, layers, Adam).
 
 The paper builds the FVAE on TensorFlow; this package replaces that dependency
 with a from-scratch reverse-mode autograd engine featuring the row-sparse
@@ -9,9 +9,7 @@ from repro.nn import functional
 from repro.nn.layers import (MLP, Dropout, Embedding, LayerNorm, Linear,
                              Module, Sequential)
 from repro.nn.losses import gaussian_kl, gaussian_kl_to, mse, multinomial_nll
-from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedules import (ConstantLR, CosineDecay, StepDecay,
-                                WarmupWrapper, clip_grad_norm)
+from repro.nn.optim import Adam
 from repro.nn.tensor import (Parameter, Tensor, as_tensor, coalesce_rows,
                              inference_mode, is_grad_enabled, is_inference,
                              no_grad, stable_sigmoid)
@@ -22,7 +20,6 @@ __all__ = [
     "inference_mode", "is_inference",
     "coalesce_rows", "stable_sigmoid",
     "Module", "Linear", "MLP", "Dropout", "Sequential", "Embedding", "LayerNorm",
-    "Optimizer", "SGD", "Adam",
-    "ConstantLR", "StepDecay", "CosineDecay", "WarmupWrapper", "clip_grad_norm",
+    "Adam",
     "multinomial_nll", "gaussian_kl", "gaussian_kl_to", "mse",
 ]

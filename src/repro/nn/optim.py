@@ -1,6 +1,6 @@
-"""Optimizers with dense and row-sparse update paths.
+"""The optimizer: Adam with dense and row-sparse update paths.
 
-``Adam`` and ``SGD`` understand the row-sparse gradients recorded by
+``Adam`` understands the row-sparse gradients recorded by
 :func:`repro.nn.functional.rows` / ``embedding_bag`` / ``take`` on sparse
 parameters: instead of materialising a full-vocabulary gradient, only the
 rows touched in the current step are updated.  This is the optimizer-side
@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.nn.tensor import Parameter, coalesce_rows
 
-__all__ = ["Optimizer", "SGD", "Adam", "adam_step_size", "adam_update_rows"]
+__all__ = ["Adam", "BETA1", "BETA2", "EPS", "adam_step_size",
+           "adam_update_rows"]
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults);
+#: the sharded trainer's shard owners use them too.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 #: Bytes per gathered block of ``adam_update_rows`` (64 rows of 256 float32,
 #: the training default): the optimum of the float32 sweep in
@@ -90,114 +95,32 @@ def adam_update_rows(value: np.ndarray, m: np.ndarray, v: np.ndarray,
         value[idx] = w_rows
 
 
-class Optimizer:
-    """Base class holding the parameter list and shared bookkeeping."""
+class Adam:
+    """Adam (Kingma & Ba, 2015) with a lazy row-sparse path.
 
-    def __init__(self, params: Iterable[Parameter]) -> None:
+    For sparse gradient parts only the first/second-moment rows that were
+    touched are updated (the behaviour of torch.optim.SparseAdam); bias
+    correction uses the global step count.  ``BETA1``, ``BETA2`` and ``EPS``
+    are fixed; only ``lr`` is set.
+    """
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3) -> None:
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         for p in self.params:
             if not isinstance(p, Parameter):
                 raise TypeError(f"optimizer parameters must be Parameter, got {type(p)!r}")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive: {lr}")
+        self.lr = lr
+        self.t = 0
+        self._m: dict[int, np.ndarray] = {}
+        self._v: dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- checkpoint support ----------------------------------------------------
-    #
-    # Optimizer state is addressed by *parameter position* (the param list is
-    # fixed at construction), so checkpoints stay valid as long as the model
-    # is rebuilt with the same architecture — the contract resume already
-    # requires for the parameters themselves.
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Internal state as flat arrays (see ``load_state_arrays``)."""
-        return {}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore state captured by :meth:`state_arrays` (exact shapes)."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum.
-
-    Momentum is only applied on the dense path; sparse parts fall back to
-    plain SGD per touched row (momentum on sparse rows is ill-defined without
-    decaying stale rows).
-    """
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive: {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.sparse_grad_parts:
-                rows, grads = _coalesce(p.sparse_grad_parts)
-                if self.weight_decay:
-                    grads = grads + self.weight_decay * p.data[rows]
-                p.data[rows] -= self.lr * grads
-            if p.grad is not None:
-                grad = p.grad
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * p.data
-                if self.momentum:
-                    vel = self._velocity.get(id(p))
-                    vel = self.momentum * vel + grad if vel is not None else grad.copy()
-                    self._velocity[id(p)] = vel
-                    grad = vel
-                p.data -= self.lr * grad
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, p in enumerate(self.params):
-            vel = self._velocity.get(id(p))
-            if vel is not None:
-                out[f"vel/{i}"] = vel.copy()
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self._velocity.clear()
-        for i, p in enumerate(self.params):
-            vel = arrays.get(f"vel/{i}")
-            if vel is not None:
-                self._velocity[id(p)] = np.array(vel, copy=True)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with a lazy row-sparse path.
-
-    For sparse gradient parts only the first/second-moment rows that were
-    touched are updated (the behaviour of torch.optim.SparseAdam); bias
-    correction uses the global step count.
-    """
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive: {lr}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError(f"betas must be in [0, 1): {betas}")
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
 
     def _state(self, p: Parameter) -> tuple[np.ndarray, np.ndarray]:
         key = id(p)
@@ -216,30 +139,34 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self.t += 1
-        step_size = adam_step_size(self.lr, self.beta1, self.beta2, self.t)
+        step_size = adam_step_size(self.lr, BETA1, BETA2, self.t)
         for p in self.params:
             if p.sparse_grad_parts:
                 rows, grads = _coalesce(p.sparse_grad_parts)
-                if self.weight_decay:
-                    grads = grads + self.weight_decay * p.data[rows]
                 m, v = self._state(p)
                 adam_update_rows(p.data, m, v, rows, grads, step_size,
-                                 self.beta1, self.beta2, self.eps)
+                                 BETA1, BETA2, EPS)
             if p.grad is not None:
                 grad = p.grad
                 if grad.dtype != p.data.dtype:  # in-place ops would down-cast
                     raise TypeError(f"gradient of {p.name} is {grad.dtype} but "
                                     f"the parameter is {p.data.dtype}")
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * p.data
                 m, v = self._state(p)
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad ** 2
-                p.data -= step_size * m / (np.sqrt(v) + self.eps)
+                m *= BETA1
+                m += (1.0 - BETA1) * grad
+                v *= BETA2
+                v += (1.0 - BETA2) * grad ** 2
+                p.data -= step_size * m / (np.sqrt(v) + EPS)
+
+    # -- checkpoint support ----------------------------------------------------
+    #
+    # State is addressed by *parameter position* (the param list is fixed at
+    # construction), so checkpoints stay valid as long as the model is
+    # rebuilt with the same architecture — the contract resume already
+    # requires for the parameters themselves.
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Step count and moments as flat arrays (see ``load_state_arrays``)."""
         out: dict[str, np.ndarray] = {"t": np.asarray(self.t, dtype=np.int64)}
         for i, p in enumerate(self.params):
             if id(p) in self._m:
@@ -248,6 +175,7 @@ class Adam(Optimizer):
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore state captured by :meth:`state_arrays` (exact shapes)."""
         self.t = int(arrays.get("t", 0))
         self._m.clear()
         self._v.clear()

@@ -692,8 +692,8 @@ class Parameter(Tensor):
         """Record a row-sparse gradient contribution ``dL/dW[rows] += grad_rows``.
 
         Duplicate rows within the part are coalesced here (sort + segment
-        sum), so the optimizer's sparse step — and gradient clipping's norm —
-        see each touched row exactly once per part.
+        sum), so the optimizer's sparse step sees each touched row exactly
+        once per part.
 
         ``assume_unique=True`` is a caller promise that ``rows`` are already
         duplicate-free (e.g. a candidate feature set), letting the part be

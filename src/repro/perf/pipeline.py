@@ -1,5 +1,4 @@
-"""Batch loaders: the protocol ``Trainer.fit(loader=...)`` accepts, and the
-one implementation, which materialises each batch on demand.
+"""The trainer's batch loader, which materialises each batch on demand.
 
 The trainer's inner loop is *prepare batch → forward → backward → step*;
 preparing a batch (CSR row gathers) is ≈ 1 % of a step, so it runs in-line.
@@ -7,11 +6,10 @@ The second core goes to the decoder's per-field tasks instead (see
 :mod:`repro.nn.parallel`); a prefetching loader thread would be a third
 thread on two cores, and measured no faster (docs/PERFORMANCE.md).
 
-Determinism contract: a loader receives the *already shuffled* epoch order
-and must yield batches with exactly the arrays ``dataset.batch(order[a:b])``
-would produce, in the same order, touching no RNG.  This keeps training
-bit-exact — same shuffle order, same reparametrisation noise, same
-checkpoint/resume equality — whichever loader is plugged in.
+Determinism contract: the loader receives the *already shuffled* epoch order
+and yields exactly the arrays ``dataset.batch(order[a:b])`` would produce, in
+the same order, touching no RNG, so shuffles, reparametrisation noise and
+checkpoint/resume equality are all decided by the trainer.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from repro.data.dataset import MultiFieldDataset, UserBatch
 
-__all__ = ["BatchLoader", "SyncLoader", "n_batches"]
+__all__ = ["SyncLoader", "n_batches"]
 
 
 def n_batches(n: int, batch_size: int) -> int:
@@ -32,19 +30,7 @@ def n_batches(n: int, batch_size: int) -> int:
     return -(-n // batch_size)
 
 
-class BatchLoader:
-    """Loader protocol: generate an epoch's batches for a given order."""
-
-    def epoch(self, dataset: MultiFieldDataset, order: np.ndarray,
-              batch_size: int, first_batch: int = 0,
-              ) -> Iterator[UserBatch]:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class SyncLoader(BatchLoader):
+class SyncLoader:
     """The classic in-loop batcher: materialise each batch on demand."""
 
     def epoch(self, dataset: MultiFieldDataset, order: np.ndarray,

@@ -36,7 +36,8 @@ from repro.utils.fileio import (DigestMismatchError, atomic_savez,
                                 digest_path_for, verify_digest)
 
 __all__ = ["CheckpointError", "Checkpoint", "Checkpointer",
-           "model_state_arrays", "restore_model_state"]
+           "check_resume_batch_size", "model_state_arrays",
+           "restore_model_state"]
 
 logger = logging.getLogger(__name__)
 
@@ -157,6 +158,30 @@ class Checkpointer:
             except CheckpointError as exc:
                 logger.warning("skipping unreadable checkpoint: %s", exc)
         return None
+
+
+def check_resume_batch_size(meta: dict, order: np.ndarray | None,
+                            batch_size: int) -> None:
+    """Refuse to resume a mid-epoch checkpoint at another batch size.
+
+    The saved cursor counts batches, and every batch before it was full
+    except a ragged last one, so ``n_seen`` (users trained so far this
+    epoch) pins the size the checkpoint was taken at.  Resuming at any
+    other size would skip or repeat users of the interrupted epoch.
+    """
+    cursor = int(meta.get("cursor", 0))
+    if cursor <= 0 or order is None:
+        return
+    n_seen, n_users = int(meta.get("n_seen", 0)), len(order)
+    if n_seen == min(cursor * batch_size, n_users):
+        return
+    # A cursor past the whole epoch fits any size giving it that many batches.
+    saved = (f"{n_seen // cursor}" if n_seen < n_users
+             else f"at least {-(-n_users // cursor)}")
+    raise CheckpointError(
+        f"mid-epoch checkpoint (batch {cursor}, {n_seen} of {n_users} users) "
+        f"was taken at batch size {saved}; resuming it at batch size "
+        f"{batch_size} would skip or repeat users")
 
 
 # -- model-side state capture ---------------------------------------------------

@@ -10,15 +10,6 @@ from repro.check import golden as g
 from repro.perf.pipeline import SyncLoader
 
 
-class ReversedLoader:
-    """Deliberate pipeline bug: batches served in reverse epoch order."""
-
-    def epoch(self, dataset, order, batch_size, first_batch=0):
-        batches = list(SyncLoader().epoch(dataset, order, batch_size,
-                                          first_batch))
-        return iter(reversed(batches))
-
-
 class TestCompare:
     def test_identical_digests_match(self):
         digest = {"a": 1, "b": [1.0, 2.0], "c": {"d": "x"}}
@@ -85,9 +76,16 @@ class TestUpdateFlow:
 class TestMutationSmoke:
     """A deliberate loader reorder must be caught by the run digest."""
 
-    def test_loader_reorder_is_caught(self):
+    def test_loader_reorder_is_caught(self, monkeypatch):
+        epoch = SyncLoader.epoch
+
+        def reversed_epoch(self, *args):
+            # Deliberate pipeline bug: batches served in reverse epoch order.
+            yield from reversed(list(epoch(self, *args)))
+
+        monkeypatch.setattr(SyncLoader, "epoch", reversed_epoch)
         golden = g.load_golden(g.RUN_GOLDEN)
-        actual = g.run_digest(quick=True, loader=ReversedLoader())
+        actual = g.run_digest(quick=True)
         problems = g.compare_run_digest(golden["quick"], actual)
         assert problems, "golden digest failed to detect a reordered loader"
 

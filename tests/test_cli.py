@@ -80,6 +80,30 @@ class TestTrainEvaluateEmbed:
             assert payload["topics"].shape == (300,)
 
 
+class TestTrainResume:
+    def test_resume_at_another_batch_size_exits_two(self, tmp_path, capsys):
+        from repro.core import FVAE, FVAEConfig
+        from repro.data import get_dataset
+
+        # The model `repro train --latent-dim 8` builds, stopped after its
+        # first batch of 16 (max_seconds=0) with a mid-epoch checkpoint.
+        data = get_dataset("sc", n_users=64, seed=0).dataset
+        config = FVAEConfig(latent_dim=8, encoder_hidden=[32],
+                            decoder_hidden=[32], beta=0.2, seed=0)
+        FVAE(data.schema, config).fit(data, epochs=1, batch_size=16, lr=2e-3,
+                                      max_seconds=0, checkpointer=tmp_path)
+        out_path = tmp_path / "model.npz"
+        code, text = run_cli(
+            "train", "--users", "64", "--epochs", "1", "--latent-dim", "8",
+            "--batch-size", "32", "--checkpoint-dir", str(tmp_path),
+            "--resume", "--output", str(out_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "batch size 16" in err and "batch size 32" in err
+        assert text == ""
+        assert not out_path.exists()
+
+
 class TestDatasetSchemaMismatch:
     """A model trained on one preset, run against another (the default sc)."""
 

@@ -55,15 +55,6 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.fit(tiny_dataset, epochs=0)
 
-    def test_unknown_optimizer(self, tiny_schema):
-        with pytest.raises(ValueError):
-            Trainer(make_model(tiny_schema), optimizer="rmsprop")
-
-    def test_sgd_optimizer_works(self, tiny_schema, tiny_dataset):
-        trainer = Trainer(make_model(tiny_schema), lr=1e-2, optimizer="sgd")
-        history = trainer.fit(tiny_dataset, epochs=2, batch_size=3)
-        assert np.isfinite(history.final_loss)
-
     def test_eval_fn_called_with_eval_mode(self, tiny_schema, tiny_dataset):
         model = make_model(tiny_schema)
         modes = []
@@ -75,28 +66,6 @@ class TestTrainer:
         Trainer(model, lr=1e-3).fit(tiny_dataset, epochs=2, batch_size=3,
                                     eval_fn=eval_fn)
         assert modes == [False, False]
-
-    def test_eval_every(self, tiny_schema, tiny_dataset):
-        calls = []
-        Trainer(make_model(tiny_schema)).fit(
-            tiny_dataset, epochs=4, batch_size=3,
-            eval_fn=lambda: calls.append(1) or {"m": 0.0}, eval_every=2)
-        assert len(calls) == 2
-
-    def test_early_stopping(self, tiny_schema, tiny_dataset):
-        scores = iter([0.5, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6])
-        history = Trainer(make_model(tiny_schema)).fit(
-            tiny_dataset, epochs=8, batch_size=3,
-            eval_fn=lambda: {"auc": next(scores)},
-            early_stopping_metric="auc", patience=2)
-        assert len(history.epochs) == 4  # improve at 2, then 2 flat epochs
-
-    def test_early_stopping_missing_metric(self, tiny_schema, tiny_dataset):
-        with pytest.raises(KeyError):
-            Trainer(make_model(tiny_schema)).fit(
-                tiny_dataset, epochs=2, batch_size=3,
-                eval_fn=lambda: {"other": 1.0},
-                early_stopping_metric="auc")
 
     def test_max_seconds_stops_early(self, tiny_schema, tiny_dataset):
         history = Trainer(make_model(tiny_schema)).fit(

@@ -35,7 +35,8 @@ from repro.hashing.stable import (assign_shards, rebalance_moves, shard_for,
                                   shard_of_ids, stable_hash, stable_hash_ids)
 from repro.nn.optim import Adam, adam_step_size, adam_update_rows
 from repro.nn.tensor import Parameter
-from repro.resilience import StoreUnavailableError
+from repro.resilience import (CheckpointError, Checkpointer,
+                              StoreUnavailableError)
 from repro.resilience.faults import FaultEvent, FaultKind, FaultSchedule
 
 
@@ -270,6 +271,32 @@ def test_kill_before_any_mid_epoch_checkpoint_recovers(shard_cluster,
 
     assert trainer.recoveries == 1
     assert max_param_diff(clean_model, chaos_model) == 0.0
+
+
+@pytest.mark.slow
+def test_recovery_rejects_a_checkpoint_of_another_batch_size(shard_cluster,
+                                                              tmp_path):
+    # A mid-epoch checkpoint taken at batch 16 (cursor 2: 32 of 48 users)
+    # sits in the directory a batch-32 run recovers from.  Its cursor would
+    # start the batch-32 epoch at user 64: nothing trained, users 32-47
+    # skipped.
+    first_model, data = small_model()
+    first = Checkpointer(tmp_path / "first", keep_last=10)
+    ShardedTrainer(first_model, n_workers=1, lr=1e-3, checkpointer=first,
+                   checkpoint_every=1).fit(data, epochs=1, batch_size=16,
+                                           rng=0)
+    mid_epoch = first.load(first.path_for(2))
+    assert (mid_epoch.meta["cursor"], mid_epoch.meta["n_seen"]) == (2, 32)
+    shared = Checkpointer(tmp_path / "shared")
+    shared.save(dict(mid_epoch.arrays), dict(mid_epoch.meta), step=2)
+
+    model, __ = small_model()
+    schedule = FaultSchedule(n_steps=2, n_workers=1, events=[
+        FaultEvent(step=0, worker=0, kind=FaultKind.WORKER_CRASH)])
+    trainer = ShardedTrainer(model, n_workers=1, lr=1e-3, checkpointer=shared,
+                             fault_schedule=schedule, recv_timeout=30.0)
+    with pytest.raises(CheckpointError, match="batch size 16; .* 32"):
+        trainer.fit(data, epochs=1, batch_size=32, rng=0)
 
 
 # -- multiprocess: the sharded embedding service -------------------------------

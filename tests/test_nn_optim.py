@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.sharded import shm
-from repro.nn import Adam, Parameter, SGD, Tensor
+from repro.nn import Adam, Parameter, Tensor
 from repro.nn import functional as F
 from repro.nn import optim
 from repro.nn.optim import _coalesce, adam_step_size, adam_update_rows
@@ -52,51 +52,6 @@ class TestCoalesce:
         rows, grads = _coalesce(p.sparse_grad_parts)
         np.testing.assert_array_equal(rows, [1, 3])
         np.testing.assert_allclose(grads.ravel(), [5.0, 4.0])
-
-
-class TestSGD:
-    def test_dense_step(self):
-        p = Parameter(np.array([1.0, 2.0]))
-        p.grad = np.array([1.0, -1.0])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.9, 2.1])
-
-    def test_sparse_step_touches_only_rows(self):
-        p = Parameter(np.ones((4, 2)), sparse=True)
-        p.add_sparse_grad(np.array([1]), np.full((1, 2), 2.0))
-        SGD([p], lr=0.5).step()
-        np.testing.assert_allclose(p.data[1], 0.0)
-        np.testing.assert_allclose(p.data[0], 1.0)
-
-    def test_momentum_accelerates(self):
-        p_plain = Parameter(np.array([1.0]))
-        p_momentum = Parameter(np.array([1.0]))
-        plain = SGD([p_plain], lr=0.1)
-        mom = SGD([p_momentum], lr=0.1, momentum=0.9)
-        for __ in range(5):
-            p_plain.grad = np.array([1.0])
-            p_momentum.grad = np.array([1.0])
-            plain.step()
-            mom.step()
-        assert p_momentum.data[0] < p_plain.data[0]
-
-    def test_weight_decay(self):
-        p = Parameter(np.array([10.0]))
-        p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        assert p.data[0] < 10.0
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_non_parameter_rejected(self):
-        with pytest.raises(TypeError):
-            SGD([Tensor(np.zeros(1), requires_grad=True)], lr=0.1)
 
 
 class TestAdam:
@@ -148,16 +103,17 @@ class TestAdam:
         Adam([p], lr=0.1).step()
         assert abs(p.data[0] + 0.1) < 1e-3
 
-    def test_invalid_betas(self):
+    def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], betas=(1.0, 0.999))
+            Adam([Parameter(np.zeros(1))], lr=0.0)
 
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.full((2,), 5.0))
-        p.grad = np.zeros(2)
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
-        opt.step()
-        assert np.all(p.data < 5.0)
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_non_parameter_rejected(self):
+        with pytest.raises(TypeError):
+            Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.1)
 
 
 def unblocked_update(value, m, v, rows, grads, step_size, beta1, beta2, eps):
@@ -232,15 +188,16 @@ class TestBlockedRowKernel:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adam_steps_with_decay_and_growth_match_the_reference(self, dtype):
-        """Through ``Adam.step``: ``weight_decay > 0`` and a parameter that a
-        dynamic hash table grows between steps (moments grow with it)."""
+        """Through ``Adam.step``: a parameter that a dynamic hash table grows
+        between steps (moments grow with it).  Adam has no weight decay, so
+        the decay is 0."""
         rng = np.random.default_rng(5)
-        width, decay, lr = 256, 0.01, 1e-2
+        width, lr = 256, 1e-2
         value, m, v = _state(rng, 80, width, dtype)
         m[...] = 0
         v[...] = 0
         param = Parameter(value.copy(), sparse=True)
-        opt = Adam([param], lr=lr, weight_decay=decay)
+        opt = Adam([param], lr=lr)
         for t, capacity in enumerate((80, 80, 200, 200), start=1):
             if capacity != value.shape[0]:
                 fresh = rng.normal(size=(capacity - value.shape[0], width)
@@ -254,7 +211,7 @@ class TestBlockedRowKernel:
             param.add_sparse_grad(rows, grads, assume_unique=True)
             opt.step()
             param.zero_grad()
-            unblocked_update(value, m, v, rows, grads + decay * value[rows],
+            unblocked_update(value, m, v, rows, grads,
                              adam_step_size(lr, 0.9, 0.999, t), *HYPER)
             np.testing.assert_array_equal(param.data, value, err_msg=f"t={t}")
             np.testing.assert_array_equal(opt._m[id(param)], m)

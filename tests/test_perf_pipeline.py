@@ -2,7 +2,7 @@
 
 :class:`repro.perf.pipeline.SyncLoader` must yield exactly the batches
 ``dataset.batch(order[a:b])`` would, in order, from any starting batch —
-which keeps training bit-exact across loaders and checkpoint resumes.  The
+which keeps training bit-exact across checkpoint resumes.  The
 tests here pin that and the epoch's batch count.
 """
 

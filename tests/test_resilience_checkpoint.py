@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import FVAE, FVAEConfig
 from repro.resilience import Checkpoint, CheckpointError, Checkpointer
+from repro.resilience.checkpoint import check_resume_batch_size
 from repro.utils.fileio import (DigestMismatchError, atomic_savez,
                                 atomic_write_bytes, digest_path_for,
                                 verify_digest)
@@ -210,16 +211,67 @@ class TestTrainerResume:
 
     def test_resume_rejects_optimizer_mismatch(self, tiny_schema,
                                                tiny_dataset, tmp_path):
-        from repro.core import Trainer
-
         ck = Checkpointer(tmp_path)
-        Trainer(make_model(tiny_schema)).fit(tiny_dataset, epochs=1,
-                                             batch_size=3, rng=0,
-                                             checkpointer=ck)
-        sgd_trainer = Trainer(make_model(tiny_schema), optimizer="sgd")
-        with pytest.raises(CheckpointError):
-            sgd_trainer.fit(tiny_dataset, epochs=2, batch_size=3, rng=0,
-                            checkpointer=ck, resume_from=True)
+        make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=3,
+                                    rng=0, checkpointer=ck)
+        latest = ck.latest()
+        ck.save(dict(latest.arrays), dict(latest.meta, optimizer="SGD"),
+                step=latest.step)
+        with pytest.raises(CheckpointError, match="taken with SGD"):
+            make_model(tiny_schema).fit(tiny_dataset, epochs=2, batch_size=3,
+                                        rng=0, checkpointer=ck,
+                                        resume_from=True)
+
+    def test_resume_ignores_retired_early_stopping_keys(
+            self, tiny_schema, tiny_dataset, tmp_path):
+        ck = Checkpointer(tmp_path)
+        make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=3,
+                                    rng=0, checkpointer=ck)
+        latest = ck.latest()
+        ck.save(dict(latest.arrays),
+                dict(latest.meta, best_metric=0.5, since_best=1),
+                step=latest.step)
+        history = make_model(tiny_schema).fit(
+            tiny_dataset, epochs=2, batch_size=3, rng=0, checkpointer=ck,
+            resume_from=True).history
+        assert len(history.epochs) == 2
+
+    def test_mid_epoch_resume_rejects_another_batch_size(
+            self, tiny_schema, tiny_dataset, tmp_path):
+        # max_seconds=0 stops after the first batch: 2 of 6 users seen.  At
+        # batch size 4 the saved cursor (1) would start at user 4 and skip
+        # users 2-3.
+        ck = Checkpointer(tmp_path)
+        make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=2,
+                                    rng=0, max_seconds=0, checkpointer=ck)
+        assert ck.latest().meta["cursor"] == 1
+        with pytest.raises(CheckpointError,
+                           match="batch size 2; .* at batch size 4"):
+            make_model(tiny_schema).fit(tiny_dataset, epochs=1, batch_size=4,
+                                        rng=0, checkpointer=ck,
+                                        resume_from=True)
+        history = make_model(tiny_schema).fit(
+            tiny_dataset, epochs=1, batch_size=2, rng=0, checkpointer=ck,
+            resume_from=True).history
+        assert history.epochs[0].n_batches == 3
+
+    @pytest.mark.parametrize("cursor, n_seen, batch_size, ok", [
+        (0, 0, 7, True),      # epoch boundary: any size
+        (2, 32, 16, True),    # two full batches of 16
+        (2, 32, 32, False),   # would start at user 64
+        (2, 32, 8, False),    # would replay users 16-31
+        (3, 40, 16, True),    # whole epoch, ragged last batch
+        (3, 40, 14, True),    # 14 also gives three batches: nothing left
+        (3, 40, 13, False),   # four batches: the fourth would repeat users
+    ])
+    def test_batch_size_guard(self, cursor, n_seen, batch_size, ok):
+        meta = {"cursor": cursor, "n_seen": n_seen}
+        order = np.arange(40) if cursor else None
+        if ok:
+            check_resume_batch_size(meta, order, batch_size)
+        else:
+            with pytest.raises(CheckpointError, match=f"{batch_size} would"):
+                check_resume_batch_size(meta, order, batch_size)
 
     @pytest.mark.parametrize("saved, resumed_at", [("float64", "float32"),
                                                    ("float32", "float64")])
