@@ -4,16 +4,15 @@
 worker measurements (Fig 10); :mod:`repro.distributed.sharded` actually runs
 it — a multi-process sharded parameter server plus a sharded embedding
 service, pinned against the single-process reference by the multiprocess
-test harness.
+test harness, and ``python -m repro faults`` measures its crash recovery.
 """
 
-from repro.distributed.parameter_server import ParameterServerCost
 from repro.distributed.sharded import (ShardedEmbeddingService,
                                        ShardedTrainer, WorkerDiedError)
 from repro.distributed.simulator import (CommunicationModel,
                                          DistributedTrainingSimulator,
                                          WorkerMeasurement)
 
-__all__ = ["CommunicationModel", "ParameterServerCost",
-           "DistributedTrainingSimulator", "WorkerMeasurement",
-           "ShardedEmbeddingService", "ShardedTrainer", "WorkerDiedError"]
+__all__ = ["CommunicationModel", "DistributedTrainingSimulator",
+           "WorkerMeasurement", "ShardedEmbeddingService", "ShardedTrainer",
+           "WorkerDiedError"]

@@ -1,10 +1,9 @@
 """Multi-process sharded parameter-server training.
 
-This is the running system behind the analytic cost model in
-:mod:`repro.distributed.parameter_server`: ``n_workers`` real OS processes
-train one FVAE synchronously, with every row-sparse parameter sharded by
-feature-id hash across the workers (each worker doubles as the parameter
-server for its shard — the colocated-PS deployment).
+``n_workers`` real OS processes train one FVAE synchronously, with every
+row-sparse parameter sharded by feature-id hash across the workers (each
+worker doubles as the parameter server for its shard — the colocated-PS
+deployment).
 
 Layout (per step):
 
@@ -26,12 +25,13 @@ Layout (per step):
   the reference; with many workers results differ only in float summation
   order (the ``distributed.sharded_vs_single_process`` oracle pins the
   tolerance).
-* **faults** — a :class:`~repro.resilience.FaultSchedule`'s
-  ``WORKER_CRASH`` events SIGKILL real worker processes mid-run; the driver
-  detects the dead pipe, rolls every shard back to the latest
+* **faults** — a :class:`~repro.resilience.FaultSchedule`'s events SIGKILL
+  real worker processes mid-run; the driver detects the dead pipe, kills
+  the survivors, rolls every shard back to the latest
   :class:`~repro.resilience.Checkpointer` checkpoint (parameters, Adam
   moments, RNG states, epoch cursor), respawns the pool and replays —
-  bit-identically to an uninterrupted sharded run.
+  bit-identically to an uninterrupted sharded run.  ``python -m repro
+  faults`` measures what each recovery costs.
 
 Determinism rules (validated up front): the full feature vocabulary must be
 pre-registered (``initialize_from_dataset``) so tables never grow mid-run,
@@ -56,8 +56,9 @@ from repro.distributed.sharded import shm
 from repro.distributed.sharded.layout import FieldLayout, build_field_layout
 from repro.nn.optim import (BETA1, BETA2, EPS, Adam, _coalesce,
                             adam_step_size, adam_update_rows)
+from repro.obs import runtime as obs
 from repro.resilience.checkpoint import Checkpointer, check_resume_batch_size
-from repro.resilience.faults import FaultKind, FaultSchedule
+from repro.resilience.faults import FaultSchedule
 from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
                              restore_rng_tree, set_generator_state)
 
@@ -214,10 +215,8 @@ class ShardedTrainer:
         As in :class:`~repro.core.trainer.Trainer`; required when a
         ``fault_schedule`` can kill workers.
     fault_schedule:
-        ``WORKER_CRASH`` events become real ``SIGKILL``\\ s against worker
-        pids; recovery rolls back to the latest checkpoint and replays.
-        (Straggler/drop events model network behaviour the in-memory pipes
-        don't have; they are ignored here.)
+        Each event becomes a real ``SIGKILL`` against a worker pid; recovery
+        rolls back to the latest checkpoint and replays.
     """
 
     def __init__(self, model, n_workers: int = 2, lr: float = 1e-3,
@@ -254,6 +253,7 @@ class ShardedTrainer:
         self._dense_slabs: list = []
         self._dense_opt: Adam | None = None
         self._fired: set = set()          # consumed fault events
+        self.crashes = 0                  # SIGKILLs sent
         self.recoveries = 0
         self.step_timings: list[dict] = []
 
@@ -535,19 +535,19 @@ class ShardedTrainer:
         if self.fault_schedule is None:
             return
         for event in self.fault_schedule.at(step):
-            if event.kind != FaultKind.WORKER_CRASH:
+            if event in self._fired or not 0 <= event.worker < self.n_workers:
                 continue
-            key = (event.step, event.worker)
-            if key in self._fired or not 0 <= event.worker < self.n_workers:
-                continue
-            self._fired.add(key)
+            self._fired.add(event)
             proc, __ = self._workers[event.worker]
             if proc.pid is not None and proc.is_alive():
                 os.kill(proc.pid, signal.SIGKILL)
+                self.crashes += 1
+                obs.count("faults.injected")
 
     def _recover(self, state: dict, rng, history: TrainHistory,
                  batch_size: int) -> None:
         """Roll every shard back to the latest checkpoint and respawn."""
+        t0 = time.perf_counter()
         checkpoint = self.checkpointer.latest() if self.checkpointer else None
         if checkpoint is None:
             raise RuntimeError("worker died but no checkpoint exists to "
@@ -581,6 +581,8 @@ class ShardedTrainer:
         self.model._step = state["step"]
         history.epochs = [EpochRecord(**rec) for rec in meta.get("history", [])]
         self._spawn_workers()
+        obs.observe("distributed.sharded.recovery_seconds",
+                    time.perf_counter() - t0)
 
     def _save_checkpoint(self, state: dict, rng, history: TrainHistory):
         arrays: dict[str, np.ndarray] = {}
@@ -614,8 +616,18 @@ class ShardedTrainer:
     # -- teardown --------------------------------------------------------------
 
     def _stop_workers(self, force: bool = False) -> None:
+        """Stop the pool: ask each worker to exit, or kill it (``force``).
+
+        A forced stop follows a crash, and the survivors' shard state is
+        overwritten from the checkpoint next, so they are killed rather than
+        left to time out: each forked worker holds its own copy of the
+        driver's pipe ends, so closing the driver's end never reaches it as
+        EOF.
+        """
         for proc, conn in self._workers:
-            if not force and proc.is_alive():
+            if force and proc.is_alive():
+                proc.kill()
+            elif proc.is_alive():
                 try:
                     conn.send(("stop",))
                     if conn.poll(2.0):

@@ -24,8 +24,6 @@ import numpy as np
 
 from repro.core.trainer import Trainer
 from repro.data.dataset import MultiFieldDataset
-from repro.resilience.faults import (FaultConfig, FaultKind, FaultSchedule,
-                                     FaultyRunResult, simulate_faulty_run)
 from repro.utils.rng import new_rng
 
 __all__ = ["CommunicationModel", "WorkerMeasurement", "DistributedTrainingSimulator"]
@@ -75,23 +73,17 @@ class DistributedTrainingSimulator:
     dataset:
         Full training set to shard.
     comm:
-        Synchronisation cost model.
-    gradient_bytes:
-        Bytes exchanged per step; ``None`` estimates it from the model's
-        dense parameters (sparse embedding rows travel via the parameter
-        server and are excluded, as in the paper's setup).
+        Synchronisation cost model.  The bytes it moves per step are the
+        model's dense parameters: sparse embedding rows travel via the
+        parameter server and are excluded, as in the paper's setup.
     """
 
     def __init__(self, model_factory: Callable[[], object],
                  dataset: MultiFieldDataset,
-                 comm: CommunicationModel | None = None,
-                 gradient_bytes: float | None = None,
-                 measure_all_workers: bool = False) -> None:
+                 comm: CommunicationModel | None = None) -> None:
         self.model_factory = model_factory
         self.dataset = dataset
         self.comm = comm or CommunicationModel()
-        self.gradient_bytes = gradient_bytes
-        self.measure_all_workers = measure_all_workers
 
     def _dense_gradient_bytes(self, model) -> float:
         total = 0
@@ -103,99 +95,24 @@ class DistributedTrainingSimulator:
     def measure(self, n_workers: int, epochs: int = 1, batch_size: int = 512,
                 lr: float = 1e-3,
                 rng: np.random.Generator | int | None = 0) -> WorkerMeasurement:
-        """Train each worker's shard and reconstruct synchronous wall-clock."""
+        """Train one worker's shard and reconstruct synchronous wall-clock.
+
+        Shards are equal-sized, so worker 0's measured time stands for all.
+        """
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive: {n_workers}")
         rng = new_rng(rng)
         order = rng.permutation(self.dataset.n_users)
-        shards = np.array_split(order, n_workers)
-
-        compute_times: list[float] = []
-        steps = 0
-        grad_bytes = self.gradient_bytes
-        to_measure = range(n_workers) if self.measure_all_workers else [0]
-        for w in to_measure:
-            shard = self.dataset.subset(shards[w])
-            model = self.model_factory()
-            if grad_bytes is None:
-                grad_bytes = self._dense_gradient_bytes(model)
-            trainer = Trainer(model, lr=lr)
-            history = trainer.fit(shard, epochs=epochs, batch_size=batch_size,
-                                  rng=rng)
-            compute_times.append(history.total_time)
-            steps = max(steps, epochs * (-(-len(shard) // batch_size)))
-        if not self.measure_all_workers:
-            # shards are equal-sized; reuse the measured time for all workers
-            compute_times = compute_times * n_workers
-
-        sync = steps * self.comm.sync_cost(n_workers, grad_bytes or 0.0)
-        return WorkerMeasurement(n_workers=n_workers,
-                                 compute_seconds=compute_times,
-                                 steps=steps, sync_seconds=sync)
-
-    def measure_with_faults(self, n_workers: int,
-                            faults: FaultConfig | FaultSchedule,
-                            strategy: str, epochs: int = 1,
-                            batch_size: int = 512, lr: float = 1e-3,
-                            rng: np.random.Generator | int | None = 0,
-                            checkpoint_interval: int = 50,
-                            checkpoint_write_seconds: float | None = None,
-                            restart_seconds: float | None = None,
-                            ) -> FaultyRunResult:
-        """Wall-clock of one cluster size under an injected fault schedule.
-
-        Extends :meth:`measure` the same way :meth:`measure` extends a real
-        run: the per-step compute cost is *measured* (shard training), while
-        faults and recovery are *modelled* by
-        :func:`repro.resilience.simulate_faulty_run`.  ``faults`` is either a
-        ready-made :class:`FaultSchedule` or a :class:`FaultConfig` to draw
-        one from (seeded — same config, same schedule).  Server-crash events
-        degrade the sync cost from that step onward when the communication
-        model supports :meth:`degraded` (:class:`ParameterServerCost`).
-
-        ``checkpoint_write_seconds`` and ``restart_seconds`` default to 2×
-        and 10× the measured per-step compute time respectively, so overhead
-        percentages stay meaningful whether the shards train in milliseconds
-        (tests) or minutes (benchmarks).
-        """
-        base = self.measure(n_workers, epochs=epochs, batch_size=batch_size,
-                            lr=lr, rng=rng)
-        n_steps = base.steps
-        if isinstance(faults, FaultConfig):
-            schedule = FaultSchedule.generate(n_steps, n_workers, faults)
-        else:
-            schedule = faults
-            if schedule.n_steps != n_steps or schedule.n_workers != n_workers:
-                raise ValueError(
-                    f"schedule was generated for "
-                    f"{schedule.n_steps}x{schedule.n_workers}, run is "
-                    f"{n_steps}x{n_workers}")
-        step_seconds = max(base.compute_seconds) / n_steps if n_steps else 0.0
-        if checkpoint_write_seconds is None:
-            checkpoint_write_seconds = 2.0 * step_seconds
-        if restart_seconds is None:
-            restart_seconds = 10.0 * step_seconds
-
-        grad_bytes = self.gradient_bytes
-        if grad_bytes is None:
-            grad_bytes = self._dense_gradient_bytes(self.model_factory())
-        base_sync = self.comm.sync_cost(n_workers, grad_bytes)
-        sync = np.full(n_steps, base_sync)
-        if hasattr(self.comm, "degraded"):
-            n_down = 0
-            for event in schedule.events:
-                if event.kind == FaultKind.SERVER_CRASH:
-                    n_down += 1
-                    sync[event.step:] = self.comm.degraded(n_down).sync_cost(
-                        n_workers, grad_bytes)
-        return simulate_faulty_run(
-            step_seconds=step_seconds, n_steps=n_steps, n_workers=n_workers,
-            schedule=schedule, strategy=strategy, sync_seconds=sync,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_write_seconds=checkpoint_write_seconds,
-            restart_seconds=restart_seconds,
-            crash_detection_seconds=0.5 * step_seconds,
-            baseline_sync_seconds=base_sync)
+        shard = self.dataset.subset(np.array_split(order, n_workers)[0])
+        model = self.model_factory()
+        grad_bytes = self._dense_gradient_bytes(model)
+        history = Trainer(model, lr=lr).fit(shard, epochs=epochs,
+                                            batch_size=batch_size, rng=rng)
+        steps = epochs * (-(-len(shard) // batch_size))
+        sync = steps * self.comm.sync_cost(n_workers, grad_bytes)
+        return WorkerMeasurement(
+            n_workers=n_workers, compute_seconds=[history.total_time] * n_workers,
+            steps=steps, sync_seconds=sync)
 
     def speedup_curve(self, worker_counts: list[int], epochs: int = 1,
                       batch_size: int = 512, lr: float = 1e-3,

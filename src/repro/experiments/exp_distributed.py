@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.core import FVAE
 from repro.data import make_kd_like
-from repro.distributed import CommunicationModel, DistributedTrainingSimulator
+from repro.distributed import DistributedTrainingSimulator
 from repro.experiments.common import ExperimentScale, fvae_config_for
 from repro.viz import format_series
 
@@ -33,8 +33,7 @@ class Fig10Result:
 
 
 def run_fig10(scale: ExperimentScale | None = None,
-              workers: tuple[int, ...] = (3, 6, 9, 12),
-              comm: CommunicationModel | None = None) -> Fig10Result:
+              workers: tuple[int, ...] = (3, 6, 9, 12)) -> Fig10Result:
     """Measure the simulated speedup curve on KD-like data."""
     scale = scale or ExperimentScale(n_users=6000, latent_dim=32)
     syn = make_kd_like(n_users=scale.n_users, seed=scale.seed)
@@ -46,7 +45,7 @@ def run_fig10(scale: ExperimentScale | None = None,
                                     encoder_hidden=[2 * scale.latent_dim],
                                     decoder_hidden=[2 * scale.latent_dim]))
 
-    simulator = DistributedTrainingSimulator(factory, dataset, comm=comm)
+    simulator = DistributedTrainingSimulator(factory, dataset)
     curve = simulator.speedup_curve(list(workers), epochs=1,
                                     batch_size=scale.batch_size, lr=scale.lr,
                                     rng=scale.seed)

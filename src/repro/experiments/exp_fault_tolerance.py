@@ -1,102 +1,122 @@
-"""Fault-tolerance study — recovery overhead vs injected fault rate.
+"""Fault-tolerance study — what worker crashes cost the real sharded PS.
 
-The paper's production PS cluster trains for days, so the recovery strategy
-determines how much wall-clock a given background fault rate costs.  This
-experiment sweeps worker crash rates over the distributed training simulator
-(real measured compute, modelled faults — see
-:meth:`repro.distributed.DistributedTrainingSimulator.measure_with_faults`)
-and prices both recovery strategies:
+The paper's production PS cluster trains for days, and worker crashes are
+routine there.  This experiment trains one epoch on
+:class:`~repro.distributed.sharded.ShardedTrainer` per crash rate, under a
+seeded :class:`~repro.resilience.FaultSchedule`.  Every crash is a real
+``SIGKILL`` of a worker process, and every recovery rolls all shards back to
+the latest checkpoint and replays.
 
-* ``checkpoint_restart`` — bounded loss (≤ one checkpoint interval per
-  crash) but pays restart + replay + periodic checkpoint writes;
-* ``gradient_skip`` — near-zero time cost but silently drops updates.
-
-The output table is the trade-off an operator actually reads: overhead (%)
-and lost/skipped work per strategy per fault rate.
+The table reports what was measured: crashes fired, recoveries, wall
+seconds, and the overhead against the fault-free run.  It also reports
+whether the final parameters equal the fault-free run's bit for bit, which
+is the contract recovery must keep.
 """
 
 from __future__ import annotations
 
+import tempfile
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core import FVAE
 from repro.data import make_kd_like
-from repro.distributed import DistributedTrainingSimulator, ParameterServerCost
+from repro.distributed import ShardedTrainer
 from repro.experiments.common import ExperimentScale, fvae_config_for
-from repro.resilience import FaultConfig, FaultyRunResult, RecoveryStrategy
+from repro.resilience import FaultSchedule
 from repro.viz import format_table
 
-__all__ = ["FaultToleranceResult", "run_fault_tolerance"]
+__all__ = ["FaultRun", "FaultToleranceResult", "run_fault_tolerance"]
+
+
+@dataclass
+class FaultRun:
+    """One measured epoch at one crash rate."""
+
+    crash_rate: float
+    crashes: int             # SIGKILLs sent
+    recoveries: int
+    wall_seconds: float
+    overhead: float          # wall seconds over the fault-free run's, minus 1
+    bit_identical: bool      # final parameters equal the fault-free run's
 
 
 @dataclass
 class FaultToleranceResult:
-    """Overhead grid: ``results[strategy][crash_rate]``."""
+    """One :class:`FaultRun` per crash rate, the fault-free run first."""
 
     n_workers: int
-    crash_rates: list[float]
-    strategies: list[str]
-    results: dict[str, dict[float, FaultyRunResult]] = field(
-        default_factory=dict)
+    n_steps: int
+    runs: list[FaultRun] = field(default_factory=list)
 
-    def overhead(self, strategy: str, rate: float) -> float:
-        return self.results[strategy][rate].overhead
+    @property
+    def all_bit_identical(self) -> bool:
+        return all(run.bit_identical for run in self.runs)
 
     def to_text(self) -> str:
-        headers = ["crash rate", "strategy", "overhead %", "crashes",
-                   "lost steps", "max lost", "skipped updates"]
-        rows = []
-        for rate in self.crash_rates:
-            for strategy in self.strategies:
-                r = self.results[strategy][rate]
-                rows.append([f"{rate:.2%}", strategy,
-                             f"{100.0 * r.overhead:.2f}", r.n_crashes,
-                             r.lost_steps, r.max_lost_steps,
-                             r.skipped_updates])
+        headers = ["crash rate", "crashes", "recoveries", "wall s",
+                   "overhead %", "bit-identical"]
+        rows = [[f"{r.crash_rate:.2%}", r.crashes, r.recoveries,
+                 f"{r.wall_seconds:.2f}", f"{100.0 * r.overhead:.1f}",
+                 "yes" if r.bit_identical else "NO"] for r in self.runs]
         return format_table(
             headers, rows,
-            title=(f"Fault tolerance — recovery overhead vs crash rate "
-                   f"({self.n_workers} workers, KD-like)"))
+            title=(f"Fault tolerance — measured crash recovery, one epoch of "
+                   f"{self.n_steps} steps ({self.n_workers} ShardedTrainer "
+                   f"workers, KD-like)"))
 
 
 def run_fault_tolerance(scale: ExperimentScale | None = None,
-                        n_workers: int = 6,
+                        n_workers: int = 2,
                         crash_rates: tuple[float, ...] = (0.0, 0.02, 0.05, 0.1),
-                        straggler_rate: float = 0.02,
-                        dropped_push_rate: float = 0.01,
                         checkpoint_interval: int = 10,
-                        comm: ParameterServerCost | None = None,
                         ) -> FaultToleranceResult:
-    """Sweep crash rates × recovery strategies on the PS cost model.
+    """Train one epoch per crash rate and measure the recoveries.
 
-    Both strategies face the *same seeded fault schedule* at each rate, so
-    the comparison isolates the recovery policy.  Stragglers and dropped
-    pushes ride along at fixed low rates — a realistic background, and they
-    exercise the non-crash fault paths.
+    ``crash_rate`` is the per worker-step crash probability drawn by
+    :meth:`FaultSchedule.generate` with ``scale.seed``.  The fault-free run
+    is always trained first: it is the reference for overhead and for the
+    bit-identity check.
     """
-    scale = scale or ExperimentScale(n_users=3000, latent_dim=32)
+    scale = scale or ExperimentScale(n_users=1500, batch_size=64,
+                                     latent_dim=16)
     dataset = make_kd_like(n_users=scale.n_users, seed=scale.seed).dataset
+    n_steps = -(-len(dataset) // scale.batch_size)
 
-    def factory():
-        return FVAE(dataset.schema,
-                    fvae_config_for(scale,
-                                    encoder_hidden=[2 * scale.latent_dim],
-                                    decoder_hidden=[2 * scale.latent_dim]))
+    def train(rate: float) -> tuple[dict, ShardedTrainer, float]:
+        config = fvae_config_for(scale,
+                                 encoder_hidden=[2 * scale.latent_dim],
+                                 decoder_hidden=[2 * scale.latent_dim],
+                                 input_dropout=0.0, feature_dropout=0.0)
+        model = FVAE(dataset.schema, config)
+        model.initialize_from_dataset(dataset)
+        model.astype("float32")
+        schedule = FaultSchedule.generate(n_steps, n_workers, rate,
+                                          seed=scale.seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            trainer = ShardedTrainer(model, n_workers=n_workers, lr=scale.lr,
+                                     checkpointer=tmp,
+                                     checkpoint_every=checkpoint_interval,
+                                     fault_schedule=schedule)
+            t0 = time.perf_counter()
+            trainer.fit(dataset, epochs=1, batch_size=scale.batch_size,
+                        rng=scale.seed)
+            wall = time.perf_counter() - t0
+        return model.state_dict(), trainer, wall
 
-    simulator = DistributedTrainingSimulator(
-        factory, dataset, comm=comm or ParameterServerCost())
-    strategies = list(RecoveryStrategy.ALL)
-    out = FaultToleranceResult(n_workers=n_workers,
-                               crash_rates=list(crash_rates),
-                               strategies=strategies,
-                               results={s: {} for s in strategies})
+    reference, trainer, reference_wall = train(0.0)
+    out = FaultToleranceResult(n_workers=n_workers, n_steps=n_steps)
+    out.runs.append(FaultRun(0.0, trainer.crashes, trainer.recoveries,
+                             reference_wall, 0.0, True))
     for rate in crash_rates:
-        config = FaultConfig(crash_rate=rate, straggler_rate=straggler_rate,
-                             dropped_push_rate=dropped_push_rate,
-                             seed=scale.seed)
-        for strategy in strategies:
-            out.results[strategy][rate] = simulator.measure_with_faults(
-                n_workers, config, strategy, epochs=1,
-                batch_size=scale.batch_size, lr=scale.lr, rng=scale.seed,
-                checkpoint_interval=checkpoint_interval)
+        if rate == 0.0:
+            continue
+        params, trainer, wall = train(rate)
+        identical = all(np.array_equal(params[k], reference[k])
+                        for k in reference)
+        out.runs.append(FaultRun(rate, trainer.crashes, trainer.recoveries,
+                                 wall, wall / reference_wall - 1.0,
+                                 identical))
     return out

@@ -1,7 +1,7 @@
 """Serving-side fault schedules: scripted chaos on a virtual clock.
 
-PR 2's :class:`~repro.resilience.faults.FaultSchedule` injects faults into
-*training* steps; this module is its serving-side counterpart.  A
+:class:`~repro.resilience.faults.FaultSchedule` kills *training* workers
+at chosen steps; this module is its serving-side counterpart.  A
 :class:`ServingFaultSchedule` scripts *when* the embedding store misbehaves —
 outage windows, latency spikes, slow-store stragglers, corrupted-row
 windows — on the replay's virtual timeline, plus seeded background failure

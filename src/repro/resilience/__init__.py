@@ -8,9 +8,9 @@ the repo's fault story:
 * :mod:`repro.resilience.checkpoint` — atomic, digest-verified training
   checkpoints with bit-exact resume (wired into
   :meth:`repro.core.trainer.Trainer.fit`);
-* :mod:`repro.resilience.faults` — seeded fault schedules (worker crashes,
-  stragglers, dropped pushes, server loss) injected into the distributed
-  training simulation, plus recovery-strategy timeline modelling;
+* :mod:`repro.resilience.faults` — seeded worker-crash schedules that
+  :class:`~repro.distributed.sharded.ShardedTrainer` carries out as real
+  process kills, and a flaky store wrapper for the serving path;
 * :mod:`repro.resilience.guards` — retry-with-backoff, deadline budgets, and
   a circuit breaker for serving-path store lookups.
 
@@ -22,11 +22,9 @@ numpy/stdlib plus ``repro.obs`` and ``repro.utils``.
 from repro.resilience.checkpoint import (Checkpoint, CheckpointError,
                                          Checkpointer, model_state_arrays,
                                          restore_model_state)
-from repro.resilience.faults import (FaultConfig, FaultEvent, FaultKind,
-                                     FaultSchedule, FaultyRunResult,
-                                     FlakyEmbeddingStore, RecoveryStrategy,
-                                     StoreUnavailableError,
-                                     simulate_faulty_run)
+from repro.resilience.faults import (FaultEvent, FaultSchedule,
+                                     FlakyEmbeddingStore,
+                                     StoreUnavailableError)
 from repro.resilience.guards import (CircuitBreaker, CircuitOpenError,
                                      Deadline, DeadlineExceeded, RetryPolicy,
                                      current_deadline, deadline_scope)
@@ -34,8 +32,7 @@ from repro.resilience.guards import (CircuitBreaker, CircuitOpenError,
 __all__ = [
     "Checkpoint", "CheckpointError", "Checkpointer",
     "model_state_arrays", "restore_model_state",
-    "FaultConfig", "FaultEvent", "FaultKind", "FaultSchedule",
-    "FaultyRunResult", "RecoveryStrategy", "simulate_faulty_run",
+    "FaultEvent", "FaultSchedule",
     "FlakyEmbeddingStore", "StoreUnavailableError",
     "CircuitBreaker", "CircuitOpenError", "Deadline", "DeadlineExceeded",
     "RetryPolicy", "current_deadline", "deadline_scope",

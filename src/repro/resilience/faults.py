@@ -1,261 +1,69 @@
 """Seeded fault injection for distributed training and serving.
 
-The paper's production runs span days on a parameter-server cluster; worker
-crashes, stragglers, and dropped gradient pushes are routine there.  This
-module provides the fault *model* the simulation layer injects:
+The paper's production runs span days on a parameter-server cluster, where
+worker crashes are routine.  This module holds the injection side of both
+halves of the repo's fault story:
 
-* :class:`FaultConfig` + :class:`FaultSchedule` — a reproducible (seeded)
-  schedule of fault events over the ``(step, worker)`` grid;
-* :func:`simulate_faulty_run` — a synchronous-data-parallel timeline model
-  that prices a schedule under a recovery strategy
-  (:data:`RecoveryStrategy.CHECKPOINT_RESTART` replays work from the last
-  checkpoint after a crash; :data:`RecoveryStrategy.GRADIENT_SKIP` drops the
-  affected worker's update and keeps going);
+* :class:`FaultSchedule` — a reproducible (seeded) list of worker crashes
+  over the ``(step, worker)`` grid.
+  :class:`~repro.distributed.sharded.ShardedTrainer` turns each
+  :class:`FaultEvent` into a real ``SIGKILL`` and recovers from its latest
+  checkpoint; ``python -m repro faults`` measures what that costs;
 * :class:`FlakyEmbeddingStore` — a store wrapper that raises
   :class:`StoreUnavailableError` on a seeded fraction of lookups, used to
   exercise the serving fallback chain.
-
-:meth:`repro.distributed.DistributedTrainingSimulator.measure_with_faults`
-combines the *measured* compute profile with this *modelled* fault timeline,
-mirroring how the simulator already treats the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from repro.obs import runtime as obs
 from repro.utils.rng import new_rng
 
-__all__ = ["FaultKind", "FaultEvent", "FaultConfig", "FaultSchedule",
-           "RecoveryStrategy", "FaultyRunResult", "simulate_faulty_run",
-           "StoreUnavailableError", "FlakyEmbeddingStore"]
-
-
-class FaultKind:
-    """Kinds of injected faults (plain strings so they serialise cleanly)."""
-
-    WORKER_CRASH = "worker_crash"      # the worker process dies mid-step
-    STRAGGLER = "straggler"            # the worker runs `magnitude`× slower
-    DROPPED_PUSH = "dropped_push"      # the worker's gradient push is lost
-    SERVER_CRASH = "server_crash"      # a parameter server drops out
-
-    ALL = (WORKER_CRASH, STRAGGLER, DROPPED_PUSH, SERVER_CRASH)
-
-
-class RecoveryStrategy:
-    """How the cluster reacts to a worker crash."""
-
-    CHECKPOINT_RESTART = "checkpoint_restart"  # restart job from last ckpt
-    GRADIENT_SKIP = "gradient_skip"            # skip the update, keep going
-
-    ALL = (CHECKPOINT_RESTART, GRADIENT_SKIP)
+__all__ = ["FaultEvent", "FaultSchedule", "StoreUnavailableError",
+           "FlakyEmbeddingStore"]
 
 
 @dataclass(frozen=True, order=True)
 class FaultEvent:
-    """One injected fault: ``kind`` hits ``worker`` at global ``step``."""
+    """One injected crash: ``worker`` is killed at global ``step``."""
 
     step: int
-    worker: int          # -1 for cluster-level events (server crash)
-    kind: str
-    magnitude: float = 1.0   # straggler slowdown factor; unused otherwise
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Per worker-step fault probabilities (all independent Bernoulli draws).
-
-    ``server_crash_steps`` lists deterministic steps at which one parameter
-    server is lost — server loss is a rare, operator-visible event, so it is
-    scheduled explicitly rather than drawn.
-    """
-
-    crash_rate: float = 0.0
-    straggler_rate: float = 0.0
-    straggler_slowdown: float = 4.0
-    dropped_push_rate: float = 0.0
-    server_crash_steps: tuple[int, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "straggler_rate", "dropped_push_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be a probability: {rate}")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError(
-                f"straggler_slowdown must be >= 1: {self.straggler_slowdown}")
+    worker: int
 
 
 @dataclass
 class FaultSchedule:
-    """A concrete, reproducible list of fault events for one simulated run."""
+    """A concrete, reproducible list of worker crashes for one run."""
 
     n_steps: int
     n_workers: int
     events: list[FaultEvent] = field(default_factory=list)
 
     @classmethod
-    def generate(cls, n_steps: int, n_workers: int,
-                 config: FaultConfig) -> "FaultSchedule":
-        """Draw a schedule from ``config`` — same seed, same schedule."""
+    def generate(cls, n_steps: int, n_workers: int, crash_rate: float,
+                 seed: int = 0) -> "FaultSchedule":
+        """Crash each worker at each step with probability ``crash_rate``.
+
+        Independent Bernoulli draws over the ``(n_steps, n_workers)`` grid:
+        same seed, same schedule.
+        """
+        if not 0.0 <= crash_rate <= 1.0:
+            raise ValueError(f"crash_rate must be a probability: {crash_rate}")
         if n_steps < 0 or n_workers <= 0:
             raise ValueError(
                 f"need n_steps >= 0 and n_workers > 0: {n_steps}, {n_workers}")
-        rng = new_rng(config.seed)
-        events: list[FaultEvent] = []
-        shape = (n_steps, n_workers)
-        # Draw order is part of the schedule contract: crash, straggler, drop.
-        crash = rng.random(shape) < config.crash_rate
-        straggle = rng.random(shape) < config.straggler_rate
-        dropped = rng.random(shape) < config.dropped_push_rate
-        for step, worker in zip(*np.nonzero(crash)):
-            events.append(FaultEvent(int(step), int(worker),
-                                     FaultKind.WORKER_CRASH))
-        for step, worker in zip(*np.nonzero(straggle & ~crash)):
-            events.append(FaultEvent(int(step), int(worker),
-                                     FaultKind.STRAGGLER,
-                                     magnitude=config.straggler_slowdown))
-        for step, worker in zip(*np.nonzero(dropped & ~crash)):
-            events.append(FaultEvent(int(step), int(worker),
-                                     FaultKind.DROPPED_PUSH))
-        for step in config.server_crash_steps:
-            if 0 <= step < n_steps:
-                events.append(FaultEvent(int(step), -1, FaultKind.SERVER_CRASH))
-        return cls(n_steps=n_steps, n_workers=n_workers, events=sorted(events))
+        crash = new_rng(seed).random((n_steps, n_workers)) < crash_rate
+        events = [FaultEvent(int(step), int(worker))
+                  for step, worker in zip(*np.nonzero(crash))]
+        return cls(n_steps=n_steps, n_workers=n_workers, events=events)
 
     def at(self, step: int) -> list[FaultEvent]:
         return [e for e in self.events if e.step == step]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
-    def by_step(self) -> dict[int, list[FaultEvent]]:
-        out: dict[int, list[FaultEvent]] = {}
-        for event in self.events:
-            out.setdefault(event.step, []).append(event)
-        return out
-
-
-@dataclass
-class FaultyRunResult:
-    """Timeline accounting for one fault-injected run."""
-
-    strategy: str
-    n_steps: int
-    n_workers: int
-    wall_clock: float
-    fault_free_wall_clock: float
-    lost_steps: int = 0            # steps of work redone after crashes
-    max_lost_steps: int = 0        # worst single crash (≤ checkpoint interval)
-    skipped_updates: int = 0       # gradient pushes dropped/skipped
-    n_crashes: int = 0
-    n_stragglers: int = 0
-    n_dropped: int = 0
-    checkpoint_writes: int = 0
-    checkpoint_seconds: float = 0.0
-
-    @property
-    def overhead(self) -> float:
-        """Relative wall-clock overhead vs the fault-free run."""
-        if self.fault_free_wall_clock <= 0:
-            return 0.0
-        return self.wall_clock / self.fault_free_wall_clock - 1.0
-
-
-def simulate_faulty_run(*, step_seconds: float, n_steps: int, n_workers: int,
-                        schedule: FaultSchedule, strategy: str,
-                        sync_seconds: float | Sequence[float] = 0.0,
-                        checkpoint_interval: int = 50,
-                        checkpoint_write_seconds: float = 1.0,
-                        restart_seconds: float = 10.0,
-                        crash_detection_seconds: float = 0.5,
-                        baseline_sync_seconds: float | None = None,
-                        ) -> FaultyRunResult:
-    """Price a fault schedule under a recovery strategy.
-
-    The cluster runs synchronous data-parallel steps: every step costs the
-    barrier maximum of the workers' compute (``step_seconds``, inflated by
-    stragglers) plus the per-step synchronisation cost.  On a worker crash:
-
-    * ``checkpoint_restart`` — the job restarts from the last checkpoint:
-      ``restart_seconds`` of restart latency plus a replay of the lost steps
-      at fault-free speed.  Periodic checkpoint writes every
-      ``checkpoint_interval`` steps cost ``checkpoint_write_seconds`` each,
-      and bound the loss per crash to one interval.
-    * ``gradient_skip`` — the crashed worker's update is skipped and a warm
-      standby takes over next step; only ``crash_detection_seconds`` of
-      barrier stall is paid, but the update is lost (a quality, not time,
-      cost — tracked as ``skipped_updates``).
-
-    Dropped pushes are retried under ``checkpoint_restart`` (one extra sync
-    round-trip) and skipped under ``gradient_skip``.
-    """
-    if strategy not in RecoveryStrategy.ALL:
-        raise ValueError(f"unknown recovery strategy '{strategy}'; "
-                         f"use one of {RecoveryStrategy.ALL}")
-    if checkpoint_interval <= 0:
-        raise ValueError(
-            f"checkpoint_interval must be positive: {checkpoint_interval}")
-    sync = np.broadcast_to(np.asarray(sync_seconds, dtype=np.float64),
-                           (n_steps,)) if n_steps else np.zeros(0)
-    mean_sync = float(sync.mean()) if n_steps else 0.0
-    # The fault-free reference run pays the *undegraded* sync cost — when the
-    # caller models server loss as a degraded sync array, that slowdown must
-    # count as fault overhead, not inflate the baseline.
-    if baseline_sync_seconds is None:
-        baseline_sync_seconds = mean_sync
-    fault_free = n_steps * (step_seconds + baseline_sync_seconds)
-    result = FaultyRunResult(strategy=strategy, n_steps=n_steps,
-                             n_workers=n_workers, wall_clock=0.0,
-                             fault_free_wall_clock=fault_free)
-
-    events_by_step = schedule.by_step()
-    wall = 0.0
-    last_checkpoint = 0
-    for step in range(n_steps):
-        events = events_by_step.get(step, ())
-        slowdown = 1.0
-        crashes = 0
-        drops = 0
-        for event in events:
-            if event.kind == FaultKind.STRAGGLER:
-                slowdown = max(slowdown, event.magnitude)
-                result.n_stragglers += 1
-            elif event.kind == FaultKind.WORKER_CRASH:
-                crashes += 1
-                result.n_crashes += 1
-            elif event.kind == FaultKind.DROPPED_PUSH:
-                drops += 1
-                result.n_dropped += 1
-        wall += step_seconds * slowdown + float(sync[step])
-
-        if strategy == RecoveryStrategy.CHECKPOINT_RESTART:
-            for __ in range(drops):       # pushes are retransmitted
-                wall += float(sync[step])
-            completed = step + 1
-            if completed % checkpoint_interval == 0:
-                wall += checkpoint_write_seconds
-                result.checkpoint_writes += 1
-                result.checkpoint_seconds += checkpoint_write_seconds
-                last_checkpoint = completed
-            for __ in range(crashes):
-                lost = completed - last_checkpoint
-                result.lost_steps += lost
-                result.max_lost_steps = max(result.max_lost_steps, lost)
-                wall += restart_seconds + lost * (step_seconds + mean_sync)
-        else:  # gradient skip
-            if crashes:
-                wall += crash_detection_seconds * crashes
-            result.skipped_updates += crashes + drops
-
-    result.wall_clock = wall
-    obs.count("faults.injected", len(schedule.events))
-    return result
 
 
 # -- serving-side fault injection -----------------------------------------------

@@ -9,7 +9,8 @@ shard-server processes and pin:
   ``Trainer.fit`` reference — bit-exact with one worker, 1e-12 (float
   summation order) with several;
 * SIGKILL fault injection mid-epoch: checkpoint recovery replays to the
-  bit-exact same final state as an uninterrupted sharded run;
+  bit-exact same final state as an uninterrupted sharded run, kills the
+  survivors instead of waiting out a join, and reports to telemetry;
 * the sharded embedding service against ``EmbeddingStore`` (bit-exact
   lookups under both fork and spawn), write-degradation when a shard server
   is killed, and lossless rebalancing;
@@ -20,6 +21,8 @@ shard-server processes and pin:
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,9 +38,10 @@ from repro.hashing.stable import (assign_shards, rebalance_moves, shard_for,
                                   shard_of_ids, stable_hash, stable_hash_ids)
 from repro.nn.optim import Adam, adam_step_size, adam_update_rows
 from repro.nn.tensor import Parameter
+from repro.obs import runtime as obs
 from repro.resilience import (CheckpointError, Checkpointer,
                               StoreUnavailableError)
-from repro.resilience.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.resilience.faults import FaultEvent, FaultSchedule
 
 
 def small_model(seed=0, n_users=48):
@@ -240,7 +244,7 @@ def test_sigkill_recovery_replays_bit_exactly(shard_cluster, tmp_path):
 
     chaos_model, chaos_data = small_model()
     schedule = FaultSchedule(n_steps=6, n_workers=2, events=[
-        FaultEvent(step=4, worker=1, kind=FaultKind.WORKER_CRASH)])
+        FaultEvent(step=4, worker=1)])
     trainer = ShardedTrainer(chaos_model, n_workers=2, lr=1e-3,
                              checkpointer=tmp_path / "chaos",
                              checkpoint_every=1, fault_schedule=schedule,
@@ -263,7 +267,7 @@ def test_kill_before_any_mid_epoch_checkpoint_recovers(shard_cluster,
 
     chaos_model, chaos_data = small_model()
     schedule = FaultSchedule(n_steps=3, n_workers=2, events=[
-        FaultEvent(step=1, worker=0, kind=FaultKind.WORKER_CRASH)])
+        FaultEvent(step=1, worker=0)])
     trainer = ShardedTrainer(chaos_model, n_workers=2, lr=1e-3,
                              checkpointer=tmp_path, fault_schedule=schedule,
                              recv_timeout=30.0)
@@ -271,6 +275,59 @@ def test_kill_before_any_mid_epoch_checkpoint_recovers(shard_cluster,
 
     assert trainer.recoveries == 1
     assert max_param_diff(clean_model, chaos_model) == 0.0
+
+
+@pytest.mark.slow
+def test_forced_stop_kills_survivors_without_a_join_stall(shard_cluster,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # A survivor of a crash never sees EOF on its pipe (it holds its own
+    # copy of the driver's end), so a join without a kill waits out its
+    # timeout: seconds per survivor, two survivors here.
+    forced = []
+    stop = ShardedTrainer._stop_workers
+
+    def timed_stop(self, force=False):
+        t0 = time.perf_counter()
+        stop(self, force=force)
+        if force:
+            forced.append(time.perf_counter() - t0)
+
+    monkeypatch.setattr(ShardedTrainer, "_stop_workers", timed_stop)
+    clean_model, clean_data = small_model()
+    ShardedTrainer(clean_model, n_workers=3, lr=1e-3).fit(
+        clean_data, epochs=1, batch_size=16, rng=0)
+
+    chaos_model, chaos_data = small_model()
+    schedule = FaultSchedule(n_steps=3, n_workers=3,
+                             events=[FaultEvent(step=1, worker=2)])
+    trainer = ShardedTrainer(chaos_model, n_workers=3, lr=1e-3,
+                             checkpointer=tmp_path, checkpoint_every=1,
+                             fault_schedule=schedule, recv_timeout=30.0)
+    trainer.fit(chaos_data, epochs=1, batch_size=16, rng=0)
+
+    assert trainer.recoveries == 1
+    assert len(forced) == 1 and forced[0] < 1.0, forced
+    assert max_param_diff(clean_model, chaos_model) == 0.0
+
+
+@pytest.mark.slow
+def test_crashes_and_recoveries_reach_telemetry(shard_cluster, tmp_path):
+    model, data = small_model()
+    schedule = FaultSchedule(n_steps=3, n_workers=2, events=[
+        FaultEvent(step=0, worker=1), FaultEvent(step=2, worker=0),
+        FaultEvent(step=2, worker=1)])
+    with obs.session() as telemetry:
+        trainer = ShardedTrainer(model, n_workers=2, lr=1e-3,
+                                 checkpointer=tmp_path, checkpoint_every=1,
+                                 fault_schedule=schedule, recv_timeout=30.0)
+        trainer.fit(data, epochs=1, batch_size=16, rng=0)
+
+    # One SIGKILL per event; the two at step 2 cost one recovery.
+    assert trainer.crashes == 3 and trainer.recoveries == 2
+    assert telemetry.registry.get("faults.injected").value == 3
+    recovery = telemetry.registry.get("distributed.sharded.recovery_seconds")
+    assert recovery.count == 2 and recovery.sum > 0
 
 
 @pytest.mark.slow
@@ -292,7 +349,7 @@ def test_recovery_rejects_a_checkpoint_of_another_batch_size(shard_cluster,
 
     model, __ = small_model()
     schedule = FaultSchedule(n_steps=2, n_workers=1, events=[
-        FaultEvent(step=0, worker=0, kind=FaultKind.WORKER_CRASH)])
+        FaultEvent(step=0, worker=0)])
     trainer = ShardedTrainer(model, n_workers=1, lr=1e-3, checkpointer=shared,
                              fault_schedule=schedule, recv_timeout=30.0)
     with pytest.raises(CheckpointError, match="batch size 16; .* 32"):

@@ -1,174 +1,47 @@
-"""Fault-injection harness: schedules, timeline model, simulator hookup."""
+"""Fault injection: seeded crash schedules, the flaky store, and the
+``repro faults`` command that measures real sharded-training recovery."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import pytest
 
-from repro.core import FVAE, FVAEConfig
-from repro.distributed import DistributedTrainingSimulator, ParameterServerCost
+from repro.cli import main
 from repro.lookalike import EmbeddingStore
-from repro.resilience import (FaultConfig, FaultKind, FaultSchedule,
-                              FlakyEmbeddingStore, RecoveryStrategy,
-                              StoreUnavailableError, simulate_faulty_run)
+from repro.resilience import (FaultEvent, FaultSchedule, FlakyEmbeddingStore,
+                              StoreUnavailableError)
 
 
 class TestFaultSchedule:
     def test_same_seed_same_schedule(self):
-        config = FaultConfig(crash_rate=0.1, straggler_rate=0.1,
-                             dropped_push_rate=0.1, seed=42)
-        a = FaultSchedule.generate(50, 4, config)
-        b = FaultSchedule.generate(50, 4, config)
+        a = FaultSchedule.generate(50, 4, crash_rate=0.1, seed=42)
+        b = FaultSchedule.generate(50, 4, crash_rate=0.1, seed=42)
         assert a.events == b.events and a.events  # reproducible & non-empty
 
     def test_different_seed_different_schedule(self):
-        base = dict(crash_rate=0.2, straggler_rate=0.2)
-        a = FaultSchedule.generate(50, 4, FaultConfig(**base, seed=1))
-        b = FaultSchedule.generate(50, 4, FaultConfig(**base, seed=2))
+        a = FaultSchedule.generate(50, 4, crash_rate=0.2, seed=1)
+        b = FaultSchedule.generate(50, 4, crash_rate=0.2, seed=2)
         assert a.events != b.events
 
     def test_zero_rates_empty_schedule(self):
-        schedule = FaultSchedule.generate(100, 8, FaultConfig())
+        schedule = FaultSchedule.generate(100, 8, crash_rate=0.0)
         assert schedule.events == []
 
-    def test_server_crashes_scheduled_explicitly(self):
-        config = FaultConfig(server_crash_steps=(3, 999))
-        schedule = FaultSchedule.generate(10, 2, config)
-        assert schedule.count(FaultKind.SERVER_CRASH) == 1  # 999 out of range
-        assert schedule.at(3)[0].worker == -1
-
-    def test_crash_precludes_other_faults_same_cell(self):
-        config = FaultConfig(crash_rate=1.0, straggler_rate=1.0,
-                             dropped_push_rate=1.0)
-        schedule = FaultSchedule.generate(10, 3, config)
-        assert schedule.count(FaultKind.WORKER_CRASH) == 30
-        assert schedule.count(FaultKind.STRAGGLER) == 0
+    def test_certain_crash_hits_every_cell_in_order(self):
+        schedule = FaultSchedule.generate(10, 3, crash_rate=1.0)
+        assert schedule.events == sorted(schedule.events)
+        assert {(e.step, e.worker) for e in schedule.events} == \
+            {(s, w) for s in range(10) for w in range(3)}
+        assert schedule.at(4) == [FaultEvent(4, 0), FaultEvent(4, 1),
+                                  FaultEvent(4, 2)]
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError, match="crash_rate"):
-            FaultConfig(crash_rate=1.5)
-        with pytest.raises(ValueError, match="straggler_slowdown"):
-            FaultConfig(straggler_slowdown=0.5)
-
-
-class TestSimulateFaultyRun:
-    def _empty(self, n_steps=20, n_workers=2):
-        return FaultSchedule.generate(n_steps, n_workers, FaultConfig())
-
-    def test_no_faults_gradient_skip_zero_overhead(self):
-        result = simulate_faulty_run(
-            step_seconds=0.1, n_steps=20, n_workers=2,
-            schedule=self._empty(), strategy=RecoveryStrategy.GRADIENT_SKIP,
-            sync_seconds=0.01)
-        assert result.overhead == pytest.approx(0.0)
-        assert result.skipped_updates == 0
-
-    def test_no_faults_checkpoint_overhead_is_write_cost_only(self):
-        result = simulate_faulty_run(
-            step_seconds=0.1, n_steps=20, n_workers=2,
-            schedule=self._empty(),
-            strategy=RecoveryStrategy.CHECKPOINT_RESTART,
-            checkpoint_interval=5, checkpoint_write_seconds=0.2)
-        assert result.checkpoint_writes == 4
-        assert result.wall_clock == pytest.approx(
-            result.fault_free_wall_clock + 4 * 0.2)
-
-    def test_loss_bounded_by_checkpoint_interval(self):
-        config = FaultConfig(crash_rate=0.15, seed=3)
-        schedule = FaultSchedule.generate(200, 4, config)
-        result = simulate_faulty_run(
-            step_seconds=0.1, n_steps=200, n_workers=4, schedule=schedule,
-            strategy=RecoveryStrategy.CHECKPOINT_RESTART,
-            checkpoint_interval=10)
-        assert result.n_crashes > 0
-        assert result.max_lost_steps <= 10
-
-    def test_gradient_skip_counts_skips_not_losses(self):
-        config = FaultConfig(crash_rate=0.1, dropped_push_rate=0.1, seed=5)
-        schedule = FaultSchedule.generate(100, 4, config)
-        result = simulate_faulty_run(
-            step_seconds=0.1, n_steps=100, n_workers=4, schedule=schedule,
-            strategy=RecoveryStrategy.GRADIENT_SKIP)
-        assert result.skipped_updates == result.n_crashes + result.n_dropped
-        assert result.lost_steps == 0
-
-    def test_stragglers_stretch_wall_clock(self):
-        config = FaultConfig(straggler_rate=0.5, straggler_slowdown=3.0,
-                             seed=1)
-        schedule = FaultSchedule.generate(50, 4, config)
-        result = simulate_faulty_run(
-            step_seconds=0.1, n_steps=50, n_workers=4, schedule=schedule,
-            strategy=RecoveryStrategy.GRADIENT_SKIP)
-        assert result.n_stragglers > 0
-        assert result.wall_clock > result.fault_free_wall_clock
-
-    def test_checkpoint_restart_costs_more_time_than_skip(self):
-        config = FaultConfig(crash_rate=0.05, seed=7)
-        schedule = FaultSchedule.generate(100, 4, config)
-        kwargs = dict(step_seconds=0.1, n_steps=100, n_workers=4,
-                      schedule=schedule, checkpoint_interval=10)
-        restart = simulate_faulty_run(
-            strategy=RecoveryStrategy.CHECKPOINT_RESTART, **kwargs)
-        skip = simulate_faulty_run(
-            strategy=RecoveryStrategy.GRADIENT_SKIP, **kwargs)
-        assert restart.wall_clock > skip.wall_clock
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="recovery strategy"):
-            simulate_faulty_run(step_seconds=0.1, n_steps=1, n_workers=1,
-                                schedule=self._empty(1, 1), strategy="pray")
-
-
-class TestDegradedParameterServer:
-    def test_fewer_servers_cost_more(self):
-        cost = ParameterServerCost(n_servers=4)
-        assert cost.degraded(2).sync_cost(8, 1e6) > cost.sync_cost(8, 1e6)
-
-    def test_floor_at_one_server(self):
-        assert ParameterServerCost(n_servers=2).degraded(10).n_servers == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterServerCost().degraded(-1)
-
-
-class TestSimulatorWithFaults:
-    @pytest.fixture(scope="class")
-    def simulator(self, sc_small):
-        dataset = sc_small.dataset
-
-        def factory():
-            return FVAE(dataset.schema,
-                        FVAEConfig(latent_dim=4, encoder_hidden=[8],
-                                   decoder_hidden=[8], seed=0))
-
-        return DistributedTrainingSimulator(factory, dataset,
-                                            comm=ParameterServerCost())
-
-    def test_measure_with_faults_runs(self, simulator):
-        config = FaultConfig(crash_rate=0.05, seed=0)
-        result = simulator.measure_with_faults(
-            3, config, RecoveryStrategy.CHECKPOINT_RESTART, epochs=1,
-            batch_size=100, checkpoint_interval=2)
-        assert result.wall_clock >= result.fault_free_wall_clock > 0
-        assert result.max_lost_steps <= 2
-
-    def test_server_crash_degrades_sync(self, simulator):
-        quiet = simulator.measure_with_faults(
-            3, FaultConfig(seed=0), RecoveryStrategy.GRADIENT_SKIP,
-            epochs=1, batch_size=100)
-        degraded = simulator.measure_with_faults(
-            3, FaultConfig(server_crash_steps=(0,), seed=0),
-            RecoveryStrategy.GRADIENT_SKIP, epochs=1, batch_size=100)
-        assert degraded.wall_clock > quiet.wall_clock
-        assert degraded.overhead > quiet.overhead
-
-    def test_mismatched_schedule_rejected(self, simulator):
-        schedule = FaultSchedule.generate(3, 7, FaultConfig())
-        with pytest.raises(ValueError, match="schedule"):
-            simulator.measure_with_faults(
-                3, schedule, RecoveryStrategy.GRADIENT_SKIP, epochs=1,
-                batch_size=100)
+            FaultSchedule.generate(10, 2, crash_rate=1.5)
+        with pytest.raises(ValueError, match="crash_rate"):
+            FaultSchedule.generate(10, 2, crash_rate=-0.1)
 
 
 class TestFlakyEmbeddingStore:
@@ -215,23 +88,31 @@ class TestFlakyEmbeddingStore:
         assert flaky.dim == 2
 
 
-class TestFaultToleranceExperiment:
-    def test_overhead_table_covers_both_strategies(self):
-        from repro.experiments import ExperimentScale, run_fault_tolerance
+class TestFaultsCommand:
+    @pytest.mark.slow
+    def test_recovered_runs_match_the_fault_free_run(self, shard_cluster):
+        # 256 users are 4 steps of 64; at seed 0 and rate 0.1 both workers
+        # are killed at step 1.
+        out = io.StringIO()
+        code = main(["faults", "--users", "256", "--crash-rates", "0,0.1",
+                     "--checkpoint-interval", "2"], out=out)
+        rows = [line.split() for line in out.getvalue().splitlines()[3:]]
+        assert code == 0
+        assert [row[0] for row in rows] == ["0.00%", "10.00%"]
+        crashes, recoveries = int(rows[1][1]), int(rows[1][2])
+        assert crashes == 2 and recoveries >= 1
+        assert all(row[-1] == "yes" for row in rows)
 
-        scale = ExperimentScale(n_users=300, epochs=1, batch_size=100,
-                                latent_dim=8, seed=0)
-        result = run_fault_tolerance(scale=scale, n_workers=3,
-                                     crash_rates=(0.0, 0.1),
-                                     checkpoint_interval=2)
-        assert set(result.results) == set(RecoveryStrategy.ALL)
-        for strategy in RecoveryStrategy.ALL:
-            assert set(result.results[strategy]) == {0.0, 0.1}
-        # the rendered table names every strategy and rate
-        text = result.to_text()
-        assert "checkpoint_restart" in text and "gradient_skip" in text
-        assert "10.00%" in text
-        # a crashy run can never be cheaper than the same strategy fault-free
-        for strategy in RecoveryStrategy.ALL:
-            assert result.overhead(strategy, 0.1) >= \
-                result.overhead(strategy, 0.0)
+    def test_parameters_that_differ_exit_1(self, monkeypatch):
+        import repro.experiments
+        from repro.experiments.exp_fault_tolerance import (
+            FaultRun, FaultToleranceResult)
+
+        result = FaultToleranceResult(n_workers=2, n_steps=4, runs=[
+            FaultRun(0.0, 0, 0, 1.0, 0.0, True),
+            FaultRun(0.1, 2, 1, 1.5, 0.5, False)])
+        monkeypatch.setattr(repro.experiments, "run_fault_tolerance",
+                            lambda **kwargs: result)
+        out = io.StringIO()
+        assert main(["faults"], out=out) == 1
+        assert out.getvalue().splitlines()[-1].split()[-1] == "NO"
