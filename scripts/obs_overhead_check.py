@@ -32,11 +32,14 @@ control whose apparent difference — pure measurement noise by construction
 — widens the budget.  Single rounds on shared CI boxes are far too noisy
 for a 5% bound.
 
-The second half exercises the full per-request tracing stack: a small
-traced workload (threads, micro-batcher, injected store failures) is
-exported with ``dump_chrome`` and validated against the Chrome trace-event
-schema with ``validate_chrome`` — a malformed export fails CI even though
-chrome://tracing would just silently drop the events.
+The second half exercises the full per-request tracing stack: a seeded
+``steady`` loadtest replay (micro-batcher, resilient proxy, 20% injected
+store failures, on the virtual clock) is exported with ``dump_chrome`` and
+validated against the Chrome trace-event schema with ``validate_chrome`` —
+a malformed export fails CI even though chrome://tracing would just
+silently drop the events.  Because the replay is deterministic, the export
+must also hold at least one error trace and one fan-in ``batcher.flush``
+span (one flush shared by several request traces).
 
 Exit code 0 on pass, 1 on overhead regression or invalid export (messages
 on stderr).
@@ -54,7 +57,7 @@ import numpy as np
 
 from repro import obs
 from repro.lookalike import EmbeddingStore, IVFIndex, ServingProxy
-from repro.serve import ServingWorkload
+from repro.loadtest import ServingFaultSchedule, run_loadtest
 
 
 def build_ops(users: int, dim: int = 16, seed: int = 7):
@@ -133,17 +136,31 @@ def measure(ops, rounds: int) -> list[tuple[str, bool, float, float, float]]:
 
 
 def check_chrome_export(path: str) -> list[str]:
-    """Run a traced workload, export it, and validate the document."""
-    workload = ServingWorkload(n_users=64, seed=7, failure_rate=0.2)
+    """Replay a traced workload, export it, and validate the document."""
+    # 10 s at 100 rps: at seed 7 a 2 s replay exhausts no store retry, so
+    # its export would hold no error trace
     with obs.session() as telemetry:
-        workload.run(requests=200, threads=4)
+        run_loadtest(duration=10.0, seed=7,
+                     schedule=ServingFaultSchedule(failure_rate=0.2))
     store = telemetry.traces
     traces = store.traces() + store.error_traces() + store.slowest_traces()
     exported = obs.dump_chrome(traces, path)
     print(f"chrome export: {exported} events from {store.finished} requests "
           f"({len(store.error_traces())} error traces) -> {path}")
     with open(path, encoding="utf-8") as handle:
-        return obs.validate_chrome(json.load(handle))
+        doc = json.load(handle)
+    problems = obs.validate_chrome(doc)
+    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    if not any(e["args"]["status"] == "error" for e in spans):
+        problems.append("no error trace in the export")
+    flush_traces: dict[str, set] = {}
+    for e in spans:
+        if e["name"] == "batcher.flush":
+            flush_traces.setdefault(e["args"]["span_id"], set()).add(
+                e["args"]["trace_id"])
+    if not any(len(ids) > 1 for ids in flush_traces.values()):
+        problems.append("no fan-in batcher.flush span in the export")
+    return problems
 
 
 def main(argv=None) -> int:

@@ -397,7 +397,13 @@ def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
                 for proxy in (scalar, batch):
                     proxy.store.failure_rate = 1.0
                     proxy.cache = type(proxy.cache)(2 * n, name="serving")
-            s_rows, s_mask = scalar.get_embeddings_masked(ids)
+            # the per-key reference: one scalar lookup per id, legacy
+            # misses zero-filled, misses and defaults unmasked
+            looked = [scalar.lookup(k) for k in ids]
+            s_rows = np.stack([np.zeros(dim) if vec is None else vec
+                               for vec, __ in looked])
+            s_mask = np.asarray([src not in ("miss", "default")
+                                 for __, src in looked])
             b_rows, b_mask = batch.get_embeddings_masked_batch(ids)
             pairs[f"{mode}.round{rnd}.matrix"] = (s_rows, b_rows)
             pairs[f"{mode}.round{rnd}.mask"] = (s_mask, b_mask)

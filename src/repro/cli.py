@@ -15,14 +15,14 @@ Commands mirror the deployment workflow of §IV-D at example scale:
 * ``report``       — render a telemetry JSONL dump (``train --telemetry``)
 * ``check``        — correctness verification: gradcheck coverage sweep,
   differential oracles, and golden-digest comparison (``repro.check``)
-* ``trace``        — request-scoped traces from a live serving workload
-  (text summary or Chrome ``chrome://tracing`` JSON export)
+* ``trace``        — request-scoped traces from a serving replay (text
+  summary or Chrome ``chrome://tracing`` JSON export)
 * ``slo``          — evaluate latency/availability SLOs over a recorded
-  timeline or a live workload; exit code is the verdict
-* ``profile``      — sampling profiler over a serving workload
+  timeline or a serving replay; exit code is the verdict
+* ``profile``      — sampling profiler over a serving replay
   (collapsed-stack/flamegraph output)
-* ``top``          — live serving dashboard frames (QPS, percentiles,
-  cache hit rate, breaker states, SLO budget)
+* ``top``          — live dashboard frames over a serving replay (QPS,
+  percentiles, cache hit rate, breaker states, SLO budget)
 * ``loadtest``     — replay a seeded heavy-tailed traffic scenario through
   the overload-safe serving stack on a virtual clock; exit code is the
   gate verdict
@@ -30,6 +30,11 @@ Commands mirror the deployment workflow of §IV-D at example scale:
   scripted fault schedule (store failures, outage window, stragglers,
   corrupted rows), scored against the SLO engine and replayed with the same
   seed, which must reproduce it bit for bit; exit code is the verdict
+
+The serving replay of ``trace`` / ``slo`` / ``profile`` / ``top`` is the
+``loadtest`` stack on its virtual clock, fed the first ``--requests``
+arrivals of the seeded ``steady`` trace: the same seed gives the same
+requests, faults and SLO verdict.
 
 ``train`` grows crash-safety flags: ``--checkpoint-dir`` /
 ``--checkpoint-every`` write atomic checkpoints during training and
@@ -172,15 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workload_args(p: argparse.ArgumentParser,
                           requests: int = 400) -> None:
         p.add_argument("--requests", type=int, default=requests,
-                       help=f"requests to drive (default: {requests})")
-        p.add_argument("--threads", type=int, default=4,
-                       help="concurrent client threads (default: 4)")
+                       help=f"requests to replay (default: {requests})")
         p.add_argument("--failure-rate", type=float, default=0.0,
                        help="injected store failure probability (default: 0)")
         p.add_argument("--seed", type=int, default=0)
 
     p_trace = sub.add_parser(
-        "trace", help="request-scoped traces from a live serving workload")
+        "trace", help="request-scoped traces from a serving replay")
     add_workload_args(p_trace)
     p_trace.add_argument("--export", choices=("summary", "chrome"),
                          default="summary",
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "summary (default: 3)")
 
     p_slo = sub.add_parser(
-        "slo", help="evaluate SLOs over a timeline or a live workload")
+        "slo", help="evaluate SLOs over a timeline or a serving replay")
     add_workload_args(p_slo)
     p_slo.add_argument("--objective", action="append", default=None,
                        metavar="SPEC",
@@ -206,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL of recorded outcomes ({'ts': s, "
                             "'latency_ms': x, 'ok': bool} per line) "
                             "evaluated on a deterministic clock instead of "
-                            "driving a live workload")
+                            "a serving replay")
 
     p_profile = sub.add_parser(
-        "profile", help="sampling profiler over a serving workload")
+        "profile", help="sampling profiler over a serving replay")
     add_workload_args(p_profile, requests=2000)
     p_profile.add_argument("--interval-ms", type=float, default=5.0,
                           help="sampling interval (default: 5ms ≈ 200 Hz)")
@@ -220,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rows in the printed top-functions table")
 
     p_top = sub.add_parser(
-        "top", help="live serving dashboard (QPS, percentiles, SLO budget)")
+        "top", help="live dashboard over a serving replay (QPS, "
+                    "percentiles, SLO budget)")
     add_workload_args(p_top, requests=2000)
     p_top.add_argument("--frames", type=int, default=3,
                        help="dashboard frames to render (default: 3)")
@@ -505,10 +509,21 @@ def _cmd_report(args, out) -> int:
     return 0
 
 
-def _build_workload(args):
-    from repro.serve import ServingWorkload
+def _replay(args, **harness_kwargs):
+    """The ``loadtest`` stack and the first ``--requests`` arrivals of its
+    seeded ``steady`` trace: the workload of the observability commands."""
+    from repro.loadtest import (LoadTestHarness, ServingFaultSchedule,
+                                steady_trace)
 
-    return ServingWorkload(seed=args.seed, failure_rate=args.failure_rate)
+    harness = LoadTestHarness(
+        seed=args.seed,
+        schedule=ServingFaultSchedule(failure_rate=args.failure_rate),
+        **harness_kwargs)
+    duration = args.requests / 50.0 + 1.0  # twice the expected span
+    while len(events := steady_trace(duration=duration,
+                                     seed=args.seed)) < args.requests:
+        duration *= 2
+    return harness, events[:args.requests]
 
 
 def _cmd_trace(args, out) -> int:
@@ -517,9 +532,9 @@ def _cmd_trace(args, out) -> int:
     if args.export == "chrome" and not args.out:
         print("trace: --export chrome requires --out", file=sys.stderr)
         return 2
-    workload = _build_workload(args)
+    harness, events = _replay(args)
     with obs.session() as telemetry:
-        result = workload.run(requests=args.requests, threads=args.threads)
+        result = harness.run(events, name="trace")
     store = telemetry.traces
     if args.export == "chrome":
         exported = obs.dump_chrome(store.traces() + store.error_traces()
@@ -527,7 +542,8 @@ def _cmd_trace(args, out) -> int:
         print(f"trace: {exported} events from {store.finished} requests "
               f"written to {args.out}", file=out)
         return 0
-    print(f"trace: {result.requests} requests at {result.qps:,.0f} qps — "
+    print(f"trace: {result.requests} requests over "
+          f"{result.duration_seconds:.2f}s virtual — "
           f"{store.finished} traces finished, {len(store.traces())} kept, "
           f"{len(store.error_traces())} errors, "
           f"{len(store.slowest_traces())} slowest", file=out)
@@ -589,10 +605,10 @@ def _cmd_slo(args, out) -> int:
             clock.now = max(clock.now, ts)
             engine.record(latency, ok=ok, ts=ts)
     else:
-        engine = SLOEngine(objectives)
-        workload = _build_workload(args)
-        workload.run(requests=args.requests, threads=args.threads,
-                     slo_engine=engine)
+        harness, events = _replay(args, objectives=tuple(specs),
+                                  slo_window_seconds=args.window)
+        harness.run(events, name="slo")
+        engine = harness.engine
 
     statuses = engine.evaluate()
     print(engine.render(), file=out)
@@ -602,12 +618,12 @@ def _cmd_slo(args, out) -> int:
 def _cmd_profile(args, out) -> int:
     from repro.obs import SamplingProfiler
 
-    workload = _build_workload(args)
+    harness, events = _replay(args)
     profiler = SamplingProfiler(interval_seconds=args.interval_ms / 1e3)
     with profiler:
-        result = workload.run(requests=args.requests, threads=args.threads)
+        result = harness.run(events, name="profile")
     print(f"profile: {profiler.samples} samples over {result.requests} "
-          f"requests ({result.qps:,.0f} qps)", file=out)
+          f"requests", file=out)
     print(profiler.render_top(args.top), file=out)
     if args.out:
         lines = profiler.write_collapsed(args.out)
@@ -621,18 +637,15 @@ def _cmd_top(args, out) -> int:
     import time as _time
 
     from repro import obs
-    from repro.obs import Dashboard, SLOEngine, availability_slo, latency_slo
+    from repro.obs import Dashboard
 
-    workload = _build_workload(args)
-    engine = SLOEngine([latency_slo("serve-p99", threshold_ms=50.0),
-                        availability_slo("serve-avail", 99.0)])
+    harness, events = _replay(args)
     with obs.session() as telemetry:
-        dashboard = Dashboard(telemetry, slo_engine=engine)
-        runner = threading.Thread(
-            target=lambda: workload.run(requests=args.requests,
-                                        threads=args.threads,
-                                        slo_engine=engine),
-            name="workload")
+        # QPS and the SLO window both read the replay's virtual clock
+        dashboard = Dashboard(telemetry, slo_engine=harness.engine,
+                              clock=harness.clock)
+        runner = threading.Thread(target=harness.run, args=(events, "top"),
+                                  name="replay")
         runner.start()
         frame = 0
         while frame < args.frames:
@@ -642,7 +655,7 @@ def _cmd_top(args, out) -> int:
             print(dashboard.frame(), file=out)
             print(file=out)
             if not runner.is_alive() and frame < args.frames:
-                break  # workload drained; no point rendering idle frames
+                break  # replay drained; no point rendering idle frames
         runner.join()
     return 0
 
@@ -772,6 +785,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    if getattr(args, "requests", 1) < 1:
+        print(f"{args.command}: --requests must be at least 1, got "
+              f"{args.requests}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args, out)
 
 

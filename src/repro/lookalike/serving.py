@@ -342,51 +342,15 @@ class ServingProxy:
         """
         return self.lookup(user_id)[0]
 
-    def get_embeddings(self, user_ids,
-                       default: np.ndarray | None = None) -> np.ndarray:
-        """Batch lookup; missing users raise (serving requires coverage).
+    def get_embeddings_batch(self, user_ids,
+                             default: np.ndarray | None = None) -> np.ndarray:
+        """Batch lookup in one chain pass; missing users raise
+        :class:`KeyError` (serving requires coverage).
 
         ``default`` substitutes a row for unresolvable users instead of
         raising — the misses stay visible in the per-source metrics (and in
-        :meth:`get_embeddings_masked`'s mask).  Irrelevant in resilient mode,
-        where every lookup resolves.
-        """
-        rows = []
-        for uid in user_ids:
-            vec, __ = self.lookup(uid)
-            if vec is None:
-                if default is None:
-                    raise KeyError(f"no embedding available for user {uid!r}")
-                vec = np.asarray(default, dtype=np.float64)
-            rows.append(vec)
-        return np.stack(rows) if rows else np.empty((0, self.store.dim))
-
-    def get_embeddings_masked(self, user_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Batch lookup returning ``(matrix, resolved_mask)``.
-
-        Rows for users the chain could not genuinely resolve (legacy-mode
-        misses, resilient-mode default rows) are filled with the default
-        embedding and flagged ``False`` in the mask — downstream ranking can
-        then weight or drop them explicitly instead of crashing.
-        """
-        dim = self.store.dim
-        filler = self.resilience.default_for(dim) if self.resilience \
-            else np.zeros(dim)
-        rows, mask = [], []
-        for uid in user_ids:
-            vec, source = self.lookup(uid)
-            resolved = source not in ("miss", "default")
-            rows.append(vec if vec is not None else filler)
-            mask.append(resolved)
-        matrix = np.stack(rows) if rows else np.empty((0, dim))
-        return matrix, np.asarray(mask, dtype=bool)
-
-    def get_embeddings_batch(self, user_ids,
-                             default: np.ndarray | None = None) -> np.ndarray:
-        """Vectorised :meth:`get_embeddings`; same contract, one chain pass.
-
-        Missing users raise :class:`KeyError` unless ``default`` substitutes
-        a row; in resilient mode every lookup resolves and neither applies.
+        :meth:`get_embeddings_masked_batch`'s mask).  Irrelevant in resilient
+        mode, where every lookup resolves.
         """
         user_ids = list(user_ids)
         matrix, codes = self._resolve(user_ids, "serving.batch_lookup_seconds")
@@ -400,11 +364,11 @@ class ServingProxy:
 
     def get_embeddings_masked_batch(
             self, user_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`get_embeddings_masked`: ``(matrix, mask)``.
+        """Batch lookup returning ``(matrix, resolved_mask)``.
 
-        Mask semantics match the scalar path: ``False`` for rows the chain
-        could not genuinely resolve (legacy misses — zero-filled — and
-        resilient default rows).
+        ``False`` marks rows the chain could not genuinely resolve (legacy
+        misses — zero-filled — and resilient default rows), so downstream
+        ranking can weight or drop them explicitly instead of crashing.
         """
         matrix, codes = self._resolve(list(user_ids),
                                       "serving.batch_lookup_seconds")

@@ -14,13 +14,14 @@ fall out the three numbers an operator actually watches:
   exactly the sustainable rate; 14.4 is the classic page-now threshold).
 
 The engine's clock is injectable, so a scripted latency timeline drives a
-deterministic verdict in tests; ``python -m repro slo`` feeds it from a live
-serving workload or a recorded timeline file.
+deterministic verdict in tests; ``python -m repro slo`` feeds it from a
+seeded serving replay or a recorded timeline file.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -157,17 +158,16 @@ class SLOEngine:
         self._max_window = max(o.window_seconds for o in self.objectives)
         self._samples: deque[tuple[float, float, bool]] = deque()
         self.recorded = 0
+        # one thread may record while another renders (``repro top``)
+        self._lock = threading.Lock()
 
     def record(self, latency_seconds: float, ok: bool = True,
                ts: float | None = None) -> None:
         ts = self.clock() if ts is None else ts
-        self._samples.append((ts, float(latency_seconds), bool(ok)))
-        self.recorded += 1
-        self._prune(ts)
-
-    def record_many(self, latencies: Iterable[float], ok: bool = True) -> None:
-        for latency in latencies:
-            self.record(latency, ok=ok)
+        with self._lock:
+            self._samples.append((ts, float(latency_seconds), bool(ok)))
+            self.recorded += 1
+            self._prune(ts)
 
     def _prune(self, now: float) -> None:
         horizon = now - self._max_window
@@ -182,12 +182,12 @@ class SLOEngine:
 
     def evaluate(self, now: float | None = None) -> list[SLOStatus]:
         now = self.clock() if now is None else now
-        self._prune(now)
-        out = []
-        for objective in self.objectives:
-            samples = self.window(objective, now)
-            out.append(self._evaluate_one(objective, samples))
-        return out
+        with self._lock:
+            self._prune(now)
+            windows = [self.window(objective, now)
+                       for objective in self.objectives]
+        return [self._evaluate_one(objective, samples)
+                for objective, samples in zip(self.objectives, windows)]
 
     def _evaluate_one(self, objective: Objective,
                       samples: list[tuple[float, float, bool]]) -> SLOStatus:
@@ -219,10 +219,14 @@ class SLOEngine:
         rows = []
         for status in self.evaluate(now):
             objective = status.objective
-            observed = (f"{status.observed * 1e3:.2f}ms"
-                        if objective.kind == "latency"
-                        else (f"{status.observed * 100:.3f}%"
-                              if status.total else "-"))
+            # an empty window (or, for latency, one with no success) has
+            # nothing to observe
+            if not np.isfinite(status.observed):
+                observed = "-"
+            elif objective.kind == "latency":
+                observed = f"{status.observed * 1e3:.2f}ms"
+            else:
+                observed = f"{status.observed * 100:.3f}%"
             rows.append([objective.name, objective.describe(),
                          "PASS" if status.passed else "FAIL", status.total,
                          status.bad, observed,

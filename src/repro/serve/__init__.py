@@ -6,17 +6,16 @@ to run.  :class:`MicroBatcher` bridges the two — single-key requests are
 queued and flushed as one batch when the batch fills up or a deadline
 expires, so scalar callers transparently ride the vectorised path.
 
-:class:`ServingWorkload` assembles the whole stack (store → resilient proxy
-→ batcher) with concurrent client threads at example scale — the workload
-behind the observability CLI (``repro trace/slo/profile/top``).
+The whole stack (store → resilient proxy → batcher) is assembled on a
+virtual clock by :class:`repro.loadtest.LoadTestHarness`, which the
+``loadtest`` / ``chaos`` commands and the observability commands
+(``repro trace/slo/profile/top``) replay seeded traffic through.
 """
 
 from repro.serve.batcher import (AdmissionError, MicroBatcher, PendingResult,
                                  ShutdownError)
-from repro.serve.demo import ServingWorkload, WorkloadResult
 from repro.serve.overload import AdaptiveThrottle
 from repro.serve.sharded import ShardedServingTier
 
 __all__ = ["AdmissionError", "MicroBatcher", "PendingResult",
-           "ShutdownError", "AdaptiveThrottle", "ServingWorkload",
-           "WorkloadResult", "ShardedServingTier"]
+           "ShutdownError", "AdaptiveThrottle", "ShardedServingTier"]

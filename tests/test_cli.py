@@ -147,10 +147,10 @@ class TestBenchmark:
 
 class TestObservabilityCommands:
     def test_trace_summary(self):
-        code, text = run_cli("trace", "--requests", "60", "--threads", "2",
-                             "--seed", "3")
+        code, text = run_cli("trace", "--requests", "60", "--seed", "3")
         assert code == 0
-        assert "traces finished" in text
+        assert text.startswith("trace: 60 requests over ")
+        assert "60 traces finished" in text
         assert "[slowest]" in text
         assert "serve.request" in text
 
@@ -160,7 +160,7 @@ class TestObservabilityCommands:
         from repro.obs import validate_chrome
 
         out_path = tmp_path / "trace.json"
-        code, text = run_cli("trace", "--requests", "60", "--threads", "2",
+        code, text = run_cli("trace", "--requests", "60",
                              "--export", "chrome", "--out", str(out_path))
         assert code == 0 and "written to" in text
         doc = json.loads(out_path.read_text())
@@ -173,11 +173,27 @@ class TestObservabilityCommands:
         assert "requires --out" in capsys.readouterr().err
 
     def test_slo_live_passes_with_loose_objectives(self):
-        code, text = run_cli("slo", "--requests", "60", "--threads", "2",
+        code, text = run_cli("slo", "--requests", "60",
                              "--objective", "availability >= 50%",
                              "--objective", "p99 latency <= 10s")
         assert code == 0
         assert "SLO verdicts" in text and "PASS" in text
+
+    def test_slo_replay_is_deterministic(self):
+        argv = ("slo", "--requests", "200", "--failure-rate", "0.2",
+                "--seed", "3")
+        first, second = run_cli(*argv), run_cli(*argv)
+        assert first == second
+        assert " 200 " in first[1]   # every request lands in the window
+
+    @pytest.mark.parametrize("command", ["trace", "slo", "profile", "top"])
+    @pytest.mark.parametrize("requests", ["0", "-5"])
+    def test_requests_below_one_exits_two(self, command, requests, capsys):
+        code, text = run_cli(command, "--requests", requests)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: --requests must be at least 1")
+        assert len(err.strip().splitlines()) == 1
 
     def test_slo_timeline_fail_exits_one(self, tmp_path):
         import json
@@ -203,7 +219,7 @@ class TestObservabilityCommands:
 
     def test_profile_writes_collapsed_stacks(self, tmp_path):
         out_path = tmp_path / "prof.collapsed"
-        code, text = run_cli("profile", "--requests", "300", "--threads", "2",
+        code, text = run_cli("profile", "--requests", "300",
                              "--interval-ms", "1", "--out", str(out_path))
         assert code == 0
         assert "samples over" in text and "self %" in text
@@ -212,7 +228,7 @@ class TestObservabilityCommands:
             assert stack and int(count) > 0
 
     def test_top_renders_frames(self):
-        code, text = run_cli("top", "--requests", "300", "--threads", "2",
+        code, text = run_cli("top", "--requests", "300",
                              "--frames", "2", "--interval", "0.05")
         assert code == 0
         assert "--- frame 1/2 ---" in text

@@ -62,7 +62,7 @@ class TestLookalikePipeline:
         store = EmbeddingStore(dim=16)
         store.put_many(range(dataset.n_users), embeddings)
         proxy = ServingProxy(store, cache_capacity=64)
-        served = proxy.get_embeddings(list(range(10)))
+        served = proxy.get_embeddings_batch(list(range(10)))
         np.testing.assert_allclose(served, embeddings[:10])
 
         system = LookalikeSystem(embeddings)

@@ -131,13 +131,13 @@ class TestServingProxy:
         proxy = ServingProxy(EmbeddingStore(dim=2))
         assert proxy.get_embedding("nope") is None
         with pytest.raises(KeyError):
-            proxy.get_embeddings(["nope"])
+            proxy.get_embeddings_batch(["nope"])
 
     def test_batch_lookup(self):
         store = EmbeddingStore(dim=2)
         store.put_many(["a", "b"], np.arange(4).reshape(2, 2))
         proxy = ServingProxy(store)
-        out = proxy.get_embeddings(["a", "b"])
+        out = proxy.get_embeddings_batch(["a", "b"])
         assert out.shape == (2, 2)
 
 

@@ -108,12 +108,25 @@ class TestScriptedTimeline:
         assert not status.passed
 
     def test_empty_window_passes_with_full_budget(self):
-        engine, clock = make_engine(availability_slo("avail", 99.9))
-        status = engine.evaluate()[0]
-        assert status.passed and status.total == 0
-        assert status.budget_remaining == 1.0
-        assert status.burn_rate == 0.0
-        assert np.isnan(status.observed)
+        engine, clock = make_engine(availability_slo("avail", 99.9),
+                                    latency_slo("lat", threshold_ms=50.0))
+        for status in engine.evaluate():
+            assert status.passed and status.total == 0
+            assert status.budget_remaining == 1.0
+            assert status.burn_rate == 0.0
+            assert np.isnan(status.observed)
+        # nothing observed renders as "-" in both rows, never "nanms"
+        rows = {line.split()[0]: line.split()
+                for line in engine.render().splitlines()[3:]}
+        assert rows["avail"][-3] == "-"
+        assert rows["lat"][-3] == "-"
+
+    def test_all_failed_latency_window_renders_dash(self):
+        engine, clock = make_engine(latency_slo("lat", threshold_ms=50.0))
+        engine.record(0.01, ok=False)
+        assert engine.evaluate()[0].observed == float("inf")
+        row = engine.render().splitlines()[3].split()
+        assert row[0] == "lat" and row[-3] == "-"
 
     def test_multiple_objectives_share_one_sample_stream(self):
         engine, clock = make_engine(

@@ -169,7 +169,7 @@ class TestServingDegradation:
         proxy = ServingProxy(store, cache_capacity=4)
         assert proxy.get_embedding("ghost") is None
         with pytest.raises(KeyError):
-            proxy.get_embeddings(["ghost"])
+            proxy.get_embeddings_batch(["ghost"])
 
     def test_twenty_percent_failure_never_returns_none(self):
         store, ids = _filled_store()
@@ -233,7 +233,8 @@ class TestServingDegradation:
     def test_get_embeddings_default_row_instead_of_raise(self):
         store, ids = _filled_store(n=2)
         proxy = ServingProxy(store)
-        out = proxy.get_embeddings(ids + ["ghost"], default=np.zeros(4))
+        out = proxy.get_embeddings_batch(ids + ["ghost"],
+                                         default=np.zeros(4))
         assert out.shape == (3, 4)
         np.testing.assert_array_equal(out[2], np.zeros(4))
         assert proxy.source_counts["miss"] == 1
@@ -241,7 +242,7 @@ class TestServingDegradation:
     def test_masked_lookup_flags_unresolved(self):
         store, ids = _filled_store(n=2)
         proxy = ServingProxy(store)
-        matrix, mask = proxy.get_embeddings_masked(ids + ["ghost"])
+        matrix, mask = proxy.get_embeddings_masked_batch(ids + ["ghost"])
         assert matrix.shape == (3, 4)
         assert mask.tolist() == [True, True, False]
         np.testing.assert_array_equal(matrix[2], np.zeros(4))
@@ -249,6 +250,6 @@ class TestServingDegradation:
     def test_masked_lookup_resilient_defaults_unresolved(self):
         store, ids = _filled_store(n=2)
         proxy = ServingProxy(store, resilience=_resilience())
-        matrix, mask = proxy.get_embeddings_masked(ids + ["ghost"])
+        matrix, mask = proxy.get_embeddings_masked_batch(ids + ["ghost"])
         assert mask.tolist() == [True, True, False]
         assert matrix[2] is not None and matrix.shape == (3, 4)
