@@ -532,36 +532,3 @@ def _case_dropout_layer(seed: int):
         return _weighted_sum(layer(x), w)
 
     return fn, [x]
-
-
-@register_case("layers.Sequential")
-def _case_sequential(seed: int):
-    from repro.nn.layers import Linear, Sequential
-
-    rng = new_rng(seed)
-    seq = Sequential(Linear(3, 4, rng=rng), Linear(4, 2, rng=rng))
-    x = _tensor(rng, (3, 3), name="x")
-    w = rng.uniform(0.5, 1.5, size=(3, 2))
-    return (lambda: _weighted_sum(seq(x), w)), [x] + list(seq.parameters())
-
-
-@register_case("layers.Embedding")
-def _case_embedding(seed: int):
-    from repro.nn.layers import Embedding
-
-    rng = new_rng(seed)
-    emb = Embedding(6, 3, sparse=True, std=0.5, rng=rng)
-    index = np.array([0, 5, 5, 2])
-    w = rng.uniform(0.5, 1.5, size=(4, 3))
-    return (lambda: _weighted_sum(emb(index), w)), [emb.weight]
-
-
-@register_case("layers.LayerNorm", rtol=1e-4, atol=1e-6)
-def _case_layernorm(seed: int):
-    from repro.nn.layers import LayerNorm
-
-    rng = new_rng(seed)
-    norm = LayerNorm(4)
-    x = _tensor(rng, (3, 4), name="x")
-    w = rng.uniform(0.5, 1.5, size=(3, 4))
-    return (lambda: _weighted_sum(norm(x), w)), [x, norm.gain, norm.bias]

@@ -476,41 +476,6 @@ def _oracle_sharded_trainer(rng: np.random.Generator) -> Pairs:
     return pairs
 
 
-@register_oracle("distributed.sharded_serving_vs_store",
-                 description="sharded embedding service (real shard-server "
-                             "processes, zero-IPC reads) vs the in-process "
-                             "EmbeddingStore (bit-exact lookups)")
-def _oracle_sharded_serving(rng: np.random.Generator) -> Pairs:
-    from repro.distributed.sharded import ShardedEmbeddingService
-    from repro.lookalike.store import EmbeddingStore
-
-    dim, n = 16, 60
-    keys = [f"user_{i}" for i in rng.permutation(200)[:n]]
-    matrix = rng.standard_normal((n, dim))
-    probes = keys[::3] + ["missing_a", "missing_b"] + keys[1::7]
-
-    ref = EmbeddingStore(dim=dim)
-    ref.put_many(keys, matrix)
-    ref_batch, ref_mask = ref.get_batch(probes)
-
-    with ShardedEmbeddingService(dim=dim, n_shards=3,
-                                 capacity_per_shard=n) as svc:
-        svc.put_many(keys, matrix)
-        svc_batch, svc_mask = svc.get_batch(probes)
-        svc_keys, svc_matrix = svc.as_matrix()
-        ref_keys, ref_matrix = ref.as_matrix()
-        pairs = {
-            "batch": (ref_batch, svc_batch),
-            "found_mask": (ref_mask, svc_mask),
-            "rows_for": (ref.rows_for(probes), svc.rows_for(probes)),
-            "matrix": (ref_matrix, svc_matrix),
-            "key_order": (np.asarray([k == r for k, r in
-                                      zip(ref_keys, svc_keys)]),
-                          np.ones(len(ref_keys), dtype=bool)),
-        }
-    return pairs
-
-
 @register_oracle("lookalike.quant.dequant_bound",
                  description="int8/PQ quantize→dequantize round trips: codes "
                              "and codebooks bit-identical across same-seed "

@@ -3,9 +3,9 @@
 For every field the model's :class:`~repro.hashing.DynamicHashTable` maps
 raw feature ids to dense rows ``0..n-1``.  The sharded parameter server
 places row ``r`` (whose feature id is ``id_r``) on shard
-``shard_for(id_r) % n_shards`` — routing by *key hash*, exactly like the
-serving tier, so a feature's home is a pure function of its id and the
-shard count, never of insertion order or process identity.
+``splitmix64(id_r) % n_shards`` (:func:`~repro.hashing.stable.shard_of_ids`)
+— routing by *key hash*, so a feature's home is a pure function of its id
+and the shard count, never of insertion order or process identity.
 
 Within its shard a row gets a dense *slot* (rows enumerated in global row
 order), so each shard's parameter state is one contiguous ``(n_slots, dim)``

@@ -12,11 +12,9 @@ Cleanup is where naive ``shared_memory`` use leaks:
   slab in a pid-guarded atexit hook, so segments are unlinked exactly once
   even if the driver dies before its explicit teardown — and *never* by a
   forked child that inherited the registry (the hook no-ops off-pid);
-* **attachers never track**: :func:`attach` opens an existing segment by
-  name and immediately detaches it from the ``resource_tracker`` (via the
-  3.13+ ``track=False`` parameter or the documented ``unregister`` fallback),
-  so a worker exiting — cleanly or via SIGKILL — neither unlinks a live
-  segment nor triggers the "leaked shared_memory objects" warning;
+* workers never open a segment by name: they inherit the driver's mappings
+  through ``fork``, so a worker exiting — cleanly or via SIGKILL — neither
+  unlinks a live segment nor registers one with the ``resource_tracker``;
 * :func:`active_segments` scans ``/dev/shm`` for this module's name prefix,
   which is what the test-suite leak check diffs before/after each test.
 """
@@ -31,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Slab", "create", "attach", "active_segments", "SHM_PREFIX"]
+__all__ = ["Slab", "create", "active_segments", "SHM_PREFIX"]
 
 #: Every segment this repo creates carries this name prefix, so leak scans
 #: never confuse our slabs with segments owned by other software.
@@ -46,38 +44,32 @@ _OWNER_PID = os.getpid()
 
 
 class Slab:
-    """One shared-memory segment viewed as a numpy array.
-
-    ``owner=True`` means this process created the segment and is responsible
-    for unlinking it; attachers only ever close their local mapping.
-    """
+    """One shared-memory segment, owned by the process that created it,
+    viewed as a numpy array."""
 
     def __init__(self, shm: shared_memory.SharedMemory, shape: tuple,
-                 dtype: np.dtype, owner: bool) -> None:
+                 dtype: np.dtype) -> None:
         self._shm = shm
         self.name = shm.name
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        self.owner = owner
         self.array = np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf)
 
     def close(self) -> None:
-        """Drop the local mapping; the owner also unlinks the segment."""
+        """Drop the local mapping and unlink the segment."""
         self.array = None
         try:
             self._shm.close()
         except (OSError, ValueError):  # pragma: no cover - already gone
             pass
-        if self.owner:
-            _OWNED.pop(self.name, None)
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
+        _OWNED.pop(self.name, None)
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - double unlink
+            pass
 
     def __repr__(self) -> str:
-        return (f"Slab({self.name!r}, shape={self.shape}, "
-                f"dtype={self.dtype}, owner={self.owner})")
+        return f"Slab({self.name!r}, shape={self.shape}, dtype={self.dtype})"
 
 
 def create(shape: tuple, dtype=np.float64) -> Slab:
@@ -86,37 +78,10 @@ def create(shape: tuple, dtype=np.float64) -> Slab:
     nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)
     name = SHM_PREFIX + secrets.token_hex(8)
     shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-    slab = Slab(shm, shape, dtype, owner=True)
+    slab = Slab(shm, shape, dtype)
     slab.array.fill(0)
     _OWNED[slab.name] = slab
     return slab
-
-
-def attach(name: str, shape: tuple, dtype=np.float64) -> Slab:
-    """Open an existing slab by name without resource-tracker registration.
-
-    On Python < 3.13 (no ``track=False``) registration is *suppressed*, not
-    undone: forked attachers share the creator's tracker process, so a
-    register-then-unregister pair from a child would delete the **creator's**
-    entry and turn the owner's eventual unlink into a tracker error.
-    """
-    try:
-        shm = shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shm(rname, rtype):  # pragma: no cover - py<3.13 only
-            if rtype != "shared_memory":
-                original(rname, rtype)
-
-        resource_tracker.register = _skip_shm
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        finally:
-            resource_tracker.register = original
-    return Slab(shm, shape, np.dtype(dtype), owner=False)
 
 
 def active_segments() -> set[str]:

@@ -10,16 +10,14 @@ grow as new ids arrive (§IV-C1).  Both are provided here:
   scale in the paper's Table V footnote); hashes ids into a fixed number of
   buckets and therefore collides.
 
-:mod:`repro.hashing.stable` adds the process-stable hashes the sharded
-parameter server routes keys with (Python's own ``hash`` is randomised per
-process for strings, so it cannot place a key on the same shard twice).
+:mod:`repro.hashing.stable` adds the process-stable splitmix64 hash the
+sharded parameter server places feature rows with, so every process routes a
+feature id to the same shard.
 """
 
 from repro.hashing.dynamic_table import DynamicHashTable
 from repro.hashing.feature_hashing import FeatureHasher
-from repro.hashing.stable import (assign_shards, rebalance_moves, shard_for,
-                                  shard_of_ids, stable_hash, stable_hash_ids)
+from repro.hashing.stable import shard_of_ids, stable_hash_ids
 
-__all__ = ["DynamicHashTable", "FeatureHasher", "stable_hash",
-           "stable_hash_ids", "shard_for", "shard_of_ids", "assign_shards",
-           "rebalance_moves"]
+__all__ = ["DynamicHashTable", "FeatureHasher", "stable_hash_ids",
+           "shard_of_ids"]

@@ -1,34 +1,21 @@
-"""Process-stable key hashing and shard routing.
+"""Process-stable feature-id hashing and shard routing.
 
-The sharded parameter server (:mod:`repro.distributed.sharded`) and the
-sharded serving tier route every key with ``shard_for(key) = hash(key) %
-n_shards``.  That hash must be identical in every process of the cluster, so
-Python's built-in ``hash`` is off the table: string hashing is randomised per
-process by ``PYTHONHASHSEED``, and a worker would route the same key to a
-different shard than its driver.
-
-Two stable hashes cover the key types the repo uses:
-
-* integers (raw feature ids) — *splitmix64*, a well-mixed 64-bit finaliser
-  that vectorises over whole ``int64`` arrays (the hot path: routing every
-  row of an embedding table in one shot);
-* strings / bytes (user ids) — the first 8 bytes of ``blake2b``, which is in
-  the standard library and keyed by nothing.
-
-Both are pure functions of the key bytes: restarting a process, changing
-``PYTHONHASHSEED``, or moving to another machine never re-routes a key.
+The sharded parameter server (:mod:`repro.distributed.sharded`) places every
+embedding row with ``shard_of_ids(ids, n_shards) = hash(id) % n_shards``.
+That hash must be identical in every process of the cluster and on every
+run, so it is *splitmix64*: a well-mixed 64-bit finaliser that vectorises
+over whole ``int64`` arrays (routing every row of an embedding table in one
+shot).  It is a pure function of the id's bits: restarting a process,
+changing ``PYTHONHASHSEED``, or moving to another machine never re-routes a
+feature.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-__all__ = ["stable_hash", "stable_hash_ids", "shard_for", "shard_of_ids",
-           "assign_shards", "rebalance_moves"]
+__all__ = ["stable_hash_ids", "shard_of_ids"]
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -51,55 +38,9 @@ def stable_hash_ids(ids: np.ndarray) -> np.ndarray:
         return _splitmix64(ids.astype(np.int64).view(np.uint64))
 
 
-def stable_hash(key) -> int:
-    """Process-stable 64-bit hash of one key (int, str or bytes)."""
-    if isinstance(key, (bool, np.bool_)):
-        raise TypeError("booleans are ambiguous shard keys; use int/str")
-    if isinstance(key, (int, np.integer)):
-        return int(stable_hash_ids(np.asarray([key], dtype=np.int64))[0])
-    if isinstance(key, str):
-        key = key.encode("utf-8")
-    if isinstance(key, (bytes, bytearray)):
-        digest = hashlib.blake2b(bytes(key), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-    raise TypeError(f"unhashable shard key type: {type(key).__name__}")
-
-
-def shard_for(key, n_shards: int) -> int:
-    """The shard owning ``key`` in an ``n_shards``-way deployment."""
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive: {n_shards}")
-    return stable_hash(key) % n_shards
-
-
 def shard_of_ids(ids: np.ndarray, n_shards: int) -> np.ndarray:
-    """Vectorised :func:`shard_for` over an integer id array."""
+    """The shard owning each id of an integer array in an ``n_shards``-way
+    deployment."""
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive: {n_shards}")
     return (stable_hash_ids(ids) % np.uint64(n_shards)).astype(np.int64)
-
-
-def assign_shards(keys, n_shards: int) -> dict[int, list]:
-    """Partition ``keys`` into per-shard lists (insertion order preserved).
-
-    Every key lands in exactly one bucket; the buckets form a disjoint cover
-    of the input — the property the hypothesis suite pins.
-    """
-    buckets: dict[int, list] = {s: [] for s in range(n_shards)}
-    for key in keys:
-        buckets[shard_for(key, n_shards)].append(key)
-    return buckets
-
-
-def rebalance_moves(keys, old_n: int, new_n: int) -> tuple[list, list]:
-    """Plan a reshard from ``old_n`` to ``new_n`` shards.
-
-    Returns ``(stay, move)``: keys whose shard is unchanged and keys that
-    must migrate.  Together they are exactly the input keys — rebalancing
-    never loses or duplicates a row.
-    """
-    stay, move = [], []
-    for key in keys:
-        (stay if shard_for(key, old_n) == shard_for(key, new_n)
-         else move).append(key)
-    return stay, move

@@ -6,8 +6,7 @@ gradient path the paper's efficiency tricks require.
 """
 
 from repro.nn import functional
-from repro.nn.layers import (MLP, Dropout, Embedding, LayerNorm, Linear,
-                             Module, Sequential)
+from repro.nn.layers import MLP, Dropout, Linear, Module
 from repro.nn.losses import gaussian_kl, gaussian_kl_to, mse, multinomial_nll
 from repro.nn.optim import Adam
 from repro.nn.tensor import (Parameter, Tensor, as_tensor, coalesce_rows,
@@ -19,7 +18,7 @@ __all__ = [
     "Tensor", "Parameter", "as_tensor", "no_grad", "is_grad_enabled",
     "inference_mode", "is_inference",
     "coalesce_rows", "stable_sigmoid",
-    "Module", "Linear", "MLP", "Dropout", "Sequential", "Embedding", "LayerNorm",
+    "Module", "Linear", "MLP", "Dropout",
     "Adam",
     "multinomial_nll", "gaussian_kl", "gaussian_kl_to", "mse",
 ]

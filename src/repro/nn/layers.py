@@ -16,8 +16,7 @@ from repro.nn import init
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import new_rng
 
-__all__ = ["Module", "Linear", "MLP", "Dropout", "Sequential", "Embedding",
-           "LayerNorm"]
+__all__ = ["Module", "Linear", "MLP", "Dropout"]
 
 _ACTIVATIONS = {
     "relu": F.relu,
@@ -180,28 +179,6 @@ class Dropout(Module):
         return f"Dropout(p={self.p})"
 
 
-class Sequential(Module):
-    """Run child modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: list[Module] = []
-        for i, module in enumerate(modules):
-            self.register_module(f"layer{i}", module)
-            self._order.append(module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._order:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> Module:
-        return self._order[i]
-
-
 class MLP(Module):
     """Multilayer perceptron with a configurable activation.
 
@@ -239,53 +216,3 @@ class MLP(Module):
 
     def __repr__(self) -> str:
         return f"MLP(dims={self.dims}, activation='{self.activation}')"
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension with learned affine.
-
-    Used by deeper encoder variants (RecVAE's original architecture stacks
-    dense blocks with layer norm); provided as a substrate building block.
-    """
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if dim <= 0:
-            raise ValueError(f"dim must be positive: {dim}")
-        self.dim = dim
-        self.eps = eps
-        self.gain = Parameter(np.ones(dim), name="gain")
-        self.bias = Parameter(np.zeros(dim), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.gain + self.bias
-
-    def __repr__(self) -> str:
-        return f"LayerNorm({self.dim})"
-
-
-class Embedding(Module):
-    """Dense lookup table with optional row-sparse gradients.
-
-    Used directly for Item2Vec/Job2Vec; the FVAE encoder uses the grow-able
-    :class:`repro.core.encoder.HashedEmbeddingBag` built on the same machinery.
-    """
-
-    def __init__(self, num_embeddings: int, dim: int, sparse: bool = True,
-                 std: float = 0.01, rng: np.random.Generator | int | None = None) -> None:
-        super().__init__()
-        rng = new_rng(rng)
-        self.num_embeddings = num_embeddings
-        self.dim = dim
-        self.weight = Parameter(init.normal((num_embeddings, dim), rng, std=std),
-                                name="weight", sparse=sparse)
-
-    def forward(self, index: np.ndarray) -> Tensor:
-        return F.rows(self.weight, index)
-
-    def __repr__(self) -> str:
-        return f"Embedding({self.num_embeddings}, {self.dim})"

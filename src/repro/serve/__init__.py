@@ -15,7 +15,6 @@ virtual clock by :class:`repro.loadtest.LoadTestHarness`, which the
 from repro.serve.batcher import (AdmissionError, MicroBatcher, PendingResult,
                                  ShutdownError)
 from repro.serve.overload import AdaptiveThrottle
-from repro.serve.sharded import ShardedServingTier
 
 __all__ = ["AdmissionError", "MicroBatcher", "PendingResult",
-           "ShutdownError", "AdaptiveThrottle", "ShardedServingTier"]
+           "ShutdownError", "AdaptiveThrottle"]

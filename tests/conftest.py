@@ -90,18 +90,15 @@ def _no_leaked_telemetry():
 
 @pytest.fixture()
 def shard_cluster():
-    """Factory for multiprocess shard fixtures with zero-leak teardown.
+    """Zero-leak teardown check for multiprocess sharded-trainer tests.
 
-    Yields a ``register`` callable: pass it anything with a ``close()``
-    (a :class:`ShardedEmbeddingService`, a :class:`ShardedServingTier`) and
-    it is closed at teardown even if the test fails mid-way.  After closing,
-    the fixture *asserts* the multiprocess hygiene every sharded test must
-    uphold:
+    After the test, the fixture *asserts* the multiprocess hygiene every
+    sharded test must uphold:
 
     * no orphan child processes (``multiprocessing.active_children``);
     * no leaked ``/dev/shm`` segments carrying this repo's prefix.
 
-    A hard deadline guards the teardown joins — a hung worker fails the
+    A hard deadline guards the teardown wait — a hung worker fails the
     test instead of hanging the suite (pytest-timeout is not available).
     """
     import multiprocessing as _mp
@@ -111,12 +108,9 @@ def shard_cluster():
 
     segments_before = _shm.active_segments()
     children_before = {p.pid for p in _mp.active_children()}
-    managed: list = []
 
-    yield managed.append
+    yield
 
-    for resource in reversed(managed):
-        resource.close()
     deadline = _time.monotonic() + 30.0
     while _time.monotonic() < deadline:
         leftover = [p for p in _mp.active_children()

@@ -16,9 +16,8 @@ from repro.check.reference import csr_from_dense
 from repro.core import FVAE, FVAEConfig
 from repro.core.trainer import Trainer
 from repro.obs.callbacks import TrainerCallback
-from repro.nn import (MLP, Dropout, Embedding, LayerNorm, Linear, Parameter,
-                      Sequential, Tensor, functional as F, gaussian_kl,
-                      gaussian_kl_to, mse, multinomial_nll)
+from repro.nn import (MLP, Linear, Parameter, Tensor, functional as F,
+                      gaussian_kl, gaussian_kl_to, mse, multinomial_nll)
 
 DTYPES = [np.float32, np.float64]
 
@@ -116,24 +115,6 @@ def _case_mlp(rng, dtype):
     return mlp(x).sum(), [x] + list(mlp.parameters())
 
 
-def _case_sequential(rng, dtype):
-    seq = Sequential(Linear(4, 4), Dropout(0.3, rng=3),
-                     Linear(4, 2)).astype(dtype)
-    x = _t(rng, (3, 4), dtype)
-    return seq(x).sum(), [x] + list(seq.parameters())
-
-
-def _case_layer_norm(rng, dtype):
-    ln = LayerNorm(6).astype(dtype)
-    x = _t(rng, (4, 6), dtype)
-    return ln(x).sum(), [x] + list(ln.parameters())
-
-
-def _case_embedding(rng, dtype):
-    emb = Embedding(10, 4).astype(dtype)
-    return emb(np.array([0, 3, 3, 7])).sum(), list(emb.parameters())
-
-
 def _case_mse(rng, dtype):
     pred = _t(rng, (4, 3), dtype)
     target = rng.normal(size=(4, 3)).astype(dtype)
@@ -176,9 +157,6 @@ CASES = {
     "stack_rows": _case_stack_rows,
     "Linear": _case_linear,
     "MLP": _case_mlp,
-    "Sequential": _case_sequential,
-    "LayerNorm": _case_layer_norm,
-    "Embedding": _case_embedding,
     "mse": _case_mse,
     "multinomial_nll": _case_multinomial_nll,
     "gaussian_kl": _case_gaussian_kl,

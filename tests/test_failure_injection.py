@@ -7,8 +7,6 @@ import pytest
 
 from repro.core import FVAE, FVAEConfig, Trainer
 from repro.data import CSRMatrix, FieldSchema, FieldSpec, MultiFieldDataset
-from repro.nn import LayerNorm, Parameter, Tensor
-from tests.test_nn_tensor import check_gradients
 
 
 def dataset_with(rows_by_field, schema):
@@ -104,30 +102,3 @@ class TestServingEdgeCases:
         assert np.isfinite(history.final_loss)
 
 
-class TestLayerNorm:
-    def test_normalises_last_axis(self):
-        layer = LayerNorm(8)
-        x = Tensor(np.random.default_rng(0).normal(5.0, 3.0, size=(4, 8)))
-        out = layer(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(1)
-        layer = LayerNorm(5)
-        x = Parameter(rng.normal(size=(3, 5)))
-        weights = rng.normal(size=(3, 5))
-
-        def loss():
-            return (Tensor(weights) * layer(x)).sum()
-
-        check_gradients(loss, [x, layer.gain, layer.bias], tol=1e-4)
-
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            LayerNorm(0)
-
-    def test_affine_parameters_registered(self):
-        layer = LayerNorm(4)
-        names = dict(layer.named_parameters())
-        assert set(names) == {"gain", "bias"}
