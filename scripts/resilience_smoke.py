@@ -66,9 +66,9 @@ def main(argv=None) -> int:
     from repro.cli import main as cli_main
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
+    from repro.loadtest import ChaosStore, ServingFaultSchedule
     from repro.lookalike import EmbeddingStore, ServingProxy, ServingResilience
-    from repro.resilience import (CheckpointError, Checkpointer,
-                                  FlakyEmbeddingStore)
+    from repro.resilience import CheckpointError, Checkpointer
 
     failures: list[str] = []
 
@@ -142,9 +142,9 @@ def main(argv=None) -> int:
     user_ids = [f"u{i}" for i in range(200)]
     store.put_many(user_ids,
                    np.random.default_rng(0).normal(size=(len(user_ids), 8)))
-    flaky = FlakyEmbeddingStore(store, failure_rate=0.2, rng=7)
+    chaos = ChaosStore(store, ServingFaultSchedule(failure_rate=0.2), rng=7)
     with obs.session() as telemetry:
-        proxy = ServingProxy(flaky, cache_capacity=32,
+        proxy = ServingProxy(chaos, cache_capacity=32,
                              resilience=ServingResilience.from_store_prior(
                                  store))
         served = [proxy.get_embedding(uid) for uid in user_ids * 3]
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
               "a lookup returned a malformed embedding")
     telemetry.dump_jsonl(out, run_id="resilience-smoke")
 
-    check(flaky.injected_failures > 0, "fault injection injected nothing")
+    check(chaos.injected_failures > 0, "fault injection injected nothing")
     total_lookups = sum(proxy.source_counts.values())
     check(total_lookups == len(served),
           f"per-source lookup counts sum to {total_lookups} != "
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print(f"resilience smoke OK: resume loss {res_loss:.6f} == reference, "
-          f"{flaky.injected_failures} store failures absorbed "
+          f"{chaos.injected_failures} store failures absorbed "
           f"(sources: {dict(proxy.source_counts)}), telemetry at {out}")
     return 0
 

@@ -16,8 +16,8 @@ checkable artifacts, so future optimisations cannot silently drift:
   (bit-exact or tolerance-bounded);
 * :mod:`repro.check.invariants` — cheap runtime assertions (finite params,
   KL ≥ 0, ELBO decomposition, hash-table bijection, optimizer moment shapes)
-  installable into ``Trainer.fit`` via the callback protocol, with a no-op
-  fast path mirroring :mod:`repro.obs.runtime`;
+  run inside ``Trainer.fit`` by a callback; the golden mini-runs train under
+  it and fail on any violation;
 * :mod:`repro.check.golden` — committed golden-run digests (loss curves,
   param norms, retrieval metrics, dataset statistics) with an explicit
   tolerance policy and a regeneration flow.
@@ -34,7 +34,7 @@ from repro.check.golden import (DATASET_GOLDEN, RUN_GOLDEN, check_golden,
                                 compare_dataset_digests, compare_run_digest,
                                 dataset_digests, default_golden_dir,
                                 load_golden, run_digest, update_golden)
-from repro.check.invariants import (InvariantCallback, InvariantRuntime,
+from repro.check.invariants import (InvariantCallback, InvariantError,
                                     InvariantViolation, elbo_consistent,
                                     finite_grads, finite_params, kl_nonneg,
                                     moment_shapes, table_bijection)
@@ -47,7 +47,7 @@ __all__ = [
     "run_gradchecks",
     "OracleReport", "register_oracle", "oracle_names", "run_oracle",
     "run_oracles",
-    "InvariantCallback", "InvariantRuntime", "InvariantViolation",
+    "InvariantCallback", "InvariantError", "InvariantViolation",
     "finite_params", "finite_grads", "kl_nonneg", "elbo_consistent",
     "table_bijection", "moment_shapes",
     "RUN_GOLDEN", "DATASET_GOLDEN", "default_golden_dir", "run_digest",

@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.check.invariants import InvariantCallback, InvariantError
+
 __all__ = ["RUN_GOLDEN", "DATASET_GOLDEN", "RUN_RTOL", "RUN_ATOL",
            "DATASET_ATOL", "default_golden_dir", "run_digest",
            "dataset_digests", "compare_run_digest", "compare_dataset_digests",
@@ -63,7 +65,12 @@ def default_golden_dir() -> Path:
 # -- digest construction -------------------------------------------------------
 
 def run_digest(quick: bool = True, seed: int = 0) -> dict:
-    """Train a seeded FVAE mini-run and digest everything that must not drift."""
+    """Train a seeded FVAE mini-run and digest everything that must not drift.
+
+    The run trains under :class:`~repro.check.invariants.InvariantCallback`
+    and raises :class:`~repro.check.invariants.InvariantError` on any
+    violation, so no digest is taken from a run that broke an invariant.
+    """
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
     from repro.tasks.tag_prediction import evaluate_tag_prediction
@@ -76,9 +83,13 @@ def run_digest(quick: bool = True, seed: int = 0) -> dict:
                         decoder_hidden=[32], sampling_rate=0.5,
                         anneal_steps=20, embedding_capacity=64, seed=seed)
     model = FVAE(train.schema, config)
+    invariants = InvariantCallback()
     # The committed digests pin float64 bits; the training default is float32.
     model.fit(train, epochs=preset["epochs"],
-              batch_size=preset["batch_size"], rng=seed, precision="float64")
+              batch_size=preset["batch_size"], rng=seed, precision="float64",
+              callbacks=[invariants])
+    if invariants.violations:
+        raise InvariantError(invariants.violations)
 
     result = evaluate_tag_prediction(model, test, rng=seed)
     history = model.history
@@ -282,16 +293,20 @@ def check_golden(quick: bool = True, directory: str | Path | None = None,
 
     ``quick`` uses the small run preset and only the fastest dataset preset;
     the full mode recomputes everything.  Returns problem strings (empty =
-    all digests match within policy).
+    all digests match within policy); a mini-run that broke an invariant
+    reports its violations instead of a diff.
     """
     golden_run = load_golden(RUN_GOLDEN, directory)
     policy = golden_run.get("policy", {})
     rtol = float(policy.get("rtol", RUN_RTOL))
     atol = float(policy.get("atol", RUN_ATOL))
     mode = "quick" if quick else "full"
-    problems = compare_run_digest(golden_run[mode],
-                                  run_digest(quick=quick, seed=seed),
-                                  rtol=rtol, atol=atol)
+    try:
+        problems = compare_run_digest(golden_run[mode],
+                                      run_digest(quick=quick, seed=seed),
+                                      rtol=rtol, atol=atol)
+    except InvariantError as err:
+        problems = [f"run: invariant {v}" for v in err.violations]
 
     golden_ds = load_golden(DATASET_GOLDEN, directory)
     ds_atol = float(golden_ds.get("policy", {}).get("atol", DATASET_ATOL))

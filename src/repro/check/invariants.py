@@ -1,28 +1,21 @@
 """Cheap runtime invariant checks for training loops.
 
-Two layers, mirroring how :mod:`repro.obs.runtime` keeps default-on
-instrumentation free:
-
-* **Standalone verifiers** (:func:`finite_params`, :func:`finite_grads`,
-  :func:`kl_nonneg`, :func:`elbo_consistent`, :func:`table_bijection`,
-  :func:`moment_shapes`) — pure functions returning a list of
-  :class:`InvariantViolation`; usable from tests, notebooks, or ``python -m
-  repro check``.
-* **A process-wide runtime** (:func:`install` / :func:`uninstall` /
-  :func:`session`) plus the :func:`assert_finite` hot-path helper — a single
-  global load and ``None`` check when nothing is installed, so sprinkling
-  assertions through production code costs effectively nothing.
-
-:class:`InvariantCallback` packages the verifiers as a
+The verifiers (:func:`finite_params`, :func:`finite_grads`,
+:func:`kl_nonneg`, :func:`elbo_consistent`, :func:`table_bijection`,
+:func:`moment_shapes`) are pure functions returning a list of
+:class:`InvariantViolation`.  :class:`InvariantCallback` packages them as a
 :class:`~repro.obs.callbacks.TrainerCallback` for ``Trainer.fit``: per-batch
-checks run every ``check_every`` steps, structural checks at epoch
-boundaries.  Every violation increments the ``invariant.violations`` obs
-counter (labelled by check name); ``strict=True`` escalates to an exception.
+checks after every step, structural checks at epoch boundaries.  Every
+violation increments the ``invariant.violations`` obs counter (labelled by
+check name).
+
+``python -m repro check`` runs them as a gate: the golden mini-runs
+(:func:`repro.check.golden.run_digest`) train under the callback and raise
+:class:`InvariantError` on any violation.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +23,9 @@ import numpy as np
 from repro.obs import runtime as obs
 from repro.obs.callbacks import TrainerCallback
 
-__all__ = ["InvariantViolation", "InvariantError", "InvariantRuntime",
-           "install", "uninstall", "current", "enabled", "session",
-           "assert_finite", "finite_params", "finite_grads", "kl_nonneg",
-           "elbo_consistent", "table_bijection", "moment_shapes",
-           "check_model", "InvariantCallback"]
+__all__ = ["InvariantViolation", "InvariantError", "finite_params",
+           "finite_grads", "kl_nonneg", "elbo_consistent", "table_bijection",
+           "moment_shapes", "InvariantCallback"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,7 @@ class InvariantViolation:
 
 
 class InvariantError(AssertionError):
-    """Raised in strict mode; carries the triggering violations."""
+    """A run broke its invariants; carries the violations."""
 
     def __init__(self, violations: list[InvariantViolation]) -> None:
         self.violations = list(violations)
@@ -174,129 +165,30 @@ def moment_shapes(optimizer) -> list[InvariantViolation]:
     return out
 
 
-def check_model(model, optimizer=None, diagnostics: dict | None = None,
-                ) -> list[InvariantViolation]:
-    """Run every applicable verifier once; convenience for tests and the CLI."""
-    out = finite_params(model) + finite_grads(model) + table_bijection(model)
-    if optimizer is not None:
-        out.extend(moment_shapes(optimizer))
-    if diagnostics is not None:
-        out.extend(kl_nonneg(diagnostics))
-        out.extend(elbo_consistent(diagnostics, model.dtype))
-    return out
-
-
-# -- process-wide runtime (no-op fast path, mirroring repro.obs.runtime) -------
-
-class InvariantRuntime:
-    """One checking session: accumulates violations, optionally raising."""
-
-    def __init__(self, strict: bool = False) -> None:
-        self.strict = strict
-        self.violations: list[InvariantViolation] = []
-
-    def record(self, violations: list[InvariantViolation]) -> None:
-        if not violations:
-            return
-        self.violations.extend(violations)
-        for v in violations:
-            obs.count("invariant.violations", check=v.check)
-        if self.strict:
-            raise InvariantError(violations)
-
-
-_RUNTIME: InvariantRuntime | None = None
-
-
-def install(runtime: InvariantRuntime | None = None, strict: bool = False,
-            ) -> InvariantRuntime:
-    """Make ``runtime`` (or a fresh one) the process-wide violation sink."""
-    global _RUNTIME
-    _RUNTIME = runtime if runtime is not None else InvariantRuntime(strict=strict)
-    return _RUNTIME
-
-
-def uninstall() -> InvariantRuntime | None:
-    """Remove the installed runtime (returning it); helpers become no-ops."""
-    global _RUNTIME
-    runtime, _RUNTIME = _RUNTIME, None
-    return runtime
-
-
-def current() -> InvariantRuntime | None:
-    return _RUNTIME
-
-
-def enabled() -> bool:
-    return _RUNTIME is not None
-
-
-@contextmanager
-def session(runtime: InvariantRuntime | None = None, strict: bool = False):
-    """Install a runtime for the block, restoring the previous one after."""
-    global _RUNTIME
-    previous = _RUNTIME
-    runtime = install(runtime, strict=strict)
-    try:
-        yield runtime
-    finally:
-        _RUNTIME = previous
-
-
-def assert_finite(subject: str, array: np.ndarray) -> None:
-    """Hot-path helper: record non-finite values when a runtime is installed.
-
-    One global load + ``None`` check when uninstalled — safe to leave in
-    production code paths, like the :mod:`repro.obs` helpers.
-    """
-    runtime = _RUNTIME
-    if runtime is None:
-        return
-    runtime.record(_finite_violations("assert_finite", subject,
-                                      np.asarray(array)))
-
-
 # -- trainer integration -------------------------------------------------------
 
 class InvariantCallback(TrainerCallback):
     """Run invariant checks inside ``Trainer.fit``.
 
-    Per-batch checks (finite grads, KL ≥ 0, ELBO decomposition) run every
-    ``check_every`` optimizer steps; structural checks (finite params, table
+    Per-batch checks (finite grads, KL ≥ 0, ELBO decomposition) run after
+    every optimizer step; structural checks (finite params, table
     bijection, optimizer moment shapes) run at epoch boundaries, where a
     full parameter sweep is amortised over the whole epoch.
 
-    Violations accumulate on ``self.violations``, feed the installed
-    :class:`InvariantRuntime` (if any), and increment the
-    ``invariant.violations`` obs counter per occurrence.  ``strict=True``
-    raises :class:`InvariantError` at the offending hook instead of carrying
-    on.
+    Violations accumulate on ``self.violations`` and increment the
+    ``invariant.violations`` obs counter per occurrence.
     """
 
-    def __init__(self, check_every: int = 1, strict: bool = False) -> None:
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1: {check_every}")
-        self.check_every = check_every
-        self.strict = strict
+    def __init__(self) -> None:
         self.violations: list[InvariantViolation] = []
 
     def _record(self, violations: list[InvariantViolation]) -> None:
-        if not violations:
-            return
         self.violations.extend(violations)
-        runtime = _RUNTIME
-        if runtime is not None:
-            runtime.record(violations)
-        else:
-            for v in violations:
-                obs.count("invariant.violations", check=v.check)
-        if self.strict:
-            raise InvariantError(violations)
+        for v in violations:
+            obs.count("invariant.violations", check=v.check)
 
     def on_batch_end(self, trainer, epoch: int, step: int, loss: float,
                      diagnostics: dict) -> None:
-        if step % self.check_every:
-            return
         found = finite_grads(trainer.model)
         found += kl_nonneg(diagnostics)
         found += elbo_consistent(diagnostics, trainer.model.dtype)

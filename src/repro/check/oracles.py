@@ -363,9 +363,9 @@ def _oracle_bulk_lookup(rng: np.random.Generator) -> Pairs:
                              "vectors, masks and per-source counts in legacy, "
                              "resilient and store-outage modes (distinct keys)")
 def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
+    from repro.loadtest.chaos import ChaosStore
     from repro.lookalike import EmbeddingStore, ServingProxy
     from repro.lookalike.serving import ServingResilience
-    from repro.resilience.faults import FlakyEmbeddingStore
 
     dim, n = 6, 12
     keys = [f"u{i}" for i in range(n)]
@@ -376,7 +376,7 @@ def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
         store = EmbeddingStore(dim=dim)
         store.put_many(keys, matrix)
         if mode == "outage":
-            store = FlakyEmbeddingStore(store, failure_rate=0.0, rng=0)
+            store = ChaosStore(store)
 
         def infer(uid):
             return fresh_vec.copy() if str(uid).startswith("fresh") else None
@@ -395,7 +395,7 @@ def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
                 # and both proxies lose their caches, so every stored key
                 # must come back from the stale snapshot.
                 for proxy in (scalar, batch):
-                    proxy.store.failure_rate = 1.0
+                    proxy.store.schedule.failure_rate = 1.0
                     proxy.cache = type(proxy.cache)(2 * n, name="serving")
             # the per-key reference: one scalar lookup per id, legacy
             # misses zero-filled, misses and defaults unmasked

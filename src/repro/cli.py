@@ -723,15 +723,26 @@ def _loadtest_harness_kwargs(args) -> dict:
     )
 
 
+def _rejected_flag(args, err: ValueError) -> int:
+    """A flag value the trace, schedule or stack rejects is a usage error
+    (exit 2), not a failed gate (exit 1)."""
+    print(f"{args.command}: {err}", file=sys.stderr)
+    return 2
+
+
 def _cmd_loadtest(args, out) -> int:
     from repro.loadtest import ServingFaultSchedule, run_loadtest
 
-    schedule = (ServingFaultSchedule(failure_rate=args.failure_rate)
-                if args.failure_rate else None)
-    result = run_loadtest(scenario=args.scenario, duration=args.duration,
-                          rate=args.rate, seed=args.seed, n_users=args.users,
-                          schedule=schedule, shed_rate_limit=args.shed_limit,
-                          **_loadtest_harness_kwargs(args))
+    try:
+        schedule = (ServingFaultSchedule(failure_rate=args.failure_rate)
+                    if args.failure_rate else None)
+        result = run_loadtest(scenario=args.scenario, duration=args.duration,
+                              rate=args.rate, seed=args.seed,
+                              n_users=args.users, schedule=schedule,
+                              shed_rate_limit=args.shed_limit,
+                              **_loadtest_harness_kwargs(args))
+    except ValueError as err:
+        return _rejected_flag(args, err)
     print(result.render(), file=out)
     return 0 if result.passed else 1
 
@@ -747,7 +758,10 @@ def _cmd_chaos(args, out) -> int:
                   seed=args.seed, n_users=args.users,
                   shed_rate_limit=args.shed_limit,
                   **_loadtest_harness_kwargs(args))
-    result = run_chaos(**kwargs)
+    try:
+        result = run_chaos(**kwargs)
+    except ValueError as err:
+        return _rejected_flag(args, err)
     print(result.render(), file=out)
     # the property every verdict above leans on: same seed, same run
     replay = run_chaos(**kwargs)

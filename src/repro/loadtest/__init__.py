@@ -8,7 +8,8 @@ Three layers, all deterministic given a seed:
 * :mod:`repro.loadtest.chaos` — serving-side fault schedules (outage
   windows, latency spikes, slow-store stragglers, corrupted rows) applied
   by a :class:`ChaosStore` that bills virtual service time on a shared
-  ``ManualClock``;
+  ``ManualClock`` — also the one seeded store-fault wrapper the serving
+  tests use;
 * :mod:`repro.loadtest.driver` — the single-threaded virtual-time replay
   driving ``MicroBatcher → ServingProxy → store`` and scoring the run
   against the SLO engine, including the CI chaos gate
@@ -23,7 +24,8 @@ from repro.loadtest.arrivals import (ColdStartKeys, Request, SCENARIOS,
                                      make_trace, onoff_times,
                                      piecewise_poisson_times, poisson_times,
                                      steady_trace)
-from repro.loadtest.chaos import (CHAOS_KINDS, CORRUPT, LATENCY_SPIKE, OUTAGE,
+from repro.loadtest.chaos import (BASE_READ_SECONDS, CHAOS_KINDS, CORRUPT,
+                                  LATENCY_SPIKE, OUTAGE, PER_KEY_READ_SECONDS,
                                   SLOW_STORE, ChaosStore, ChaosWindow,
                                   ServingFaultSchedule)
 from repro.loadtest.driver import (LoadTestHarness, LoadTestResult,
@@ -34,7 +36,8 @@ __all__ = [
     "poisson_times", "piecewise_poisson_times", "onoff_times", "make_trace",
     "steady_trace", "bursty_trace", "hot_key_trace", "cold_start_trace",
     "CHAOS_KINDS", "OUTAGE", "LATENCY_SPIKE", "SLOW_STORE", "CORRUPT",
-    "ChaosWindow", "ServingFaultSchedule", "ChaosStore",
+    "BASE_READ_SECONDS", "PER_KEY_READ_SECONDS", "ChaosWindow",
+    "ServingFaultSchedule", "ChaosStore",
     "LoadTestHarness", "LoadTestResult", "chaos_schedule", "run_loadtest",
     "run_chaos",
 ]

@@ -63,6 +63,10 @@ def piecewise_poisson_times(segments: Sequence[tuple[float, float, float]],
     rng = new_rng(rng)
     times: list[float] = []
     for start, end, rate in segments:
+        if not np.isfinite([start, end, rate]).all():
+            # a NaN or infinite bound never ends the gap loop below
+            raise ValueError(f"segment must be finite: ({start}, {end}, "
+                             f"{rate})")
         if end < start:
             raise ValueError(f"segment ends before it starts: {start}..{end}")
         if rate < 0:
@@ -87,6 +91,9 @@ def onoff_times(on_rate: float, off_rate: float, period: float, duty: float,
         raise ValueError(f"duty must be in [0, 1]: {duty}")
     if period <= 0:
         raise ValueError(f"period must be positive: {period}")
+    if not np.isfinite([period, duration]).all():
+        raise ValueError(f"period and duration must be finite: {period}, "
+                         f"{duration}")
     segments = []
     t = 0.0
     while t < duration:

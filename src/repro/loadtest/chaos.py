@@ -14,7 +14,10 @@ the base cost plus per-key cost, scaled by any active slow-store window and
 stretched by any active latency spike.  Because the same clock drives the
 request deadlines, retry backoff, breaker cooldowns, and the SLO engine,
 a chaos replay is completely deterministic given the seed — no threads, no
-wall clock, no flaky asserts.
+wall clock, no flaky asserts.  It is also the repo's one store-fault
+injector: tests and ``scripts/resilience_smoke.py`` wrap a store in it with
+background rates only, or force one-shot faults with
+:meth:`ChaosStore.fail_next` / :meth:`ChaosStore.corrupt_next`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import numpy as np
 from repro.obs import runtime as obs
 from repro.resilience.faults import StoreUnavailableError
 from repro.utils.rng import new_rng
+from repro.utils.timer import ManualClock
 
 __all__ = ["OUTAGE", "LATENCY_SPIKE", "SLOW_STORE", "CORRUPT", "CHAOS_KINDS",
-           "ChaosWindow", "ServingFaultSchedule", "ChaosStore"]
+           "BASE_READ_SECONDS", "PER_KEY_READ_SECONDS", "ChaosWindow",
+           "ServingFaultSchedule", "ChaosStore"]
 
 #: Every store read inside the window raises :class:`StoreUnavailableError`.
 OUTAGE = "outage"
@@ -41,6 +46,10 @@ SLOW_STORE = "slow_store"
 CORRUPT = "corrupt"
 
 CHAOS_KINDS = (OUTAGE, LATENCY_SPIKE, SLOW_STORE, CORRUPT)
+
+#: Modelled service time of one store read: a fixed cost plus one per key.
+BASE_READ_SECONDS = 5e-4
+PER_KEY_READ_SECONDS = 2e-5
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,9 @@ class ChaosWindow:
         if self.kind not in CHAOS_KINDS:
             raise ValueError(
                 f"unknown chaos kind {self.kind!r}; expected one of {CHAOS_KINDS}")
+        if not np.isfinite([self.start, self.end, self.magnitude]).all():
+            raise ValueError(f"window bounds and magnitude must be finite: "
+                             f"{self.start}..{self.end} x{self.magnitude}")
         if self.end < self.start:
             raise ValueError(f"window ends before it starts: "
                              f"{self.start}..{self.end}")
@@ -136,25 +148,31 @@ class ChaosStore:
 
     Duck-types :class:`~repro.lookalike.store.EmbeddingStore` reads/writes.
     Every read first checks the schedule at the *current* virtual time, then
-    advances the shared clock by the modelled service cost::
+    advances the clock by the modelled service cost::
 
-        (base_seconds + per_key_seconds * n_keys) * slowdown(t) + extra_latency(t)
+        (BASE_READ_SECONDS + PER_KEY_READ_SECONDS * n_keys) * slowdown(t)
+            + extra_latency(t)
 
     and only then rolls background failure / corruption.  Outage windows
     fail fast (no service time billed) — the retries and breaker above
     see an immediately-unavailable dependency, exactly like a refused
     connection.
+
+    :meth:`fail_next` and :meth:`corrupt_next` force one-shot faults on the
+    next reads for deterministic tests; a forced fault draws nothing from
+    the RNG, so the seeded faults after it are unchanged.  Without a
+    ``clock`` the store bills a private :class:`ManualClock` nobody reads.
     """
 
-    def __init__(self, store, schedule: ServingFaultSchedule, clock,
-                 base_seconds: float = 5e-4, per_key_seconds: float = 2e-5,
-                 rng: np.random.Generator | int | None = 0) -> None:
+    def __init__(self, store, schedule: ServingFaultSchedule | None = None,
+                 clock=None, rng: np.random.Generator | int | None = 0,
+                 ) -> None:
         self.store = store
-        self.schedule = schedule
-        self.clock = clock
-        self.base_seconds = base_seconds
-        self.per_key_seconds = per_key_seconds
+        self.schedule = schedule or ServingFaultSchedule()
+        self.clock = clock if clock is not None else ManualClock()
         self._rng = new_rng(rng)
+        self._forced_failures = 0
+        self._forced_corruptions = 0
         self.reads = 0
         self.injected_failures = 0
         self.injected_corruptions = 0  # corrupted rows handed out
@@ -186,6 +204,14 @@ class ChaosStore:
 
     # -- chaos-modelled reads --------------------------------------------------
 
+    def fail_next(self, n: int = 1) -> None:
+        """Force the next ``n`` reads to fail (no RNG draw)."""
+        self._forced_failures += n
+
+    def corrupt_next(self, n: int = 1) -> None:
+        """Force the next ``n`` reads to NaN every row they find."""
+        self._forced_corruptions += n
+
     def _enter_read(self, n_keys: int) -> float:
         """Apply the schedule for one read; returns the fault time ``t``."""
         self.reads += 1
@@ -195,23 +221,28 @@ class ChaosStore:
             obs.count("chaos.outage_rejections")
             raise StoreUnavailableError(
                 f"store outage window active at t={t:.3f}s")
-        cost = ((self.base_seconds + self.per_key_seconds * n_keys)
+        cost = ((BASE_READ_SECONDS + PER_KEY_READ_SECONDS * n_keys)
                 * self.schedule.slowdown(t) + self.schedule.extra_latency(t))
         self.clock.advance(cost)
-        if self.schedule.failure_rate and \
-                self._rng.random() < self.schedule.failure_rate:
-            self.injected_failures += 1
-            obs.count("chaos.injected_failures")
-            raise StoreUnavailableError(
-                f"injected store failure at t={t:.3f}s")
-        return t
+        rate = self.schedule.failure_rate
+        if self._forced_failures > 0:
+            self._forced_failures -= 1
+        elif not (rate and self._rng.random() < rate):
+            return t
+        self.injected_failures += 1
+        obs.count("chaos.injected_failures")
+        raise StoreUnavailableError(f"injected store failure at t={t:.3f}s")
 
     def _corrupt_rows(self, matrix: np.ndarray, found: np.ndarray,
                       t: float) -> np.ndarray:
-        rate = self.schedule.corruption_at(t)
-        if rate <= 0.0 or not found.any():
-            return matrix
-        mask = found & (self._rng.random(len(matrix)) < rate)
+        if self._forced_corruptions > 0:
+            self._forced_corruptions -= 1
+            mask = found
+        else:
+            rate = self.schedule.corruption_at(t)
+            if rate <= 0.0 or not found.any():
+                return matrix
+            mask = found & (self._rng.random(len(matrix)) < rate)
         if mask.any():
             matrix = matrix.copy()
             matrix[mask] = np.nan
@@ -220,17 +251,12 @@ class ChaosStore:
         return matrix
 
     def get(self, user_id: Hashable):
-        t = self._enter_read(1)
-        vec = self.store.get(user_id)
-        if vec is not None:
-            rate = self.schedule.corruption_at(t)
-            if rate > 0.0 and self._rng.random() < rate:
-                vec = np.full_like(np.atleast_1d(vec), np.nan)
-                self.injected_corruptions += 1
-                obs.count("chaos.injected_corruptions")
-        return vec
+        matrix, found = self.get_batch([user_id])
+        return matrix[0] if found[0] else None
 
     def get_batch(self, ids: Sequence[Hashable]):
+        """One schedule check and one failure roll for the whole batch — a
+        batch read is one RPC."""
         t = self._enter_read(len(ids))
         matrix, found = self.store.get_batch(ids)
         return self._corrupt_rows(matrix, found, t), found

@@ -165,9 +165,7 @@ class LoadTestHarness:
                  max_batch: int = 32, max_delay_seconds: float = 0.005,
                  max_queue: int = 256, policy: str = "reject",
                  throttle: AdaptiveThrottle | None | str = "auto",
-                 cache_capacity: int = 256,
-                 base_read_seconds: float = 5e-4,
-                 per_key_read_seconds: float = 2e-5) -> None:
+                 cache_capacity: int = 256) -> None:
         self.clock = ManualClock()
         self.seed = seed
         self.deadline_budget_seconds = deadline_budget_seconds
@@ -177,8 +175,6 @@ class LoadTestHarness:
         store = EmbeddingStore(dim)
         store.put_many(range(n_users), rng.normal(size=(n_users, dim)))
         self.store = ChaosStore(store, self.schedule, clock=self.clock,
-                                base_seconds=base_read_seconds,
-                                per_key_seconds=per_key_read_seconds,
                                 rng=rng.integers(1 << 31))
 
         # short, clock-driven backoffs: three attempts fit inside the

@@ -10,7 +10,7 @@ the repo's fault story:
   :meth:`repro.core.trainer.Trainer.fit`);
 * :mod:`repro.resilience.faults` — seeded worker-crash schedules that
   :class:`~repro.distributed.sharded.ShardedTrainer` carries out as real
-  process kills, and a flaky store wrapper for the serving path;
+  process kills, and the error a failed store read raises;
 * :mod:`repro.resilience.guards` — retry-with-backoff, deadline budgets, and
   a circuit breaker for serving-path store lookups.
 
@@ -23,7 +23,6 @@ from repro.resilience.checkpoint import (Checkpoint, CheckpointError,
                                          Checkpointer, model_state_arrays,
                                          restore_model_state)
 from repro.resilience.faults import (FaultEvent, FaultSchedule,
-                                     FlakyEmbeddingStore,
                                      StoreUnavailableError)
 from repro.resilience.guards import (CircuitBreaker, CircuitOpenError,
                                      Deadline, DeadlineExceeded, RetryPolicy,
@@ -33,7 +32,7 @@ __all__ = [
     "Checkpoint", "CheckpointError", "Checkpointer",
     "model_state_arrays", "restore_model_state",
     "FaultEvent", "FaultSchedule",
-    "FlakyEmbeddingStore", "StoreUnavailableError",
+    "StoreUnavailableError",
     "CircuitBreaker", "CircuitOpenError", "Deadline", "DeadlineExceeded",
     "RetryPolicy", "current_deadline", "deadline_scope",
 ]

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.loadtest import (CORRUPT, LATENCY_SPIKE, OUTAGE, SLOW_STORE,
-                            ChaosStore, ChaosWindow, ColdStartKeys,
-                            LoadTestHarness, Request, SCENARIOS,
-                            ServingFaultSchedule, ZipfKeys, bursty_trace,
-                            chaos_schedule, onoff_times,
-                            piecewise_poisson_times, poisson_times, run_chaos,
-                            run_loadtest, steady_trace)
+from repro.loadtest import (BASE_READ_SECONDS, CORRUPT, LATENCY_SPIKE, OUTAGE,
+                            PER_KEY_READ_SECONDS, SLOW_STORE, ChaosStore,
+                            ChaosWindow, ColdStartKeys, LoadTestHarness,
+                            Request, SCENARIOS, ServingFaultSchedule,
+                            ZipfKeys, bursty_trace, chaos_schedule,
+                            onoff_times, piecewise_poisson_times,
+                            poisson_times, run_chaos, run_loadtest,
+                            steady_trace)
 from repro.lookalike import EmbeddingStore
 from repro.resilience.faults import StoreUnavailableError
 from repro.utils import ManualClock as FakeClock
@@ -42,6 +43,23 @@ class TestArrivals:
             piecewise_poisson_times([(2.0, 1.0, 10.0)])
         with pytest.raises(ValueError):
             piecewise_poisson_times([(0.0, 1.0, -5.0)])
+
+    @pytest.mark.parametrize("segment", [
+        (0.0, float("nan"), 10.0), (0.0, float("inf"), 10.0),
+        (float("nan"), 1.0, 10.0), (float("-inf"), 1.0, 10.0),
+        (0.0, 1.0, float("nan")), (0.0, 1.0, float("inf"))])
+    def test_non_finite_segment_rejected(self, segment):
+        # a NaN or infinite end never stops the gap loop: it must not start
+        with pytest.raises(ValueError, match="finite"):
+            piecewise_poisson_times([segment])
+
+    @pytest.mark.parametrize("period, duration", [
+        (2.0, float("inf")), (2.0, float("nan")), (float("inf"), 8.0),
+        (float("nan"), 8.0)])
+    def test_onoff_non_finite_rejected(self, period, duration):
+        with pytest.raises(ValueError, match="finite"):
+            onoff_times(on_rate=400.0, off_rate=10.0, period=period,
+                        duty=0.5, duration=duration, rng=0)
 
     def test_onoff_alternates_rates(self):
         times = onoff_times(on_rate=400.0, off_rate=10.0, period=2.0,
@@ -80,6 +98,15 @@ class TestChaosSchedule:
         with pytest.raises(ValueError):
             ChaosWindow(OUTAGE, 2.0, 1.0)
 
+    @pytest.mark.parametrize("start, end, magnitude", [
+        (1.0, float("nan"), 1.0), (float("nan"), 1.0, 1.0),
+        (0.0, float("inf"), 1.0), (0.0, 1.0, float("nan")),
+        (0.0, 1.0, float("inf"))])
+    def test_non_finite_window_rejected(self, start, end, magnitude):
+        # a NaN outage would never be active: the gate would pass unharmed
+        with pytest.raises(ValueError, match="finite"):
+            ChaosWindow(OUTAGE, start, end, magnitude)
+
     def test_modifiers_compose(self):
         schedule = ServingFaultSchedule(
             windows=[ChaosWindow(SLOW_STORE, 0.0, 10.0, magnitude=2.0),
@@ -98,6 +125,12 @@ class TestChaosSchedule:
         with pytest.raises(ValueError):
             ServingFaultSchedule(failure_rate=1.5)
 
+    def test_rates_outside_unit_interval_rejected(self):
+        for name in ("failure_rate", "corruption_rate"):
+            for rate in (-0.1, 2.0):
+                with pytest.raises(ValueError, match=name):
+                    ServingFaultSchedule(**{name: rate})
+
     def test_acceptance_schedule_has_the_gate_ingredients(self):
         schedule = chaos_schedule(duration=30.0)
         assert schedule.failure_rate == pytest.approx(0.2)
@@ -112,15 +145,14 @@ class TestChaosStore:
     def _store(self, schedule, clock, **kwargs):
         inner = EmbeddingStore(dim=4)
         inner.put_many(range(8), np.random.default_rng(0).normal(size=(8, 4)))
-        return inner, ChaosStore(inner, schedule, clock=clock,
-                                 base_seconds=0.001,
-                                 per_key_seconds=0.0001, **kwargs)
+        return inner, ChaosStore(inner, schedule, clock=clock, **kwargs)
 
     def test_bills_virtual_service_time(self):
         clock = FakeClock()
         __, chaos = self._store(ServingFaultSchedule(), clock)
         chaos.get_batch(list(range(8)))
-        assert clock() == pytest.approx(0.001 + 8 * 0.0001)
+        assert clock() == pytest.approx(BASE_READ_SECONDS
+                                        + 8 * PER_KEY_READ_SECONDS)
 
     def test_slow_window_multiplies_and_spike_adds(self):
         clock = FakeClock()
@@ -129,7 +161,8 @@ class TestChaosStore:
                      ChaosWindow(LATENCY_SPIKE, 0.0, 10.0, magnitude=0.05)])
         __, chaos = self._store(schedule, clock)
         chaos.get(0)
-        assert clock() == pytest.approx((0.001 + 0.0001) * 4.0 + 0.05)
+        assert clock() == pytest.approx(
+            (BASE_READ_SECONDS + PER_KEY_READ_SECONDS) * 4.0 + 0.05)
 
     def test_outage_window_fails_fast(self):
         clock = FakeClock()
@@ -179,6 +212,78 @@ class TestChaosStore:
         inner, chaos = self._store(ServingFaultSchedule(), clock)
         chaos.put(100, np.ones(4))
         assert 100 in inner and clock() == 0.0  # writes bill nothing
+        assert chaos.dim == 4 and len(chaos) == 9
+
+    def test_writes_pass_a_store_whose_reads_all_fail(self):
+        inner = EmbeddingStore(dim=2)
+        inner.put("u", np.ones(2))
+        chaos = ChaosStore(inner, ServingFaultSchedule(failure_rate=1.0))
+        with pytest.raises(StoreUnavailableError):
+            chaos.get("u")
+        chaos.put("v", np.zeros(2))        # faults hit reads, never writes
+        assert "v" in inner and len(chaos) == 2
+        assert chaos.dim == 2
+
+    def test_failure_pattern_follows_the_seed(self):
+        def run(seed):
+            inner = EmbeddingStore(dim=2)
+            inner.put("u", np.ones(2))
+            chaos = ChaosStore(inner, ServingFaultSchedule(failure_rate=0.5),
+                               rng=seed)
+            outcomes = []
+            for __ in range(20):
+                try:
+                    chaos.get("u")
+                    outcomes.append(True)
+                except StoreUnavailableError:
+                    outcomes.append(False)
+            return outcomes
+
+        assert run(9) == run(9)
+        assert False in run(9) and True in run(9)
+        assert run(9) != run(10)
+
+    def test_fail_next_forces_failures(self):
+        inner = EmbeddingStore(dim=2)
+        inner.put("u", np.ones(2))
+        chaos = ChaosStore(inner)          # no schedule, private clock
+        chaos.fail_next(2)
+        with pytest.raises(StoreUnavailableError):
+            chaos.get("u")
+        with pytest.raises(StoreUnavailableError):
+            chaos.get_batch(["u"])
+        np.testing.assert_array_equal(chaos.get("u"), np.ones(2))
+        assert chaos.injected_failures == 2
+
+    def test_corrupt_next_poisons_every_found_row_of_one_read(self):
+        __, chaos = self._store(ServingFaultSchedule(), FakeClock())
+        chaos.corrupt_next()
+        matrix, found = chaos.get_batch([0, 1, 999])
+        assert np.isnan(matrix[found]).all()
+        assert np.isfinite(matrix[~found]).all()
+        assert chaos.injected_corruptions == 2
+        assert np.isfinite(chaos.get_batch([0, 1])[0]).all()  # one read only
+
+    def test_forced_failures_draw_nothing_from_the_rng(self):
+        def outcomes(forced: int):
+            __, chaos = self._store(
+                ServingFaultSchedule(failure_rate=0.3, corruption_rate=0.2),
+                FakeClock(), rng=5)
+            chaos.fail_next(forced)
+            for __ in range(forced):
+                with pytest.raises(StoreUnavailableError):
+                    chaos.get_batch([0])
+            run = []
+            for i in range(40):
+                try:
+                    run.append(bool(np.isnan(chaos.get(i % 8)).any()))
+                except StoreUnavailableError:
+                    run.append(None)
+            return run
+
+        seeded = outcomes(0)
+        assert outcomes(3) == seeded
+        assert None in seeded and True in seeded and False in seeded
 
 
 class TestReplayDriver:
@@ -311,6 +416,20 @@ class TestLoadtestCLI:
                      "--no-throttle"], out=out)
         assert code == 1
         assert "chaos gate: FAIL" in out.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--failure-rate", "2"],
+        ["chaos", "--outage-seconds", "-3"],
+        ["chaos", "--outage-seconds", "nan"],
+        ["chaos", "--duration", "-5"],
+        ["loadtest", "--failure-rate", "2"],
+        ["loadtest", "--duration", "-5"],
+        ["loadtest", "--rate", "-1"]])
+    def test_rejected_flag_is_a_usage_error(self, argv, capsys):
+        # exit 1 means "the gate failed"; a bad flag value is exit 2
+        assert main(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
 
     def test_unmeetable_slo_fails_the_gate(self):
         result = run_loadtest("steady", duration=2.0, rate=50.0, n_users=32,

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.loadtest import ChaosStore, ServingFaultSchedule
 from repro.lookalike import ServingProxy, ServingResilience
 from repro.lookalike.store import EmbeddingStore
-from repro.resilience import CircuitBreaker, FlakyEmbeddingStore, RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.serve import MicroBatcher
 from repro.utils import ManualClock
 
@@ -28,7 +29,7 @@ def make_stack(n_users=16, failure_rate=0.0, resilient=True):
     store = EmbeddingStore(dim=DIM)
     store.put_many(list(range(n_users)),
                    np.random.default_rng(0).normal(size=(n_users, DIM)))
-    flaky = FlakyEmbeddingStore(store, failure_rate=failure_rate, rng=0)
+    chaos = ChaosStore(store, ServingFaultSchedule(failure_rate=failure_rate))
     resilience = None
     if resilient:
         clock = ManualClock()
@@ -39,17 +40,17 @@ def make_stack(n_users=16, failure_rate=0.0, resilient=True):
                                         OSError)),
             breaker=CircuitBreaker(failure_threshold=2, reset_seconds=60.0,
                                    clock=clock, name="serving-store"))
-    proxy = ServingProxy(flaky, resilience=resilience)
+    proxy = ServingProxy(chaos, resilience=resilience)
     # a far deadline so only explicit flush() decides batch boundaries —
     # the concurrency tests need the whole batch in ONE flush
     batcher = MicroBatcher(proxy.get_embeddings_batch, max_batch=64,
                            max_delay_seconds=10.0)
-    return store, flaky, proxy, batcher
+    return store, chaos, proxy, batcher
 
 
 class TestTracedServingPath:
     def test_concurrent_submits_build_correctly_parented_traces(self):
-        __, flaky, __p, batcher = make_stack()
+        __, chaos, __p, batcher = make_stack()
         with obs.session() as telemetry:
             barrier = threading.Barrier(4)
             handles: list = [None] * 4
@@ -95,9 +96,9 @@ class TestTracedServingPath:
             assert len(flush_ids) == 1
 
     def test_retry_and_breaker_events_in_degraded_trace(self):
-        __, flaky, proxy, batcher = make_stack(failure_rate=0.0)
+        __, chaos, proxy, batcher = make_stack(failure_rate=0.0)
         with obs.session() as telemetry:
-            flaky.fail_next(10)  # exhaust retries, trip the breaker
+            chaos.fail_next(10)  # exhaust retries, trip the breaker
             handle = batcher.submit(3)
             batcher.flush()
             handle.result(timeout=2)  # resilient: default embedding, no raise
@@ -117,11 +118,11 @@ class TestTracedServingPath:
             assert trace in telemetry.traces.error_traces()
 
     def test_error_traces_always_retained_past_ring_capacity(self):
-        __, flaky, __p, batcher = make_stack(resilient=False)
+        __, chaos, __p, batcher = make_stack(resilient=False)
         telemetry = obs.Telemetry()
         telemetry.traces = obs.TraceStore(capacity=4, keep_slowest=0)
         with obs.session(telemetry):
-            flaky.fail_next(1)
+            chaos.fail_next(1)
             bad = batcher.submit(2)
             batcher.flush()
             # store down + no resilience + no default row → flush raises
@@ -143,9 +144,9 @@ class TestTracedServingPath:
             assert telemetry.traces.open_traces == 0
 
     def test_flush_error_closes_all_member_traces_as_errors(self):
-        __, flaky, __p, batcher = make_stack(resilient=False)
+        __, chaos, __p, batcher = make_stack(resilient=False)
         with obs.session() as telemetry:
-            flaky.fail_next(1)
+            chaos.fail_next(1)
             handles = [batcher.submit(i) for i in range(3)]
             batcher.flush()
             for handle in handles:

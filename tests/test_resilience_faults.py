@@ -1,17 +1,14 @@
-"""Fault injection: seeded crash schedules, the flaky store, and the
-``repro faults`` command that measures real sharded-training recovery."""
+"""Fault injection: seeded crash schedules and the ``repro faults`` command
+that measures real sharded-training recovery."""
 
 from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.lookalike import EmbeddingStore
-from repro.resilience import (FaultEvent, FaultSchedule, FlakyEmbeddingStore,
-                              StoreUnavailableError)
+from repro.resilience import FaultEvent, FaultSchedule
 
 
 class TestFaultSchedule:
@@ -42,50 +39,6 @@ class TestFaultSchedule:
             FaultSchedule.generate(10, 2, crash_rate=1.5)
         with pytest.raises(ValueError, match="crash_rate"):
             FaultSchedule.generate(10, 2, crash_rate=-0.1)
-
-
-class TestFlakyEmbeddingStore:
-    def _store(self):
-        store = EmbeddingStore(dim=2)
-        store.put("u", np.ones(2))
-        return store
-
-    def test_failure_rate_validated(self):
-        with pytest.raises(ValueError):
-            FlakyEmbeddingStore(self._store(), failure_rate=2.0)
-
-    def test_fail_next_forces_failures(self):
-        flaky = FlakyEmbeddingStore(self._store(), failure_rate=0.0)
-        flaky.fail_next(2)
-        with pytest.raises(StoreUnavailableError):
-            flaky.get("u")
-        with pytest.raises(StoreUnavailableError):
-            flaky.get_many(["u"])
-        np.testing.assert_array_equal(flaky.get("u"), np.ones(2))
-        assert flaky.injected_failures == 2
-
-    def test_seeded_failures_reproducible(self):
-        outcomes = []
-        for __ in range(2):
-            flaky = FlakyEmbeddingStore(self._store(), failure_rate=0.5,
-                                        rng=9)
-            run = []
-            for __ in range(20):
-                try:
-                    flaky.get("u")
-                    run.append(True)
-                except StoreUnavailableError:
-                    run.append(False)
-            outcomes.append(run)
-        assert outcomes[0] == outcomes[1]
-        assert False in outcomes[0] and True in outcomes[0]
-
-    def test_writes_pass_through(self):
-        store = self._store()
-        flaky = FlakyEmbeddingStore(store, failure_rate=1.0)
-        flaky.put("v", np.zeros(2))
-        assert "v" in store and len(flaky) == 2
-        assert flaky.dim == 2
 
 
 class TestFaultsCommand:

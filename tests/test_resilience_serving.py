@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.loadtest import ChaosStore, ServingFaultSchedule
 from repro.lookalike import EmbeddingStore, ServingProxy, ServingResilience
 from repro.resilience import (CircuitBreaker, CircuitOpenError,
-                              DeadlineExceeded, FlakyEmbeddingStore,
-                              RetryPolicy, StoreUnavailableError)
+                              DeadlineExceeded, RetryPolicy,
+                              StoreUnavailableError)
 from repro.utils import ManualClock as FakeClock
 
 
@@ -173,23 +174,24 @@ class TestServingDegradation:
 
     def test_twenty_percent_failure_never_returns_none(self):
         store, ids = _filled_store()
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.2, rng=1)
-        proxy = ServingProxy(flaky, cache_capacity=8,
+        chaos = ChaosStore(store, ServingFaultSchedule(failure_rate=0.2),
+                           rng=1)
+        proxy = ServingProxy(chaos, cache_capacity=8,
                              resilience=_resilience())
         vectors = [proxy.get_embedding(uid) for uid in ids * 5]
         assert all(v is not None for v in vectors)
-        assert flaky.injected_failures > 0
+        assert chaos.injected_failures > 0
         assert set(proxy.source_counts) <= {"cache", "store", "stale",
                                             "inferred", "default"}
 
     def test_stale_snapshot_served_during_outage(self):
         store, ids = _filled_store(n=3)
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-        proxy = ServingProxy(flaky, cache_capacity=1,
+        chaos = ChaosStore(store)
+        proxy = ServingProxy(chaos, cache_capacity=1,
                              resilience=_resilience())
         expected = proxy.get_embedding(ids[0]).copy()  # warm the snapshot
         proxy.get_embedding(ids[1])  # evict ids[0] from the 1-entry cache
-        flaky.fail_next(100)  # hard outage outlasting every retry
+        chaos.fail_next(100)  # hard outage outlasting every retry
         out = proxy.get_embedding(ids[0])
         np.testing.assert_array_equal(out, expected)
         assert proxy.source_counts["stale"] == 1
@@ -207,18 +209,18 @@ class TestServingDegradation:
 
     def test_breaker_trips_under_hard_outage(self):
         store, ids = _filled_store()
-        flaky = FlakyEmbeddingStore(store, failure_rate=1.0)
+        chaos = ChaosStore(store, ServingFaultSchedule(failure_rate=1.0))
         resilience = _resilience(
             breaker=CircuitBreaker(failure_threshold=3, reset_seconds=1e9,
                                    clock=FakeClock()))
-        proxy = ServingProxy(flaky, resilience=resilience)
+        proxy = ServingProxy(chaos, resilience=resilience)
         for uid in ids[:5]:
             proxy.get_embedding(uid)  # all fall through to default
         assert resilience.breaker.state == CircuitBreaker.OPEN
         # once open, lookups skip the store entirely: no new injected errors
-        before = flaky.injected_failures
+        before = chaos.injected_failures
         proxy.get_embedding(ids[6])
-        assert flaky.injected_failures == before
+        assert chaos.injected_failures == before
         assert proxy.source_counts["default"] == 6
 
     def test_inference_fallback_populates_store(self):

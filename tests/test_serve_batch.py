@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.loadtest import ChaosStore
 from repro.lookalike import (EmbeddingStore, LRUCache, ServingProxy,
                              ServingResilience)
-from repro.resilience import CircuitBreaker, FlakyEmbeddingStore, RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.serve import MicroBatcher, ShutdownError
 from repro.utils import ManualClock as FakeClock
 
@@ -44,15 +45,15 @@ class TestBatchPartition:
     def test_every_source_in_one_batch(self):
         """cache + stale + inferred + default resolved in a single call."""
         store = make_store(["warm", "staled"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-        proxy = ServingProxy(flaky, cache_capacity=1,
+        chaos = ChaosStore(store)
+        proxy = ServingProxy(chaos, cache_capacity=1,
                              infer_fn=lambda uid: (np.full(DIM, 0.5)
                                                    if uid == "fresh" else None),
                              resilience=fast_resilience())
         proxy.lookup_batch(["warm", "staled"])   # both now stale-snapshotted
         proxy.cache = LRUCache(8, name="serving")
         proxy.lookup_batch(["warm"])             # re-warm only one key
-        flaky.failure_rate = 1.0
+        chaos.schedule.failure_rate = 1.0
 
         matrix, sources = proxy.lookup_batch(["warm", "staled", "fresh",
                                               "ghost"])
@@ -78,24 +79,24 @@ class TestBatchPartition:
     def test_breaker_open_mid_sequence_skips_store(self):
         """Once the breaker opens, later batches fail over without new reads."""
         store = make_store(["a", "b"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
+        chaos = ChaosStore(store)
         res = fast_resilience(
             breaker=CircuitBreaker(failure_threshold=2, reset_seconds=60.0,
                                    clock=FakeClock()))
-        proxy = ServingProxy(flaky, cache_capacity=1, resilience=res)
+        proxy = ServingProxy(chaos, cache_capacity=1, resilience=res)
         proxy.lookup_batch(["a", "b"])           # warm the stale snapshot
         proxy.cache = LRUCache(8, name="serving")
 
-        flaky.fail_next(3)                       # all retry attempts fail
+        chaos.fail_next(3)                       # all retry attempts fail
         __, sources = proxy.lookup_batch(["a", "b"])
         assert list(sources) == ["stale", "stale"]
         assert res.breaker.state == CircuitBreaker.OPEN
-        injected_before = flaky.injected_failures
+        injected_before = chaos.injected_failures
 
         proxy.cache = LRUCache(8, name="serving")
         __, sources = proxy.lookup_batch(["a", "b"])
         assert list(sources) == ["stale", "stale"]
-        assert flaky.injected_failures == injected_before  # store never hit
+        assert chaos.injected_failures == injected_before  # store never hit
         assert proxy.store_errors == 2
 
     def test_duplicate_keys_share_one_resolution(self):

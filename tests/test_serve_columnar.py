@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.loadtest import ChaosStore
 from repro.lookalike import (EmbeddingStore, LRUCache, ServingProxy,
                              ServingResilience)
-from repro.resilience import CircuitBreaker, FlakyEmbeddingStore, RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.utils import ManualClock
 
 DIM = 4
@@ -82,26 +83,26 @@ class TestServedVectorAliasesNoTier:
     def test_stale_tier_serves_the_version_last_served(self, batched):
         """...not a later write the proxy never read, during an outage."""
         store = make_store(["a"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-        proxy = ServingProxy(flaky, cache_capacity=4, resilience=resilience())
+        chaos = ChaosStore(store)
+        proxy = ServingProxy(chaos, cache_capacity=4, resilience=resilience())
         served = serve(proxy, "a", batched).copy()
         store.put("a", np.full(DIM, 7.0))           # refreshed behind its back
         clear_cache(proxy)
-        flaky.failure_rate = 1.0
+        chaos.schedule.failure_rate = 1.0
         during_outage = serve(proxy, "a", batched)
         assert proxy.source_counts["stale"] == 1
         np.testing.assert_array_equal(during_outage, served)
 
     def test_stale_tier_follows_the_store_while_it_is_read(self, batched):
         store = make_store(["a"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-        proxy = ServingProxy(flaky, cache_capacity=4, resilience=resilience())
+        chaos = ChaosStore(store)
+        proxy = ServingProxy(chaos, cache_capacity=4, resilience=resilience())
         serve(proxy, "a", batched)
         store.put("a", np.full(DIM, 7.0))
         clear_cache(proxy)
         serve(proxy, "a", batched)                  # reads the new version
         clear_cache(proxy)
-        flaky.failure_rate = 1.0
+        chaos.schedule.failure_rate = 1.0
         np.testing.assert_array_equal(serve(proxy, "a", batched),
                                       np.full(DIM, 7.0))
 
@@ -304,15 +305,15 @@ def test_stale_tier_equals_a_dict_of_served_copies(batches):
     """Any interleaving of served batches, store refreshes and outages: the
     stale tier holds, per key, a copy of the version last served."""
     store = make_store(range(8))                     # keys 8..11 are unknown
-    flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-    proxy = ServingProxy(flaky, cache_capacity=3, resilience=resilience())
+    chaos = ChaosStore(store)
+    proxy = ServingProxy(chaos, cache_capacity=3, resilience=resilience())
     model: dict[int, np.ndarray] = {}
     version = 0.0
     for keys, refreshed, outage in batches:
         for key in refreshed:                        # writes beside reads
             version += 1.0
             store.put(key, np.full(DIM, version))
-        flaky.failure_rate = 1.0 if outage else 0.0
+        chaos.schedule.failure_rate = 1.0 if outage else 0.0
         matrix, sources = proxy.lookup_batch(keys)
         for key, row, source in zip(keys, matrix, sources):
             if source in ("store", "stale"):

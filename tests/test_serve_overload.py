@@ -7,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.loadtest import ChaosStore
 from repro.lookalike import (EmbeddingStore, ServingProxy, ServingResilience)
 from repro.obs.slo import availability_slo, parse_objective
-from repro.resilience import (CircuitBreaker, Deadline, FlakyEmbeddingStore,
-                              RetryPolicy, deadline_scope)
+from repro.resilience import (CircuitBreaker, Deadline, RetryPolicy,
+                              deadline_scope)
 from repro.serve import (AdaptiveThrottle, AdmissionError, MicroBatcher,
                          ShutdownError)
 from repro.utils import ManualClock as FakeClock
@@ -289,9 +290,9 @@ class TestShutdown:
 
 class TestBatcherDeadlines:
     def _stack(self, clock, **batcher_kwargs):
-        """store -> flaky wrapper -> resilient proxy -> batcher, one clock."""
+        """store -> chaos wrapper -> resilient proxy -> batcher, one clock."""
         store = make_store(range(8))
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
+        chaos = ChaosStore(store)
         resilience = ServingResilience.from_store_prior(
             store,
             retry=RetryPolicy(max_attempts=3, backoff_seconds=0.01,
@@ -300,14 +301,14 @@ class TestBatcherDeadlines:
                                         OSError)),
             breaker=CircuitBreaker(failure_threshold=50, reset_seconds=60.0,
                                    clock=clock))
-        proxy = ServingProxy(flaky, cache_capacity=100, resilience=resilience)
+        proxy = ServingProxy(chaos, cache_capacity=100, resilience=resilience)
         batcher = MicroBatcher(proxy.get_embeddings_batch, max_batch=8,
                                clock=clock, **batcher_kwargs)
-        return store, flaky, proxy, batcher
+        return store, chaos, proxy, batcher
 
     def test_expired_requests_short_circuit_to_degraded_tiers(self):
         clock = FakeClock()
-        store, flaky, proxy, batcher = self._stack(clock)
+        store, chaos, proxy, batcher = self._stack(clock)
         proxy.lookup_batch([0, 1])        # warm the stale snapshot
         clear_cache(proxy)
         proxy.source_counts.clear()
@@ -377,10 +378,10 @@ class TestBatcherDeadlines:
         """A batch flushed under an expired scope must not spend retry
         backoff on a dead request — the proxy falls straight through."""
         clock = FakeClock()
-        store, flaky, proxy, batcher = self._stack(clock)
+        store, chaos, proxy, batcher = self._stack(clock)
         proxy.lookup_batch([2])
         clear_cache(proxy)
-        flaky.failure_rate = 1.0          # store would fail; skip it entirely
+        chaos.schedule.failure_rate = 1.0  # store would fail; skip it
 
         handle = batcher.submit(2, deadline=Deadline(0.0, clock=clock))
         batcher.flush()
@@ -390,7 +391,7 @@ class TestBatcherDeadlines:
 
 
 class TestCorruptionRouting:
-    def _proxy(self, flaky, store, **kwargs):
+    def _proxy(self, chaos, store, **kwargs):
         clock = FakeClock()
         resilience = ServingResilience.from_store_prior(
             store,
@@ -400,16 +401,15 @@ class TestCorruptionRouting:
                                         OSError)),
             breaker=CircuitBreaker(failure_threshold=50, reset_seconds=60.0,
                                    clock=clock))
-        return ServingProxy(flaky, resilience=resilience, **kwargs)
+        return ServingProxy(chaos, resilience=resilience, **kwargs)
 
     def test_scalar_corrupt_row_never_served(self):
         store = make_store(["u"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0,
-                                    corruption_rate=0.0)
-        proxy = self._proxy(flaky, store)
+        chaos = ChaosStore(store)
+        proxy = self._proxy(chaos, store)
         proxy.lookup("u")                 # warm stale snapshot
         clear_cache(proxy)
-        flaky.corrupt_next()
+        chaos.corrupt_next()
         vec, source = proxy.lookup("u")
         assert source == "stale"
         assert np.isfinite(vec).all()
@@ -441,12 +441,23 @@ class TestCorruptionRouting:
 
     def test_wrong_dim_batch_rerouted_entirely(self):
         store = make_store(["a", "b"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0,
-                                    corruption_mode="wrong_dim")
-        proxy = self._proxy(flaky, store)
+
+        class WrongDim:
+            """Store whose batch reads turn one column too wide on demand."""
+            dim = DIM
+            corrupt = False
+
+            def get_batch(self, keys):
+                matrix, found = store.get_batch(keys)
+                if self.corrupt:
+                    return np.zeros((len(keys), DIM + 1)), found
+                return matrix, found
+
+        wrong = WrongDim()
+        proxy = self._proxy(wrong, store)
         proxy.lookup_batch(["a", "b"])    # warm stale snapshots
         clear_cache(proxy)
-        flaky.corrupt_next()
+        wrong.corrupt = True
         matrix, sources = proxy.lookup_batch(["a", "b"])
         assert list(sources) == ["stale", "stale"]
         assert matrix.shape == (2, DIM)   # the bad shape never escaped
@@ -457,12 +468,12 @@ class TestCorruptionRouting:
         corruption tallies must stay symmetric."""
         def run(batched: bool):
             store = make_store(["a", "b"])
-            flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
-            proxy = self._proxy(flaky, store)
+            chaos = ChaosStore(store)
+            proxy = self._proxy(chaos, store)
             (proxy.lookup_batch(["a", "b"]) if batched else
              [proxy.lookup(k) for k in ("a", "b")])
             clear_cache(proxy)
-            flaky.corrupt_next(2)
+            chaos.corrupt_next(2)
             (proxy.lookup_batch(["a", "b"]) if batched else
              [proxy.lookup(k) for k in ("a", "b")])
             return proxy.source_counts
@@ -476,7 +487,7 @@ class TestMaskedBatchDegradation:
 
     def _stack(self, clock):
         store = make_store(["warm", "staled"])
-        flaky = FlakyEmbeddingStore(store, failure_rate=0.0)
+        chaos = ChaosStore(store)
         resilience = ServingResilience.from_store_prior(
             store,
             retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01,
@@ -486,19 +497,19 @@ class TestMaskedBatchDegradation:
             breaker=CircuitBreaker(failure_threshold=1, reset_seconds=60.0,
                                    clock=clock))
         proxy = ServingProxy(
-            flaky, cache_capacity=1,
+            chaos, cache_capacity=1,
             infer_fn=lambda uid: (np.full(DIM, 0.5) if uid == "fresh"
                                   else None),
             resilience=resilience)
-        return store, flaky, proxy
+        return store, chaos, proxy
 
     def test_mid_batch_breaker_open_reaches_every_tier(self):
         clock = FakeClock()
-        store, flaky, proxy = self._stack(clock)
+        store, chaos, proxy = self._stack(clock)
         proxy.lookup_batch(["warm", "staled"])     # snapshot both
         proxy.cache = type(proxy.cache)(8, name="serving")
         proxy.lookup_batch(["warm"])               # re-warm one key
-        flaky.fail_next()                          # trips the breaker mid-run
+        chaos.fail_next()                          # trips the breaker mid-run
 
         matrix, mask = proxy.get_embeddings_masked_batch(
             ["warm", "staled", "fresh", "ghost"])
@@ -514,12 +525,12 @@ class TestMaskedBatchDegradation:
 
     def test_expired_deadline_reaches_every_tier_without_store_io(self):
         clock = FakeClock()
-        store, flaky, proxy = self._stack(clock)
+        store, chaos, proxy = self._stack(clock)
         proxy.lookup_batch(["warm", "staled"])
         proxy.cache = type(proxy.cache)(8, name="serving")
         proxy.lookup_batch(["warm"])
         proxy.source_counts.clear()
-        reads_before = flaky.reads if hasattr(flaky, "reads") else None
+        reads_before = chaos.reads if hasattr(chaos, "reads") else None
 
         expired = Deadline(0.0, clock=clock)
         with deadline_scope(expired):
@@ -535,7 +546,7 @@ class TestMaskedBatchDegradation:
 
     def test_scalar_masked_path_matches_under_expired_deadline(self):
         clock = FakeClock()
-        store, flaky, proxy = self._stack(clock)
+        store, chaos, proxy = self._stack(clock)
         proxy.lookup("staled")
         clear_cache(proxy)
         with deadline_scope(Deadline(0.0, clock=clock)):
