@@ -19,10 +19,6 @@ Commands mirror the deployment workflow of §IV-D at example scale:
   summary or Chrome ``chrome://tracing`` JSON export)
 * ``slo``          — evaluate latency/availability SLOs over a recorded
   timeline or a serving replay; exit code is the verdict
-* ``profile``      — sampling profiler over a serving replay
-  (collapsed-stack/flamegraph output)
-* ``top``          — live dashboard frames over a serving replay (QPS,
-  percentiles, cache hit rate, breaker states, SLO budget)
 * ``loadtest``     — replay a seeded heavy-tailed traffic scenario through
   the overload-safe serving stack on a virtual clock; exit code is the
   gate verdict
@@ -31,10 +27,11 @@ Commands mirror the deployment workflow of §IV-D at example scale:
   corrupted rows), scored against the SLO engine and replayed with the same
   seed, which must reproduce it bit for bit; exit code is the verdict
 
-The serving replay of ``trace`` / ``slo`` / ``profile`` / ``top`` is the
-``loadtest`` stack on its virtual clock, fed the first ``--requests``
-arrivals of the seeded ``steady`` trace: the same seed gives the same
-requests, faults and SLO verdict.
+The serving replay of ``trace`` / ``slo`` is the ``loadtest`` stack on its
+virtual clock, fed the first ``--requests`` arrivals of the seeded
+``steady`` trace: the same seed gives the same requests, faults and SLO
+verdict.  It runs on the calling thread, so the stdlib profiler sees all
+of it: ``python -m cProfile -s tottime -m repro loadtest --duration 20``.
 
 ``train`` grows crash-safety flags: ``--checkpoint-dir`` /
 ``--checkpoint-every`` write atomic checkpoints during training and
@@ -174,10 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="summary tables (default) or a Prometheus-"
                                "style text snapshot")
 
-    def add_workload_args(p: argparse.ArgumentParser,
-                          requests: int = 400) -> None:
-        p.add_argument("--requests", type=int, default=requests,
-                       help=f"requests to replay (default: {requests})")
+    def add_workload_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--requests", type=int, default=400,
+                       help="requests to replay (default: 400)")
         p.add_argument("--failure-rate", type=float, default=0.0,
                        help="injected store failure probability (default: 0)")
         p.add_argument("--seed", type=int, default=0)
@@ -210,26 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'latency_ms': x, 'ok': bool} per line) "
                             "evaluated on a deterministic clock instead of "
                             "a serving replay")
-
-    p_profile = sub.add_parser(
-        "profile", help="sampling profiler over a serving replay")
-    add_workload_args(p_profile, requests=2000)
-    p_profile.add_argument("--interval-ms", type=float, default=5.0,
-                          help="sampling interval (default: 5ms ≈ 200 Hz)")
-    p_profile.add_argument("--out", default=None, metavar="PATH",
-                          help="write collapsed stacks (flamegraph.pl / "
-                               "speedscope input) to PATH")
-    p_profile.add_argument("--top", type=int, default=15,
-                          help="rows in the printed top-functions table")
-
-    p_top = sub.add_parser(
-        "top", help="live dashboard over a serving replay (QPS, "
-                    "percentiles, SLO budget)")
-    add_workload_args(p_top, requests=2000)
-    p_top.add_argument("--frames", type=int, default=3,
-                       help="dashboard frames to render (default: 3)")
-    p_top.add_argument("--interval", type=float, default=0.5,
-                       help="seconds between frames (default: 0.5)")
 
     def add_loadtest_args(p: argparse.ArgumentParser, duration: float,
                           rate: float) -> None:
@@ -615,51 +591,6 @@ def _cmd_slo(args, out) -> int:
     return 0 if all(s.passed for s in statuses) else 1
 
 
-def _cmd_profile(args, out) -> int:
-    from repro.obs import SamplingProfiler
-
-    harness, events = _replay(args)
-    profiler = SamplingProfiler(interval_seconds=args.interval_ms / 1e3)
-    with profiler:
-        result = harness.run(events, name="profile")
-    print(f"profile: {profiler.samples} samples over {result.requests} "
-          f"requests", file=out)
-    print(profiler.render_top(args.top), file=out)
-    if args.out:
-        lines = profiler.write_collapsed(args.out)
-        print(f"collapsed stacks ({lines} lines) written to {args.out}",
-              file=out)
-    return 0
-
-
-def _cmd_top(args, out) -> int:
-    import threading
-    import time as _time
-
-    from repro import obs
-    from repro.obs import Dashboard
-
-    harness, events = _replay(args)
-    with obs.session() as telemetry:
-        # QPS and the SLO window both read the replay's virtual clock
-        dashboard = Dashboard(telemetry, slo_engine=harness.engine,
-                              clock=harness.clock)
-        runner = threading.Thread(target=harness.run, args=(events, "top"),
-                                  name="replay")
-        runner.start()
-        frame = 0
-        while frame < args.frames:
-            _time.sleep(args.interval if runner.is_alive() else 0.0)
-            frame += 1
-            print(f"--- frame {frame}/{args.frames} ---", file=out)
-            print(dashboard.frame(), file=out)
-            print(file=out)
-            if not runner.is_alive() and frame < args.frames:
-                break  # replay drained; no point rendering idle frames
-        runner.join()
-    return 0
-
-
 def _cmd_check(args, out) -> int:
     from repro import check
 
@@ -714,6 +645,9 @@ def _cmd_check(args, out) -> int:
 
 
 def _loadtest_harness_kwargs(args) -> dict:
+    if not args.budget_ms >= 0:  # NaN fails this too
+        raise ValueError(f"--budget-ms must be >= 0 (0 disables "
+                         f"deadlines), got {args.budget_ms}")
     return dict(
         deadline_budget_seconds=(args.budget_ms / 1e3
                                  if args.budget_ms > 0 else None),
@@ -750,15 +684,15 @@ def _cmd_loadtest(args, out) -> int:
 def _cmd_chaos(args, out) -> int:
     from repro.loadtest import run_chaos
 
-    kwargs = dict(duration=args.duration, rate=args.rate,
-                  burst_multiplier=args.burst_multiplier,
-                  burst_seconds=args.burst_seconds,
-                  failure_rate=args.failure_rate,
-                  outage_seconds=args.outage_seconds,
-                  seed=args.seed, n_users=args.users,
-                  shed_rate_limit=args.shed_limit,
-                  **_loadtest_harness_kwargs(args))
     try:
+        kwargs = dict(duration=args.duration, rate=args.rate,
+                      burst_multiplier=args.burst_multiplier,
+                      burst_seconds=args.burst_seconds,
+                      failure_rate=args.failure_rate,
+                      outage_seconds=args.outage_seconds,
+                      seed=args.seed, n_users=args.users,
+                      shed_rate_limit=args.shed_limit,
+                      **_loadtest_harness_kwargs(args))
         result = run_chaos(**kwargs)
     except ValueError as err:
         return _rejected_flag(args, err)
@@ -788,8 +722,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "trace": _cmd_trace,
     "slo": _cmd_slo,
-    "profile": _cmd_profile,
-    "top": _cmd_top,
     "loadtest": _cmd_loadtest,
     "chaos": _cmd_chaos,
 }

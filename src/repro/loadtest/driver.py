@@ -84,14 +84,15 @@ class LoadTestResult:
 
     @property
     def passed(self) -> bool:
-        """The chaos gate: no unhandled errors, every request resolved,
-        bounded shed, SLOs green.
+        """The chaos gate: at least one request replayed, no unhandled
+        errors, every request resolved, bounded shed, SLOs green.
 
         Requests are counted by resolved handle, not as completed + shed: a
         request shed under ``policy="degrade"`` is answered by the fallback
-        and so is both.
+        and so is both.  An empty replay proves nothing, so it fails.
         """
-        return (self.unhandled == 0
+        return (self.requests > 0
+                and self.unhandled == 0
                 and self.resolved == self.requests
                 and self.shed_rate <= self.shed_rate_limit
                 and self.slo_passed)
@@ -143,7 +144,9 @@ class LoadTestResult:
                      f"{s.total} samples") for s in self.statuses]
         parts.append(format_table(("slo", "objective", "verdict", "window"),
                                   slo_rows, title="slo verdicts"))
-        parts.append(f"chaos gate: {'PASS' if self.passed else 'FAIL'}")
+        parts.append("chaos gate: " + (
+            "PASS" if self.passed else
+            "FAIL" if self.requests else "FAIL (no requests replayed)"))
         return "\n\n".join(parts)
 
 

@@ -1,4 +1,4 @@
-"""``repro.obs`` — unified telemetry: metrics, traces, SLOs, profiles.
+"""``repro.obs`` — unified telemetry: metrics, traces, SLOs.
 
 The observability layer behind the paper's efficiency analysis (Table V,
 Figs 6/9/10) *and* its serving claim — per-request accounting, not just
@@ -22,9 +22,8 @@ Metrics are counters, gauges, and one histogram kind: ``observe``,
 
 Request-scoped tracing rides the same session: ``with obs.request("r"):``
 opens a trace whose spans/events land in ``telemetry.traces`` (tail-sampled,
-Chrome-exportable); ``SLOEngine`` evaluates latency/availability objectives
-over rolling windows; ``SamplingProfiler`` collects collapsed stacks; and
-``render_dashboard`` turns a registry snapshot into the ``repro top`` view.
+Chrome-exportable), and ``SLOEngine`` evaluates latency/availability
+objectives over rolling windows.
 
 ``python -m repro report --input run.jsonl`` renders the same report from a
 dump.  Because this package is imported from everywhere, it may only import
@@ -34,10 +33,8 @@ leaf modules (numpy/stdlib-only, e.g. ``repro.viz.tables``) — never
 
 from repro.obs.callbacks import TelemetryCallback, TrainerCallback
 from repro.obs.context import ActiveSpan
-from repro.obs.dashboard import Dashboard, render_dashboard
 from repro.obs.exporters import (JsonlWriter, dump_jsonl, events_to_prometheus,
                                  load_jsonl, to_prometheus)
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.registry import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.report import render_events, render_report
 from repro.obs.runtime import (Telemetry, begin_fanin, begin_request, count,
@@ -63,8 +60,6 @@ __all__ = [
     "record_span",
     "Objective", "SLOEngine", "SLOStatus", "latency_slo", "availability_slo",
     "parse_objective",
-    "SamplingProfiler",
-    "Dashboard", "render_dashboard",
     "JsonlWriter", "dump_jsonl", "load_jsonl", "to_prometheus",
     "events_to_prometheus",
     "render_events", "render_report",

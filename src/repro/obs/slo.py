@@ -55,10 +55,11 @@ class Objective:
             raise ValueError(f"unknown objective kind: {self.kind!r}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1): {self.target}")
+        # ``not x > 0`` rejects NaN too; ``inf`` is an all-time window
         if self.kind == "latency" and (self.threshold_seconds is None
-                                       or self.threshold_seconds <= 0):
+                                       or not self.threshold_seconds > 0):
             raise ValueError("latency objectives need threshold_seconds > 0")
-        if self.window_seconds <= 0:
+        if not self.window_seconds > 0:
             raise ValueError(f"window must be positive: {self.window_seconds}")
 
     def describe(self) -> str:
@@ -158,7 +159,7 @@ class SLOEngine:
         self._max_window = max(o.window_seconds for o in self.objectives)
         self._samples: deque[tuple[float, float, bool]] = deque()
         self.recorded = 0
-        # one thread may record while another renders (``repro top``)
+        # a caller may record from one thread and evaluate from another
         self._lock = threading.Lock()
 
     def record(self, latency_seconds: float, ok: bool = True,

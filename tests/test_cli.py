@@ -186,7 +186,7 @@ class TestObservabilityCommands:
         assert first == second
         assert " 200 " in first[1]   # every request lands in the window
 
-    @pytest.mark.parametrize("command", ["trace", "slo", "profile", "top"])
+    @pytest.mark.parametrize("command", ["trace", "slo"])
     @pytest.mark.parametrize("requests", ["0", "-5"])
     def test_requests_below_one_exits_two(self, command, requests, capsys):
         code, text = run_cli(command, "--requests", requests)
@@ -217,23 +217,31 @@ class TestObservabilityCommands:
         assert code == 2
         assert "no such timeline" in capsys.readouterr().err
 
-    def test_profile_writes_collapsed_stacks(self, tmp_path):
-        out_path = tmp_path / "prof.collapsed"
-        code, text = run_cli("profile", "--requests", "300",
-                             "--interval-ms", "1", "--out", str(out_path))
-        assert code == 0
-        assert "samples over" in text and "self %" in text
-        for line in out_path.read_text().splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert stack and int(count) > 0
+    def test_slo_nan_window_exits_two(self, capsys):
+        # a NaN window would prune every sample and PASS over 0 requests
+        code, text = run_cli("slo", "--window", "nan", "--requests", "50")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("slo: window must be")
 
-    def test_top_renders_frames(self):
-        code, text = run_cli("top", "--requests", "300",
-                             "--frames", "2", "--interval", "0.05")
+    def test_replay_runs_on_one_thread_that_cprofile_sees(self):
+        # the stdlib profiler covers the serving replay: every call runs on
+        # the thread that called ``main``, none on a thread it started
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        code = profiler.runcall(main, ["loadtest", "--duration", "2"],
+                                out=io.StringIO())
+        stats = pstats.Stats(profiler).stats
+
+        def calls(module, name):   # ncalls of each matching function
+            return [v[1] for (path, __, func), v in stats.items()
+                    if path.endswith(module)
+                    and func.rsplit(".", 1)[-1] == name]
+
         assert code == 0
-        assert "--- frame 1/2 ---" in text
-        assert "serving" in text
-        assert "SLO verdicts" in text
+        assert calls("serving.py", "_chain")[0] > 0
+        assert calls("threading.py", "start") == []
 
 
 class TestReportFailureModes:

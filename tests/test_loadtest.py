@@ -431,6 +431,31 @@ class TestLoadtestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["loadtest", "chaos"])
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_bad_budget_is_a_usage_error(self, command, budget, capsys):
+        # only 0 means "no deadlines"; anything else not > 0 is a bad value
+        assert main([command, "--budget-ms", budget], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: --budget-ms must be >= 0")
+        assert err.count("\n") == 1
+
+    def test_zero_budget_still_disables_deadlines(self):
+        from repro.cli import _loadtest_harness_kwargs, build_parser
+
+        args = build_parser().parse_args(["loadtest", "--budget-ms", "0"])
+        assert _loadtest_harness_kwargs(args)["deadline_budget_seconds"] is None
+        assert main(["loadtest", "--duration", "2", "--budget-ms", "0"],
+                    out=io.StringIO()) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["loadtest", "--rate", "0"],
+        ["chaos", "--duration", "0.0001"]])
+    def test_empty_replay_fails_the_gate(self, argv):
+        out = io.StringIO()
+        assert main(argv, out=out) == 1
+        assert "chaos gate: FAIL (no requests replayed)" in out.getvalue()
+
     def test_unmeetable_slo_fails_the_gate(self):
         result = run_loadtest("steady", duration=2.0, rate=50.0, n_users=32,
                               seed=0, objectives=("p99 latency <= 1ms",))

@@ -38,6 +38,20 @@ class TestObjective:
         with pytest.raises(ValueError, match="window"):
             Objective("x", "availability", 0.99, window_seconds=0)
 
+    @pytest.mark.parametrize("field", ["window_seconds", "threshold_seconds"])
+    def test_nan_rejected(self, field):
+        # ``nan <= 0`` is False: the check must be ``not x > 0``
+        with pytest.raises(ValueError):
+            Objective("x", "latency", 0.99,
+                      **{"threshold_seconds": 0.05, field: float("nan")})
+
+    def test_infinite_window_is_all_time(self):
+        objective = Objective("x", "availability", 0.99,
+                              window_seconds=float("inf"))
+        engine = SLOEngine([objective], clock=lambda: 1e9)
+        engine.record(0.0, ok=True, ts=0.0)
+        assert engine.evaluate()[0].total == 1
+
     @pytest.mark.parametrize("spec,kind,target,threshold", [
         ("p99 latency <= 50ms", "latency", 0.99, 0.05),
         ("p99.9 latency <= 1s", "latency", 0.999, 1.0),
