@@ -508,7 +508,13 @@ def _cmd_trace(args, out) -> int:
     if args.export == "chrome" and not args.out:
         print("trace: --export chrome requires --out", file=sys.stderr)
         return 2
-    harness, events = _replay(args)
+    try:
+        if args.limit < 0:
+            raise ValueError(f"--limit must be >= 0 (0 prints the summary "
+                             f"only), got {args.limit}")
+        harness, events = _replay(args)
+    except ValueError as err:
+        return _rejected_flag(args, err)
     with obs.session() as telemetry:
         result = harness.run(events, name="trace")
     store = telemetry.traces
@@ -581,8 +587,11 @@ def _cmd_slo(args, out) -> int:
             clock.now = max(clock.now, ts)
             engine.record(latency, ok=ok, ts=ts)
     else:
-        harness, events = _replay(args, objectives=tuple(specs),
-                                  slo_window_seconds=args.window)
+        try:
+            harness, events = _replay(args, objectives=tuple(specs),
+                                      slo_window_seconds=args.window)
+        except ValueError as err:
+            return _rejected_flag(args, err)
         harness.run(events, name="slo")
         engine = harness.engine
 
@@ -648,6 +657,9 @@ def _loadtest_harness_kwargs(args) -> dict:
     if not args.budget_ms >= 0:  # NaN fails this too
         raise ValueError(f"--budget-ms must be >= 0 (0 disables "
                          f"deadlines), got {args.budget_ms}")
+    if not 0.0 <= args.shed_limit <= 1.0:  # and this
+        raise ValueError(f"--shed-limit must be a fraction in [0, 1], "
+                         f"got {args.shed_limit}")
     return dict(
         deadline_budget_seconds=(args.budget_ms / 1e3
                                  if args.budget_ms > 0 else None),

@@ -20,10 +20,11 @@ Metrics are counters, gauges, and one histogram kind: ``observe``,
 (exact count/sum/min/max, percentiles to one 10% bucket).  Neither
 ``Telemetry()`` nor ``session()`` takes a sizing option.
 
-Request-scoped tracing rides the same session: ``with obs.request("r"):``
-opens a trace whose spans/events land in ``telemetry.traces`` (tail-sampled,
-Chrome-exportable), and ``SLOEngine`` evaluates latency/availability
-objectives over rolling windows.
+Request-scoped tracing rides the same spans: every ``MicroBatcher.submit``
+under a session opens a request trace, and the spans and events beneath its
+flush land in ``telemetry.traces`` too (tail-sampled, Chrome-exportable).
+``SLOEngine`` evaluates latency/availability objectives over rolling
+windows.
 
 ``python -m repro report --input run.jsonl`` renders the same report from a
 dump.  Because this package is imported from everywhere, it may only import
@@ -37,11 +38,11 @@ from repro.obs.exporters import (JsonlWriter, dump_jsonl, events_to_prometheus,
                                  load_jsonl, to_prometheus)
 from repro.obs.registry import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.report import render_events, render_report
-from repro.obs.runtime import (Telemetry, begin_fanin, begin_request, count,
-                               current, enabled, end_trace_span, event,
+from repro.obs.runtime import (Telemetry, begin_request, count, current,
+                               enabled, end_trace_span, event, fanin,
                                gauge_set, install, latency, observe,
-                               observe_many, record_span, request, session,
-                               span, trace_now, uninstall)
+                               observe_many, record_span, session, span,
+                               uninstall)
 from repro.obs.slo import (Objective, SLOEngine, SLOStatus, availability_slo,
                            latency_slo, parse_objective)
 from repro.obs.trace import SpanNode, SpanTracer
@@ -55,9 +56,7 @@ __all__ = [
     "to_chrome", "dump_chrome", "validate_chrome",
     "Telemetry", "install", "uninstall", "current", "enabled", "session",
     "count", "gauge_set", "observe", "observe_many", "span", "latency",
-    "event", "request",
-    "trace_now", "begin_request", "begin_fanin", "end_trace_span",
-    "record_span",
+    "event", "begin_request", "fanin", "end_trace_span", "record_span",
     "Objective", "SLOEngine", "SLOStatus", "latency_slo", "availability_slo",
     "parse_objective",
     "JsonlWriter", "dump_jsonl", "load_jsonl", "to_prometheus",

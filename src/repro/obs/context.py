@@ -1,25 +1,28 @@
-"""Request-scoped trace context, carried via :mod:`contextvars`.
+"""Open spans, carried via :mod:`contextvars`.
 
-A *trace* follows one serving request end to end; a *span* is one timed
-operation inside it.  :class:`ActiveSpan` is the in-flight representation —
-it knows which trace(s) it belongs to, who its parent is inside each trace,
-and accumulates point-in-time events (retry attempts, breaker transitions).
-When a span closes, :class:`repro.obs.tracestore.TraceStore` freezes it into
-an immutable record.
+:class:`ActiveSpan` is the one in-flight span: the aggregate-tree node it
+folds into when it closes, and — when it belongs to a serving request — the
+trace(s) it is part of, its parent inside each trace, and its point-in-time
+events (retry attempts, breaker transitions).  Entering a span makes it the
+innermost open span of the current context; leaving it restores the previous
+one and closes it in the :class:`repro.obs.tracestore.TraceStore` that
+opened it, which folds its time into the node and, for a request span,
+freezes it into an immutable record.
 
-Why *traces* plural on one span: the serving path fans requests **in** —
-``MicroBatcher`` coalesces many single-key requests into one flush, and that
-flush (plus everything beneath it: cache probe, guarded store read, IVF,
-inference) is genuinely shared work.  Rather than duplicating those spans per
-request we record each once with the full set of member trace ids and a
-*per-trace* parent map, so every request's reconstructed trace contains the
-shared spans, correctly parented under that request's own root.
+A *trace* follows one serving request end to end.  Why *traces* plural on
+one span: the serving path fans requests **in** — ``MicroBatcher`` coalesces
+many single-key requests into one flush, and that flush (plus everything
+beneath it: cache probe, guarded store read, IVF, inference) is genuinely
+shared work.  Rather than duplicating those spans per request we record each
+once with the full set of member trace ids and a *per-trace* parent map, so
+every request's reconstructed trace contains the shared spans, correctly
+parented under that request's own root.  A span outside any request has no
+trace ids and no span id.
 
-Propagation uses a :class:`contextvars.ContextVar`, so the active span
-follows the logical flow of control across function calls and survives
-thread hops when explicitly captured (``current()`` at submit time, re-
-activated in the flushing thread).  Span and trace ids are deterministic
-process-wide counters — no randomness, per the repo-wide rule.
+The open spans live on one :class:`contextvars.ContextVar`, so they follow
+the logical flow of control and every thread starts with none of its own: a
+thread's spans never nest under another thread's.  Span and trace ids are
+deterministic process-wide counters — no randomness, per the repo-wide rule.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from __future__ import annotations
 import itertools
 import threading
 from contextvars import ContextVar
-from typing import Mapping
 
-__all__ = ["ActiveSpan", "current", "activate", "deactivate", "new_trace_id",
-           "new_span_id", "child_span", "root_span", "fanin_span"]
+__all__ = ["ActiveSpan", "current", "new_trace_id", "new_span_id",
+           "child_span", "root_span", "fanin_span"]
 
 _COUNTER = itertools.count(1)
 _COUNTER_LOCK = threading.Lock()
@@ -50,30 +52,44 @@ def new_span_id() -> str:
 
 
 class ActiveSpan:
-    """One open span: ids, per-trace parent links, start time, events.
+    """One open span: aggregate node, per-trace parent links, start, events.
 
-    ``trace_ids`` is the tuple of traces this span is part of (one for
-    ordinary spans, many for a fan-in span like a batched flush) and
-    ``parents`` maps each trace id to this span's parent span id *within
-    that trace* (``None`` marks the trace's root).
+    ``node`` is the :class:`~repro.obs.trace.SpanNode` the span's time folds
+    into (``None``: none), ``store`` the trace store that closes it.
+    ``trace_ids`` is the tuple of traces this span is part of (empty outside
+    a request, one for ordinary request spans, many for a fan-in span like a
+    batched flush) and ``parents`` maps each trace id to this span's parent
+    span id *within that trace* (``None`` marks the trace's root).
     """
 
-    __slots__ = ("name", "span_id", "trace_ids", "parents", "start", "attrs",
-                 "events")
+    __slots__ = ("name", "node", "store", "span_id", "trace_ids", "parents",
+                 "start", "attrs", "events", "_token")
 
-    def __init__(self, name: str, span_id: str, trace_ids: tuple[str, ...],
-                 parents: Mapping[str, str | None], start: float,
+    def __init__(self, name: str, node, store, start: float,
+                 trace_ids: tuple[str, ...] = (),
+                 parents: dict[str, str | None] | None = None,
                  attrs: dict | None = None) -> None:
         self.name = name
-        self.span_id = span_id
-        self.trace_ids = trace_ids
-        self.parents = dict(parents)
+        self.node = node
+        self.store = store
         self.start = start
-        self.attrs = attrs or {}
+        self.trace_ids = trace_ids
+        self.parents = parents
+        self.span_id = new_span_id() if trace_ids else None
+        self.attrs = attrs
         self.events: list[tuple[float, str, dict]] = []
 
     def add_event(self, ts: float, name: str, attrs: dict | None = None) -> None:
         self.events.append((ts, name, attrs or {}))
+
+    def __enter__(self) -> "ActiveSpan":
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _ACTIVE.reset(self._token)
+        self.store.end(self, error=exc)
+        return False
 
     def __repr__(self) -> str:
         return (f"ActiveSpan({self.name!r}, span_id={self.span_id}, "
@@ -89,43 +105,34 @@ def current() -> ActiveSpan | None:
     return _ACTIVE.get()
 
 
-def activate(span: ActiveSpan | None):
-    """Make ``span`` the current context; returns a token for :func:`deactivate`."""
-    return _ACTIVE.set(span)
-
-
-def deactivate(token) -> None:
-    _ACTIVE.reset(token)
-
-
-def root_span(name: str, start: float, attrs: dict | None = None) -> ActiveSpan:
+def root_span(name: str, node, store, start: float,
+              attrs: dict | None = None) -> ActiveSpan:
     """Open a new trace: a root span with a fresh trace id."""
     trace_id = new_trace_id()
-    return ActiveSpan(name, new_span_id(), (trace_id,), {trace_id: None},
-                      start, attrs)
-
-
-def child_span(name: str, parent: ActiveSpan, start: float,
-               attrs: dict | None = None) -> ActiveSpan:
-    """Open a span under ``parent`` in every trace the parent belongs to."""
-    parents = {tid: parent.span_id for tid in parent.trace_ids}
-    return ActiveSpan(name, new_span_id(), parent.trace_ids, parents, start,
+    return ActiveSpan(name, node, store, start, (trace_id,), {trace_id: None},
                       attrs)
 
 
-def fanin_span(name: str, parents: list[ActiveSpan], start: float,
+def child_span(name: str, parent: ActiveSpan, node, store, start: float,
                attrs: dict | None = None) -> ActiveSpan:
+    """Open a span under ``parent`` in every trace the parent belongs to."""
+    trace_ids = parent.trace_ids
+    if not trace_ids:
+        return ActiveSpan(name, node, store, start)
+    return ActiveSpan(name, node, store, start, trace_ids,
+                      dict.fromkeys(trace_ids, parent.span_id), attrs)
+
+
+def fanin_span(name: str, parents: list[ActiveSpan], node, store,
+               start: float, attrs: dict | None = None) -> ActiveSpan:
     """Open one span shared by many traces (batched work for many requests).
 
     The span joins every trace of every parent; inside each trace it hangs
     under the first parent that carries that trace id.
     """
-    trace_ids: list[str] = []
     parent_map: dict[str, str | None] = {}
     for parent in parents:
         for tid in parent.trace_ids:
-            if tid not in parent_map:
-                parent_map[tid] = parent.span_id
-                trace_ids.append(tid)
-    return ActiveSpan(name, new_span_id(), tuple(trace_ids), parent_map,
-                      start, attrs)
+            parent_map.setdefault(tid, parent.span_id)
+    return ActiveSpan(name, node, store, start, tuple(parent_map), parent_map,
+                      attrs)

@@ -2,22 +2,22 @@
 
 Instrumented code throughout the repo calls the module-level helpers here
 (``count`` / ``gauge_set`` / ``observe`` / ``span`` / ``latency`` /
-``event`` / ``request``) on its hot paths.  When no :class:`Telemetry`
-session is installed every helper is a cheap early return (one global load +
-``None`` check), so default-on instrumentation costs effectively nothing;
-installing a session routes the same calls into a
+``event``) on its hot paths.  When no :class:`Telemetry` session is
+installed every helper is a cheap early return (one global load + ``None``
+check), so default-on instrumentation costs effectively nothing; installing
+a session routes the same calls into a
 :class:`~repro.obs.registry.MetricsRegistry`, a
 :class:`~repro.obs.trace.SpanTracer`, and a
 :class:`~repro.obs.tracestore.TraceStore`.
 
-Two tiers of tracing keep the hot path honest:
-
-* **aggregate** — ``span()`` always folds into the per-stage time tree;
-* **request-scoped** — when a trace context is active (``request()`` opened
-  a root, or a ``MicroBatcher`` flush re-activated captured contexts), the
-  same ``span()`` call *additionally* records an individually-timed span
-  into the trace store, and ``event()`` attaches point events (retry
-  attempts, breaker transitions) to the innermost open span.
+Every span follows one rule: it is an :class:`~repro.obs.context.ActiveSpan`
+on the trace context, and when it closes it folds into the per-stage time
+tree under the span that was innermost when it opened — and is *also*
+recorded individually into the trace store when that parent belongs to a
+request trace.  Request traces are opened by ``MicroBatcher.submit``
+(:func:`begin_request`) and joined by its flush (:func:`fanin`);
+``event()`` attaches point events (retry attempts, breaker transitions) to
+the innermost open request span.
 
 Typical use::
 
@@ -36,15 +36,15 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.obs import context as _context
+from repro.obs.context import ActiveSpan
 from repro.obs.registry import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.trace import SpanTracer
 from repro.obs.tracestore import TraceStore
 
 __all__ = ["Telemetry", "install", "uninstall", "current", "enabled",
-           "session", "count", "gauge_set", "observe", "span", "latency",
-           "event", "request", "trace_now", "begin_request",
-           "end_trace_span", "begin_fanin", "record_span", "activate_span",
-           "deactivate_span"]
+           "session", "count", "gauge_set", "observe", "observe_many", "span",
+           "latency", "event", "begin_request", "fanin", "end_trace_span",
+           "record_span"]
 
 
 class Telemetry:
@@ -157,145 +157,89 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _TracedSpan:
-    """Aggregate span + request-scoped trace span, as one context manager.
-
-    Enters the per-stage tracer span as usual, *and* opens a trace-store
-    span (child of ``parent``, or a fresh trace root when ``parent`` is
-    ``None`` and ``root=True``) which becomes the active context for the
-    block — nested ``span()``/``event()`` calls land under it.
-    """
-
-    __slots__ = ("_telemetry", "_name", "_parent", "_root", "_attrs", "_agg",
-                 "_span", "_token")
-
-    def __init__(self, telemetry: "Telemetry", name: str,
-                 parent, root: bool = False, attrs: dict | None = None,
-                 ) -> None:
-        self._telemetry = telemetry
-        self._name = name
-        self._parent = parent
-        self._root = root
-        self._attrs = attrs
-
-    def __enter__(self) -> "_TracedSpan":
-        t = self._telemetry
-        self._agg = t.tracer.span(self._name)
-        self._agg.__enter__()
-        self._span = t.traces.begin(
-            self._name, parent=None if self._root else self._parent,
-            attrs=self._attrs)
-        self._token = _context.activate(self._span)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _context.deactivate(self._token)
-        self._telemetry.traces.end(self._span, error=exc)
-        self._agg.__exit__(exc_type, exc, tb)
-        return False
-
-    @property
-    def trace_ids(self) -> tuple[str, ...]:
-        return self._span.trace_ids
+def _under(t: "Telemetry", name: str):
+    """``(parent, node)`` for a span opening here: the innermost open span of
+    this context (``None`` unless this session opened it) and the child node
+    for ``name`` under its node, or under the root."""
+    parent = _context.current()
+    if parent is None or parent.store is not t.traces:
+        return None, t.tracer.root.child(name)
+    return parent, parent.node.child(name)
 
 
 def span(name: str):
-    """Open a tracer span, or a shared no-op context when not installed.
+    """Open a span, or a shared no-op context when not installed.
 
-    With a session installed the span always aggregates into the per-stage
-    time tree; if a request trace is also active in this context the span
-    is *additionally* recorded individually into the trace store, nested
-    under the innermost open trace span.
+    With a session installed the span becomes the innermost open span for
+    the block and folds into the per-stage time tree under the span that was
+    open; if that span belongs to a request trace this one is *additionally*
+    recorded individually into the trace store, in the same traces.
     """
     t = _TELEMETRY
     if t is None:
         return _NULL_SPAN
-    active = _context.current()
-    if active is None:
-        return t.tracer.span(name)
-    return _TracedSpan(t, name, active)
-
-
-def request(name: str = "request", **attrs):
-    """Open a *root* trace span: a new request-scoped trace.
-
-    Everything instrumented beneath the block — nested ``span()`` calls,
-    ``event()`` point events, spans recorded by the micro-batcher on the
-    request's behalf — lands in this request's trace, which is finalized
-    (and tail-sampled for retention) when the block exits.
-    """
-    t = _TELEMETRY
-    if t is None:
-        return _NULL_SPAN
-    return _TracedSpan(t, name, None, root=True, attrs=attrs or None)
+    traces = t.traces
+    parent, node = _under(t, name)
+    if parent is None:
+        return ActiveSpan(name, node, traces, traces.clock())
+    return traces.begin(name, parent, node=node)
 
 
 def event(name: str, **attrs) -> None:
-    """Attach a point-in-time event to the innermost open trace span."""
+    """Attach a point-in-time event to the innermost open request span."""
     t = _TELEMETRY
     if t is None:
         return
     active = _context.current()
-    if active is None:
+    if active is None or not active.trace_ids:
         return
     t.traces.event(active, name, attrs or None)
 
 
-# -- manual trace plumbing (thread hops: MicroBatcher & friends) ---------------
-
-def trace_now() -> float:
-    """The trace store's clock (0.0 when no session is installed)."""
-    t = _TELEMETRY
-    return t.traces.clock() if t is not None else 0.0
-
+# -- request traces across a queue (MicroBatcher) ------------------------------
 
 def begin_request(name: str, **attrs):
-    """Manually open a trace root (returns ``None`` when uninstrumented).
+    """Open a trace root without entering it (``None`` when uninstrumented).
 
     Pair with :func:`end_trace_span` once the request resolves; spans
-    recorded in between (on any thread) land in the request's trace.
+    recorded in between (by any context) land in the request's trace.
     """
     t = _TELEMETRY
     if t is None:
         return None
-    return t.traces.begin(name, parent=None, attrs=attrs or None)
+    __, node = _under(t, name)
+    return t.traces.begin(name, None, attrs or None, node=node)
 
 
-def begin_fanin(name: str, parents: list, **attrs):
-    """Open one span shared by many captured request contexts."""
+def fanin(name: str, parents: list, **attrs):
+    """One span shared by many open request spans, entered for the block.
+
+    It joins every parent's trace and folds into the time tree under this
+    context's innermost open span; an exception escaping the block ends it
+    as an error.
+    """
     t = _TELEMETRY
-    if t is None or not parents:
-        return None
-    return t.traces.begin_fanin(name, parents, attrs=attrs or None)
+    if t is None:
+        return _NULL_SPAN
+    __, node = _under(t, name)
+    return t.traces.begin_fanin(name, parents, attrs or None, node=node)
 
 
 def end_trace_span(span_obj, error=None) -> None:
-    """Close a manually-opened trace span (no-op on ``None``)."""
+    """Close a span from :func:`begin_request` (no-op on ``None``)."""
     t = _TELEMETRY
     if t is None or span_obj is None:
         return
     t.traces.end(span_obj, error=error)
 
 
-def record_span(name: str, parent, start: float, end: float,
+def record_span(name: str, parent, start: float, end: float | None = None,
                 **attrs) -> None:
-    """Record a retroactive span (explicit times) under ``parent``."""
+    """Record a retroactive span under ``parent``, ending now by default."""
     t = _TELEMETRY
     if t is None or parent is None:
         return
     t.traces.record(name, parent, start, end, attrs=attrs or None)
-
-
-def activate_span(span_obj):
-    """Make a captured/fan-in span current in this context; returns a token."""
-    if _TELEMETRY is None or span_obj is None:
-        return None
-    return _context.activate(span_obj)
-
-
-def deactivate_span(token) -> None:
-    if token is not None:
-        _context.deactivate(token)
 
 
 class _LatencyTimer:

@@ -1,21 +1,24 @@
-"""Span tracer: nested timing contexts aggregated into a per-stage time tree.
+"""Span tracer: the per-stage time tree that every closing span folds into.
 
-``with tracer.span("forward"):`` opens a stage; spans nest, and every
+``with obs.span("forward"):`` opens a stage; spans nest, and every
 (parent-path, name) pair aggregates into one :class:`SpanNode` — re-entering
 ``epoch/forward`` a thousand times yields a single node with ``count=1000``
 and the summed wall-clock.  This is exactly the per-stage cost breakdown the
 paper's efficiency argument is built on (where does a training step spend its
 time: hash lookup, candidate sampling, batched softmax, sparse update?).
 
-Timing uses ``time.perf_counter`` by default; the tree *structure* and visit
-counts are deterministic for a fixed workload even though durations vary run
-to run.  Tests inject ``SpanTracer(clock=...)`` (e.g. a
-:class:`repro.utils.ManualClock`) to make durations deterministic too.
+:class:`SpanTracer` holds only the tree.  The open spans live on the trace
+context (:mod:`repro.obs.context`): a span's node is the child of its
+innermost open span's node (the root when none is open), fixed when the span
+opens, and its time is read on the session's ``TraceStore.clock`` —
+``time.perf_counter`` by default; tests inject a
+:class:`repro.utils.ManualClock` there to make durations deterministic.  The
+tree *structure* and visit counts are deterministic for a fixed workload even
+though durations vary run to run.
 
-The stack of *open* spans is per-thread (``threading.local``): spans opened
-from a daemon thread (a ``MicroBatcher`` flush) nest under that thread's own
-spans, never under whatever the main thread happens to have open.  The aggregated tree is shared — all threads
-fold their timings into the same nodes (child creation is atomic via
+Each thread starts with no open span, so a thread's spans hang off the root,
+never off another thread's open span.  The tree is shared — all threads fold
+their timings into the same nodes (child creation is atomic via
 ``dict.setdefault``; concurrent ``count``/``total`` updates on the *same*
 node may lose an increment under free-threading, an accepted tolerance for
 an aggregate profile).
@@ -23,9 +26,7 @@ an aggregate profile).
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Callable
+from repro.obs import context
 
 __all__ = ["SpanNode", "SpanTracer"]
 
@@ -70,66 +71,11 @@ class SpanNode:
                 f"total={self.total:.4f}s, children={len(self.children)})")
 
 
-class _Span:
-    """Active timing context; hand-rolled for low enter/exit overhead."""
-
-    __slots__ = ("_tracer", "_node", "_start")
-
-    def __init__(self, tracer: "SpanTracer", node: SpanNode) -> None:
-        self._tracer = tracer
-        self._node = node
-
-    def __enter__(self) -> "_Span":
-        self._tracer._thread_stack().append(self._node)
-        self._start = self._tracer._clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = self._tracer._clock() - self._start
-        node = self._node
-        node.count += 1
-        node.total += elapsed
-        stack = self._tracer._thread_stack()
-        if stack and stack[-1] is node:
-            stack.pop()
-        else:  # unbalanced exit (generator abandoned mid-span): resync
-            while stack and stack[-1] is not node:
-                stack.pop()
-            if stack:
-                stack.pop()
-
-
 class SpanTracer:
-    """Aggregating tracer: per-thread stacks of open spans over one shared
-    tree of totals.  Each thread's spans nest under that thread's own open
-    spans (threads start at the root), so concurrent instrumentation from
-    daemon threads cannot mis-nest under the main thread's stages."""
+    """The aggregated time tree of one telemetry session."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self.root = SpanNode("root")
-        self._local = threading.local()
-
-    def _thread_stack(self) -> list[SpanNode]:
-        """This thread's open-span stack, rooted at the *current* root.
-
-        Comparing the cached root identity handles :meth:`reset`: a thread
-        whose local stack predates the reset starts fresh from the new root.
-        """
-        local = self._local
-        if getattr(local, "root", None) is not self.root:
-            local.root = self.root
-            local.stack = [self.root]
-        return local.stack
-
-    def span(self, name: str) -> _Span:
-        """Open a (nested) span; use as ``with tracer.span("forward"):``."""
-        return _Span(self, self._thread_stack()[-1].child(name))
-
-    @property
-    def depth(self) -> int:
-        """Number of spans the calling thread currently has open."""
-        return len(self._thread_stack()) - 1
 
     def flatten(self) -> list[dict]:
         """Every aggregated span as a flat dict list (root excluded)."""
@@ -152,10 +98,9 @@ class SpanTracer:
         return node.total
 
     def reset(self) -> None:
-        if len(self._thread_stack()) > 1:
+        if context.current() is not None:
             raise RuntimeError("cannot reset tracer while spans are open")
         self.root = SpanNode("root")
-        self._local = threading.local()
 
     def render(self, float_fmt: str = "{:>9.4f}") -> str:
         """Indented plain-text view of the aggregated time tree."""

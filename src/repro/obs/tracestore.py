@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.obs import context
 from repro.obs.context import ActiveSpan
 
 __all__ = ["SpanRecord", "TraceRecord", "TraceStore", "to_chrome",
@@ -152,7 +153,8 @@ class TraceStore:
         Safety cap on traces whose root never closes (leaked requests);
         the oldest open trace is dropped beyond this.
     clock:
-        Monotonic time source for span timing (injectable in tests).
+        Monotonic time source for every span of the session — the
+        aggregate time tree's and the request traces' (injectable in tests).
     """
 
     def __init__(self, capacity: int = 256, keep_errors: int = 64,
@@ -176,52 +178,58 @@ class TraceStore:
     # -- span lifecycle --------------------------------------------------------
 
     def begin(self, name: str, parent: ActiveSpan | None = None,
-              attrs: dict | None = None) -> ActiveSpan:
-        """Open a span: a child of ``parent``, or a fresh trace root."""
-        from repro.obs import context
+              attrs: dict | None = None, node=None) -> ActiveSpan:
+        """Open a span: a child of ``parent``, or a fresh trace root.
 
+        ``node`` is the aggregate :class:`~repro.obs.trace.SpanNode` the
+        span's time folds into when it closes (``None``: none).
+        """
         now = self.clock()
         if parent is None:
-            span = context.root_span(name, now, attrs)
+            span = context.root_span(name, node, self, now, attrs)
             self._track_open(span.trace_ids[0])
-        else:
-            span = context.child_span(name, parent, now, attrs)
-        return span
+            return span
+        return context.child_span(name, parent, node, self, now, attrs)
 
     def begin_fanin(self, name: str, parents: list[ActiveSpan],
-                    attrs: dict | None = None) -> ActiveSpan:
+                    attrs: dict | None = None, node=None) -> ActiveSpan:
         """Open one span shared by every parent's trace (batched work)."""
-        from repro.obs import context
-
-        return context.fanin_span(name, parents, self.clock(), attrs)
+        return context.fanin_span(name, parents, node, self, self.clock(),
+                                  attrs)
 
     def event(self, span: ActiveSpan, name: str,
               attrs: dict | None = None) -> None:
         span.add_event(self.clock(), name, attrs)
 
     def end(self, span: ActiveSpan, error: BaseException | str | None = None,
-            ) -> SpanRecord:
-        """Close ``span``; finalizes any trace whose root this span is."""
-        status = "ok" if error is None else "error"
+            ) -> SpanRecord | None:
+        """Close ``span``: fold its time into its node and, for a request
+        span, store its record (finalizing any trace whose root it is)."""
+        return self._close(span, self.clock(), error)
+
+    def record(self, name: str, parent: ActiveSpan, start: float,
+               end: float | None = None, attrs: dict | None = None,
+               ) -> SpanRecord | None:
+        """Close a span retroactively under ``parent`` (e.g. queue wait),
+        from ``start`` to ``end`` (default: now)."""
+        node = None if parent.node is None else parent.node.child(name)
+        span = context.child_span(name, parent, node, self, start, attrs)
+        return self._close(span, self.clock() if end is None else end)
+
+    def _close(self, span: ActiveSpan, end: float,
+               error: BaseException | str | None = None) -> SpanRecord | None:
+        node = span.node
+        if node is not None:
+            node.count += 1
+            node.total += end - span.start
+        if not span.trace_ids:
+            return None
         err = None if error is None else (error if isinstance(error, str)
                                           else f"{type(error).__name__}: {error}")
         record = SpanRecord(span.name, span.span_id, span.trace_ids,
-                            span.parents, span.start, self.clock(),
-                            status=status, error=err, attrs=span.attrs,
-                            events=span.events)
-        self._store(record)
-        return record
-
-    def record(self, name: str, parent: ActiveSpan, start: float, end: float,
-               status: str = "ok", error: str | None = None,
-               attrs: dict | None = None) -> SpanRecord:
-        """Record a span retroactively with explicit times (e.g. queue wait)."""
-        from repro.obs import context
-
-        parents = {tid: parent.span_id for tid in parent.trace_ids}
-        record = SpanRecord(name, context.new_span_id(), parent.trace_ids,
-                            parents, start, end, status=status, error=error,
-                            attrs=attrs)
+                            span.parents, span.start, end,
+                            status="ok" if error is None else "error",
+                            error=err, attrs=span.attrs, events=span.events)
         self._store(record)
         return record
 

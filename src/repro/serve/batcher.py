@@ -407,41 +407,37 @@ class MicroBatcher:
 
     def _run_batch(self, batch: list[PendingResult], reason: str) -> None:
         """One ``flush_fn`` call under the group's tightest admitted budget."""
-        flush_span = token = None
+        parents = ()
         if obs.enabled():
             # Retroactive queue-wait spans (one per request, from its root's
-            # start), then one fan-in flush span shared by the batch's traces;
-            # activating it makes flush_fn's own spans/events its children.
+            # start); the fan-in flush span below joins the batch's traces,
+            # and flush_fn's own spans/events land under it.
             parents = [p._span for p in batch if p._span is not None]
-            now = obs.trace_now()
             for span in parents:
-                obs.record_span("batcher.wait", span, span.start, now)
-            flush_span = obs.begin_fanin("batcher.flush", parents,
-                                         trigger=reason, batch_size=len(batch))
-            token = obs.activate_span(flush_span)
+                obs.record_span("batcher.wait", span, span.start)
         scope = min((p._deadline for p in batch if p._deadline is not None),
                     key=lambda d: d.expires_at, default=None)
         keys = [pending.key for pending in batch]
         started = self._clock()
         error: BaseException | None = None
         try:
-            with deadline_scope(scope):
+            with obs.fanin("batcher.flush", parents, trigger=reason,
+                           batch_size=len(batch)), deadline_scope(scope):
                 values = self._flush_fn(keys)
-            # a generator has no length: nothing to pair the keys with
-            count = len(values) if hasattr(values, "__len__") else "unsized"
-            if count != len(batch):
-                raise ValueError(
-                    f"flush_fn returned {count} values for {len(batch)} keys")
-            for pending, value in zip(batch, values):
-                pending._value = value
+                # a generator has no length: nothing to pair the keys with
+                count = len(values) if hasattr(values, "__len__") \
+                    else "unsized"
+                if count != len(batch):
+                    raise ValueError(f"flush_fn returned {count} values for "
+                                     f"{len(batch)} keys")
+                for pending, value in zip(batch, values):
+                    pending._value = value
         except BaseException as exc:
             error = exc
             if not isinstance(exc, Exception):
                 raise   # Ctrl-C / SystemExit: fail the handles, then propagate
         finally:
-            # the one exit: handles resolve, spans end, the throttle is fed
-            obs.deactivate_span(token)
-            obs.end_trace_span(flush_span, error=error)
+            # the one exit: handles resolve, roots end, the throttle is fed
             self._complete(batch, error)
             if self.throttle is not None:
                 finished = self._clock()

@@ -5,7 +5,7 @@ All timing here goes through an injectable ``clock`` callable (defaulting to
 instead of sleeping and asserting on real wall-clock — the single biggest
 source of flakiness in timing tests.  The same convention is used by
 :class:`repro.resilience.RetryPolicy` / ``CircuitBreaker`` and
-:class:`repro.obs.SpanTracer`.
+:class:`repro.obs.TraceStore`, whose clock times every span.
 """
 
 from __future__ import annotations

@@ -71,8 +71,9 @@ def freeze_clock():
     """A ManualClock at t=0: inject as ``clock=`` and advance by hand.
 
     Timing-sensitive tests must never sleep and assert on real wall-clock;
-    every timed component (``Timer``, ``timed``, ``SpanTracer``,
-    ``RetryPolicy``, ``CircuitBreaker``) accepts an injectable clock.
+    every timed component (``Timer``, ``timed``, ``RetryPolicy``,
+    ``CircuitBreaker``, and ``TraceStore``, whose clock times every span)
+    accepts an injectable clock.
     """
     from repro.utils import ManualClock
 

@@ -195,6 +195,37 @@ class TestObservabilityCommands:
         assert err.startswith(f"{command}: --requests must be at least 1")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["trace", "slo"])
+    @pytest.mark.parametrize("rate", ["2", "-0.5", "nan"])
+    def test_bad_failure_rate_exits_two(self, command, rate, capsys):
+        code, text = run_cli(command, "--failure-rate", rate)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: failure_rate must be a probability")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_trace_negative_limit_exits_two(self, capsys):
+        # a negative slice bound would drop traces from the end silently
+        code, text = run_cli("trace", "--limit", "-1", "--requests", "20")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("trace: --limit must be >= 0")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_trace_zero_limit_prints_the_summary_only(self):
+        code, text = run_cli("trace", "--limit", "0", "--requests", "20")
+        assert code == 0
+        assert "20 traces finished" in text and "[slowest]" not in text
+
+    @pytest.mark.parametrize("command", ["loadtest", "chaos"])
+    @pytest.mark.parametrize("limit", ["nan", "-0.1", "1.5"])
+    def test_bad_shed_limit_exits_two(self, command, limit, capsys):
+        code, text = run_cli(command, "--shed-limit", limit)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: --shed-limit must be a fraction")
+        assert len(err.strip().splitlines()) == 1
+
     def test_slo_timeline_fail_exits_one(self, tmp_path):
         import json
 

@@ -164,13 +164,22 @@ class TestTracedServingPath:
         rng = np.random.default_rng(0)
         index = IVFIndex(dim=DIM, n_lists=4, nprobe=2,
                          seed=0).fit(rng.normal(size=(32, DIM)))
+        queries = rng.normal(size=(8, DIM))
+        batcher = MicroBatcher(
+            lambda keys: index.query_batch(queries[keys], k=4),
+            max_batch=64, max_delay_seconds=10.0)
         with obs.session() as telemetry:
-            with obs.request("rank"):
-                index.query(rng.normal(size=DIM), k=4)
+            handle = batcher.submit(3)
+            batcher.flush()
+            handle.result(timeout=2)
             trace = telemetry.traces.traces()[0]
+            tid = trace.trace_id
             ivf = trace.span_named("ivf.query_batch")
+            flush = trace.span_named("batcher.flush")
             assert ivf is not None
-            assert ivf.parent_in(trace.trace_id) == trace.root.span_id
+            assert ivf.parent_in(tid) == flush.span_id
+            assert flush.parent_in(tid) == trace.root.span_id
+            assert trace.root.name == "serve.request"
 
     def test_no_per_request_records_without_active_context(self):
         __, __f, proxy, __b = make_stack()
@@ -179,3 +188,21 @@ class TestTracedServingPath:
             # aggregate tracer sees the work, the trace store stays empty
             assert telemetry.traces.finished == 0
             assert telemetry.tracer.root.children  # aggregate spans recorded
+
+
+class TestOneSpanTree:
+    def test_replay_aggregates_under_the_flush_and_counts_requests(self):
+        from repro.loadtest import LoadTestHarness, steady_trace
+
+        events = steady_trace(duration=2.0, seed=0)
+        harness = LoadTestHarness(seed=0)
+        with obs.session() as telemetry:
+            result = harness.run(events, name="spans")
+        tracer = telemetry.tracer
+        assert result.requests == len(events) > 0
+        # the proxy's spans fold under the flush span that was open, not
+        # at the root beside it
+        assert tracer.total("batcher.flush/proxy.cache") > 0.0
+        assert "proxy.cache" not in tracer.root.children
+        # every replayed request opened (and closed) one request root
+        assert tracer.root.children["serve.request"].count == len(events)

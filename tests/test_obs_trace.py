@@ -4,92 +4,92 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import SpanTracer, Telemetry
+from repro.obs import Telemetry, TraceStore, context
 from repro.obs import runtime as obs
 
 
+@pytest.fixture()
+def tracer(freeze_clock):
+    """The time tree of a session whose spans run on ``freeze_clock``."""
+    telemetry = Telemetry()
+    telemetry.traces = TraceStore(clock=freeze_clock)
+    with obs.session(telemetry):
+        yield telemetry.tracer
+
+
 class TestSpanTracer:
-    def test_aggregates_repeated_spans(self):
-        tracer = SpanTracer()
+    def test_aggregates_repeated_spans(self, tracer):
         for __ in range(5):
-            with tracer.span("forward"):
+            with obs.span("forward"):
                 pass
         node = tracer.root.children["forward"]
         assert node.count == 5
         assert node.total >= 0.0
 
-    def test_nesting_builds_tree(self):
-        tracer = SpanTracer()
-        with tracer.span("epoch"):
-            with tracer.span("forward"):
+    def test_nesting_builds_tree(self, tracer):
+        with obs.span("epoch"):
+            with obs.span("forward"):
                 pass
-            with tracer.span("backward"):
+            with obs.span("backward"):
                 pass
         epoch = tracer.root.children["epoch"]
         assert set(epoch.children) == {"forward", "backward"}
         assert "forward" not in tracer.root.children
 
-    def test_same_name_different_parents_are_distinct(self):
-        tracer = SpanTracer()
-        with tracer.span("a"):
-            with tracer.span("x"):
+    def test_same_name_different_parents_are_distinct(self, tracer):
+        with obs.span("a"):
+            with obs.span("x"):
                 pass
-        with tracer.span("b"):
-            with tracer.span("x"):
+        with obs.span("b"):
+            with obs.span("x"):
                 pass
         assert tracer.root.children["a"].children["x"].count == 1
         assert tracer.root.children["b"].children["x"].count == 1
 
-    def test_total_by_path(self, freeze_clock):
-        tracer = SpanTracer(clock=freeze_clock)
-        with tracer.span("epoch"):
-            with tracer.span("forward"):
+    def test_total_by_path(self, tracer, freeze_clock):
+        with obs.span("epoch"):
+            with obs.span("forward"):
                 freeze_clock.advance(0.5)
         assert tracer.total("epoch/forward") == 0.5
         assert tracer.total("epoch") == 0.5
         assert tracer.total("nope") == 0.0
         assert tracer.total("epoch/nope") == 0.0
 
-    def test_self_time_excludes_children(self, freeze_clock):
-        tracer = SpanTracer(clock=freeze_clock)
-        with tracer.span("outer"):
+    def test_self_time_excludes_children(self, tracer, freeze_clock):
+        with obs.span("outer"):
             freeze_clock.advance(0.25)
-            with tracer.span("inner"):
+            with obs.span("inner"):
                 freeze_clock.advance(1.0)
         outer = tracer.root.children["outer"]
         assert outer.total == 1.25
         assert outer.children["inner"].total == 1.0
         assert outer.self_time == pytest.approx(0.25)
 
-    def test_span_survives_exception(self):
-        tracer = SpanTracer()
+    def test_span_survives_exception(self, tracer):
         with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
+            with obs.span("boom"):
                 raise RuntimeError("x")
         assert tracer.root.children["boom"].count == 1
-        assert tracer.depth == 0
+        assert context.current() is None
 
-    def test_flatten_paths(self):
-        tracer = SpanTracer()
-        with tracer.span("epoch"):
-            with tracer.span("forward"):
+    def test_flatten_paths(self, tracer):
+        with obs.span("epoch"):
+            with obs.span("forward"):
                 pass
         paths = [rec["path"] for rec in tracer.flatten()]
         assert paths == ["epoch", "epoch/forward"]
         rec = tracer.flatten()[1]
         assert rec["count"] == 1 and rec["mean"] == rec["total"]
 
-    def test_render_contains_stages(self):
-        tracer = SpanTracer()
-        with tracer.span("epoch"):
-            with tracer.span("forward"):
+    def test_render_contains_stages(self, tracer):
+        with obs.span("epoch"):
+            with obs.span("forward"):
                 pass
         text = tracer.render()
         assert "epoch" in text and "forward" in text and "count" in text
 
-    def test_reset_requires_closed_spans(self):
-        tracer = SpanTracer()
-        span = tracer.span("open")
+    def test_reset_requires_closed_spans(self, tracer):
+        span = obs.span("open")
         span.__enter__()
         with pytest.raises(RuntimeError):
             tracer.reset()
@@ -97,18 +97,17 @@ class TestSpanTracer:
         tracer.reset()
         assert tracer.flatten() == []
 
-    def test_concurrent_spans_from_two_threads_stay_separate(self):
-        """Regression: span stacks are per-thread, so two threads opening
-        spans concurrently must not nest under each other."""
+    def test_concurrent_spans_from_two_threads_stay_separate(self, tracer):
+        """Regression: every thread starts with no open span, so two threads
+        opening spans concurrently must not nest under each other."""
         import threading
 
-        tracer = SpanTracer()
         inside = threading.Barrier(2)
 
         def worker(name: str) -> None:
-            with tracer.span(name):
+            with obs.span(name):
                 inside.wait()  # both spans provably open at the same time
-                with tracer.span("inner"):
+                with obs.span("inner"):
                     pass
 
         threads = [threading.Thread(target=worker, args=(f"t{i}",))
@@ -127,15 +126,13 @@ class TestSpanTracer:
             assert set(node.children) == {"inner"}
             assert node.children["inner"].count == 1
 
-    def test_many_threads_aggregate_counts_consistently(self):
+    def test_many_threads_aggregate_counts_consistently(self, tracer):
         import threading
-
-        tracer = SpanTracer()
 
         def worker() -> None:
             for __ in range(50):
-                with tracer.span("op"):
-                    with tracer.span("sub"):
+                with obs.span("op"):
+                    with obs.span("sub"):
                         pass
 
         threads = [threading.Thread(target=worker) for __ in range(4)]
@@ -149,7 +146,7 @@ class TestSpanTracer:
         assert set(tracer.root.children["op"].children) == {"sub"}
         assert 190 <= tracer.root.children["op"].count <= 200
         assert 190 <= tracer.root.children["op"].children["sub"].count <= 200
-        assert tracer.depth == 0
+        assert context.current() is None
 
 
 class TestRuntime:
