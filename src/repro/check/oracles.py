@@ -423,6 +423,7 @@ def _oracle_proxy_batch(rng: np.random.Generator) -> Pairs:
 def _oracle_encoder_inference(rng: np.random.Generator) -> Pairs:
     from repro.core import FVAE, FVAEConfig
     from repro.data import make_kd_like
+    from repro.nn import no_grad
 
     seed = int(rng.integers(0, 2 ** 31))
     data = make_kd_like(n_users=40, seed=seed)
@@ -431,9 +432,11 @@ def _oracle_encoder_inference(rng: np.random.Generator) -> Pairs:
     model = FVAE(data.dataset.schema, config)
     model.fit(data.dataset, epochs=1, batch_size=16)
     batch = data.dataset.batch(np.arange(20))
-    mu_t, logvar_t = model.encode_batch(batch, inference=False)
-    mu_a, logvar_a = model.encode_batch(batch, inference=True)
-    return {"mu": (mu_t, mu_a), "logvar": (logvar_t, logvar_a)}
+    model.eval()
+    with no_grad():
+        mu_t, logvar_t = model.encoder(batch)
+    mu_a, logvar_a = model.encode_batch(batch)
+    return {"mu": (mu_t.data, mu_a), "logvar": (logvar_t.data, logvar_a)}
 
 
 @register_oracle("distributed.sharded_vs_single_process", exact=False,

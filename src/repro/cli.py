@@ -324,13 +324,12 @@ def _cmd_train(args, out) -> int:
 
 
 def _cmd_evaluate(args, out) -> int:
-    from repro.core import load_fvae
     from repro.tasks import evaluate_reconstruction, evaluate_tag_prediction
 
     synthetic = _load_dataset(args)
     __, test = synthetic.dataset.split([0.8, 0.2], rng=args.seed)
-    model = load_fvae(args.model)
-    if not _schema_matches(model, test, "evaluate"):
+    model = _load_model(args)
+    if model is None or not _schema_matches(model, test, "evaluate"):
         return 2
     if args.task == "tags":
         result = evaluate_tag_prediction(model, test, rng=args.seed)
@@ -346,6 +345,19 @@ def _cmd_evaluate(args, out) -> int:
     return 0
 
 
+def _load_model(args):
+    """The ``--model`` archive, or ``None`` after one stderr line saying why
+    it cannot be read (missing, truncated, corrupt, not a model)."""
+    from repro.core import load_fvae
+    from repro.resilience import CheckpointError
+
+    try:
+        return load_fvae(args.model)
+    except CheckpointError as exc:
+        print(f"{args.command}: cannot load model: {exc}", file=sys.stderr)
+        return None
+
+
 def _schema_matches(model, dataset, command: str) -> bool:
     """Whether ``model`` can run on ``dataset``; says why not on stderr."""
     try:
@@ -358,11 +370,9 @@ def _schema_matches(model, dataset, command: str) -> bool:
 
 
 def _cmd_embed(args, out) -> int:
-    from repro.core import load_fvae
-
     synthetic = _load_dataset(args)
-    model = load_fvae(args.model)
-    if not _schema_matches(model, synthetic.dataset, "embed"):
+    model = _load_model(args)
+    if model is None or not _schema_matches(model, synthetic.dataset, "embed"):
         return 2
     embeddings = model.embed_users(synthetic.dataset)
     np.savez_compressed(args.output, embeddings=embeddings,
@@ -519,8 +529,7 @@ def _cmd_trace(args, out) -> int:
         result = harness.run(events, name="trace")
     store = telemetry.traces
     if args.export == "chrome":
-        exported = obs.dump_chrome(store.traces() + store.error_traces()
-                                   + store.slowest_traces(), args.out)
+        exported = obs.dump_chrome(store.traces(), args.out)
         print(f"trace: {exported} events from {store.finished} requests "
               f"written to {args.out}", file=out)
         return 0

@@ -28,7 +28,7 @@ from repro.data.dataset import MultiFieldDataset, UserBatch
 from repro.data.fields import FieldSchema
 from repro.nn import gaussian_kl
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor, is_inference, no_grad
+from repro.nn.tensor import Tensor
 from repro.obs import runtime as obs
 from repro.sampling import get_sampler, select_candidates
 from repro.utils.memory import release_free_heap
@@ -255,31 +255,15 @@ class FVAE(Module, UserRepresentationModel):
             raise ValueError(f"dataset schema {dataset.schema!r} does not match "
                              f"the model's schema {self.schema!r}")
 
-    def encode_batch(self, batch: UserBatch,
-                     inference: bool | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def encode_batch(self, batch: UserBatch) -> tuple[np.ndarray, np.ndarray]:
         """Posterior ``(mu, logvar)`` arrays for one batch (eval semantics).
 
-        ``inference=True`` takes the raw-array fast path
-        (:meth:`FieldAwareEncoder.forward_arrays`) — no autograd Tensors, no
-        backward closures — which is bit-identical to the eval Tensor forward
+        Runs the raw-array forward (:meth:`FieldAwareEncoder.forward_arrays`)
+        — no autograd Tensors, no backward closures, whatever the module's
+        training flag — which is bit-identical to the eval Tensor forward
         (guarded by the ``core.encoder.inference_vs_autograd`` oracle).
-        ``inference=False`` forces the Tensor reference path; the default
-        ``None`` defers to :func:`repro.nn.is_inference`.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            if inference is None:
-                inference = is_inference()
-            if inference:
-                return self.encoder.forward_arrays(batch)
-            with no_grad():
-                mu, logvar = self.encoder(batch)
-            return mu.data, logvar.data
-        finally:
-            if was_training:
-                self.train()
+        return self.encoder.forward_arrays(batch)
 
     def embed_users(self, dataset: MultiFieldDataset,
                     batch_size: int = 2048) -> np.ndarray:
@@ -289,7 +273,7 @@ class FVAE(Module, UserRepresentationModel):
         out = np.empty((dataset.n_users, self.config.latent_dim))
         for start in range(0, dataset.n_users, batch_size):
             idx = np.arange(start, min(start + batch_size, dataset.n_users))
-            mu, __ = self.encode_batch(dataset.batch(idx), inference=True)
+            mu, __ = self.encode_batch(dataset.batch(idx))
             out[idx] = mu
         return out
 
@@ -303,7 +287,7 @@ class FVAE(Module, UserRepresentationModel):
         sigma_out = np.empty_like(mu_out)
         for start in range(0, dataset.n_users, batch_size):
             idx = np.arange(start, min(start + batch_size, dataset.n_users))
-            mu, logvar = self.encode_batch(dataset.batch(idx), inference=True)
+            mu, logvar = self.encode_batch(dataset.batch(idx))
             mu_out[idx] = mu
             sigma_out[idx] = np.exp(0.5 * logvar)
         return mu_out, sigma_out

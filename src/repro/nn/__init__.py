@@ -10,13 +10,11 @@ from repro.nn.layers import MLP, Dropout, Linear, Module
 from repro.nn.losses import gaussian_kl, gaussian_kl_to, mse, multinomial_nll
 from repro.nn.optim import Adam
 from repro.nn.tensor import (Parameter, Tensor, as_tensor, coalesce_rows,
-                             inference_mode, is_grad_enabled, is_inference,
-                             no_grad, stable_sigmoid)
+                             is_grad_enabled, no_grad, stable_sigmoid)
 
 __all__ = [
     "functional",
     "Tensor", "Parameter", "as_tensor", "no_grad", "is_grad_enabled",
-    "inference_mode", "is_inference",
     "coalesce_rows", "stable_sigmoid",
     "Module", "Linear", "MLP", "Dropout",
     "Adam",

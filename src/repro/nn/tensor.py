@@ -33,12 +33,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled", "as_tensor",
-           "inference_mode", "is_inference",
            "stable_sigmoid", "coalesce_rows"]
 
 
 _GRAD_ENABLED = True
-_INFERENCE_MODE = False
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -99,35 +97,6 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
     return _GRAD_ENABLED
-
-
-class inference_mode:
-    """:class:`no_grad` plus permission to skip Tensor allocation entirely.
-
-    ``no_grad`` stops graph construction but every op still wraps its result
-    in a fresh :class:`Tensor` and captures a backward closure's worth of
-    locals.  Inside ``inference_mode`` modules that provide a raw-array fast
-    path (``forward_arrays`` on the encoder stack) detect the flag via
-    :func:`is_inference` and run on plain ``np.ndarray``s — same arithmetic,
-    zero wrapper allocation.  Serving-side forwards (proxy ``infer_fn``,
-    look-alike expansion) live in this context.
-    """
-
-    def __enter__(self) -> "inference_mode":
-        global _GRAD_ENABLED, _INFERENCE_MODE
-        self._prev = (_GRAD_ENABLED, _INFERENCE_MODE)
-        _GRAD_ENABLED = False
-        _INFERENCE_MODE = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED, _INFERENCE_MODE
-        _GRAD_ENABLED, _INFERENCE_MODE = self._prev
-
-
-def is_inference() -> bool:
-    """Return whether the raw-array inference fast path is requested."""
-    return _INFERENCE_MODE
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

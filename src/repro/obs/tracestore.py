@@ -332,9 +332,12 @@ def to_chrome(traces: Iterable[TraceRecord]) -> dict:
     tids: dict[str, int] = {}
     emitted: set[tuple[str, str]] = set()
     for trace in traces:
-        tid = tids.setdefault(trace.trace_id, len(tids) + 1)
-        events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                       "args": {"name": f"trace {trace.trace_id}"}})
+        tid = tids.get(trace.trace_id)
+        if tid is None:     # one track (and one name event) per trace
+            tid = tids[trace.trace_id] = len(tids) + 1
+            events.append({"name": "thread_name", "ph": "M", "pid": 1,
+                           "tid": tid,
+                           "args": {"name": f"trace {trace.trace_id}"}})
         for span in trace.spans:
             key = (trace.trace_id, span.span_id)
             if key in emitted:

@@ -1,61 +1,75 @@
-"""Crash-safe training checkpoints.
+"""Crash-safe archives: training checkpoints and model files share one codec.
 
 The paper's production FVAE trains for days on a parameter-server cluster
 (§IV-D); at that horizon a lost worker or pre-empted job is routine, and a
 training system that cannot resume is a training system that loses days of
-work.  :class:`Checkpointer` provides the storage half of the resume story:
+work.  The trained model then ships to serving as weights plus dynamic hash
+tables.  Both hand-offs use the one archive codec here:
 
-* **atomic** — archives are staged to a temp file and ``os.replace``\\ d into
-  place (:mod:`repro.utils.fileio`), so a crash mid-save never corrupts the
-  newest-but-one checkpoint;
-* **self-verifying** — every archive carries a ``.sha256`` sidecar; a
-  truncated or bit-rotten checkpoint raises :class:`CheckpointError` on load
-  and :meth:`Checkpointer.latest` transparently falls back to the newest
-  *valid* one;
-* **bounded** — a retention policy keeps the last ``keep_last`` archives.
+* :func:`write_archive` stages the ``.npz`` to a temp file and
+  ``os.replace``\\ s it into place (:mod:`repro.utils.fileio`), so a crash
+  mid-save never corrupts the previous archive, and writes a ``.sha256``
+  sidecar next to it;
+* :func:`read_archive` checks that sidecar whenever it exists, parses the
+  JSON ``meta`` member and its ``format_version``, and raises
+  :class:`CheckpointError` for every failure — missing, truncated, garbage,
+  bit-rotten or of another format.
+
+:class:`Checkpointer` adds path naming, a retention policy (the last
+``keep_last`` archives) and its ``checkpoint.*`` metrics;
+:meth:`Checkpointer.latest` falls back to the newest *valid* checkpoint.
 
 The *content* of a training checkpoint (model parameters, optimizer moments,
 hash tables, RNG states, epoch/batch cursor) is assembled by
 :meth:`repro.core.trainer.Trainer.fit`; the helpers here
-(:func:`model_state_arrays` / :func:`restore_model_state`) capture the
-model-side state for any :class:`~repro.nn.layers.Module`-shaped model and
-know how to snapshot FVAE dynamic hash tables.
+(:func:`model_state_arrays` / :func:`restore_model_state`) capture and restore
+the model-side state for any :class:`~repro.nn.layers.Module`-shaped model,
+FVAE dynamic hash tables included, for checkpoints and model files alike
+(:mod:`repro.core.serialization`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import pickle
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.obs import runtime as obs
-from repro.utils.fileio import (DigestMismatchError, atomic_savez,
-                                digest_path_for, verify_digest)
+from repro.utils.fileio import atomic_savez, digest_path_for, verify_digest
 
-__all__ = ["CheckpointError", "Checkpoint", "Checkpointer",
-           "check_resume_batch_size", "model_state_arrays",
+__all__ = ["CheckpointError", "Checkpoint", "Checkpointer", "read_archive",
+           "write_archive", "check_resume_batch_size", "model_state_arrays",
            "restore_model_state"]
 
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
-_META_KEY = "__checkpoint_meta__"
+_META = "meta"
+_ZIP_MAGIC = b"PK\x03\x04"
 _TABLE_KEYS = "table_keys/"
 _TABLE_ROWS = "table_rows/"
 _PARAM = "param/"
 
+#: What a truncated, garbage or bit-rotten archive raises on the way in.
+_READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error,
+                pickle.UnpicklingError)
+
 
 class CheckpointError(RuntimeError):
-    """A checkpoint cannot be read: missing, corrupt, or wrong format."""
+    """A checkpoint or model archive cannot be read or restored: missing,
+    corrupt, of another format, or not fitting the model."""
 
 
 @dataclass
 class Checkpoint:
-    """One loaded checkpoint: its path, parsed metadata, and raw arrays."""
+    """One loaded archive: its path, parsed metadata, and raw arrays."""
 
     path: Path
     meta: dict
@@ -95,14 +109,9 @@ class Checkpointer:
 
     def save(self, arrays: dict[str, np.ndarray], meta: dict, step: int) -> Path:
         """Atomically persist one checkpoint and apply the retention policy."""
-        meta = dict(meta)
-        meta.setdefault("format_version", FORMAT_VERSION)
-        meta["step"] = int(step)
-        payload = dict(arrays)
-        payload[_META_KEY] = np.asarray(json.dumps(meta))
         path = self.path_for(step)
         with obs.latency("checkpoint.save_seconds"):
-            atomic_savez(path, payload)
+            write_archive(path, arrays, dict(meta, step=int(step)))
         obs.count("checkpoint.saves")
         obs.gauge_set("checkpoint.bytes", float(path.stat().st_size))
         self._prune()
@@ -124,31 +133,12 @@ class Checkpointer:
         return sorted(self.directory.glob(f"{self.prefix}-step*.npz"))
 
     def load(self, path: str | Path) -> Checkpoint:
-        """Load and verify one checkpoint; raises :class:`CheckpointError`."""
-        path = Path(path)
-        if not path.is_file():
-            raise CheckpointError(f"no checkpoint at {path}")
+        """:func:`read_archive`, counting failures as ``checkpoint.corrupt``."""
         try:
-            if digest_path_for(path).exists():
-                verify_digest(path)
-            with np.load(path, allow_pickle=True) as payload:
-                if _META_KEY not in payload.files:
-                    raise CheckpointError(
-                        f"{path} is not a checkpoint archive (no metadata)")
-                meta = json.loads(str(payload[_META_KEY]))
-                arrays = {name: payload[name] for name in payload.files
-                          if name != _META_KEY}
+            return read_archive(path)
         except CheckpointError:
-            raise
-        except (DigestMismatchError, OSError, ValueError,
-                json.JSONDecodeError) as exc:
             obs.count("checkpoint.corrupt")
-            raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has format {meta.get('format_version')}; "
-                f"this build reads {FORMAT_VERSION}")
-        return Checkpoint(path=path, meta=meta, arrays=arrays)
+            raise
 
     def latest(self) -> Checkpoint | None:
         """Newest *valid* checkpoint, skipping (and logging) corrupt ones."""
@@ -158,6 +148,47 @@ class Checkpointer:
             except CheckpointError as exc:
                 logger.warning("skipping unreadable checkpoint: %s", exc)
         return None
+
+
+def write_archive(path: str | Path, arrays: dict[str, np.ndarray],
+                  meta: dict) -> Path:
+    """Atomically write ``arrays`` plus JSON ``meta`` (stamped with the
+    format version) as one ``.npz`` archive with a ``.sha256`` sidecar."""
+    payload = dict(arrays)
+    payload[_META] = np.asarray(
+        json.dumps({**meta, "format_version": FORMAT_VERSION}))
+    path = Path(path)
+    atomic_savez(path, payload)
+    return path
+
+
+def read_archive(path: str | Path) -> Checkpoint:
+    """Load and verify one archive; raises :class:`CheckpointError`."""
+    path = Path(path)
+    if not path.is_file():
+        raise CheckpointError(f"no archive at {path}")
+    try:
+        if digest_path_for(path).exists():
+            verify_digest(path)
+        with open(path, "rb") as handle:
+            # np.load would unpickle a file that is not a zip archive.
+            if handle.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise CheckpointError(f"{path} is not an .npz archive")
+        with np.load(path, allow_pickle=True) as payload:
+            if _META not in payload.files:
+                raise CheckpointError(
+                    f"{path} is not an archive of this format: no "
+                    f"'{_META}' entry")
+            meta = json.loads(str(payload[_META]))
+            arrays = {name: payload[name] for name in payload.files
+                      if name != _META}
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"{path} is unreadable: {exc}") from exc
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path} has format {version}; this build "
+                              f"reads {FORMAT_VERSION}")
+    return Checkpoint(path=path, meta=meta, arrays=arrays)
 
 
 def check_resume_batch_size(meta: dict, order: np.ndarray | None,
@@ -209,18 +240,30 @@ def restore_model_state(model, arrays: dict[str, np.ndarray]) -> None:
     and any extra rows would desynchronise the run from its uninterrupted
     twin.
     """
-    for field, table in _tables_of(model).items():
-        keys_name, rows_name = f"{_TABLE_KEYS}{field}", f"{_TABLE_ROWS}{field}"
-        if keys_name not in arrays:
-            raise CheckpointError(f"checkpoint lacks hash table for '{field}'")
-        keys = [_plain_key(k) for k in arrays[keys_name]]
-        table.load_items(keys, arrays[rows_name].tolist())
-    params = dict(model.named_parameters())
-    missing = [name for name in params if f"{_PARAM}{name}" not in arrays]
+    tables, params = _tables_of(model), dict(model.named_parameters())
+    needed = [f"{prefix}{field}" for field in tables
+              for prefix in (_TABLE_KEYS, _TABLE_ROWS)]
+    needed += [f"{_PARAM}{name}" for name in params]
+    missing = [name for name in needed if name not in arrays]
     if missing:
-        raise CheckpointError(f"checkpoint lacks parameters: {sorted(missing)}")
+        raise CheckpointError(f"archive lacks arrays: {missing}")
+    # A row-sparse parameter may have grown; every other dimension is fixed.
+    misfit = [f"{name} {arrays[_PARAM + name].shape} vs {param.data.shape}"
+              for name, param in params.items()
+              if arrays[_PARAM + name].shape[param.sparse:]
+              != param.data.shape[param.sparse:]]
+    if misfit:
+        raise CheckpointError(f"archive parameters do not fit the model: "
+                              f"{misfit}")
+    for field, table in tables.items():
+        keys = [_plain_key(k) for k in arrays[f"{_TABLE_KEYS}{field}"]]
+        try:
+            table.load_items(keys, arrays[f"{_TABLE_ROWS}{field}"].tolist())
+        except ValueError as exc:
+            raise CheckpointError(f"archive hash table for '{field}' is "
+                                  f"malformed: {exc}") from exc
     for name, param in params.items():
-        param.data = np.array(arrays[f"{_PARAM}{name}"], copy=True)
+        param.data = np.array(arrays[_PARAM + name], copy=True)
 
 
 def _tables_of(model) -> dict[str, object]:

@@ -1,11 +1,14 @@
 """Crash-safe file IO: atomic writes and content digests.
 
 A multi-day training run must never be left with a half-written model or
-checkpoint after a crash.  Every persistent artifact in the repo goes through
+checkpoint after a crash.  Model files and checkpoints go through
 :func:`atomic_write_bytes`: the payload is written to a temporary file *in the
 target directory* (same filesystem, so the final rename is atomic), flushed
 and fsynced, then moved into place with ``os.replace``.  Readers therefore
-see either the old file or the new file — never a torn write.
+see either the old file or the new file — never a torn write.  The one
+exception is ``EmbeddingStore.save_snapshot``, which writes with ``np.savez``
+in place, uncompressed so that the rows can be memory-mapped back
+(:func:`mmap_npz_member`).
 
 Corruption that slips past the filesystem (partial disk, bit rot, truncated
 copy) is caught by content digests: :func:`atomic_savez` writes a sidecar

@@ -137,6 +137,47 @@ class TestDatasetSchemaMismatch:
         assert text == ""
 
 
+class TestBadModelFile:
+    """A ``--model`` that cannot be read is a usage error: one line, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def saved_model(self, tmp_path_factory):
+        from repro.core import FVAE, FVAEConfig, save_fvae
+        from repro.data import get_dataset
+        from repro.utils.fileio import digest_path_for
+
+        data = get_dataset("sc", n_users=50, seed=0).dataset
+        path = tmp_path_factory.mktemp("cli_bad") / "model.npz"
+        save_fvae(FVAE(data.schema, FVAEConfig(latent_dim=4, seed=0)), path)
+        return path.read_bytes(), digest_path_for(path).read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "embed"])
+    @pytest.mark.parametrize("damage", ["missing", "garbage",
+                                        "flipped byte with a sidecar"])
+    def test_exits_two_with_one_line(self, saved_model, tmp_path, capsys,
+                                     command, damage):
+        from repro.utils.fileio import digest_path_for
+
+        path = tmp_path / "model.npz"
+        if damage == "garbage":
+            path.write_bytes(b"not a model archive\n" * 8)
+        elif damage != "missing":
+            data, digest = bytearray(saved_model[0]), saved_model[1]
+            data[len(data) // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+            digest_path_for(path).write_bytes(digest)
+        argv = [command, "--users", "50", "--model", str(path)]
+        if command == "embed":
+            argv += ["--output", str(tmp_path / "emb.npz")]
+        code, text = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: cannot load model: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert text == ""
+        assert not (tmp_path / "emb.npz").exists()
+
+
 class TestBenchmark:
     def test_benchmark_prints_speedup(self):
         code, text = run_cli("benchmark", "--dataset", "sc",
@@ -166,6 +207,21 @@ class TestObservabilityCommands:
         doc = json.loads(out_path.read_text())
         assert validate_chrome(doc) == []
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
+
+    def test_trace_chrome_export_names_each_track_once(self, tmp_path):
+        import json
+
+        # Store failures put traces in the error pool as well as the recent
+        # and slowest ones; each still gets one track and one name event.
+        out_path = tmp_path / "trace.json"
+        code, text = run_cli("trace", "--requests", "400", "--seed", "0",
+                             "--failure-rate", "0.2", "--export", "chrome",
+                             "--out", str(out_path))
+        assert code == 0
+        events = json.loads(out_path.read_text())["traceEvents"]
+        names = [e["tid"] for e in events if e["ph"] == "M"]
+        assert len(names) == len({e["tid"] for e in events})
+        assert text.startswith(f"trace: {len(events)} events ")
 
     def test_trace_chrome_requires_out(self, capsys):
         code, __ = run_cli("trace", "--export", "chrome")

@@ -2,19 +2,51 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.core import FVAE, FVAEConfig, load_fvae, save_fvae
+from repro.resilience import CheckpointError
+from repro.utils.fileio import atomic_savez
+
+
+def train_small(schema, dataset, precision="float32"):
+    config = FVAEConfig(latent_dim=6, encoder_hidden=[16], decoder_hidden=[16],
+                        embedding_capacity=16, feature_dropout=0.0, seed=0)
+    model = FVAE(schema, config)
+    model.fit(dataset, epochs=3, batch_size=3, lr=2e-3, precision=precision)
+    return model
 
 
 @pytest.fixture()
 def small_model(tiny_schema, tiny_dataset):
-    config = FVAEConfig(latent_dim=6, encoder_hidden=[16], decoder_hidden=[16],
-                        embedding_capacity=16, feature_dropout=0.0, seed=0)
-    model = FVAE(tiny_schema, config)
-    model.fit(tiny_dataset, epochs=3, batch_size=3, lr=2e-3)
-    return model
+    return train_small(tiny_schema, tiny_dataset)
+
+
+def write_legacy_archive(model, path, dtype_field=True):
+    """A model file in the layout ``save_fvae`` wrote before it shared the
+    checkpoint codec: the same members, plus a ``dtype`` meta field that
+    archives older still did not have."""
+    arrays = {f"param/{name}": values
+              for name, values in model.state_dict().items()}
+    for spec in model.schema:
+        items = list(model.encoder.bag(spec.name).table.items())
+        arrays[f"table_keys/{spec.name}"] = np.asarray(
+            [k for k, __ in items], dtype=object)
+        arrays[f"table_rows/{spec.name}"] = np.asarray(
+            [v for __, v in items], dtype=np.int64)
+    meta = {"format_version": 1, "config": asdict(model.config),
+            "schema": [{"name": s.name, "vocab_size": s.vocab_size,
+                        "sample": s.sample, "alpha": s.alpha}
+                       for s in model.schema],
+            "step": model._step}
+    if dtype_field:
+        meta["dtype"] = str(model.dtype)
+    arrays["meta"] = np.asarray(json.dumps(meta))
+    atomic_savez(path, arrays)
 
 
 class TestSaveLoad:
@@ -38,32 +70,40 @@ class TestSaveLoad:
         np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
                                       small_model.embed_users(tiny_dataset))
 
-    def test_archive_without_a_dtype_field_loads_as_float64(self, small_model,
-                                                            tmp_path):
-        import json
-
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_archive_in_the_older_layout_loads_bit_identical(
+            self, tiny_schema, tiny_dataset, tmp_path, precision):
+        model = train_small(tiny_schema, tiny_dataset, precision)
         path = tmp_path / "model.npz"
-        save_fvae(small_model, path)
-        with np.load(path, allow_pickle=True) as payload:
-            arrays = {name: payload[name] for name in payload.files}
-        meta = json.loads(str(arrays["meta"]))
-        del meta["dtype"]                   # what every older archive looks like
-        arrays["meta"] = np.asarray(json.dumps(meta))
-        np.savez(path, **arrays)
+        write_legacy_archive(model, path)
+        restored = load_fvae(path)
+        assert restored.dtype == np.dtype(precision)
+        assert restored.config == model.config
+        assert restored._step == model._step
+        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
+                                      model.embed_users(tiny_dataset))
+
+    def test_archive_without_a_dtype_field_loads_as_float64(self, tiny_schema,
+                                                            tiny_dataset,
+                                                            tmp_path):
+        # Archives from before the field existed were always float64.
+        model = train_small(tiny_schema, tiny_dataset, "float64")
+        path = tmp_path / "model.npz"
+        write_legacy_archive(model, path, dtype_field=False)
         restored = load_fvae(path)
         assert {p.data.dtype for p in restored.parameters()} \
             == {np.dtype(np.float64)}
+        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
+                                      model.embed_users(tiny_dataset))
 
     @staticmethod
     def _rewrite_config(path, **changes):
-        import json
-
         with np.load(path, allow_pickle=True) as payload:
             arrays = {name: payload[name] for name in payload.files}
         meta = json.loads(str(arrays["meta"]))
         meta["config"].update(changes)
         arrays["meta"] = np.asarray(json.dumps(meta))
-        np.savez(path, **arrays)
+        atomic_savez(path, arrays)
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_archive_with_the_retired_fused_key_loads(self, small_model,
@@ -78,12 +118,10 @@ class TestSaveLoad:
                                       small_model.embed_users(tiny_dataset))
 
     def test_unknown_config_key_rejected(self, small_model, tmp_path):
-        from repro.core.serialization import SerializationError
-
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)
         self._rewrite_config(path, bogus=1)
-        with pytest.raises(SerializationError, match="bogus"):
+        with pytest.raises(CheckpointError, match="bogus"):
             load_fvae(path)
 
     def test_scores_identical_after_round_trip(self, small_model,
@@ -129,44 +167,43 @@ class TestSaveLoad:
         assert restored._step == small_model._step
 
     def test_bad_format_rejected(self, small_model, tmp_path):
-        import json
-
-        import numpy as np
-
         path = tmp_path / "model.npz"
         np.savez(path, meta=np.asarray(json.dumps({"format_version": 999})))
-        with pytest.raises(ValueError, match="unsupported model format"):
+        with pytest.raises(CheckpointError, match="format 999"):
             load_fvae(path)
 
     def test_missing_meta_rejected(self, tmp_path):
-        from repro.core.serialization import SerializationError
-
         path = tmp_path / "model.npz"
         np.savez(path, not_meta=np.arange(3))
-        with pytest.raises(SerializationError, match="meta"):
+        with pytest.raises(CheckpointError, match="no 'meta' entry"):
             load_fvae(path)
 
     def test_missing_meta_keys_rejected(self, tmp_path):
-        import json
-
-        from repro.core.serialization import SerializationError
-
         path = tmp_path / "model.npz"
         np.savez(path, meta=np.asarray(json.dumps({"format_version": 1})))
-        with pytest.raises(SerializationError, match="missing"):
+        with pytest.raises(CheckpointError, match="meta is missing 'config'"):
             load_fvae(path)
 
     def test_missing_arrays_rejected(self, small_model, tmp_path):
-        from repro.core.serialization import SerializationError
-
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)
         with np.load(path, allow_pickle=True) as payload:
             arrays = {k: payload[k] for k in payload.files
                       if not k.startswith("param/")}
         np.savez(tmp_path / "broken.npz", **arrays)
-        with pytest.raises(SerializationError):
+        with pytest.raises(CheckpointError, match="lacks arrays"):
             load_fvae(tmp_path / "broken.npz")
+
+    def test_misfit_parameter_rejected(self, small_model, tmp_path):
+        path = tmp_path / "model.npz"
+        save_fvae(small_model, path)
+        with np.load(path, allow_pickle=True) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        arrays["param/encoder.mu_head.weight"] = \
+            arrays["param/encoder.mu_head.weight"][:, :-1]
+        atomic_savez(path, arrays)
+        with pytest.raises(CheckpointError, match="mu_head.weight"):
+            load_fvae(path)
 
     def test_save_is_atomic_with_digest(self, small_model, tmp_path):
         from repro.utils.fileio import digest_path_for, verify_digest
@@ -175,18 +212,16 @@ class TestSaveLoad:
         save_fvae(small_model, path)
         assert digest_path_for(path).exists()
         verify_digest(path)
-        load_fvae(path, verify=True)
+        load_fvae(path)
 
     def test_verify_catches_corruption(self, small_model, tmp_path):
-        from repro.core.serialization import SerializationError
-
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(SerializationError):
-            load_fvae(path, verify=True)
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            load_fvae(path)
 
 
 class TestWarmStartBias:

@@ -155,6 +155,12 @@ class TestChromeExport:
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert phases == {"M", "X", "i"}
 
+    def test_a_trace_given_twice_is_named_once(self):
+        store, __ = make_store()
+        store.end(store.begin("req"))
+        doc = to_chrome(store.traces() + store.traces())
+        assert [e["tid"] for e in doc["traceEvents"] if e["ph"] == "M"] == [1]
+
     def test_shared_span_appears_on_every_track(self):
         doc = self._export()
         flush_events = [e for e in doc["traceEvents"]

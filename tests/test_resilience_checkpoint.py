@@ -95,6 +95,22 @@ class TestCheckpointer:
         latest = ck.latest()
         assert latest is not None and latest.step == 1
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_latest_skips_a_damaged_archive_without_a_digest(self, tmp_path,
+                                                             damage):
+        ck = Checkpointer(tmp_path)
+        self._save(ck, 1)
+        self._save(ck, 2)
+        path = ck.path_for(2)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] if damage == "truncated"
+                         else b"garbage")
+        digest_path_for(path).unlink()
+        with pytest.raises(CheckpointError, match="ckpt-step0000000002"):
+            ck.load(path)
+        latest = ck.latest()
+        assert latest is not None and latest.step == 1
+
     def test_latest_none_when_empty(self, tmp_path):
         assert Checkpointer(tmp_path).latest() is None
 
