@@ -374,9 +374,11 @@ def _cmd_embed(args, out) -> int:
     model = _load_model(args)
     if model is None or not _schema_matches(model, synthetic.dataset, "embed"):
         return 2
+    from repro.resilience.checkpoint import write_archive
+
     embeddings = model.embed_users(synthetic.dataset)
-    np.savez_compressed(args.output, embeddings=embeddings,
-                        topics=synthetic.topics)
+    write_archive(args.output, {"embeddings": embeddings,
+                                "topics": synthetic.topics}, {})
     print(f"wrote {embeddings.shape[0]:,} embeddings of dim "
           f"{embeddings.shape[1]} to {args.output}", file=out)
     return 0

@@ -5,14 +5,12 @@ serving proxy.  That hand-off needs more than the weights: the dynamic hash
 tables mapping raw feature ids to embedding rows are part of the model state.
 ``save_fvae`` writes config + schema + step as the JSON ``meta`` member and
 the tables and parameters as :func:`~repro.resilience.model_state_arrays`
-members, through the checkpoint codec
-(:func:`~repro.resilience.checkpoint.write_archive`: atomic write,
-``.sha256`` sidecar).  ``load_fvae`` reads it back with
-:func:`~repro.resilience.checkpoint.read_archive` (the sidecar is checked
-whenever it exists) and restores it with
-:func:`~repro.resilience.restore_model_state` — the parameters take the saved
-arrays, dtype included — then freezes the tables by default, the correct
-serving posture.  Every unreadable or malformed archive raises
+members with the archive codec
+(:func:`~repro.resilience.checkpoint.write_archive`).  ``load_fvae`` reads
+it back (:func:`~repro.resilience.checkpoint.read_archive`), restores it
+with :func:`~repro.resilience.restore_model_state` — the parameters take the
+saved arrays, dtype included — then freezes the tables by default, the
+correct serving posture.  Every unreadable or malformed archive raises
 :class:`~repro.resilience.CheckpointError`.
 """
 
@@ -32,18 +30,13 @@ __all__ = ["save_fvae", "load_fvae"]
 
 
 def save_fvae(model: FVAE, path: str | Path) -> None:
-    """Serialize a (trained) FVAE to ``path`` (npz archive, atomic write)."""
+    """Serialize a (trained) FVAE to exactly ``path`` (npz archive, atomic
+    write)."""
     schema = [{"name": s.name, "vocab_size": s.vocab_size, "sample": s.sample,
                "alpha": s.alpha} for s in model.schema]
-    write_archive(_npz_path(path), model_state_arrays(model),
+    write_archive(path, model_state_arrays(model),
                   {"config": asdict(model.config), "schema": schema,
                    "step": model._step})
-
-
-def _npz_path(path: str | Path) -> Path:
-    """Mirror ``np.savez``'s behaviour of appending ``.npz`` when absent."""
-    path = Path(path)
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
 
 
 def load_fvae(path: str | Path, freeze_tables: bool = True) -> FVAE:

@@ -228,23 +228,18 @@ class DynamicHashTable:
     def items(self):
         return self._index.items()
 
-    def load_items(self, keys: Iterable[Hashable], rows: Iterable[int]) -> "DynamicHashTable":
-        """Replace the table contents with an explicit ``key -> row`` mapping.
+    def load_items(self, keys: Iterable[Hashable]) -> "DynamicHashTable":
+        """Replace the table contents: the ``i``-th key gets row ``i``.
 
         Used by checkpoint restore (:mod:`repro.resilience`): the saved
         mapping must be reproduced *exactly* — including insertion order,
         which determines the rows future ids will receive — rather than
-        re-inserted through :meth:`lookup` (which would renumber).  Rows must
-        be the dense range ``0..n-1`` in some order.
+        re-inserted through :meth:`lookup`.  Keys must be distinct.
         """
-        pairs = sorted(zip(rows, keys))  # insertion order == row order
-        index: dict[Hashable, int] = {}
-        for row, key in pairs:
-            if row != len(index):
-                raise ValueError(
-                    f"rows must form a dense 0..n-1 range; got row {row} "
-                    f"at position {len(index)}")
-            index[key] = int(row)
+        keys = list(keys)
+        index = {key: row for row, key in enumerate(keys)}
+        if len(index) != len(keys):
+            raise ValueError(f"{len(keys) - len(index)} duplicate keys")
         self._index = index
         self._version += 1
         self._mirror_ok = True  # new key set: re-judge mirror suitability

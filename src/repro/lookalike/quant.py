@@ -498,17 +498,17 @@ class QuantizedEmbeddingStore(EmbeddingStore):
 
     # -- persistence -----------------------------------------------------------
 
-    def _archive(self) -> dict:
-        members = {"dim": self.dim, "mode": self.mode}
-        for name, value in self._quantizer.state().items():
-            members[f"quantizer_{name}"] = value
-        return members
+    def _archive(self) -> tuple[dict, dict]:
+        members = {f"quantizer_{name}": value
+                   for name, value in self._quantizer.state().items()}
+        return {"dim": self.dim, "mode": self.mode}, members
 
     @classmethod
-    def _from_archive(cls, payload) -> "QuantizedEmbeddingStore":
-        dim, prefix = int(payload["dim"]), "quantizer_"
-        state = {name[len(prefix):]: payload[name]
-                 for name in payload.files if name.startswith(prefix)}
+    def _from_archive(cls, meta: dict,
+                      arrays: dict) -> "QuantizedEmbeddingStore":
+        dim, prefix = int(meta["dim"]), "quantizer_"
+        state = {name[len(prefix):]: value for name, value in arrays.items()
+                 if name.startswith(prefix)}
         store = cls(dim)
-        store._use(_QUANTIZERS[str(payload["mode"])].from_state(dim, state))
+        store._use(_QUANTIZERS[meta["mode"]].from_state(dim, state))
         return store

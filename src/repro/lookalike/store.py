@@ -29,7 +29,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.obs import runtime as obs
-from repro.utils.fileio import mmap_npz_member
+from repro.resilience.checkpoint import (CheckpointError, key_array,
+                                         read_archive, write_archive)
 
 __all__ = ["EmbeddingStore", "LRUCache"]
 
@@ -209,52 +210,56 @@ class EmbeddingStore(_RowTable):
 
     # -- persistence -----------------------------------------------------------
 
-    def _archive(self) -> dict:
-        """Archive members besides ``keys`` and the stored rows."""
-        return {"dim": self.dim}
+    def _archive(self) -> tuple[dict, dict]:
+        """Archive meta and members besides ``keys`` and the stored rows."""
+        return {"dim": self.dim}, {}
 
     @classmethod
-    def _from_archive(cls, payload) -> "EmbeddingStore":
-        """An empty store configured from an archive's members."""
-        return cls(int(payload["dim"]))
+    def _from_archive(cls, meta: dict, arrays: dict) -> "EmbeddingStore":
+        """An empty store configured from an archive's meta and members."""
+        return cls(int(meta["dim"]))
 
     def save_snapshot(self, path: str | Path) -> None:
-        """Write an *uncompressed* archive that :meth:`load` can memory-map.
+        """Atomically replace ``path`` with an archive :meth:`load` can map.
 
-        The rows member is stored raw, so its byte range in the archive is
-        exactly the in-memory layout.
+        One :func:`~repro.resilience.checkpoint.write_archive` with no
+        digest sidecar: the rows member is stored raw, so its byte range in
+        the archive is exactly the in-memory layout, and a store that mapped
+        the previous snapshot at ``path`` keeps serving it.
         """
         n = len(self._index)
-        np.savez(path, keys=np.asarray(list(self._index), dtype=object),
-                 **{self._ROWS: np.ascontiguousarray(self._matrix[:n])},
-                 **self._archive())
+        meta, members = self._archive()
+        members["keys"] = key_array(self._index)
+        members[self._ROWS] = np.ascontiguousarray(self._matrix[:n])
+        write_archive(path, members, meta, with_digest=False)
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "EmbeddingStore":
         """Load a saved store; ``mmap=True`` adopts the rows zero-copy.
 
-        Mapping only works for :meth:`save_snapshot` archives (uncompressed);
-        otherwise — or when mapping fails — the rows are loaded eagerly.  A
-        mapped store is served read-only until the first write, which
-        materialises a private copy.  Raises ``ValueError`` when the stored
-        rows do not match the archive's keys and row width.
+        A mapped store is served read-only until the first write, which
+        materialises a private copy; an archive whose rows cannot be mapped
+        (a compressed one) loads eagerly.  Raises
+        :class:`~repro.resilience.CheckpointError` when the archive is
+        unreadable or its rows do not match its keys and row width.
         """
-        mapped = mmap_npz_member(path, cls._ROWS) if mmap else None
-        with np.load(path, allow_pickle=True) as payload:
-            store = cls._from_archive(payload)
-            keys = list(payload["keys"])
-            shape = (len(keys), store._matrix.shape[1])
-            if mapped is not None and mapped.shape == shape:
-                store._matrix = mapped
-                store._readonly = True
-            else:
-                store._matrix = np.asarray(payload[cls._ROWS],
-                                           dtype=store._matrix.dtype)
-                if store._matrix.shape != shape:
-                    raise ValueError(
-                        f"archive {cls._ROWS!r} shape {store._matrix.shape} "
-                        f"!= {shape}")
-            store._index = {key: row for row, key in enumerate(keys)}
+        archive = read_archive(path)
+        arrays = archive.arrays
+        if not mmap:
+            arrays = {name: np.array(value) for name, value in arrays.items()}
+        try:
+            store = cls._from_archive(archive.meta, arrays)
+            keys, rows = arrays["keys"].tolist(), arrays[cls._ROWS]
+        except KeyError as exc:
+            raise CheckpointError(f"{path} lacks {exc}") from exc
+        shape = (len(keys), store._matrix.shape[1])
+        if rows.shape != shape or rows.dtype != store._matrix.dtype:
+            raise CheckpointError(
+                f"{path}: {cls._ROWS!r} is {rows.dtype}{rows.shape}, "
+                f"want {store._matrix.dtype}{shape}")
+        store._matrix = rows
+        store._readonly = not rows.flags.writeable
+        store._index = {key: row for row, key in enumerate(keys)}
         return store
 
 

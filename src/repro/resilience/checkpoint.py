@@ -1,19 +1,24 @@
-"""Crash-safe archives: training checkpoints and model files share one codec.
+"""Crash-safe archives: one codec for every file the system persists.
 
 The paper's production FVAE trains for days on a parameter-server cluster
 (§IV-D); at that horizon a lost worker or pre-empted job is routine, and a
 training system that cannot resume is a training system that loses days of
-work.  The trained model then ships to serving as weights plus dynamic hash
-tables.  Both hand-offs use the one archive codec here:
+work.  The trained model ships to serving as weights plus dynamic hash
+tables, and the embeddings as store snapshots that servers map.  Training
+checkpoints, model files, store snapshots and ``repro embed`` output all
+use the one codec here:
 
-* :func:`write_archive` stages the ``.npz`` to a temp file and
-  ``os.replace``\\ s it into place (:mod:`repro.utils.fileio`), so a crash
-  mid-save never corrupts the previous archive, and writes a ``.sha256``
-  sidecar next to it;
+* :func:`write_archive` writes an *uncompressed* ``.npz`` atomically
+  (:func:`repro.utils.fileio.atomic_savez`: temp file, fsync,
+  ``os.replace``), so a crash mid-save never corrupts the previous archive
+  and a reader that mapped it keeps its pages; every archive but a store
+  snapshot also gets a ``.sha256`` sidecar;
 * :func:`read_archive` checks that sidecar whenever it exists, parses the
-  JSON ``meta`` member and its ``format_version``, and raises
-  :class:`CheckpointError` for every failure — missing, truncated, garbage,
-  bit-rotten or of another format.
+  JSON ``meta`` member and its ``format_version``, hands the members back
+  as read-only maps of the file, and raises :class:`CheckpointError` for
+  every failure — missing, truncated, garbage, bit-rotten, pickled or of
+  another format.  No member is ever unpickled: :func:`key_array` stores
+  keys as ``int64`` or unicode arrays.
 
 :class:`Checkpointer` adds path naming, a retention policy (the last
 ``keep_last`` archives) and its ``checkpoint.*`` metrics;
@@ -32,34 +37,33 @@ from __future__ import annotations
 
 import json
 import logging
-import pickle
 import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from repro.obs import runtime as obs
-from repro.utils.fileio import atomic_savez, digest_path_for, verify_digest
+from repro.utils.fileio import (atomic_savez, digest_path_for,
+                                mmap_npz_members, verify_digest)
 
 __all__ = ["CheckpointError", "Checkpoint", "Checkpointer", "read_archive",
-           "write_archive", "check_resume_batch_size", "model_state_arrays",
-           "restore_model_state"]
+           "write_archive", "key_array", "check_resume_batch_size",
+           "model_state_arrays", "restore_model_state"]
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _META = "meta"
 _ZIP_MAGIC = b"PK\x03\x04"
 _TABLE_KEYS = "table_keys/"
-_TABLE_ROWS = "table_rows/"
 _PARAM = "param/"
 
 #: What a truncated, garbage or bit-rotten archive raises on the way in.
-_READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error,
-                pickle.UnpicklingError)
+_READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
 class CheckpointError(RuntimeError):
@@ -151,44 +155,69 @@ class Checkpointer:
 
 
 def write_archive(path: str | Path, arrays: dict[str, np.ndarray],
-                  meta: dict) -> Path:
+                  meta: dict, with_digest: bool = True) -> Path:
     """Atomically write ``arrays`` plus JSON ``meta`` (stamped with the
-    format version) as one ``.npz`` archive with a ``.sha256`` sidecar."""
+    format version) as one uncompressed ``.npz`` at exactly ``path``, with a
+    ``.sha256`` sidecar unless ``with_digest`` is false.  An object-dtype
+    member is refused with ``ValueError``."""
     payload = dict(arrays)
     payload[_META] = np.asarray(
         json.dumps({**meta, "format_version": FORMAT_VERSION}))
     path = Path(path)
-    atomic_savez(path, payload)
+    atomic_savez(path, payload, with_digest=with_digest)
     return path
 
 
 def read_archive(path: str | Path) -> Checkpoint:
-    """Load and verify one archive; raises :class:`CheckpointError`."""
+    """Load and verify one archive; raises :class:`CheckpointError`.
+    Members are read-only maps of the file, or eager reads where a member
+    cannot be mapped (a compressed one)."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no archive at {path}")
     try:
         if digest_path_for(path).exists():
             verify_digest(path)
+        # One open file for every read below, so a concurrent os.replace
+        # cannot mix members of two versions.
         with open(path, "rb") as handle:
-            # np.load would unpickle a file that is not a zip archive.
+            # np.load would return a bare .npy file as an array.
             if handle.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
                 raise CheckpointError(f"{path} is not an .npz archive")
-        with np.load(path, allow_pickle=True) as payload:
-            if _META not in payload.files:
-                raise CheckpointError(
-                    f"{path} is not an archive of this format: no "
-                    f"'{_META}' entry")
-            meta = json.loads(str(payload[_META]))
-            arrays = {name: payload[name] for name in payload.files
-                      if name != _META}
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as payload:
+                if _META not in payload.files:
+                    raise CheckpointError(
+                        f"{path} is not an archive of this format: no "
+                        f"'{_META}' entry")
+                meta = json.loads(str(payload[_META]))
+                version = (meta.get("format_version")
+                           if isinstance(meta, dict) else None)
+                if version != FORMAT_VERSION:
+                    raise CheckpointError(f"{path} has format {version}; "
+                                          f"this build reads {FORMAT_VERSION}")
+                mapped = mmap_npz_members(handle)
+                arrays = {name: mapped[name] if name in mapped
+                          else payload[name]
+                          for name in payload.files if name != _META}
     except _READ_ERRORS as exc:
         raise CheckpointError(f"{path} is unreadable: {exc}") from exc
-    version = meta.get("format_version") if isinstance(meta, dict) else None
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path} has format {version}; this build "
-                              f"reads {FORMAT_VERSION}")
     return Checkpoint(path=path, meta=meta, arrays=arrays)
+
+
+def key_array(keys: Iterable[Hashable]) -> np.ndarray:
+    """Archive form of ``keys``: ``int64`` when every key is an integer,
+    unicode when every key is a ``str`` (``.tolist()`` gives them back);
+    any other key type is a ``ValueError``."""
+    keys = list(keys)
+    kinds = set(map(type, keys))
+    if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        return np.array(keys, dtype=np.int64)
+    if all(issubclass(k, str) for k in kinds):
+        return np.array(keys, dtype=np.str_)
+    raise ValueError(f"cannot archive keys of types "
+                     f"{sorted(k.__name__ for k in kinds)}: keys must be all "
+                     f"integers or all str")
 
 
 def check_resume_batch_size(meta: dict, order: np.ndarray | None,
@@ -223,11 +252,9 @@ def model_state_arrays(model) -> dict[str, np.ndarray]:
     for name, values in model.state_dict().items():
         arrays[f"{_PARAM}{name}"] = values
     for field, table in _tables_of(model).items():
-        items = list(table.items())
-        arrays[f"{_TABLE_KEYS}{field}"] = np.asarray(
-            [k for k, __ in items], dtype=object)
-        arrays[f"{_TABLE_ROWS}{field}"] = np.asarray(
-            [v for __, v in items], dtype=np.int64)
+        # Rows are dense in insertion order, so the keys alone suffice.
+        arrays[f"{_TABLE_KEYS}{field}"] = key_array(
+            key for key, __ in table.items())
     return arrays
 
 
@@ -241,8 +268,7 @@ def restore_model_state(model, arrays: dict[str, np.ndarray]) -> None:
     twin.
     """
     tables, params = _tables_of(model), dict(model.named_parameters())
-    needed = [f"{prefix}{field}" for field in tables
-              for prefix in (_TABLE_KEYS, _TABLE_ROWS)]
+    needed = [f"{_TABLE_KEYS}{field}" for field in tables]
     needed += [f"{_PARAM}{name}" for name in params]
     missing = [name for name in needed if name not in arrays]
     if missing:
@@ -256,9 +282,8 @@ def restore_model_state(model, arrays: dict[str, np.ndarray]) -> None:
         raise CheckpointError(f"archive parameters do not fit the model: "
                               f"{misfit}")
     for field, table in tables.items():
-        keys = [_plain_key(k) for k in arrays[f"{_TABLE_KEYS}{field}"]]
         try:
-            table.load_items(keys, arrays[f"{_TABLE_ROWS}{field}"].tolist())
+            table.load_items(arrays[f"{_TABLE_KEYS}{field}"].tolist())
         except ValueError as exc:
             raise CheckpointError(f"archive hash table for '{field}' is "
                                   f"malformed: {exc}") from exc
@@ -274,11 +299,3 @@ def _tables_of(model) -> dict[str, object]:
         return {}
     return {spec.name: encoder.bag(spec.name).table for spec in schema}
 
-
-def _plain_key(key):
-    """npz round-trips Python scalars as numpy scalars; normalise them back."""
-    if isinstance(key, np.integer):
-        return int(key)
-    if isinstance(key, np.str_):
-        return str(key)
-    return key

@@ -79,6 +79,20 @@ class TestTrainEvaluateEmbed:
             assert payload["embeddings"].shape == (300, 8)
             assert payload["topics"].shape == (300,)
 
+    def test_outputs_land_at_exactly_the_paths_given(self, tmp_path):
+        model, embeddings = tmp_path / "model", tmp_path / "embeddings"
+        code, text = run_cli("train", "--dataset", "sc", "--users", "300",
+                             "--epochs", "1", "--latent-dim", "8",
+                             "--output", str(model))
+        assert code == 0 and f"model saved to {model}" in text
+        code, __ = run_cli("embed", "--dataset", "sc", "--users", "300",
+                           "--model", str(model), "--output", str(embeddings))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "embeddings", "embeddings.sha256", "model", "model.sha256"]
+        with np.load(embeddings) as payload:
+            assert payload["embeddings"].shape == (300, 8)
+
 
 class TestTrainResume:
     def test_resume_at_another_batch_size_exits_two(self, tmp_path, capsys):

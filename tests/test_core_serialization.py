@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -10,7 +11,9 @@ import pytest
 
 from repro.core import FVAE, FVAEConfig, load_fvae, save_fvae
 from repro.resilience import CheckpointError
-from repro.utils.fileio import atomic_savez
+from repro.resilience.checkpoint import (FORMAT_VERSION, read_archive,
+                                         write_archive)
+from repro.utils.fileio import atomic_savez, digest_path_for
 
 
 def train_small(schema, dataset, precision="float32"):
@@ -26,10 +29,10 @@ def small_model(tiny_schema, tiny_dataset):
     return train_small(tiny_schema, tiny_dataset)
 
 
-def write_legacy_archive(model, path, dtype_field=True):
-    """A model file in the layout ``save_fvae`` wrote before it shared the
-    checkpoint codec: the same members, plus a ``dtype`` meta field that
-    archives older still did not have."""
+def write_version_one_archive(model, path):
+    """A model file as ``save_fvae`` wrote it at format 1: compressed, with
+    the hash-table keys as pickled ``dtype=object`` members beside their
+    rows, and a digest sidecar."""
     arrays = {f"param/{name}": values
               for name, values in model.state_dict().items()}
     for spec in model.schema:
@@ -42,11 +45,11 @@ def write_legacy_archive(model, path, dtype_field=True):
             "schema": [{"name": s.name, "vocab_size": s.vocab_size,
                         "sample": s.sample, "alpha": s.alpha}
                        for s in model.schema],
-            "step": model._step}
-    if dtype_field:
-        meta["dtype"] = str(model.dtype)
+            "step": model._step, "dtype": str(model.dtype)}
     arrays["meta"] = np.asarray(json.dumps(meta))
-    atomic_savez(path, arrays)
+    np.savez_compressed(path, **arrays)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest_path_for(path).write_text(digest + "\n")
 
 
 class TestSaveLoad:
@@ -58,52 +61,58 @@ class TestSaveLoad:
         np.testing.assert_allclose(restored.embed_users(tiny_dataset),
                                    small_model.embed_users(tiny_dataset))
 
-    def test_training_precision_survives_the_round_trip(self, small_model,
+    def test_training_precision_survives_the_round_trip(self, tiny_schema,
                                                         tiny_dataset,
                                                         tmp_path):
-        path = tmp_path / "model.npz"
-        save_fvae(small_model, path)
-        restored = load_fvae(path)
-        assert {p.data.dtype for p in restored.parameters()} \
-            == {p.data.dtype for p in small_model.parameters()} \
-            == {np.dtype(np.float32)}       # trained at the default
-        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
-                                      small_model.embed_users(tiny_dataset))
+        for precision in ("float32", "float64"):
+            model = train_small(tiny_schema, tiny_dataset, precision)
+            path = tmp_path / f"model-{precision}.npz"
+            save_fvae(model, path)
+            restored = load_fvae(path)
+            assert {p.data.dtype for p in restored.parameters()} \
+                == {p.data.dtype for p in model.parameters()} \
+                == {np.dtype(precision)}
+            np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
+                                          model.embed_users(tiny_dataset))
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
-    def test_archive_in_the_older_layout_loads_bit_identical(
-            self, tiny_schema, tiny_dataset, tmp_path, precision):
+    def test_version_one_archive_is_refused(self, tiny_schema, tiny_dataset,
+                                            tmp_path, precision):
         model = train_small(tiny_schema, tiny_dataset, precision)
         path = tmp_path / "model.npz"
-        write_legacy_archive(model, path)
-        restored = load_fvae(path)
-        assert restored.dtype == np.dtype(precision)
-        assert restored.config == model.config
-        assert restored._step == model._step
-        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
-                                      model.embed_users(tiny_dataset))
+        write_version_one_archive(model, path)
+        with pytest.raises(CheckpointError,
+                           match=f"format 1; this build reads {FORMAT_VERSION}"):
+            load_fvae(path)
 
-    def test_archive_without_a_dtype_field_loads_as_float64(self, tiny_schema,
-                                                            tiny_dataset,
-                                                            tmp_path):
-        # Archives from before the field existed were always float64.
-        model = train_small(tiny_schema, tiny_dataset, "float64")
+    def test_round_trip_at_a_path_without_a_suffix(self, small_model,
+                                                   tiny_dataset, tmp_path):
+        path = tmp_path / "model"
+        save_fvae(small_model, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["model", "model.sha256"]
+        np.testing.assert_array_equal(load_fvae(path).embed_users(tiny_dataset),
+                                      small_model.embed_users(tiny_dataset))
+
+    def test_archive_has_no_object_members(self, small_model, tmp_path):
         path = tmp_path / "model.npz"
-        write_legacy_archive(model, path, dtype_field=False)
-        restored = load_fvae(path)
-        assert {p.data.dtype for p in restored.parameters()} \
-            == {np.dtype(np.float64)}
-        np.testing.assert_array_equal(restored.embed_users(tiny_dataset),
-                                      model.embed_users(tiny_dataset))
+        save_fvae(small_model, path)
+        with np.load(path) as payload:              # allow_pickle=False
+            members = {name: payload[name] for name in payload.files}
+        assert not any(value.dtype.hasobject for value in members.values())
+        assert not any(name.startswith("table_rows/") for name in members)
+        for spec in small_model.schema:
+            table = small_model.encoder.bag(spec.name).table
+            keys = members[f"table_keys/{spec.name}"]
+            assert keys.dtype == np.int64
+            assert keys.tolist() == [k for k, __ in table.items()]
 
     @staticmethod
     def _rewrite_config(path, **changes):
-        with np.load(path, allow_pickle=True) as payload:
-            arrays = {name: payload[name] for name in payload.files}
-        meta = json.loads(str(arrays["meta"]))
+        archive = read_archive(path)
+        meta = dict(archive.meta)
         meta["config"].update(changes)
-        arrays["meta"] = np.asarray(json.dumps(meta))
-        atomic_savez(path, arrays)
+        write_archive(path, archive.arrays, meta)
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_archive_with_the_retired_fused_key_loads(self, small_model,
@@ -180,14 +189,15 @@ class TestSaveLoad:
 
     def test_missing_meta_keys_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
-        np.savez(path, meta=np.asarray(json.dumps({"format_version": 1})))
+        np.savez(path, meta=np.asarray(
+            json.dumps({"format_version": FORMAT_VERSION})))
         with pytest.raises(CheckpointError, match="meta is missing 'config'"):
             load_fvae(path)
 
     def test_missing_arrays_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)
-        with np.load(path, allow_pickle=True) as payload:
+        with np.load(path) as payload:
             arrays = {k: payload[k] for k in payload.files
                       if not k.startswith("param/")}
         np.savez(tmp_path / "broken.npz", **arrays)
@@ -197,7 +207,7 @@ class TestSaveLoad:
     def test_misfit_parameter_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)
-        with np.load(path, allow_pickle=True) as payload:
+        with np.load(path) as payload:
             arrays = {k: payload[k] for k in payload.files}
         arrays["param/encoder.mu_head.weight"] = \
             arrays["param/encoder.mu_head.weight"][:, :-1]
@@ -206,7 +216,7 @@ class TestSaveLoad:
             load_fvae(path)
 
     def test_save_is_atomic_with_digest(self, small_model, tmp_path):
-        from repro.utils.fileio import digest_path_for, verify_digest
+        from repro.utils.fileio import verify_digest
 
         path = tmp_path / "model.npz"
         save_fvae(small_model, path)

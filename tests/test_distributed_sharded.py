@@ -121,7 +121,7 @@ def test_field_layout_roundtrip_and_pull():
 
 def test_field_layout_rejects_non_dense_rows():
     # Duck-typed table whose rows skip 1..4: the layout must refuse it
-    # (DynamicHashTable.load_items validates density itself).
+    # (DynamicHashTable.load_items gives rows 0..n-1 by construction).
     with pytest.raises(ValueError, match="not dense"):
         build_field_layout("f", {10: 0, 20: 5}, n_shards=2)
 

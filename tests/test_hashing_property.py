@@ -116,8 +116,7 @@ def test_rows_for_ids_never_mutates(warm, query):
 def test_load_items_roundtrip_preserves_rows(keys):
     table = DynamicHashTable()
     table.lookup(keys)
-    clone = DynamicHashTable().load_items(
-        [k for k, __ in table.items()], [r for __, r in table.items()])
+    clone = DynamicHashTable().load_items(k for k, __ in table.items())
     assert dict(clone.items()) == dict(table.items())
     assert clone.verify_bijection() == []
     # Future inserts continue from the same next row

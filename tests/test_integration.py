@@ -89,10 +89,13 @@ class TestAblations:
     """The design-choice ablations DESIGN.md calls out."""
 
     def test_batched_softmax_is_faster_than_full(self, sc_split):
+        """Fixed work, best of three interleaved rounds after one warm-up
+        fit per variant: a single wall-clock pair is at the mercy of
+        whatever else shares the CPUs."""
         train, __ = sc_split
         from repro.core import Trainer
 
-        def run(batched: bool) -> float:
+        def fit_seconds(batched: bool) -> float:
             model = FVAE(train.schema,
                          FVAEConfig(latent_dim=16, encoder_hidden=[64],
                                     decoder_hidden=[64],
@@ -101,7 +104,14 @@ class TestAblations:
                                                   batch_size=128, rng=0)
             return history.total_time
 
-        assert run(True) < run(False)
+        variants = (True, False)
+        for batched in variants:
+            fit_seconds(batched)
+        best = {batched: float("inf") for batched in variants}
+        for __ in range(3):
+            for batched in variants:
+                best[batched] = min(best[batched], fit_seconds(batched))
+        assert best[True] < best[False]
 
     def test_quality_preserved_with_moderate_sampling(self, sc_split):
         """Feature sampling r=0.5 must not collapse tag-prediction quality."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 
 from repro.core import FVAE, FVAEConfig
 from repro.resilience import Checkpoint, CheckpointError, Checkpointer
-from repro.resilience.checkpoint import check_resume_batch_size
+from repro.core import load_fvae
+from repro.lookalike import EmbeddingStore
+from repro.resilience.checkpoint import (FORMAT_VERSION,
+                                         check_resume_batch_size,
+                                         read_archive)
 from repro.utils.fileio import (DigestMismatchError, atomic_savez,
-                                atomic_write_bytes, digest_path_for,
-                                verify_digest)
+                                digest_path_for, verify_digest)
 
 
 def make_model(tiny_schema):
@@ -42,11 +46,14 @@ class KillAfterBatches:
 
 class TestAtomicFileIO:
     def test_atomic_write_replaces_content(self, tmp_path):
-        target = tmp_path / "blob.bin"
-        atomic_write_bytes(target, b"first")
-        atomic_write_bytes(target, b"second")
-        assert target.read_bytes() == b"second"
-        assert not list(tmp_path.glob("*.tmp*"))  # no temp litter
+        target = tmp_path / "arrays"
+        atomic_savez(target, {"x": np.arange(4)})
+        atomic_savez(target, {"x": np.arange(3)})
+        with np.load(target) as payload:
+            assert payload["x"].tolist() == [0, 1, 2]
+        # no temp litter, and no ".npz" appended to the name given
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["arrays", "arrays.sha256"]
 
     def test_savez_writes_digest_sidecar(self, tmp_path):
         target = tmp_path / "arrays.npz"
@@ -62,6 +69,58 @@ class TestAtomicFileIO:
         target.write_bytes(bytes(data))
         with pytest.raises(DigestMismatchError):
             verify_digest(target)
+
+
+class MakesADirectory:
+    """Unpickling this runs ``os.mkdir(marker)``: a visible side effect."""
+
+    def __init__(self, marker) -> None:
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
+class TestNoPickle:
+    """An archive member that needs unpickling is refused, unrun — with or
+    without a digest sidecar (a sidecar only proves the bytes unchanged)."""
+
+    @staticmethod
+    def pickled_archive(tmp_path):
+        marker = tmp_path / "unpickled"
+        evil = np.empty(1, dtype=object)
+        evil[0] = MakesADirectory(marker)
+        path = tmp_path / "ckpt-step0000000001.npz"
+        meta = json.dumps({"format_version": FORMAT_VERSION, "step": 1,
+                           "dim": 2})
+        np.savez(path, meta=np.asarray(meta), keys=evil,
+                 matrix=np.zeros((1, 2)), **{"table_keys/tag": evil})
+        return path, marker
+
+    def test_the_writer_refuses_an_object_member(self, tmp_path):
+        target = tmp_path / "arrays.npz"
+        with pytest.raises(ValueError, match="without pickling"):
+            atomic_savez(target, {"x": np.arange(3),
+                                  "keys": np.asarray([1, "a"], dtype=object)})
+        assert list(tmp_path.iterdir()) == []   # nothing written, no litter
+
+    def test_every_reader_refuses_a_pickled_member(self, tmp_path):
+        path, marker = self.pickled_archive(tmp_path)
+        readers = [read_archive, load_fvae, Checkpointer(tmp_path).load,
+                   EmbeddingStore.load,
+                   lambda p: EmbeddingStore.load(p, mmap=True)]
+        for read in readers:
+            with pytest.raises(CheckpointError, match="allow_pickle"):
+                read(path)
+        assert Checkpointer(tmp_path).latest() is None
+        assert not marker.exists()
+
+    def test_a_bare_npy_file_is_not_an_archive(self, tmp_path):
+        path = tmp_path / "model.npz"
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(3))
+        with pytest.raises(CheckpointError, match="not an .npz archive"):
+            read_archive(path)
 
 
 class TestCheckpointer:

@@ -10,10 +10,15 @@ for the same input, never the raw input.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.lookalike import EmbeddingStore, QuantizedEmbeddingStore
+from repro.resilience import CheckpointError
+from repro.resilience.checkpoint import read_archive, write_archive
+from repro.utils.fileio import digest_path_for
 
 DIM = 8
 N = 40
@@ -28,13 +33,13 @@ STORES = {
         DIM, mode="pq", n_subvectors=4, n_centroids=16, n_coarse=4),
 }
 
-#: Archive members beside ``keys`` and ``dim``, with the dtype of the rows.
+#: Archive members beside ``meta`` and ``keys``, with the dtype of the rows.
 ARCHIVES = {
     "float64": ({"matrix"}, "matrix", np.float64),
-    "int8": ({"codes", "mode", "quantizer_scale"}, "codes", np.uint8),
-    "pq": ({"codes", "mode", "quantizer_codebooks", "quantizer_train_bound"},
+    "int8": ({"codes", "quantizer_scale"}, "codes", np.uint8),
+    "pq": ({"codes", "quantizer_codebooks", "quantizer_train_bound"},
            "codes", np.uint8),
-    "residual_pq": ({"codes", "mode", "quantizer_codebooks",
+    "residual_pq": ({"codes", "quantizer_codebooks",
                      "quantizer_train_bound", "quantizer_coarse_centroids"},
                     "codes", np.uint8),
 }
@@ -141,10 +146,46 @@ class TestStoreContract:
         assert len(again) == N
         np.testing.assert_array_equal(again.get("u1"), store.get("u1"))
 
+    def test_republishing_leaves_a_mapped_store_serving_its_rows(
+            self, store, kind, tmp_path):
+        cls = type(store)
+        path = tmp_path / "snap.npz"
+        store.save_snapshot(path)
+        expected = store.as_matrix()[1]
+        mapped = cls.load(path, mmap=True)
+        assert mapped.is_mapped
+        for n_rows in (N, N // 2):                  # same size, then smaller
+            fresh = STORES[kind]()
+            fresh.put_many(KEYS[:n_rows], data(n_rows)[:n_rows] + 100.0)
+            fresh.save_snapshot(path)
+            np.testing.assert_array_equal(mapped.as_matrix()[1], expected)
+            np.testing.assert_array_equal(mapped.get_many(KEYS), expected)
+        assert len(cls.load(path, mmap=True)) == N // 2
+
+    def test_a_republish_during_a_load_does_not_mix_versions(
+            self, store, kind, tmp_path, monkeypatch):
+        import repro.resilience.checkpoint as checkpoint
+
+        path = tmp_path / "snap.npz"
+        store.save_snapshot(path)
+        newer = STORES[kind]()
+        newer.put_many(KEYS[:N // 2], data(1)[:N // 2])
+        real = checkpoint.mmap_npz_members
+
+        def republish_first(handle):             # lands between two reads
+            newer.save_snapshot(path)
+            return real(handle)
+
+        monkeypatch.setattr(checkpoint, "mmap_npz_members", republish_first)
+        loaded = type(store).load(path, mmap=True)
+        assert loaded.is_mapped and loaded.keys() == KEYS
+        np.testing.assert_array_equal(loaded.as_matrix()[1],
+                                      store.as_matrix()[1])
+
     def test_compressed_archive_loads_eagerly(self, store, tmp_path):
         snap, packed = tmp_path / "snap.npz", tmp_path / "packed.npz"
         store.save_snapshot(snap)
-        with np.load(snap, allow_pickle=True) as payload:
+        with np.load(snap) as payload:
             np.savez_compressed(packed, **{name: payload[name]
                                            for name in payload.files})
         loaded = type(store).load(packed, mmap=True)
@@ -158,27 +199,59 @@ class TestStoreContract:
         snap, bad = tmp_path / "snap.npz", tmp_path / "bad.npz"
         store.save_snapshot(snap)
         rows_member = ARCHIVES[kind][1]
-        with np.load(snap, allow_pickle=True) as payload:
-            members = {name: payload[name] for name in payload.files}
+        archive = read_archive(snap)
+        members = dict(archive.arrays)
         members[rows_member] = members[rows_member][:-1]   # a truncated copy
-        np.savez(bad, **members)
+        write_archive(bad, members, archive.meta)
         for mmap in (True, False):
-            with pytest.raises(ValueError, match=rows_member):
+            with pytest.raises(CheckpointError, match=rows_member):
                 type(store).load(bad, mmap=mmap)
 
     def test_archive_members_and_dtypes(self, store, kind, tmp_path):
         path = tmp_path / "snap.npz"
         store.save_snapshot(path)
+        assert not digest_path_for(path).exists()    # no sidecar to hash
         members, rows_member, dtype = ARCHIVES[kind]
-        with np.load(path, allow_pickle=True) as payload:
-            assert set(payload.files) == {"keys", "dim"} | members
-            assert payload["keys"].dtype == object
+        with np.load(path) as payload:               # allow_pickle=False
+            assert set(payload.files) == {"meta", "keys"} | members
+            assert payload["keys"].dtype.kind == "U"
             assert payload["keys"].tolist() == KEYS
-            assert int(payload["dim"]) == DIM
+            meta = json.loads(str(payload["meta"]))
+            assert meta["dim"] == DIM
             rows = payload[rows_member]
             assert rows.dtype == dtype and rows.shape[0] == N
             if kind == "float64":
+                assert "mode" not in meta
                 np.testing.assert_array_equal(rows, store.as_matrix()[1])
             else:
-                assert str(payload["mode"]) == store.mode
+                assert meta["mode"] == store.mode
                 np.testing.assert_array_equal(rows, store.as_codes()[1])
+
+    @pytest.mark.parametrize("keys", [[0, "u1"], [(0, 1)], [1.5], [True]])
+    def test_keys_that_are_not_all_int_or_all_str_are_refused(
+            self, kind, keys, tmp_path):
+        store = STORES[kind]()
+        store.put_many(keys, data()[:len(keys)])
+        with pytest.raises(ValueError, match="all integers or all str"):
+            store.save_snapshot(tmp_path / "snap.npz")
+        assert not list(tmp_path.iterdir())
+
+    def test_numpy_string_keys_round_trip_as_str(self, kind, tmp_path):
+        store = STORES[kind]()
+        store.put_many(np.array(["a", "bb", "ccc"]), data()[:3])
+        store.save_snapshot(tmp_path / "snap.npz")
+        loaded = type(store).load(tmp_path / "snap.npz")
+        assert loaded.keys() == ["a", "bb", "ccc"]
+        np.testing.assert_array_equal(loaded.get_many(["a", "bb", "ccc"]),
+                                      store.as_matrix()[1])
+
+    def test_integer_keys_round_trip_as_int64(self, kind, tmp_path):
+        store = STORES[kind]()
+        keys = [7, np.int64(3), 2**40]
+        store.put_many(keys, data()[:3])
+        store.save_snapshot(tmp_path / "snap.npz")
+        loaded = type(store).load(tmp_path / "snap.npz")
+        assert loaded.keys() == [7, 3, 2**40]
+        assert all(type(key) is int for key in loaded.keys())
+        np.testing.assert_array_equal(loaded.get_many(keys),
+                                      store.get_many(keys))
