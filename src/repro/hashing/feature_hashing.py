@@ -47,9 +47,6 @@ class FeatureHasher:
         self.seed = seed
         self._salt = str(seed).encode()
 
-    def bucket_one(self, key: Hashable) -> int:
-        return _fnv1a(repr(key).encode() + self._salt) % self.n_buckets
-
     def bucket(self, keys: Iterable[Hashable]) -> np.ndarray:
         """Vectorised bucketing returning an ``int64`` array."""
         salt = self._salt

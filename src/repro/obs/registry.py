@@ -107,7 +107,9 @@ class LogHistogram:
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self._buckets: dict[int, int] = {}
+        self._counts: dict[int, int] = {}       # bucket index -> count
+        self._pending: list[np.ndarray] = []    # observe_many, unbucketed
+        self._pending_size = 0
         self.zeros = 0          # observations <= 0 (their own bucket)
         self.count = 0
         self.sum = 0.0
@@ -136,11 +138,13 @@ class LogHistogram:
             self.zeros += 1
             return
         index = math.floor(math.log(value) / self._log_growth)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self._counts[index] = self._counts.get(index, 0) + 1
 
     def observe_many(self, values) -> None:
-        """Vectorised bulk observe (the same buckets as looping)."""
-        values = np.asarray(values, dtype=np.float64).ravel()
+        """Vectorised bulk observe (the same buckets as looping).  The exact
+        stats update at once; the logarithms wait for the next read of the
+        buckets, or until 64k values are pending."""
+        values = np.array(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
         low, high = float(values.min()), float(values.max())  # nan-propagating
@@ -150,14 +154,30 @@ class LogHistogram:
         self.sum += float(values.sum())
         self.min = min(self.min, low)
         self.max = max(self.max, high)
-        positive = values[values > 0.0]
-        self.zeros += int(values.size - positive.size)
-        if positive.size:
-            indices = np.floor(np.log(positive)
+        if low <= 0.0:
+            positive = values[values > 0.0]
+            self.zeros += values.size - positive.size
+            values = positive
+        self._pending.append(values)
+        self._pending_size += values.size
+        if self._pending_size >= 1 << 16:
+            self._fold()
+
+    def _fold(self) -> dict[int, int]:
+        """Bucket the pending ``observe_many`` values; index -> count."""
+        if self._pending:
+            pending, self._pending, self._pending_size = self._pending, [], 0
+            values = np.concatenate(pending)
+            indices = np.floor(np.log(values)
                                / self._log_growth).astype(np.int64)
-            uniq, counts = np.unique(indices, return_counts=True)
-            for index, n in zip(uniq.tolist(), counts.tolist()):
-                self._buckets[index] = self._buckets.get(index, 0) + n
+            first = int(indices.min()) if indices.size else 0
+            for index, n in enumerate(np.bincount(indices - first).tolist(),
+                                      first):
+                if n:
+                    self._counts[index] = self._counts.get(index, 0) + n
+        return self._counts
+
+    _buckets = property(_fold)
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other``'s observations into this histogram."""

@@ -180,7 +180,7 @@ def span(name: str):
         return _NULL_SPAN
     traces = t.traces
     parent, node = _under(t, name)
-    if parent is None:
+    if parent is None or not parent.trace_ids:
         return ActiveSpan(name, node, traces, traces.clock())
     return traces.begin(name, parent, node=node)
 

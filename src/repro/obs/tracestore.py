@@ -62,16 +62,6 @@ class SpanRecord:
         """Parent span id of this span within ``trace_id`` (None = root)."""
         return self.parents.get(trace_id)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "span_id": self.span_id,
-                "trace_ids": list(self.trace_ids),
-                "parents": dict(self.parents), "start": self.start,
-                "end": self.end, "duration": self.duration,
-                "status": self.status, "error": self.error,
-                "attrs": dict(self.attrs),
-                "events": [{"ts": ts, "name": name, "attrs": attrs}
-                           for ts, name, attrs in self.events]}
-
     def __repr__(self) -> str:
         return (f"SpanRecord({self.name!r}, span_id={self.span_id}, "
                 f"status={self.status}, dur={self.duration:.6f}s)")
@@ -101,9 +91,6 @@ class TraceRecord:
             if span.name == name:
                 return span
         return None
-
-    def spans_named(self, name: str) -> list[SpanRecord]:
-        return [span for span in self.spans if span.name == name]
 
     def children_of(self, span_id: str) -> list[SpanRecord]:
         return [span for span in self.spans

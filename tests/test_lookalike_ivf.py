@@ -284,6 +284,30 @@ class TestListContiguousStorage:
         assert peak < 3 * 16 * total + 64 * n_queries * n_lists
         assert 3 * 16 * total + 64 * n_queries * n_lists < n_queries * n * 8 / 2
 
+    def test_query_batch_memory_on_a_skewed_index(self):
+        # 8,000 identical rows make one list of 8,000: the query sitting on
+        # them has a pool ~20x everyone else's, so padding every query to
+        # the widest pool would cost several times the candidates' bytes.
+        rng = np.random.default_rng(0)
+        n, dim, n_queries, n_lists = 20_000, 16, 64, 64
+        vectors = rng.normal(size=(n, dim))
+        vectors[:8000] = vectors[0]
+        queries = rng.normal(size=(n_queries, dim))
+        queries[0] = vectors[0]
+        index = IVFIndex(dim, n_lists=n_lists, nprobe=2, seed=0).fit(vectors)
+        assert np.diff(index._boundaries).max() >= 8000
+        sizes = [c.size for c in index.candidates_batch(queries)]
+        total = sum(sizes)
+        assert max(sizes) > 10 * total / n_queries
+        index.query_batch(queries, 10)           # warm caches and imports
+        tracemalloc.start()
+        try:
+            index.query_batch(queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * total + 64 * n_queries * n_lists
+
 
 class TestLookalikeSystemQuantIndex:
     @pytest.fixture(scope="class")

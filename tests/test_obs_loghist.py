@@ -39,6 +39,24 @@ class TestLogHistogram:
         assert one._buckets == many._buckets
         assert one.percentile(99) == many.percentile(99)
 
+    def test_pending_batches_are_bucketed_like_observe(self):
+        # Many small batches stay pending until a read or 64k values; both
+        # routes must land every value in observe()'s bucket, and a caller
+        # mutating its array afterwards must not change what was observed.
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.lognormal(size=70_000), [0.0, -3.0]])
+        one, many = LogHistogram("a"), LogHistogram("b")
+        for v in values:
+            one.observe(v)
+        for batch in np.array_split(values, 350):
+            many.observe_many(batch)
+            batch[:] = 1.0
+        assert len(many._pending) < 350          # the 64k bound folded
+        assert one.zeros == many.zeros == 2
+        assert one._buckets == many._buckets
+        assert not many._pending
+        assert one.buckets() == many.buckets()
+
     def test_merge_equals_single_histogram(self):
         rng = np.random.default_rng(2)
         a_vals, b_vals = rng.lognormal(size=300), rng.lognormal(size=200)
