@@ -31,6 +31,7 @@ as the uninterrupted run, so final parameters match to the last bit.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -48,9 +49,8 @@ from repro.resilience.checkpoint import (Checkpoint, CheckpointError,
                                          restore_model_state)
 from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
                              restore_rng_tree, set_generator_state)
-from repro.utils.timer import Timer
 
-__all__ = ["EpochRecord", "TrainHistory", "Trainer"]
+__all__ = ["EpochRecord", "TrainHistory", "Trainer", "TrainingLedger"]
 
 logger = logging.getLogger(__name__)
 
@@ -117,15 +117,127 @@ class TrainHistory:
         return [getattr(r, key) for r in self.epochs]
 
 
-@dataclass
-class _EpochProgress:
-    """Mutable within-epoch accumulators (checkpointed mid-epoch)."""
+class TrainingLedger:
+    """A run's bookkeeping: ``step``, ``epoch``, batch ``cursor``, the epoch's
+    shuffle ``order`` (drawn from ``rng``), its per-step accumulators, the
+    seconds trained and the finished epochs' ``history``.
 
-    losses: list[float] = field(default_factory=list)
-    recons: list[float] = field(default_factory=list)
-    kls: list[float] = field(default_factory=list)
-    betas: list[float] = field(default_factory=list)
-    n_seen: int = 0
+    :class:`Trainer` and :class:`~repro.distributed.sharded.ShardedTrainer`
+    both record steps, build each :class:`EpochRecord` and checkpoint this
+    section through it, so the two count epochs, losses and time alike.
+    """
+
+    def __init__(self, rng: np.random.Generator, step: int = 0) -> None:
+        self.rng = rng
+        self.step = step
+        self.epoch = 0
+        self.history = TrainHistory()
+        self.elapsed = 0.0       # seconds trained before the running epoch
+        self._started: float | None = None
+        self._clear_epoch()
+
+    def _clear_epoch(self) -> None:
+        self.cursor = 0          # batches of this epoch done
+        self.order: np.ndarray | None = None
+        self.losses: list[float] = []
+        self.recons: list[float] = []
+        self.kls: list[float] = []
+        self.betas: list[float] = []
+        self.n_seen = 0
+
+    @property
+    def seconds(self) -> float:
+        """Seconds trained, the running epoch's so far included."""
+        if self._started is None:
+            return self.elapsed
+        return self.elapsed + (time.perf_counter() - self._started)
+
+    def begin_epoch(self, n_users: int) -> None:
+        """Draw the epoch's shuffle (unless resuming it) and start its clock."""
+        if self.order is None:
+            self.order = np.arange(n_users)
+            self.rng.shuffle(self.order)
+        self._started = time.perf_counter()
+
+    def add(self, loss: float, recon: float, kl: float, beta: float,
+            users: int) -> None:
+        """Record one optimizer step over ``users`` users."""
+        self.losses.append(loss)
+        self.recons.append(recon)
+        self.kls.append(kl)
+        self.betas.append(beta)
+        self.n_seen += users
+        self.step += 1
+        self.cursor += 1
+
+    def close_epoch(self, interrupted: bool = False) -> EpochRecord:
+        """Stop the epoch's clock and summarise it (not yet in ``history``)."""
+        epoch_time = time.perf_counter() - self._started
+        self._started = None
+        self.elapsed += epoch_time
+        losses = self.losses
+        return EpochRecord(
+            epoch=self.epoch,
+            loss=float(np.mean(losses)) if losses else float("nan"),
+            recon=float(np.mean(self.recons)) if losses else float("nan"),
+            kl=float(np.mean(self.kls)) if losses else float("nan"),
+            beta=self.betas[-1] if losses else float("nan"),
+            epoch_time=epoch_time,
+            cumulative_time=self.elapsed,
+            users_per_second=(self.n_seen / epoch_time
+                              if losses and epoch_time > 0 else float("nan")),
+            n_batches=len(losses),
+            interrupted=interrupted,
+        )
+
+    def next_epoch(self) -> None:
+        self.epoch += 1
+        self._clear_epoch()
+
+    def write(self, arrays: dict, meta: dict, model) -> None:
+        """Add this section to a checkpoint's ``arrays`` and ``meta``."""
+        if self.cursor > 0 and self.order is not None:
+            arrays["epoch_order"] = np.asarray(self.order, dtype=np.int64)
+            arrays["partial/losses"] = np.asarray(self.losses)
+            arrays["partial/recons"] = np.asarray(self.recons)
+            arrays["partial/kls"] = np.asarray(self.kls)
+            arrays["partial/betas"] = np.asarray(self.betas)
+        meta.update(
+            step=int(self.step), epoch=int(self.epoch),
+            cursor=int(self.cursor), n_seen=int(self.n_seen),
+            elapsed=float(self.seconds),
+            history=[asdict(record) for record in self.history.epochs],
+            rng={"trainer": get_generator_state(self.rng),
+                 "model": capture_rng_tree(model)})
+
+    def restore(self, checkpoint: Checkpoint, batch_size: int, model) -> None:
+        """Continue from what :meth:`write` saved, RNG states included.
+
+        A mid-epoch section resumes only at the batch size it was taken
+        with (:func:`~repro.resilience.checkpoint.check_resume_batch_size`).
+        """
+        meta, arrays = checkpoint.meta, checkpoint.arrays
+        order = arrays.get("epoch_order")
+        check_resume_batch_size(meta, order, batch_size)
+        self._clear_epoch()
+        self._started = None
+        self.step = int(meta["step"])
+        self.epoch = int(meta.get("epoch", 0))
+        self.elapsed = float(meta.get("elapsed", 0.0))
+        self.history.epochs = [EpochRecord(**record)
+                               for record in meta.get("history", [])]
+        if int(meta.get("cursor", 0)) > 0 and order is not None:
+            self.cursor = int(meta["cursor"])
+            self.order = order
+            self.losses = arrays["partial/losses"].tolist()
+            self.recons = arrays["partial/recons"].tolist()
+            self.kls = arrays["partial/kls"].tolist()
+            self.betas = arrays["partial/betas"].tolist()
+            self.n_seen = int(meta.get("n_seen", 0))
+        rng_states = meta.get("rng", {})
+        if "trainer" in rng_states:
+            set_generator_state(self.rng, rng_states["trainer"])
+        restore_rng_tree(model, rng_states.get("model", {}))
 
 
 class Trainer:
@@ -163,7 +275,7 @@ class Trainer:
             verbose: bool = False,
             checkpointer: Checkpointer | str | Path | None = None,
             checkpoint_every: int = 0,
-            resume_from: Checkpoint | Checkpointer | str | Path | bool | None = None,
+            resume_from: Checkpoint | str | Path | bool | None = None,
             ) -> TrainHistory:
         """Train for up to ``epochs`` epochs (or until ``max_seconds`` elapse).
 
@@ -179,14 +291,13 @@ class Trainer:
         :class:`~repro.resilience.Checkpointer` or a directory path) to
         snapshot the full training state every ``checkpoint_every`` optimizer
         steps (``0`` → epoch boundaries only).  ``resume_from`` accepts a
-        checkpoint file, a checkpoint directory, a loaded
-        :class:`~repro.resilience.Checkpoint`, or ``True`` (= latest from
-        ``checkpointer``; starts fresh when none exists yet) and continues
-        the interrupted run bit-deterministically — including mid-epoch, via
-        the saved shuffle order and batch cursor.  A mid-epoch checkpoint
-        resumes only at the batch size it was taken with: the cursor counts
-        batches, so another size would skip or repeat users
-        (:class:`~repro.resilience.CheckpointError`).
+        checkpoint file path, a loaded :class:`~repro.resilience.Checkpoint`
+        or ``True`` (= latest from ``checkpointer``; starts fresh when none
+        exists yet) and continues the interrupted run bit-deterministically
+        — including mid-epoch, via the saved shuffle order and batch cursor.
+        A mid-epoch checkpoint resumes only at the batch size it was taken
+        with: the cursor counts batches, so another size would skip or repeat
+        users (:class:`~repro.resilience.CheckpointError`).
 
         Parameters, losses and optimizer state are bit-identical whether the
         field worker runs or not.
@@ -197,32 +308,25 @@ class Trainer:
             raise ValueError(f"batch_size must be positive: {batch_size}")
         if checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0: {checkpoint_every}")
-        rng = new_rng(rng)
+        ledger = TrainingLedger(new_rng(rng),
+                                step=getattr(self.model, "_step", 0))
         callbacks = list(callbacks or ())
         if verbose:
             _attach_verbose_handler()
         if isinstance(checkpointer, (str, Path)):
             checkpointer = Checkpointer(checkpointer)
-        history = TrainHistory()
-        timer = Timer()
-        step = getattr(self.model, "_step", 0)
-        base_elapsed = 0.0
-        start_epoch = 0
-        resume_cursor = 0
-        resume_order: np.ndarray | None = None
-        resume_progress: _EpochProgress | None = None
 
         checkpoint = self._resolve_resume(resume_from, checkpointer)
         if checkpoint is not None:
-            (step, start_epoch, resume_cursor, resume_order, resume_progress,
-             base_elapsed) = self._restore_checkpoint(checkpoint, batch_size,
-                                                      rng, history)
+            self._restore_checkpoint(checkpoint, batch_size, ledger)
             obs.count("checkpoint.resumes")
             logger.info("resumed from %s (epoch %d, batch %d, step %d)",
-                        checkpoint.path, start_epoch, resume_cursor, step)
-            if start_epoch >= epochs and resume_cursor == 0:
+                        checkpoint.path, ledger.epoch, ledger.cursor,
+                        ledger.step)
+            if ledger.epoch >= epochs and ledger.cursor == 0:
                 self.model.eval()
-                return history
+                return ledger.history
+        base_elapsed = ledger.elapsed  # max_seconds counts this call only
 
         for cb in callbacks:
             cb.on_train_start(self, dataset)
@@ -230,97 +334,60 @@ class Trainer:
         n_users = len(dataset)
         total_batches = n_batches(n_users, batch_size)
 
-        budget_exhausted = False
         with field_worker() as worker:
-            for epoch in range(start_epoch, epochs):
+            while ledger.epoch < epochs:
+                epoch = ledger.epoch
                 self.model.train()
                 for cb in callbacks:
                     cb.on_epoch_start(self, epoch)
-                if epoch == start_epoch and resume_cursor > 0 \
-                        and resume_order is not None:
-                    # Mid-epoch resume: replay the interrupted epoch's shuffle
-                    # order from the saved batch cursor.
-                    order = resume_order
-                    first_batch = resume_cursor
-                    progress = resume_progress or _EpochProgress()
-                else:
-                    order = np.arange(n_users)
-                    rng.shuffle(order)
-                    first_batch = 0
-                    progress = _EpochProgress()
-                cursor = first_batch
+                # A resumed epoch replays its saved shuffle from its cursor.
+                ledger.begin_epoch(n_users)
                 interrupted = False
-                timer.start()
                 with obs.span("epoch"):
-                    batches = SyncLoader().epoch(dataset, order, batch_size,
-                                                 first_batch)
+                    batches = SyncLoader().epoch(dataset, ledger.order,
+                                                 batch_size, ledger.cursor)
                     try:
-                        for b in range(first_batch, total_batches):
+                        for __ in range(ledger.cursor, total_batches):
                             with obs.span("batch_iter"):
                                 batch = next(batches)
                             with obs.span("forward"):
                                 self.optimizer.zero_grad()
-                                loss, diag = self.model.loss_on_batch(batch, step)
+                                loss, diag = self.model.loss_on_batch(
+                                    batch, ledger.step)
                             with obs.span("backward"):
                                 loss.backward()
                             with obs.span("optimizer_step"):
                                 self.optimizer.step()
-                            step += 1
-                            cursor = b + 1
-                            progress.n_seen += batch.n_users
-                            progress.losses.append(diag.get("loss", loss.item()))
-                            progress.recons.append(diag.get("recon", float("nan")))
-                            progress.kls.append(diag.get("kl", float("nan")))
-                            progress.betas.append(diag.get("beta", float("nan")))
+                            ledger.add(diag.get("loss", loss.item()),
+                                       diag.get("recon", float("nan")),
+                                       diag.get("kl", float("nan")),
+                                       diag.get("beta", float("nan")),
+                                       batch.n_users)
                             times = (None if worker is None
                                      else worker.take_times())
                             if obs.enabled():
                                 self._observe_step(batch.n_users, times)
                             if checkpointer is not None and checkpoint_every \
-                                    and step % checkpoint_every == 0:
-                                self._save_checkpoint(
-                                    checkpointer, rng, history, step=step,
-                                    epoch=epoch, cursor=cursor, order=order,
-                                    progress=progress,
-                                    elapsed=base_elapsed + timer.current)
+                                    and ledger.step % checkpoint_every == 0:
+                                self._save_checkpoint(checkpointer, ledger)
                             for cb in callbacks:
-                                cb.on_batch_end(self, epoch, step,
-                                                progress.losses[-1], diag)
-                            if max_seconds is not None \
-                                    and timer.current >= max_seconds:
+                                cb.on_batch_end(self, epoch, ledger.step,
+                                                ledger.losses[-1], diag)
+                            if max_seconds is not None and ledger.seconds \
+                                    - base_elapsed >= max_seconds:
                                 interrupted = True
-                                budget_exhausted = True
                                 break
                     finally:
                         # Retire the loader mid-epoch on a budget break or an
                         # early exit.
                         batches.close()
-                epoch_time = timer.stop()
+                record = ledger.close_epoch(interrupted)
 
                 if interrupted and checkpointer is not None:
                     # Snapshot the in-progress epoch so a later run can resume it
                     # from this exact batch.  (Saved before the partial record is
                     # appended: the checkpointed history only holds full epochs.)
-                    self._save_checkpoint(
-                        checkpointer, rng, history, step=step, epoch=epoch,
-                        cursor=cursor, order=order, progress=progress,
-                        elapsed=base_elapsed + timer.elapsed)
-
-                losses = progress.losses
-                record = EpochRecord(
-                    epoch=epoch,
-                    loss=float(np.mean(losses)) if losses else float("nan"),
-                    recon=float(np.mean(progress.recons)) if losses else float("nan"),
-                    kl=float(np.mean(progress.kls)) if losses else float("nan"),
-                    beta=progress.betas[-1] if losses else float("nan"),
-                    epoch_time=epoch_time,
-                    cumulative_time=base_elapsed + timer.elapsed,
-                    users_per_second=(progress.n_seen / epoch_time
-                                      if losses and epoch_time > 0
-                                      else float("nan")),
-                    n_batches=len(losses),
-                    interrupted=interrupted,
-                )
+                    self._save_checkpoint(checkpointer, ledger)
 
                 if eval_fn is not None and not interrupted:
                     was_training = self.model.training
@@ -329,7 +396,7 @@ class Trainer:
                     if was_training:
                         self.model.train()
 
-                history.epochs.append(record)
+                ledger.history.epochs.append(record)
                 for cb in callbacks:
                     cb.on_epoch_end(self, record)
                 if logger.isEnabledFor(logging.INFO):
@@ -340,20 +407,19 @@ class Trainer:
                                 epoch, record.loss, record.kl,
                                 record.cumulative_time, extra, flag)
 
-                if budget_exhausted:
+                if interrupted:
                     break
+                ledger.next_epoch()
                 if checkpointer is not None:
-                    self._save_checkpoint(
-                        checkpointer, rng, history, step=step, epoch=epoch + 1,
-                        cursor=0, order=None, progress=None,
-                        elapsed=base_elapsed + timer.elapsed)
-                if max_seconds is not None and timer.elapsed >= max_seconds:
+                    self._save_checkpoint(checkpointer, ledger)
+                if max_seconds is not None \
+                        and ledger.elapsed - base_elapsed >= max_seconds:
                     break
 
             self.model.eval()
             for cb in callbacks:
-                cb.on_train_end(self, history)
-        return history
+                cb.on_train_end(self, ledger.history)
+        return ledger.history
 
     @staticmethod
     def _observe_step(n_users: int, times: tuple[float, float] | None) -> None:
@@ -372,7 +438,7 @@ class Trainer:
     @staticmethod
     def _resolve_resume(resume_from, checkpointer: Checkpointer | None,
                         ) -> Checkpoint | None:
-        """Turn the many accepted ``resume_from`` forms into a Checkpoint."""
+        """Turn the accepted ``resume_from`` forms into a Checkpoint."""
         if resume_from is None or resume_from is False:
             return None
         if isinstance(resume_from, Checkpoint):
@@ -382,85 +448,36 @@ class Trainer:
                 raise ValueError(
                     "resume_from=True requires a checkpointer to resume from")
             return checkpointer.latest()  # None on a cold start: begin fresh
-        if isinstance(resume_from, Checkpointer):
-            checkpoint = resume_from.latest()
-            if checkpoint is None:
-                raise CheckpointError(
-                    f"no valid checkpoint under {resume_from.directory}")
-            return checkpoint
         path = Path(resume_from)
-        if path.is_dir():
-            checkpoint = Checkpointer(path).latest()
-            if checkpoint is None:
-                raise CheckpointError(f"no valid checkpoint under {path}")
-            return checkpoint
         return Checkpointer(path.parent).load(path)
 
     def _save_checkpoint(self, checkpointer: Checkpointer,
-                         rng: np.random.Generator, history: TrainHistory, *,
-                         step: int, epoch: int, cursor: int,
-                         order: np.ndarray | None,
-                         progress: _EpochProgress | None,
-                         elapsed: float) -> Path:
+                         ledger: TrainingLedger) -> Path:
         arrays = model_state_arrays(self.model)
         for key, value in self.optimizer.state_arrays().items():
             arrays[f"opt/{key}"] = value
-        if cursor > 0 and order is not None and progress is not None:
-            arrays["epoch_order"] = np.asarray(order, dtype=np.int64)
-            arrays["partial/losses"] = np.asarray(progress.losses)
-            arrays["partial/recons"] = np.asarray(progress.recons)
-            arrays["partial/kls"] = np.asarray(progress.kls)
-            arrays["partial/betas"] = np.asarray(progress.betas)
-        meta = {
-            "step": int(step),
-            "epoch": int(epoch),
-            "cursor": int(cursor),
-            "n_seen": int(progress.n_seen) if progress is not None else 0,
-            "elapsed": float(elapsed),
-            "model_step": int(getattr(self.model, "_step", step)),
-            "optimizer": "Adam",
-            "history": [asdict(record) for record in history.epochs],
-            "rng": {"trainer": get_generator_state(rng),
-                    "model": capture_rng_tree(self.model)},
-        }
-        return checkpointer.save(arrays, meta, step=step)
+        meta = {"model_step": int(getattr(self.model, "_step", ledger.step)),
+                "optimizer": "Adam"}
+        ledger.write(arrays, meta, self.model)
+        return checkpointer.save(arrays, meta, step=ledger.step)
 
     def _restore_checkpoint(self, checkpoint: Checkpoint, batch_size: int,
-                            rng: np.random.Generator, history: TrainHistory):
+                            ledger: TrainingLedger) -> None:
         meta, arrays = checkpoint.meta, checkpoint.arrays
         saved_opt = meta.get("optimizer")
         if saved_opt and saved_opt != "Adam":
             raise CheckpointError(
                 f"checkpoint was taken with {saved_opt}, but this trainer "
                 "uses Adam")
-        check_resume_batch_size(meta, arrays.get("epoch_order"), batch_size)
         saved = {arr.dtype for name, arr in arrays.items() if name.startswith("param/")}
         if self.precision is not None and saved - {self.precision}:
             raise CheckpointError(
                 f"checkpoint holds {', '.join(sorted(map(str, saved)))} "
                 f"parameters, but this trainer trains at {self.precision}")
+        ledger.restore(checkpoint, batch_size, self.model)
         restore_model_state(self.model, arrays)
         self.optimizer.load_state_arrays(
             {name[len("opt/"):]: arr for name, arr in arrays.items()
              if name.startswith("opt/")})
-        step = int(meta["step"])
         if hasattr(self.model, "_step"):
-            self.model._step = int(meta.get("model_step", step))
-        rng_states = meta.get("rng", {})
-        if "trainer" in rng_states:
-            set_generator_state(rng, rng_states["trainer"])
-        restore_rng_tree(self.model, rng_states.get("model", {}))
-        history.epochs = [EpochRecord(**record)
-                          for record in meta.get("history", [])]
-        cursor = int(meta.get("cursor", 0))
-        order = arrays.get("epoch_order")
-        progress = None
-        if cursor > 0 and order is not None:
-            progress = _EpochProgress(
-                losses=arrays["partial/losses"].tolist(),
-                recons=arrays["partial/recons"].tolist(),
-                kls=arrays["partial/kls"].tolist(),
-                betas=arrays["partial/betas"].tolist(),
-                n_seen=int(meta.get("n_seen", 0)))
-        return (step, int(meta.get("epoch", 0)), cursor, order, progress,
-                float(meta.get("elapsed", 0.0)))
+            self.model._step = int(meta.get("model_step", ledger.step))

@@ -29,7 +29,9 @@ Layout (per step):
   real worker processes mid-run; the driver detects the dead pipe, kills
   the survivors, rolls every shard back to the latest
   :class:`~repro.resilience.Checkpointer` checkpoint (parameters, Adam
-  moments, RNG states, epoch cursor), respawns the pool and replays —
+  moments, and the :class:`~repro.core.trainer.TrainingLedger` section
+  ``Trainer`` checkpoints too: RNG states, epoch cursor, partial epoch,
+  history, seconds trained), respawns the pool and replays —
   bit-identically to an uninterrupted sharded run.  ``python -m repro
   faults`` measures what each recovery costs.
 
@@ -46,21 +48,21 @@ import multiprocessing as mp
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.trainer import EpochRecord, TrainHistory
+from repro.core.trainer import TrainHistory, TrainingLedger
 from repro.distributed.sharded import shm
 from repro.distributed.sharded.layout import FieldLayout, build_field_layout
 from repro.nn.optim import (BETA1, BETA2, EPS, Adam, _coalesce,
                             adam_step_size, adam_update_rows)
 from repro.obs import runtime as obs
-from repro.resilience.checkpoint import Checkpointer, check_resume_batch_size
+from repro.perf.pipeline import n_batches
+from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.faults import FaultSchedule
-from repro.utils.rng import (capture_rng_tree, get_generator_state, new_rng,
-                             restore_rng_tree, set_generator_state)
+from repro.utils.rng import new_rng
 
 __all__ = ["ShardedTrainer", "WorkerDiedError"]
 
@@ -252,6 +254,7 @@ class ShardedTrainer:
         self._dense_params: list = []
         self._dense_slabs: list = []
         self._dense_opt: Adam | None = None
+        self._adam_t = 0                  # sparse Adam steps taken
         self._fired: set = set()          # consumed fault events
         self.crashes = 0                  # SIGKILLs sent
         self.recoveries = 0
@@ -267,7 +270,8 @@ class ShardedTrainer:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive: {batch_size}")
         self._validate_vocabulary(dataset)
-        rng = new_rng(rng)
+        ledger = TrainingLedger(new_rng(rng))
+        self._adam_t = 0
         model = self.model
         model.train()
         frozen_before = {spec.name: model.encoder.bag(spec.name).table.frozen
@@ -275,11 +279,10 @@ class ShardedTrainer:
         for spec in model.schema:
             model.encoder.bag(spec.name).table.freeze()
         self._dataset = dataset
-        history = TrainHistory()
         try:
             self._build_state()
             self._spawn_workers()
-            self._fit_loop(dataset, epochs, batch_size, rng, history)
+            self._fit_loop(dataset, epochs, batch_size, ledger)
         finally:
             self._teardown()
             self._dataset = None
@@ -287,7 +290,7 @@ class ShardedTrainer:
                 model.encoder.bag(spec.name).table.frozen = \
                     frozen_before[spec.name]
             model.eval()
-        return history
+        return ledger.history
 
     # -- state construction ----------------------------------------------------
 
@@ -374,68 +377,37 @@ class ShardedTrainer:
 
     # -- the training loop -----------------------------------------------------
 
-    def _fit_loop(self, dataset, epochs: int, batch_size: int, rng,
-                  history: TrainHistory) -> None:
-        n_users = len(dataset)
-        total_batches = max(1, -(-n_users // batch_size))
-        state = {"step": 0, "adam_t": 0, "epoch": 0, "cursor": 0,
-                 "order": None, "losses": [], "recons": [], "kls": [],
-                 "betas": [], "n_seen": 0, "elapsed": 0.0}
+    def _fit_loop(self, dataset, epochs: int, batch_size: int,
+                  ledger: TrainingLedger) -> None:
+        total_batches = n_batches(len(dataset), batch_size)
         if self.checkpointer is not None:
             # Bootstrap checkpoint: a crash on the very first step must have
             # something to roll back to.
-            self._save_checkpoint(state, rng, history)
+            self._save_checkpoint(ledger)
 
-        while state["epoch"] < epochs:
-            epoch = state["epoch"]
-            if state["order"] is None:
-                order = np.arange(n_users)
-                rng.shuffle(order)
-                state["order"] = order
-            t_epoch = time.perf_counter()
-            restart = False
-            b = state["cursor"]
-            while b < total_batches:
-                try:
-                    self._run_batch(dataset, state, b, batch_size)
-                except WorkerDiedError:
-                    self.recoveries += 1
-                    self._recover(state, rng, history, batch_size)
-                    restart = True
-                    break
-                b += 1
-                state["cursor"] = b
-                if self.checkpointer is not None and self.checkpoint_every \
-                        and state["step"] % self.checkpoint_every == 0:
-                    self._save_checkpoint(state, rng, history)
-            if restart:
+        while ledger.epoch < epochs:
+            ledger.begin_epoch(len(dataset))
+            try:
+                while ledger.cursor < total_batches:
+                    self._run_batch(dataset, ledger, batch_size)
+                    if self.checkpointer is not None and self.checkpoint_every \
+                            and ledger.step % self.checkpoint_every == 0:
+                        self._save_checkpoint(ledger)
+            except WorkerDiedError:
+                self.recoveries += 1
+                self._recover(ledger, batch_size)
                 continue  # re-enter from the recovered (epoch, cursor)
-            epoch_time = time.perf_counter() - t_epoch
-            state["elapsed"] += epoch_time
-            losses = state["losses"]
-            history.epochs.append(EpochRecord(
-                epoch=epoch,
-                loss=float(np.mean(losses)) if losses else float("nan"),
-                recon=float(np.mean(state["recons"])) if losses else float("nan"),
-                kl=float(np.mean(state["kls"])) if losses else float("nan"),
-                beta=state["betas"][-1] if losses else float("nan"),
-                epoch_time=epoch_time,
-                cumulative_time=state["elapsed"],
-                users_per_second=(state["n_seen"] / epoch_time
-                                  if losses and epoch_time > 0
-                                  else float("nan")),
-                n_batches=len(losses)))
-            state.update(epoch=epoch + 1, cursor=0, order=None, losses=[],
-                         recons=[], kls=[], betas=[], n_seen=0)
+            ledger.history.epochs.append(ledger.close_epoch())
+            ledger.next_epoch()
             if self.checkpointer is not None:
-                self._save_checkpoint(state, rng, history)
+                self._save_checkpoint(ledger)
 
-    def _run_batch(self, dataset, state: dict, b: int,
+    def _run_batch(self, dataset, ledger: TrainingLedger,
                    batch_size: int) -> None:
         model = self.model
-        step = state["step"]
+        step, b = ledger.step, ledger.cursor
         t_serial = time.process_time()  # CPU time: see _compute_step
-        users = state["order"][b * batch_size: (b + 1) * batch_size]
+        users = ledger.order[b * batch_size: (b + 1) * batch_size]
         total = int(users.size)
         beta = model.beta_schedule(step)
         model._step = step
@@ -461,7 +433,7 @@ class ShardedTrainer:
                 for s, part in enumerate(per_shard):
                     if part is not None:
                         routed[s].setdefault(pkey, []).append(part)
-        adam_t = state["adam_t"] + 1
+        adam_t = self._adam_t + 1
         for rank in range(self.n_workers):
             self._send(rank, ("apply", adam_t, routed[rank]))
         # Dense update (driver-side) overlaps the workers' shard applies;
@@ -480,17 +452,15 @@ class ShardedTrainer:
         serial_apply = time.process_time() - t_serial
         acks = [self._recv(rank) for rank in range(self.n_workers)]
 
-        state["adam_t"] = adam_t
-        state["step"] = step + 1
+        self._adam_t = adam_t
         model._step = step + 1
-        state["losses"].append(float(np.sum([msg[2] for msg in grads])))
-        state["recons"].append(float(np.sum(
-            [msg[3].get("recon", 0.0) for msg in grads if msg[3]])))
-        state["kls"].append(float(np.sum(
-            [msg[3].get("kl", 0.0) * (msg[4] / total)
-             for msg in grads if msg[3]])))
-        state["betas"].append(float(beta))
-        state["n_seen"] += total
+        ledger.add(
+            float(np.sum([msg[2] for msg in grads])),
+            float(np.sum([msg[3].get("recon", 0.0)
+                          for msg in grads if msg[3]])),
+            float(np.sum([msg[3].get("kl", 0.0) * (msg[4] / total)
+                          for msg in grads if msg[3]])),
+            float(beta), total)
         self.step_timings.append({
             "compute_max": max(msg[5] for msg in grads),
             "compute_sum": float(np.sum([msg[5] for msg in grads])),
@@ -544,8 +514,7 @@ class ShardedTrainer:
                 self.crashes += 1
                 obs.count("faults.injected")
 
-    def _recover(self, state: dict, rng, history: TrainHistory,
-                 batch_size: int) -> None:
+    def _recover(self, ledger: TrainingLedger, batch_size: int) -> None:
         """Roll every shard back to the latest checkpoint and respawn."""
         t0 = time.perf_counter()
         checkpoint = self.checkpointer.latest() if self.checkpointer else None
@@ -553,8 +522,8 @@ class ShardedTrainer:
             raise RuntimeError("worker died but no checkpoint exists to "
                                "recover from")
         self._stop_workers(force=True)
-        arrays, meta = checkpoint.arrays, checkpoint.meta
-        check_resume_batch_size(meta, arrays.get("epoch_order"), batch_size)
+        arrays = checkpoint.arrays
+        ledger.restore(checkpoint, batch_size, self.model)
         for pkey, sstate in self._sparse.items():
             for which in _STATE_KEYS:
                 sstate.layout.scatter(arrays[f"sparse/{pkey}/{which}"],
@@ -567,24 +536,13 @@ class ShardedTrainer:
         self._dense_opt.load_state_arrays(
             {k[len("dense_opt/"):]: v for k, v in arrays.items()
              if k.startswith("dense_opt/")})
-        state.update(
-            step=int(meta["step"]), adam_t=int(meta["adam_t"]),
-            epoch=int(meta["epoch"]), cursor=int(meta["cursor"]),
-            order=arrays.get("epoch_order"),
-            n_seen=int(meta.get("n_seen", 0)))
-        for key, name in (("losses", "partial/losses"),
-                          ("recons", "partial/recons"),
-                          ("kls", "partial/kls"), ("betas", "partial/betas")):
-            state[key] = arrays[name].tolist() if name in arrays else []
-        set_generator_state(rng, meta["rng"]["trainer"])
-        restore_rng_tree(self.model, meta["rng"]["model"])
-        self.model._step = state["step"]
-        history.epochs = [EpochRecord(**rec) for rec in meta.get("history", [])]
+        self._adam_t = int(checkpoint.meta["adam_t"])
+        self.model._step = ledger.step
         self._spawn_workers()
         obs.observe("distributed.sharded.recovery_seconds",
                     time.perf_counter() - t0)
 
-    def _save_checkpoint(self, state: dict, rng, history: TrainHistory):
+    def _save_checkpoint(self, ledger: TrainingLedger):
         arrays: dict[str, np.ndarray] = {}
         for pkey, sstate in self._sparse.items():
             for which in _STATE_KEYS:
@@ -594,24 +552,9 @@ class ShardedTrainer:
             arrays[f"dense/{i}"] = np.array(p.data, copy=True)
         for key, value in self._dense_opt.state_arrays().items():
             arrays[f"dense_opt/{key}"] = value
-        if state["cursor"] > 0 and state["order"] is not None:
-            arrays["epoch_order"] = np.asarray(state["order"], dtype=np.int64)
-            arrays["partial/losses"] = np.asarray(state["losses"])
-            arrays["partial/recons"] = np.asarray(state["recons"])
-            arrays["partial/kls"] = np.asarray(state["kls"])
-            arrays["partial/betas"] = np.asarray(state["betas"])
-        meta = {
-            "step": int(state["step"]),
-            "adam_t": int(state["adam_t"]),
-            "epoch": int(state["epoch"]),
-            "cursor": int(state["cursor"]),
-            "n_seen": int(state["n_seen"]),
-            "n_workers": self.n_workers,
-            "history": [asdict(rec) for rec in history.epochs],
-            "rng": {"trainer": get_generator_state(rng),
-                    "model": capture_rng_tree(self.model)},
-        }
-        return self.checkpointer.save(arrays, meta, step=int(state["step"]))
+        meta = {"adam_t": self._adam_t, "n_workers": self.n_workers}
+        ledger.write(arrays, meta, self.model)
+        return self.checkpointer.save(arrays, meta, step=ledger.step)
 
     # -- teardown --------------------------------------------------------------
 

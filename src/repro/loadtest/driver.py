@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lookalike.serving import ServingProxy, ServingResilience
+from repro.lookalike.serving import (_STORE_ERRORS, ServingProxy,
+                                     ServingResilience)
 from repro.lookalike.store import EmbeddingStore
 from repro.loadtest.arrivals import Request, SCENARIOS, bursty_trace
 from repro.loadtest.chaos import (CORRUPT, LATENCY_SPIKE, OUTAGE, SLOW_STORE,
@@ -41,10 +42,6 @@ from repro.viz.tables import format_table
 
 __all__ = ["LoadTestResult", "LoadTestHarness", "chaos_schedule",
            "run_loadtest", "run_chaos"]
-
-#: Errors the store surface may legitimately raise; anything else escaping a
-#: request handle counts as *unhandled* and fails the chaos gate.
-_STORE_ERRORS = (ConnectionError, TimeoutError, OSError)
 
 
 @dataclass
