@@ -270,7 +270,7 @@ class ShardedTrainer:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive: {batch_size}")
         self._validate_vocabulary(dataset)
-        ledger = TrainingLedger(new_rng(rng))
+        ledger = TrainingLedger(new_rng(rng), step=self.model._step)
         self._adam_t = 0
         model = self.model
         model.train()
@@ -362,6 +362,7 @@ class ShardedTrainer:
         self._dense_opt = Adam(self._dense_params, lr=self.lr)
 
     def _spawn_workers(self) -> None:
+        import scipy.sparse  # noqa: F401  (forked workers inherit it)
         self._workers = []
         for rank in range(self.n_workers):
             parent, child = self._ctx.Pipe()

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.nn.parallel import run_tasks
+from repro.nn.parallel import defer, run_tasks
 from repro.nn.tensor import (Parameter, Tensor, _dispatch, as_tensor,
                              coalesce_rows, stable_sigmoid)
 
@@ -255,9 +255,9 @@ def _field_nll(h, w, b, cand, targets, scale):
     return nll, (w_rows, probs, rows, flat, vals)
 
 
-def _field_grads(coef, h, saved, need_h, need_w, need_b):
-    """One field's backward task: ``(dh, dW[cand], db[cand])``, ``None`` for
-    a gradient nobody needs.  NumPy only; consumes ``saved``."""
+def _field_grads(coef, saved, need_h):
+    """One field's backward task: ``(dh, glogits)``, ``dh`` ``None`` if
+    nobody needs it.  NumPy only; consumes ``saved``."""
     w_rows, glogits, rows, flat, vals = saved
     g = vals * coef
     rowsum = np.bincount(rows, weights=g, minlength=glogits.shape[0])
@@ -265,8 +265,13 @@ def _field_grads(coef, h, saved, need_h, need_w, need_b):
     # buffer the forward kept: no second exp, no dense target matrix.
     glogits *= -rowsum.astype(glogits.dtype)[:, None]
     np.add.at(glogits.reshape(-1), flat, g)
-    return (glogits @ w_rows if need_h else None,
-            glogits.T @ h if need_w else None,
+    return glogits @ w_rows if need_h else None, glogits
+
+
+def _head_grads(glogits, h_data, need_w, need_b):
+    """One field's head task: ``(dW[cand], db[cand])``, ``None`` for a
+    gradient nobody needs.  NumPy only."""
+    return (glogits.T @ h_data if need_w else None,
             glogits.sum(axis=0) if need_b else None)
 
 
@@ -286,22 +291,30 @@ class OpSampledSoftmaxNLL:
     def backward(grad, parents, saved, args):
         cands, __, scale = args
         h, heads = parents[0], parents[1:]
-        tasks = [partial(_field_grads, -(grad[k] * scale), h.data, saved[k],
-                         h.requires_grad, heads[2 * k].requires_grad,
-                         heads[2 * k + 1].requires_grad)
-                 for k in range(len(cands))]
+        tasks = [partial(_field_grads, -(grad[k] * scale), saved[k],
+                         h.requires_grad) for k in range(len(cands))]
         grads = run_tasks(tasks, [cand.size for cand in cands])
         # Back on the calling thread, in field order: the same sums in the
         # same order whichever thread computed each field.  Candidate rows
         # are unique, so the coalescing sort + segment sum is skipped.
-        for k, (dh, gw, gb) in enumerate(grads):
+        for k, (dh, glogits) in enumerate(grads):
             if dh is not None:
                 h._accumulate(dh)
-            if gw is not None:
-                _scatter_grad(heads[2 * k], cands[k], gw, assume_unique=True)
-            if gb is not None:
-                _scatter_grad(heads[2 * k + 1], cands[k], gb,
-                              assume_unique=True)
+            pair = heads[2 * k:2 * k + 2]
+            task = partial(_head_grads, glogits, h.data,
+                           *(p.requires_grad for p in pair))
+            # Only the trunk needs dh now: sparse heads' products run on the
+            # worker until Adam reaches the heads and reads their parts.
+            if all(getattr(p, "sparse", False) for p in pair) \
+                    and (join := defer(task)):
+                for i in (0, 1):
+                    if pair[i].requires_grad:
+                        pair[i].add_pending_grad(
+                            lambda c=cands[k], j=join, i=i: (c, j()[i]))
+                continue
+            for p, g in zip(pair, task()):
+                if g is not None:
+                    _scatter_grad(p, cands[k], g, assume_unique=True)
 
 
 def sampled_softmax_nll(h: Tensor, weights: Sequence[Tensor],
@@ -314,11 +327,12 @@ def sampled_softmax_nll(h: Tensor, weights: Sequence[Tensor],
     ``h @ weights[k][cand].T + biases[k][cand]`` over its candidates (Eq. 1):
     ``nll[k] = -scale * sum(x * log_probs[i, j])`` over the observed entries
     ``(i, j, x)`` only, Mult-VAE's multinomial likelihood.  Each field is one
-    forward task and one backward task (``glogits = scatter(coef·x) −
-    softmax·rowsum(coef·x)`` and its three products); inside ``Trainer.fit``
-    they may split across two threads (:mod:`repro.nn.parallel`) with
-    bit-identical results.  The dense chain of :mod:`repro.check.reference`
-    agrees to a dtype-scaled tolerance.
+    forward task, one backward task (``glogits = scatter(coef·x) −
+    softmax·rowsum(coef·x)`` and ``dh``) and one head task (``dW``, ``db``);
+    inside ``Trainer.fit`` they may run on two threads, a sparse head's task
+    until its parts are read (:mod:`repro.nn.parallel`), with bit-identical
+    results.  The dense chain of :mod:`repro.check.reference` agrees to a
+    dtype-scaled tolerance.
 
     ``h`` is the ``(B, D)`` trunk output shared by every field.  Per field:
     the head's ``(J, D)`` weight and ``(J,)`` bias (dense or row-sparse

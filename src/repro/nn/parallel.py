@@ -4,11 +4,13 @@ The decoder's reconstruction is one independent batched softmax per field
 (Eq. 1).  :func:`run_tasks` runs such per-field tasks inline, or — while a
 :class:`FieldWorker` is installed on the calling thread — as two groups
 balanced by cost, the second on the worker's thread; the two overlap inside
-NumPy and BLAS, which release the interpreter lock.  A task does NumPy math
-only.  Results are combined on the caller in task order, so a worker run is
-bit-identical to an inline run, and a task's exception is re-raised there,
-with its own traceback, once both groups have finished.  No thread exists
-outside a ``with`` block: importing or forking starts or inherits none.
+NumPy and BLAS, which release the interpreter lock.  :func:`defer` queues a
+task the caller joins only later (the heads' gradients, when Adam reaches
+them).  A task does NumPy math only.  Results are combined on the caller in
+task order, so a worker run is bit-identical to an inline run, and a task's
+exception is re-raised there, with its own traceback, once both groups have
+finished (a deferred task's at its join).  No thread exists outside a
+``with`` block: importing or forking starts or inherits none.
 """
 
 from __future__ import annotations
@@ -17,38 +19,29 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from functools import cache
 from time import perf_counter
 from typing import Callable, Sequence
 
-__all__ = ["FieldWorker", "field_worker", "run_tasks"]
+__all__ = ["FieldWorker", "defer", "field_worker", "run_tasks"]
 
 # Per calling thread, so that two training threads never share a worker.
 _scope = threading.local()
 
 
-def _run(tasks: Sequence[Callable]) -> tuple[list, BaseException | None]:
-    """Run ``tasks`` in order; stop at the first exception and return it."""
-    results = []
-    for task in tasks:
-        try:
-            results.append(task())
-        except BaseException as exc:  # re-raised by run_tasks on the caller
-            return results, exc
-    return results, None
-
-
-def _timed(tasks: Sequence[Callable]):
+def _timed(tasks: Sequence[Callable]) -> tuple[list, float]:
     start = perf_counter()
-    return _run(tasks), perf_counter() - start
+    return [task() for task in tasks], perf_counter() - start
 
 
 class FieldWorker:
-    """A one-thread pool, alive for a ``with`` block, running the task groups
-    that :func:`run_tasks` hands over from the thread that entered it.
+    """A one-thread pool, alive for a ``with`` block, running the tasks that
+    :func:`run_tasks` and :func:`defer` hand over from the thread that
+    entered it.
 
     ``wait_s`` sums how long that thread waited for the worker after its
-    own group, ``busy_s`` how long the worker ran tasks (see
-    :meth:`take_times`).
+    own group or at a deferred task's join, ``busy_s`` how long the worker
+    ran tasks (see :meth:`take_times`).
     """
 
     def __init__(self) -> None:
@@ -64,17 +57,22 @@ class FieldWorker:
 
     def __exit__(self, *exc) -> None:
         _scope.worker = None
-        self._pool.shutdown()    # joins the thread after the group in flight
+        self._pool.shutdown()    # joins the thread after the queued tasks
 
-    def split(self, mine: Sequence[Callable], theirs: Sequence[Callable]):
-        """Run ``theirs`` here while the caller runs ``mine``; both outcomes."""
-        future = self._pool.submit(_timed, theirs)
-        own = _run(mine)
-        start = perf_counter()
-        other, busy = future.result()
-        self.wait_s += perf_counter() - start
-        self.busy_s += busy
-        return own, other
+    def submit(self, tasks: Sequence[Callable]) -> Callable:
+        """Queue ``tasks`` behind the earlier ones; return a join that gives
+        their results or re-raises the first exception (with its traceback),
+        counting the wait and the run into ``wait_s`` / ``busy_s`` once."""
+        future = self._pool.submit(_timed, tasks)
+
+        @cache
+        def join() -> list:
+            start = perf_counter()
+            results, busy = future.result()
+            self.wait_s += perf_counter() - start
+            self.busy_s += busy
+            return results
+        return join
 
     def take_times(self) -> tuple[float, float]:
         """``(wait_s, busy_s)`` since the last call; resets both."""
@@ -135,12 +133,22 @@ def run_tasks(tasks: Sequence[Callable], costs: Sequence[float]) -> list:
         loads[lighter] += costs[i]
     if worker is None or not groups[1]:
         return [task() for task in tasks]
-    outcomes = worker.split([tasks[i] for i in groups[0]],
-                            [tasks[i] for i in groups[1]])
+    join = worker.submit([tasks[i] for i in groups[1]])
+    try:
+        own = [tasks[i]() for i in groups[0]]
+    finally:
+        other = join()   # after both groups; re-raises the worker's error
     results: list = [None] * len(tasks)
-    for group, (done, error) in zip(groups, outcomes):
-        if error is not None:
-            raise error
-        for i, result in zip(group, done):
-            results[i] = result
+    for i, result in zip(groups[0] + groups[1], own + other):
+        results[i] = result
     return results
+
+
+def defer(task: Callable) -> Callable | None:
+    """Queue ``task`` on this thread's worker; return a join that returns its
+    result or re-raises its exception (``None`` with no worker: inline)."""
+    worker = getattr(_scope, "worker", None)
+    if worker is None:
+        return None
+    join = worker.submit([task])
+    return lambda: join()[0]

@@ -646,15 +646,32 @@ class Parameter(Tensor):
     :attr:`sparse_grad_parts` instead of a dense gradient.  Optimizers in
     :mod:`repro.nn.optim` consume those parts with per-row updates, which is
     what makes training cost independent of the vocabulary size.
+
+    A part may be pending on the field worker (:meth:`add_pending_grad`):
+    reading :attr:`sparse_grad_parts` joins it in place, so every reader sees
+    finished parts in recorded order; :meth:`zero_grad` drops it unjoined.
     """
 
-    __slots__ = ("sparse", "sparse_grad_parts", "_grad_buffer")
+    __slots__ = ("sparse", "_parts", "_grad_buffer")
 
     def __init__(self, data, name: str | None = None, sparse: bool = False) -> None:
         super().__init__(data, requires_grad=True, name=name)
         self.sparse = bool(sparse)
-        self.sparse_grad_parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._parts: list = []
         self._grad_buffer: np.ndarray | None = None
+
+    @property
+    def sparse_grad_parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The recorded ``(rows, grad_rows)`` parts, pending ones joined."""
+        parts = self._parts
+        for i, part in enumerate(parts):
+            if callable(part):
+                parts[i] = part()
+        return parts
+
+    def add_pending_grad(self, join: Callable) -> None:
+        """Record a part ``join()`` returns: duplicate-free ``(rows, grads)``."""
+        self._parts.append(join)
 
     def add_sparse_grad(self, rows: np.ndarray, grad_rows: np.ndarray,
                         assume_unique: bool = False) -> None:
@@ -671,9 +688,9 @@ class Parameter(Tensor):
         segment sum here would be pure overhead.
         """
         if assume_unique:
-            self.sparse_grad_parts.append((rows, grad_rows))
+            self._parts.append((rows, grad_rows))
         else:
-            self.sparse_grad_parts.append(coalesce_rows(rows, grad_rows))
+            self._parts.append(coalesce_rows(rows, grad_rows))
 
     @property
     def grad_buffer(self) -> np.ndarray:
@@ -728,7 +745,7 @@ class Parameter(Tensor):
 
     def zero_grad(self) -> None:
         self.grad = None
-        self.sparse_grad_parts = []
+        self._parts = []
 
     def densify_grad(self) -> np.ndarray:
         """Materialise the full gradient (dense part + sparse parts).

@@ -211,6 +211,26 @@ def test_one_worker_is_bit_exact_vs_trainer(shard_cluster):
 
 
 @pytest.mark.slow
+def test_a_second_fit_continues_the_step_count(shard_cluster):
+    # 48 users in batches of 16: three steps per one-epoch fit.  Both
+    # trainers continue model._step, so the second fit's KL annealing
+    # picks up where the first left off instead of restarting.
+    steps, betas = {}, {}
+    for name, make in (("trainer", lambda m: Trainer(m, lr=1e-3)),
+                       ("sharded", lambda m: ShardedTrainer(
+                           m.astype(np.float32), n_workers=1, lr=1e-3))):
+        model, data = small_model()
+        steps[name], betas[name] = [], []
+        for __ in range(2):
+            hist = make(model).fit(data, epochs=1, batch_size=16, rng=0)
+            steps[name].append(model._step)
+            betas[name].append(hist.epochs[0].beta)
+    assert steps["trainer"] == steps["sharded"] == [3, 6]
+    assert betas["trainer"] == betas["sharded"]
+    assert betas["sharded"][1] == pytest.approx(0.0005)
+
+
+@pytest.mark.slow
 def test_sharded_matches_reference_to_summation_order(shard_cluster):
     # float64 on both sides: 1e-12 is a float64 summation-order bound.
     ref_model, ref_data = small_model()

@@ -10,8 +10,12 @@ that runs part of the decoder's per-field softmax tasks.  These tests pin:
   a normal return, an exception inside a task, or a callback raise;
 * a task's exception surfaces on the caller with its own traceback, after
   both task groups finished;
+* the decoder heads' gradients are pending parts between ``backward`` and
+  ``step`` on the worker (none inline); reading them joins, ``zero_grad``
+  drops them, and a deferred task's exception surfaces from ``Adam.step``;
 * two training runs on two threads each own their worker;
-* the wait/busy telemetry exists only while a session is installed.
+* the wait/busy telemetry exists only while a session is installed, and
+  counts the deferred tasks and their joins.
 
 CI runs this module a second time under ``OPENBLAS_NUM_THREADS=1 python -X
 dev`` (the benchmark's BLAS setting, with thread and resource warnings on).
@@ -39,6 +43,7 @@ from repro.core.trainer import Trainer
 from repro.data import FieldSchema, FieldSpec, MultiFieldDataset
 from repro.nn import functional as F
 from repro.nn import parallel
+from repro.check.invariants import finite_grads
 from repro.nn.parallel import FieldWorker, run_tasks
 from repro.obs.callbacks import TrainerCallback
 from repro.obs.report import render_report
@@ -256,6 +261,135 @@ class TestRunTasks:
                 assert inner is outer
         with _cpus(1), parallel.field_worker() as none:
             assert none is None
+
+
+def _model(data, precision: str = "float64"):
+    config = FVAEConfig(latent_dim=4, encoder_hidden=[8], decoder_hidden=[8],
+                        sampling_rate=0.5, seed=3)
+    model = FVAE(data.schema, config)
+    model.initialize_from_dataset(data)
+    return model.astype(precision)
+
+
+def _heads(model):
+    return {name: p for name, p in model.named_parameters()
+            if name.startswith("decoder.head")}
+
+
+def _pending(model):
+    return sorted(name for name, p in model.named_parameters()
+                  if any(callable(part) for part in p._parts))
+
+
+def _backward(model, data):
+    loss, __ = model.loss_on_batch(data.batch(np.arange(16)), 0)
+    loss.backward()
+
+
+class TestDeferredHeadGradients:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pending_between_backward_and_step_only_on_the_worker(self, cpus):
+        data = _dataset(["large", "large", "single"])
+        model = _model(data)
+        trainer = Trainer(model, precision=None)
+        seen = []
+        real_step = trainer.optimizer.step
+
+        def step():
+            seen.append(_pending(model))
+            real_step()
+            seen.append(_pending(model))
+
+        trainer.optimizer.step = step
+        with _cpus(cpus):
+            trainer.fit(data, epochs=1, batch_size=16)
+        heads = sorted(_heads(model))
+        assert len(heads) == 6 and len(seen) == 2 * 3
+        expected = heads if cpus == 2 else []
+        assert seen == [expected, []] * 3
+
+    def test_task_exception_surfaces_from_adam_step(self):
+        real = F._head_grads
+        calls = []
+
+        def broken_head_task(*args):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise FloatingPointError("head task three")
+            return real(*args)
+
+        data = _dataset(["large", "large"])
+        before = threading.active_count()
+        with _cpus(2), mock.patch.object(F, "_head_grads", broken_head_task):
+            with pytest.raises(FloatingPointError,
+                               match="head task three") as info:
+                Trainer(_model(data)).fit(data, epochs=2, batch_size=16)
+        assert threading.active_count() == before
+        assert calls and threading.get_ident() not in calls
+        frames = [f.name for f in traceback.extract_tb(info.value.__traceback__)]
+        assert "broken_head_task" in frames and "step" in frames
+        assert "backward" not in frames
+
+    def test_zero_grad_drops_pending_parts(self):
+        data = _dataset(["large", "large"])
+        model = _model(data)
+        with FieldWorker():
+            _backward(model, data)
+            assert _pending(model) == sorted(_heads(model))
+            for p in _heads(model).values():
+                p.zero_grad()
+                assert p._parts == [] and p.sparse_grad_parts == []
+
+    def test_densify_grad_sees_the_joined_part(self):
+        data = _dataset(["large", "large"])
+        inline = _model(data)
+        _backward(inline, data)
+        split = _model(data)
+        with FieldWorker():
+            _backward(split, data)
+            assert _pending(split) == sorted(_heads(split))
+            for name, head in _heads(split).items():
+                assert head.densify_grad().tobytes() == \
+                    _heads(inline)[name].densify_grad().tobytes()
+            assert _pending(split) == []
+
+    def test_invariant_check_sees_the_joined_part(self):
+        real = F._head_grads
+
+        def nan_weight_grad(*args):
+            dw, db = real(*args)
+            dw[0, 0] = np.nan
+            return dw, db
+
+        data = _dataset(["large", "large"])
+        model = _model(data)
+        with FieldWorker(), mock.patch.object(F, "_head_grads",
+                                              nan_weight_grad):
+            _backward(model, data)
+            assert _pending(model)
+            subjects = [v.subject for v in finite_grads(model)]
+        assert subjects == ["decoder.head_f0.weight.sparse[0]",
+                            "decoder.head_f1.weight.sparse[0]"]
+        assert _pending(model) == []
+
+    def test_busy_and_wait_count_the_deferred_tasks(self):
+        real = F._head_grads
+        ms = 20
+
+        def slow_head_task(*args):
+            threading.Event().wait(ms / 1e3)
+            return real(*args)
+
+        data = _dataset(["large", "large", "single"])
+        with obs.session() as telemetry, \
+                mock.patch.object(F, "_head_grads", slow_head_task):
+            steps, __ = _train(data, "float32", cpus=2, epochs=1)
+        snap = {e["name"]: e for e in telemetry.registry.snapshot()}
+        n_steps = len(steps.losses)
+        # Three head tasks a step run one after another on the worker; the
+        # caller's own remaining work (trunk, encoder, Adam) is far shorter.
+        assert snap["trainer.field_worker.busy_ms"]["sum"] >= 3 * ms * n_steps
+        assert snap["trainer.field_worker.wait_ms"]["sum"] >= ms * n_steps
 
 
 class TestConcurrentRuns:

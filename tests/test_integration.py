@@ -90,25 +90,70 @@ class TestLookalikePipeline:
 class TestAblations:
     """The design-choice ablations DESIGN.md calls out."""
 
-    def test_batched_softmax_is_faster_than_full(self, sc_split):
+    def test_batched_softmax_is_faster_than_full(self, sc_split,
+                                                 monkeypatch):
         """Fixed work, best of three interleaved rounds after one warm-up
         fit per variant, timed in CPU seconds of this process: wall-clock
-        time also counts whatever else shares the CPUs."""
+        time also counts whatever else shares the CPUs.
+
+        The warm-up fits also pin the work: per batch, the candidate rows
+        ``recon_nll`` scores are the batch's distinct features (batched) or
+        every feature the tables hold so far (full)."""
         train, __ = sc_split
         from repro.core import Trainer
+        from repro.obs.callbacks import TrainerCallback
+        from repro.perf.pipeline import SyncLoader
 
-        def fit_seconds(batched: bool) -> float:
+        def fit_seconds(batched: bool, callbacks=()) -> float:
             model = FVAE(train.schema,
                          FVAEConfig(latent_dim=16, encoder_hidden=[64],
                                     decoder_hidden=[64],
                                     batched_softmax=batched, seed=0))
             start = time.process_time()
-            Trainer(model, lr=2e-3).fit(train, epochs=2, batch_size=128, rng=0)
+            Trainer(model, lr=2e-3).fit(train, epochs=2, batch_size=128, rng=0,
+                                        callbacks=list(callbacks))
             return time.process_time() - start
 
+        class Scored(TrainerCallback):
+            def __init__(self):
+                self.rows = []
+
+            def on_batch_end(self, trainer, epoch, step, loss, diagnostics):
+                self.rows.append(sum(v for k, v in diagnostics.items()
+                                     if k.startswith("candidates_")))
+
+        batches = []
+        real_epoch = SyncLoader.epoch
+
+        def recording_epoch(self, *args):
+            for batch in real_epoch(self, *args):
+                batches.append({name: fb.unique_with_counts()[0]
+                                for name, fb in batch.fields.items()
+                                if fb.indices.size})
+                yield batch
+
         variants = (True, False)
+        scored = {}
         for batched in variants:
-            fit_seconds(batched)
+            batches.clear()
+            scored[batched] = Scored()
+            with monkeypatch.context() as patch:
+                patch.setattr(SyncLoader, "epoch", recording_epoch)
+                fit_seconds(batched, [scored[batched]])
+            if batched:
+                expected = [sum(ids.size for ids in b.values())
+                            for b in batches]
+            else:
+                seen: dict = {}
+                expected = []
+                for b in batches:
+                    for name, ids in b.items():
+                        seen[name] = np.union1d(seen.get(name, ids), ids)
+                    expected.append(sum(seen[name].size for name in b))
+            assert scored[batched].rows == expected
+        per_epoch = {batched: sum(scored[batched].rows[len(batches) // 2:])
+                     for batched in variants}
+        assert per_epoch[True] < per_epoch[False]
         best = {batched: float("inf") for batched in variants}
         for __ in range(3):
             for batched in variants:
